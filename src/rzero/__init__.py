@@ -12,7 +12,6 @@ from .barcode import Interval, PointedBarcode, barcode, decompose_oracle
 from .cohomology import (
     CochainComplex,
     class_coordinates,
-    cohomology,
     connecting_delta,
     kernel_subgroup,
     restriction_map,

@@ -8,21 +8,24 @@ any quotient-space machinery (excision).
 
 Integral cohomology is presented as ker d_q / im d_{q-1}: a basis of the
 saturated kernel lattice (from the Smith normal form of d_q) together with
-the image generators rewritten in kernel coordinates.  Coordinates of any
-cocycle in this presentation are well defined modulo the relations, and the
-same data tensored with a field gives the field cohomology with canonical
-quotient coordinates.
+the image generators rewritten in kernel coordinates.  With d_q = U^-1 S V^-1
+and rank r, the kernel basis is the last columns V[:, r:], so the
+coordinates of a cochain z are (V^-1 z)[r:], read from the V^-1 the Smith
+form returns; the cocycle check comes free, as (V^-1 z)[:r] = 0.  Coordinates
+of any cocycle in this presentation are well defined modulo the relations,
+and the same data tensored with a field gives the field cohomology with
+canonical quotient coordinates.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import Complex, Simplex, Subcomplex
 from .errors import InputError, InternalError
 from .linalg import (
-    FieldSolver,
     PresentedGroup,
     QuotientSpace,
     SmithSolver,
@@ -33,6 +36,7 @@ from .linalg import (
     integer_kernel,
     lattice_basis,
     mat_vec,
+    smith_normal_form,
     subgroup_presentation,
     to_field_matrix,
 )
@@ -78,6 +82,27 @@ class CochainComplex:
             self._coboundaries[q] = matrix
         return self._coboundaries[q]
 
+    def coboundary_columns(self, q: int) -> Iterator[list[int]]:
+        """The nonzero columns of d_q in column order, as dense vectors.
+
+        Built from the faces of the (q+1)-simplices, without the dense
+        matrix: a column is nonzero iff its simplex has a coface.
+        """
+        cols_index = self._index.get(q, {})
+        entries: list[list[tuple[int, int]]] = [[] for _ in cols_index]
+        rows = self.simplices(q + 1)
+        for r, tau in enumerate(rows):
+            for j in range(len(tau)):
+                c = cols_index.get(tau[:j] + tau[j + 1:])
+                if c is not None:
+                    entries[c].append((r, -1 if j % 2 else 1))
+        for col_entries in entries:
+            if col_entries:
+                col = [0] * len(rows)
+                for r, sign in col_entries:
+                    col[r] = sign
+                yield col
+
     # -- cochain plumbing ---------------------------------------------------
 
     def vector(self, cochain: Cochain, q: int) -> list[int]:
@@ -104,15 +129,18 @@ class IntCohomology:
 
     `kernel` is a basis of the saturated cocycle lattice; None stands for the
     identity basis (top degree, where every cochain is a cocycle), in which
-    case coordinates are the cochain vectors themselves.
+    case coordinates are the cochain vectors themselves.  Otherwise
+    `vinv_cols` are the columns of V^-1 from the Smith form of d_q, whose
+    last columns V[:, rank:] are the kernel basis.
     """
 
-    def __init__(self, cc: CochainComplex, q: int, kernel, group: PresentedGroup):
+    def __init__(self, cc: CochainComplex, q: int, kernel, group: PresentedGroup,
+                 vinv_cols=None):
         self.cc = cc
         self.q = q
         self.kernel = kernel
         self.group = group
-        self._solver = None
+        self.vinv_cols = vinv_cols
 
     @property
     def gens(self) -> int:
@@ -131,26 +159,16 @@ class IntCohomology:
 
     def coords(self, vec) -> list[int]:
         """Presentation coordinates of a cocycle (well defined mod relations)."""
-        vec = list(vec)
+        vec = [int(x) for x in vec]
         if self.kernel is None:
-            return [int(x) for x in vec]
-        if not self.cc.is_cocycle(vec, self.q):
+            return vec
+        if len(vec) != len(self.vinv_cols):
+            raise ValueError("cochain length mismatch")
+        y = _apply_columns(self.vinv_cols, vec)
+        rank = len(vec) - len(self.kernel)
+        if any(y[:rank]):
             raise InternalError("not a cocycle")
-        if not self.kernel:
-            return []
-        if self._solver is None:
-            matrix = [[Fraction(col[i]) for col in self.kernel]
-                      for i in range(self.cc.size(self.q))]
-            self._solver = FieldSolver(matrix, 0)
-        sol = self._solver.solve([Fraction(x) for x in vec])
-        if sol is None:
-            raise InternalError("cocycle outside the kernel lattice")
-        out = []
-        for x in sol:
-            if x.denominator != 1:
-                raise InternalError("kernel lattice is not saturated")
-            out.append(int(x))
-        return out
+        return y[rank:]
 
     def represent(self, coords) -> list[int]:
         """A cocycle vector representing the given presentation coordinates."""
@@ -163,9 +181,6 @@ class IntCohomology:
                 for i in range(size):
                     vec[i] += coeff * col[i]
         return vec
-
-    def class_is_zero(self, vec) -> bool:
-        return self.group.is_zero_class(self.coords(vec))
 
     def tensor(self, char: int) -> QuotientSpace:
         return self.group.tensor(char)
@@ -203,40 +218,42 @@ def integral_cohomology(cc: CochainComplex, q: int) -> IntCohomology:
     """ker d_q / im d_{q-1} over the integers via Smith normal form."""
     n_q = cc.size(q)
     if n_q == 0:
-        return IntCohomology(cc, q, [], PresentedGroup(0, []))
+        return IntCohomology(cc, q, [], PresentedGroup(0, []), [])
     if cc.size(q + 1) == 0:
         # Top degree: the kernel is everything; keep the identity implicit.
         relations = []
-        if q >= 1 and cc.size(q - 1) > 0:
-            relations = [col for col in columns(cc.coboundary(q - 1))
-                         if any(x != 0 for x in col)]
+        if q >= 1:
+            relations = list(cc.coboundary_columns(q - 1))
         return IntCohomology(cc, q, None, PresentedGroup(n_q, relations))
-    kernel = integer_kernel(cc.coboundary(q))
-    group = _present_quotient(cc, q, kernel)
-    return IntCohomology(cc, q, kernel, group)
+    snf = smith_normal_form(cc.coboundary(q))
+    kernel = columns(snf.v)[snf.rank:]
+    vinv_cols = columns(snf.vinv)
+    group = _present_quotient(cc, q, snf.rank, vinv_cols)
+    return IntCohomology(cc, q, kernel, group, vinv_cols)
 
 
-def _present_quotient(cc: CochainComplex, q: int, kernel) -> PresentedGroup:
-    gens = len(kernel)
+def _apply_columns(cols, vec) -> list[int]:
+    """The matrix with the given columns times vec (zero entries skipped)."""
+    out = [0] * len(cols[0]) if cols else []
+    for x, col in zip(vec, cols):
+        if x:
+            out = [o + x * c for o, c in zip(out, col)]
+    return out
+
+
+def _present_quotient(cc: CochainComplex, q: int, rank: int, vinv_cols) -> PresentedGroup:
+    """Relations of ker d_q / im d_{q-1}: each nonzero column of d_{q-1} in
+    kernel coordinates, (V^-1 col)[rank:]."""
+    gens = len(vinv_cols) - rank
     if gens == 0:
         return PresentedGroup(0, [])
     relations = []
-    if q >= 1 and cc.size(q - 1) > 0:
-        d_prev = cc.coboundary(q - 1)
-        matrix = [[Fraction(col[i]) for col in kernel] for i in range(cc.size(q))]
-        solver = FieldSolver(matrix, 0)
-        for image_col in columns(d_prev):
-            if all(x == 0 for x in image_col):
-                continue
-            sol = solver.solve([Fraction(x) for x in image_col])
-            if sol is None:
+    if q >= 1:
+        for image_col in cc.coboundary_columns(q - 1):
+            y = _apply_columns(vinv_cols, image_col)
+            if any(y[:rank]):
                 raise InternalError("coboundary escapes the cocycle lattice")
-            rel = []
-            for x in sol:
-                if x.denominator != 1:
-                    raise InternalError("coboundary not integral in kernel basis")
-                rel.append(int(x))
-            relations.append(rel)
+            relations.append(y[rank:])
     return PresentedGroup(gens, relations)
 
 
@@ -287,12 +304,9 @@ def field_cohomology(cc: CochainComplex, q: int, char: int) -> FieldCohomology:
     else:
         kernel = field_kernel(d_q, char)
     relations = []
-    if q >= 1 and cc.size(q - 1) > 0 and kernel:
+    if q >= 1 and kernel:
         matrix = [[kernel[j][i] for j in range(len(kernel))] for i in range(n_q)]
-        d_prev = to_field_matrix(cc.coboundary(q - 1), char)
-        for image_col in columns(d_prev):
-            if all(x == 0 for x in image_col):
-                continue
+        for image_col in cc.coboundary_columns(q - 1):
             sol = field_solve(matrix, image_col, char)
             if sol is None:
                 raise InternalError("coboundary escapes cocycles over field")
@@ -424,9 +438,6 @@ class Subgroup:
         if sol is None:
             return None
         return sol[: len(self.span)]
-
-    def rational_rank(self) -> int:
-        return self.group.free_rank
 
 
 def kernel_subgroup(matrix, src: IntCohomology, dst: IntCohomology) -> Subgroup:

@@ -5,7 +5,9 @@ Fraction entries (characteristic 0) or ints reduced mod p.  The Smith normal
 form drives the integer side where coefficients or torsion are needed:
 kernels, linear Diophantine solving, and presentations of finitely generated
 abelian groups.  Its pivots are chosen by minimal absolute value (ties by
-position) to limit entry growth.  Yes/no questions about a relation lattice
+position) to limit entry growth.  It returns both transforms u, v and both
+inverses u^-1, v^-1, tracked as it eliminates, so lattice bases and
+coordinates are read off integer matrices with no Fraction inverse or solve.  Yes/no questions about a relation lattice
 (is a class zero, is the group trivial) use a transform-free integer column
 echelon instead, and rational quotients use a fraction-free echelon.
 """
@@ -107,9 +109,14 @@ def int_det(a: IntMatrix) -> int:
 
 @dataclass(frozen=True)
 class SmithForm:
+    """u * m * v = s with u, v unimodular; uinv and vinv are their inverses,
+    so m = uinv * s * vinv."""
+
     s: IntMatrix
     u: IntMatrix
     v: IntMatrix
+    uinv: IntMatrix
+    vinv: IntMatrix
     rank: int
 
     @property
@@ -118,48 +125,56 @@ class SmithForm:
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Smith normal form u*m*v = s with u, v unimodular.
+    """Smith normal form u*m*v = s with u, v unimodular, and their inverses.
 
     The diagonal of s is nonnegative and satisfies the divisibility chain
     d1 | d2 | ... ; pivots are picked by minimal absolute value, ties broken
-    by (row, column) position so the result is deterministic.
+    by (row, column) position so the result is deterministic.  The inverses
+    are tracked alongside: a row op on u is the inverse column op on u^-1,
+    and a column op on v is the inverse row op on v^-1.
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = [row[:] for row in m]
     u = identity(rows)
-    v = identity(cols)
+    # u^-1 and v are changed by column ops; they are kept transposed, so
+    # that every transform update is a row op on a list.
+    uinv_t = identity(rows)
+    v_t = identity(cols)
+    vinv = identity(cols)
 
     def swap_rows(i, j):
         if i != j:
             a[i], a[j] = a[j], a[i]
             u[i], u[j] = u[j], u[i]
+            uinv_t[i], uinv_t[j] = uinv_t[j], uinv_t[i]
 
     def swap_cols(i, j):
         if i != j:
             for row in a:
                 row[i], row[j] = row[j], row[i]
-            for row in v:
-                row[i], row[j] = row[j], row[i]
+            v_t[i], v_t[j] = v_t[j], v_t[i]
+            vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(src, dst, factor):
-        # row[dst] += factor * row[src]
-        arow, brow = a[src], a[dst]
-        for j in range(cols):
-            brow[j] += factor * arow[j]
-        urow_s, urow_d = u[src], u[dst]
-        for j in range(rows):
-            urow_d[j] += factor * urow_s[j]
+        # row[dst] += factor * row[src]; on u^-1, column[src] -= factor * column[dst]
+        a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
+        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
+        uinv_t[src] = [x - factor * y for x, y in zip(uinv_t[src], uinv_t[dst])]
 
     def add_col(src, dst, factor):
+        # column[dst] += factor * column[src]; on v^-1, row[src] -= factor * row[dst]
         for row in a:
-            row[dst] += factor * row[src]
-        for row in v:
-            row[dst] += factor * row[src]
+            x = row[src]
+            if x:
+                row[dst] += factor * x
+        v_t[dst] = [x + factor * y for x, y in zip(v_t[dst], v_t[src])]
+        vinv[src] = [x - factor * y for x, y in zip(vinv[src], vinv[dst])]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
+        uinv_t[i] = [-x for x in uinv_t[i]]
 
     def find_pivot(t):
         best = None
@@ -210,9 +225,12 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
                         break
             if restart:
                 continue
-            # Row and column are clear; enforce divisibility of the rest.
-            offender = None
+            # Row and column are clear; enforce divisibility of the rest
+            # (a unit pivot divides everything).
             d = a[t][t]
+            if d == 1:
+                break
+            offender = None
             for i in range(t + 1, rows):
                 row = a[i]
                 for j in range(t + 1, cols):
@@ -227,7 +245,7 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
         t += 1
 
     rank = sum(1 for i in range(min(rows, cols)) if a[i][i] != 0)
-    return SmithForm(a, u, v, rank)
+    return SmithForm(a, u, transpose(v_t), transpose(uinv_t), vinv, rank)
 
 
 class SmithSolver:
@@ -286,35 +304,25 @@ def lattice_basis(vectors: list[IntVector], dim: int) -> list[IntVector]:
         return []
     m = from_columns(vectors, dim)
     snf = smith_normal_form(m)
-    uinv = unimodular_inverse(snf.u)
     basis = []
     for i in range(snf.rank):
         d = snf.s[i][i]
-        basis.append([uinv[r][i] * d for r in range(dim)])
+        basis.append([snf.uinv[r][i] * d for r in range(dim)])
     return basis
 
 
 def unimodular_inverse(u: IntMatrix) -> IntMatrix:
-    """Exact inverse of a unimodular integer matrix (again integral)."""
+    """Exact inverse of a unimodular integer matrix (again integral).
+
+    With U u V = I from the Smith form, the inverse is V U.
+    """
     n = len(u)
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(u)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    out = []
-    for row in aug:
-        entries = row[n:]
-        if any(e.denominator != 1 for e in entries):
-            raise ValueError("matrix is not unimodular")
-        out.append([int(e) for e in entries])
-    return out
+    if any(len(row) != n for row in u):
+        raise ValueError("matrix is not square")
+    snf = smith_normal_form(u)
+    if any(d != 1 for d in snf.diagonal):
+        raise ValueError("matrix is not unimodular")
+    return mat_mul(snf.v, snf.u)
 
 
 # ---------------------------------------------------------------------------
@@ -758,18 +766,17 @@ class PresentedGroup:
 
     def _normal_data(self):
         if not hasattr(self, "_normal_cache"):
+            diag = [0] * self.gens
             if not self.relations:
-                u = identity(self.gens)
-                diag = [0] * self.gens
+                u = uinv = identity(self.gens)
             else:
                 snf = smith_normal_form(self.relation_matrix)
-                u = snf.u
-                diag = [0] * self.gens
+                u, uinv = snf.u, snf.uinv
                 for i in range(min(self.gens, len(self.relations))):
                     diag[i] = snf.s[i][i]
             free = [i for i in range(self.gens) if diag[i] == 0]
             torsion = [(i, diag[i]) for i in range(self.gens) if diag[i] > 1]
-            self._normal_cache = (u, unimodular_inverse(u), free, torsion)
+            self._normal_cache = (u, uinv, free, torsion)
         return self._normal_cache
 
     def normal_basis_size(self) -> int:

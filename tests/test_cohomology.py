@@ -1,6 +1,9 @@
 """Cochain complexes, integral and field cohomology, induced maps."""
 
+import types
 from fractions import Fraction
+
+import pytest
 
 from rzero.cohomology import (
     CochainComplex,
@@ -14,8 +17,10 @@ from rzero.cohomology import (
     restriction_transfer,
 )
 from rzero.complexes import Complex, full_subcomplex, star_subdivide
+from rzero.errors import InternalError
 from rzero.exact import ExactRadius
-from rzero.linalg import mat_mul, mat_vec
+from rzero.linalg import FieldSolver, columns, from_columns, mat_mul, mat_vec
+from rzero.rng import RationalSampler
 
 from inputs import grid_identity_map, octagon_winding2_map
 
@@ -255,3 +260,79 @@ def test_restriction_map_rejects_non_nested():
     hb = integral_cohomology(CochainComplex(b), 0)
     with pytest.raises(InputError):
         restriction_map(ha, hb)
+
+
+MOEBIUS_FACES = [[1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 1], [5, 1, 2]]
+RP2_FACES = [
+    [0, 1, 4], [0, 1, 5], [0, 2, 3], [0, 2, 4], [0, 3, 5],
+    [1, 2, 3], [1, 2, 5], [1, 3, 4], [2, 4, 5], [3, 4, 5],
+]
+
+
+def _random_two_complex(sampler, vertices=7, faces=8):
+    tris = []
+    for _ in range(faces):
+        tri = set()
+        while len(tri) < 3:
+            tri.add(sampler.integer(0, vertices - 1))
+        tris.append(sorted(tri))
+    # An isolated vertex gives d_0 a zero column, which is no relation.
+    return Complex.build(tris + [[vertices]])
+
+
+def _check_coordinates(cc, sampler):
+    """coords inverts represent and rejects non-cocycles in every non-top
+    degree; the relations are the nonzero columns of d_{q-1}, solved over Q
+    in the kernel basis below the top degree."""
+    checked = 0
+    for q in range(cc.space.dim + 1):
+        if cc.size(q) == 0:
+            continue
+        h = integral_cohomology(cc, q)
+        image = [col for col in columns(cc.coboundary(q - 1)) if any(col)] if q else []
+        if cc.size(q + 1) == 0:
+            assert h.kernel is None and h.group.relations == image
+            continue
+        checked += 1
+        c = []
+        for _ in range(4):
+            c = [sampler.integer(-3, 3) for _ in range(h.gens)]
+            assert h.coords(h.represent(c)) == c
+        d_q = cc.coboundary(q)
+        j = next((j for j in range(cc.size(q)) if any(row[j] for row in d_q)), None)
+        if j is not None:
+            off = [x + (1 if i == j else 0) for i, x in enumerate(h.represent(c))]
+            with pytest.raises(InternalError):
+                h.coords(off)
+        expected = []
+        if image and h.gens:
+            solver = FieldSolver(from_columns(h.kernel, cc.size(q)), 0)
+            for col in image:
+                sol = solver.solve(col)
+                assert sol is not None and all(x.denominator == 1 for x in sol)
+                expected.append([int(x) for x in sol])
+        assert h.group.relations == expected
+    return checked
+
+
+def test_integral_coordinates_from_smith_inverse():
+    sampler = RationalSampler(31)
+    moebius = Complex.build(MOEBIUS_FACES)
+    rp2 = Complex.build(RP2_FACES)
+    ccs = [CochainComplex(moebius), CochainComplex(rp2),
+           CochainComplex(rp2, full_subcomplex(rp2, lambda v: v in {"0", "1", "2"}))]
+    for _ in range(12):
+        c = _random_two_complex(sampler)
+        ccs.append(CochainComplex(c))
+        kept = {v for v in c.vertices if sampler.integer(0, 2) == 0}
+        ccs.append(CochainComplex(c, full_subcomplex(c, lambda v: v in kept)))
+    assert sum(_check_coordinates(cc, sampler) for cc in ccs) >= 2 * len(ccs)
+
+
+def test_cohomology_module_not_shadowed():
+    import rzero
+    import rzero.cohomology as cohomology_module
+
+    assert isinstance(rzero.cohomology, types.ModuleType)
+    assert cohomology_module is rzero.cohomology
+    assert callable(cohomology_module.cohomology)

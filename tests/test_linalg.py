@@ -32,6 +32,8 @@ def check_snf(m):
     assert mat_mul(mat_mul(snf.u, m), snf.v) == snf.s
     assert abs(int_det(snf.u)) == 1
     assert abs(int_det(snf.v)) == 1
+    assert mat_mul(snf.u, snf.uinv) == identity(len(m))
+    assert mat_mul(snf.v, snf.vinv) == identity(len(m[0]))
     diag = [d for d in snf.diagonal if d != 0]
     assert all(d > 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
@@ -254,6 +256,11 @@ def test_presented_group_normalized():
     assert all(x == 0 for x in a)  # relation collapses to zero
     rep = g.normalized_representative(0)
     assert not g.is_zero_class(rep)
+    for group in (g, PresentedGroup(2, []), PresentedGroup(3, [[1, 2, 3], [0, 2, 4]])):
+        size = group.normal_basis_size()
+        for j in range(size):
+            unit = [1 if i == j else 0 for i in range(size)]
+            assert group.normalized_coords(group.normalized_representative(j)) == unit
 
 
 def test_quotient_space():
@@ -348,5 +355,10 @@ def test_lattice_basis_and_subgroup():
 def test_unimodular_inverse():
     u = [[1, 2], [0, 1]]
     assert mat_mul(u, unimodular_inverse(u)) == identity(2)
-    with pytest.raises(ValueError):
-        unimodular_inverse([[2, 0], [0, 1]])
+    w = [[0, 1, 0], [2, 3, -1], [1, 1, 0]]  # determinant -1
+    inv = unimodular_inverse(w)
+    assert mat_mul(w, inv) == identity(3) and mat_mul(inv, w) == identity(3)
+    assert unimodular_inverse([]) == []
+    for bad in ([[2, 0], [0, 1]], [[1, 2], [3, 4]], [[1, 1], [1, 1]], [[1, 0]]):
+        with pytest.raises(ValueError):
+            unimodular_inverse(bad)
