@@ -434,10 +434,7 @@ class Subgroup:
             cols = [list(v) for v in self.span]
             cols += [list(r) for r in self.ambient.group.relations]
             self._solver = SmithSolver(from_columns(cols, self.ambient.gens))
-        sol = self._solver.solve(ambient_coords)
-        if sol is None:
-            return None
-        return sol[: len(self.span)]
+        return self._solver.solve_head(ambient_coords, len(self.span))
 
 
 def kernel_subgroup(matrix, src: IntCohomology, dst: IntCohomology) -> Subgroup:

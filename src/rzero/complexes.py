@@ -101,6 +101,20 @@ class Subcomplex(Complex):
             if s not in parent:
                 raise InternalError(f"simplex {s} not in parent complex")
 
+    @classmethod
+    def from_closed(cls, parent: Complex, simplices, by_dim) -> "Subcomplex":
+        """A subcomplex from simplices the caller knows to be face-closed
+        simplices of `parent`, with `by_dim` their sorted lists per
+        dimension (shared, never mutated).  Nothing is re-closed or checked.
+        """
+        self = cls.__new__(cls)
+        self.parent = parent
+        self._simplices = frozenset(simplices)
+        self._by_dim = by_dim
+        self.vertices = tuple(s[0] for s in by_dim.get(0, ()))
+        self.dim = max((q for q, lst in by_dim.items() if lst), default=-1)
+        return self
+
 
 def full_subcomplex(parent: Complex, keep) -> Subcomplex:
     """The subcomplex spanned by the vertices satisfying `keep`."""
@@ -233,12 +247,27 @@ class _Subdivider:
     def __init__(self, f: PLMap):
         self.n = f.n
         self.norm = f.norm
-        self.simplices = set(f.complex.simplices)
+        self.simplices: set[Simplex] = set()
+        # vertex -> the current simplices containing it, kept in step with
+        # `simplices` by add/discard so that star finds cofaces by lookup.
+        self.by_vertex: dict[str, set[Simplex]] = {}
+        for s in f.complex.simplices:
+            self.add(s)
         self.values = dict(f.values)
         self.expansion = {v: dict(exp) for v, exp in f.expansion.items()}
         # Vertex values never change during subdivision, so per-simplex
         # minimization results stay valid across passes.
         self._norm_cache: dict[Simplex, object] = {}
+
+    def add(self, s: Simplex) -> None:
+        self.simplices.add(s)
+        for v in s:
+            self.by_vertex.setdefault(v, set()).add(s)
+
+    def discard(self, s: Simplex) -> None:
+        self.simplices.discard(s)
+        for v in s:
+            self.by_vertex[v].discard(s)
 
     def norm_min(self, s: Simplex):
         cached = self._norm_cache.get(s)
@@ -268,15 +297,15 @@ class _Subdivider:
         self.expansion[new_id] = combo
 
         face_set = set(face)
-        cofaces = [s for s in self.simplices if face_set.issubset(s)]
+        cofaces = [s for s in self.by_vertex[face[0]] if face_set.issubset(s)]
         proper_faces = [set(fc) for fc in _faces(face) if len(fc) < len(face)]
         proper_faces.append(set())
         for s in cofaces:
-            self.simplices.discard(s)
+            self.discard(s)
             link = [v for v in s if v not in face_set]
             for sub in proper_faces:
                 piece = tuple(sorted(sub | set(link) | {new_id}))
-                self.simplices.add(piece)
+                self.add(piece)
         return new_id
 
     def snapshot(self) -> list[Simplex]:

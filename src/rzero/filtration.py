@@ -4,16 +4,32 @@ After subdivision every per-simplex minimum of |f| is a vertex norm, so the
 critical values are just the distinct positive vertex norms.  The family
 A_r = {x : |f(x)| >= r} is constant in r between consecutive critical values;
 each constancy interval (s_i, s_{i+1}] is sampled at its right endpoint.
+
+The whole family is one order on the simplices.  A vertex of norm s_k (the
+k-th critical value, counted from 1) lies in the levels 0..k-1, so its exit
+index is k; a zero-norm vertex has exit index 0.  A simplex enters with the
+minimum exit index of its vertices, and level i is the set of simplices
+whose entry exceeds i: a prefix of the simplices sorted by decreasing
+entry.  Faces enter no later than their cofaces, so every prefix is
+face-closed and the prefixes are nested.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import PLMap, Subcomplex, full_subcomplex, vertex_minima_ok
-from .errors import InputError
+from .complexes import (
+    Complex,
+    PLMap,
+    Simplex,
+    Subcomplex,
+    full_subcomplex,
+    vertex_minima_ok,
+)
+from .errors import InputError, InternalError
 from .exact import ExactRadius
 
 radius_sort_key = functools.cmp_to_key(lambda a, b: a.cmp(b))
@@ -34,14 +50,22 @@ class CriticalSet:
                 raise InputError("critical values must be strictly increasing")
 
 
-def critical_values(f: PLMap) -> CriticalSet:
-    """Sorted distinct positive vertex norms of a post-subdivision map."""
+def _vertex_norms(f: PLMap) -> dict[str, ExactRadius]:
     if not f.minima_at_vertices and not vertex_minima_ok(f):
         raise InputError("critical_values requires a subdivided map")
-    norms = {f.norm_at(v) for v in f.complex.vertices}
+    return {v: f.norm_at(v) for v in f.complex.vertices}
+
+
+def _critical_set(norms) -> CriticalSet:
+    norms = set(norms)
     has_zero = any(r.sign() == 0 for r in norms)
     positive = sorted((r for r in norms if r.sign() > 0), key=radius_sort_key)
     return CriticalSet(tuple(positive), has_zero)
+
+
+def critical_values(f: PLMap) -> CriticalSet:
+    """Sorted distinct positive vertex norms of a post-subdivision map."""
+    return _critical_set(_vertex_norms(f).values())
 
 
 def sample_radii(criticals: CriticalSet) -> list[ExactRadius]:
@@ -74,17 +98,52 @@ class Filtration:
 
 def build_filtration(f: PLMap) -> Filtration:
     """Compute all superlevel subcomplexes A'_r at the sample radii."""
-    crit = critical_values(f)
+    norms = _vertex_norms(f)
+    crit = _critical_set(norms.values())
     samples = sample_radii(crit)
-    norms = {v: f.norm_at(v) for v in f.complex.vertices}
+    exit_index = {r: k for k, r in enumerate(crit.values, start=1)}
+    vertex_exit = {v: exit_index.get(r, 0) for v, r in norms.items()}
+    entry = {s: min(vertex_exit[v] for v in s) for s in f.complex.simplices}
+    check_face_order(entry)
+    order = sorted(entry, key=lambda s: (-entry[s], s))
+    levels = _prefix_levels(f.complex, order, [-entry[s] for s in order], len(samples))
+    return Filtration(f, crit, tuple(samples), levels)
+
+
+def check_face_order(entry: dict[Simplex, int]) -> None:
+    """Raise InternalError unless every codimension-1 face of a simplex
+    enters no later than the simplex (entry at least the coface's), which
+    makes every prefix of the order face-closed and the prefixes nested."""
+    for s, e in entry.items():
+        if len(s) < 2:
+            continue
+        for k in range(len(s)):
+            face_entry = entry.get(s[:k] + s[k + 1:])
+            if face_entry is None or face_entry < e:
+                raise InternalError(f"simplex {s} enters before its faces")
+
+
+def _prefix_levels(parent: Complex, order, keys, count) -> tuple[Subcomplex, ...]:
+    """Level i is the prefix of `order` with entry > i (keys are the
+    negated entries, increasing).  Levels are built from the last, smallest
+    one: level i merges the simplices of entry i + 1 into the sorted
+    per-dimension lists of level i + 1, and shares the lists it leaves
+    unchanged."""
     levels = []
-    for r in samples:
-        levels.append(full_subcomplex(f.complex, lambda v: norms[v].cmp(r) >= 0))
-    for small, large in zip(levels[1:], levels):
-        for s in small.simplices:
-            if s not in large:
-                raise InputError("superlevel subcomplexes failed to nest")
-    return Filtration(f, crit, tuple(samples), tuple(levels))
+    by_dim: dict[int, list[Simplex]] = {}
+    start = 0
+    for i in range(count - 1, -1, -1):
+        end = bisect.bisect_left(keys, -i, start)
+        fresh: dict[int, list[Simplex]] = {}
+        for s in order[start:end]:
+            fresh.setdefault(len(s) - 1, []).append(s)
+        if fresh:
+            by_dim = dict(by_dim)
+            for q, new in fresh.items():
+                by_dim[q] = sorted(by_dim.get(q, []) + new)
+        levels.append(Subcomplex.from_closed(parent, order[:end], by_dim))
+        start = end
+    return tuple(reversed(levels))
 
 
 def level_at_radius(f: PLMap, r: ExactRadius | Fraction) -> Subcomplex:

@@ -257,22 +257,32 @@ class SmithSolver:
         self._snf = smith_normal_form(m) if self.cols else None
 
     def solve(self, b: IntVector) -> IntVector | None:
+        return self.solve_head(b, self.cols)
+
+    def solve_head(self, b: IntVector, k: int) -> IntVector | None:
+        """The first k entries of `solve(b)`.
+
+        With u m v = s, x = v z where s z = u b; z vanishes past the rank, so
+        only the first k rows and the first `rank` columns of v are read.
+        """
         if len(b) != self.rows:
             raise ValueError("dimension mismatch in SmithSolver.solve")
         if self.cols == 0:
             return [] if all(x == 0 for x in b) else None
         snf = self._snf
-        y = mat_vec(snf.u, b)
-        z = [0] * self.cols
-        for i in range(self.rows):
-            d = snf.s[i][i] if i < self.cols else 0
-            if d != 0:
-                if y[i] % d != 0:
+        support = [(j, x) for j, x in enumerate(b) if x]
+        z = []
+        for i, row in enumerate(snf.u):
+            y = sum(row[j] * x for j, x in support)
+            if i < snf.rank:
+                d = snf.s[i][i]
+                if y % d != 0:
                     return None
-                z[i] = y[i] // d
-            elif y[i] != 0:
+                if y:
+                    z.append((i, y // d))
+            elif y != 0:
                 return None
-        return mat_vec(snf.v, z)
+        return [sum(row[i] * x for i, x in z) for row in snf.v[:k]]
 
 
 def solve_integer(m: IntMatrix, b: IntVector) -> IntVector | None:

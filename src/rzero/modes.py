@@ -22,12 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import (
-    PLMap,
-    Subcomplex,
-    component_index,
-    connected_components,
-)
+from .complexes import PLMap, Subcomplex, connected_components
 from .errors import InternalError, ModeError
 from .exact import ExactRadius
 from .linalg import field_kernel, field_solve
@@ -112,15 +107,24 @@ def sign_vector(f: PLMap, level: Subcomplex) -> SignVector:
     return SignVector(tuple(comps), tuple(signs))
 
 
-def signs_extendable(f: PLMap, level: Subcomplex, sv: SignVector) -> bool:
-    """True iff the sign assignment extends over the ambient complex,
-    i.e. no ambient component contains level components of both signs."""
-    ambient = component_index(connected_components(f.complex))
-    seen: dict[int, set[int]] = {}
+def sign_witness(sv: SignVector, ambient: dict[str, int]) -> dict:
+    """Why the sign assignment fails to extend over the ambient complex.
+
+    `ambient` maps each vertex to its ambient component index.  The
+    assignment extends iff no ambient component contains level components
+    of both signs; otherwise the first such pair (in component order)
+    certifies it, and is returned.  Returns {} when the assignment extends.
+    """
+    by_root: dict[int, dict[int, tuple]] = {}
     for comp, sign in zip(sv.components, sv.signs):
-        root = ambient[comp[0]]
-        seen.setdefault(root, set()).add(sign)
-    return all(len(signs) < 2 for signs in seen.values())
+        seen = by_root.setdefault(ambient[comp[0]], {})
+        seen.setdefault(sign, comp)
+        if len(seen) == 2:
+            return {
+                "positive_component": list(seen[1]),
+                "negative_component": list(seen[-1]),
+            }
+    return {}
 
 
 # ---------------------------------------------------------------------------

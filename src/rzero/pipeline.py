@@ -19,7 +19,7 @@ from .cohomology import (
     kernel_subgroup,
     restriction_transfer,
 )
-from .complexes import PLMap, star_subdivide
+from .complexes import PLMap, component_index, connected_components, star_subdivide
 from .errors import InputError, InternalError
 from .exact import ExactRadius, ZERO_RADIUS
 from .filtration import Filtration, build_filtration
@@ -38,7 +38,7 @@ from .modes import (
     determinacy_flag,
     require_applicable,
     sign_vector,
-    signs_extendable,
+    sign_witness,
     winding_cocycle,
 )
 from .rng import RationalSampler, child_seed
@@ -134,28 +134,12 @@ def analyze(f0: PLMap, mode: Mode, seed: int = DEFAULT_SEED) -> Analysis:
 
 
 def _analyze_signs(f: PLMap, filt: Filtration):
-    from .complexes import component_index, connected_components
-
     ambient = component_index(connected_components(f.complex))
     levels = []
     for level in filt.levels:
         sv = sign_vector(f, level)
-        nontrivial = not signs_extendable(f, level, sv)
-        witness = {}
-        if nontrivial:
-            # An opposite-sign pair of level components inside one ambient
-            # component certifies that the sign map cannot extend.
-            by_root: dict[int, dict[int, tuple]] = {}
-            for comp, sign in zip(sv.components, sv.signs):
-                root = ambient[comp[0]]
-                seen = by_root.setdefault(root, {})
-                seen.setdefault(sign, comp)
-                if len(seen) == 2:
-                    witness = {
-                        "positive_component": list(seen[1]),
-                        "negative_component": list(seen[-1]),
-                    }
-                    break
+        witness = sign_witness(sv, ambient)
+        nontrivial = bool(witness)
         levels.append(SignsLevel(sv, nontrivial, witness))
     transitions = []
     for small, large in zip(levels[1:], levels):

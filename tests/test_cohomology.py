@@ -7,6 +7,7 @@ import pytest
 
 from rzero.cohomology import (
     CochainComplex,
+    Subgroup,
     connecting_delta,
     field_cohomology,
     image_subgroup,
@@ -19,7 +20,15 @@ from rzero.cohomology import (
 from rzero.complexes import Complex, full_subcomplex, star_subdivide
 from rzero.errors import InternalError
 from rzero.exact import ExactRadius
-from rzero.linalg import FieldSolver, columns, from_columns, mat_mul, mat_vec
+from rzero.linalg import (
+    FieldSolver,
+    PresentedGroup,
+    columns,
+    from_columns,
+    mat_mul,
+    mat_vec,
+    smith_normal_form,
+)
 from rzero.rng import RationalSampler
 
 from inputs import grid_identity_map, octagon_winding2_map
@@ -336,3 +345,50 @@ def test_cohomology_module_not_shadowed():
     assert isinstance(rzero.cohomology, types.ModuleType)
     assert cohomology_module is rzero.cohomology
     assert callable(cohomology_module.cohomology)
+
+
+def _reference_solve(m, b):
+    """Some integer x with m x = b, from the full dense Smith transforms."""
+    rows, cols = len(m), len(m[0])
+    snf = smith_normal_form(m)
+    y = mat_vec(snf.u, b)
+    z = [0] * cols
+    for i in range(rows):
+        d = snf.s[i][i] if i < cols else 0
+        if d != 0:
+            if y[i] % d != 0:
+                return None
+            z[i] = y[i] // d
+        elif y[i] != 0:
+            return None
+    return mat_vec(snf.v, z)
+
+
+def test_member_coords_match_full_solve():
+    # Subgroup coordinates read only the head of v z; they must equal the
+    # head of the full solve, with None exactly for classes outside.
+    sampler = RationalSampler(77)
+    members = outsiders = 0
+    for _ in range(60):
+        gens = sampler.integer(1, 4)
+        relations = [[sampler.integer(-3, 3) * sampler.integer(0, 1) for _ in range(gens)]
+                     for _ in range(sampler.integer(0, 3))]
+        group = PresentedGroup(gens, relations)
+        ambient = types.SimpleNamespace(gens=gens, group=group)
+        span = [[sampler.integer(-2, 2) * sampler.integer(1, 3) for _ in range(gens)]
+                for _ in range(sampler.integer(1, 3))]
+        sub = Subgroup(ambient, span, PresentedGroup(len(span), []))
+        stacked = from_columns(span + relations, gens)
+        for _ in range(6):
+            b = [sampler.integer(-4, 4) for _ in range(gens)]
+            coords = sub.member_coords(b)
+            full = _reference_solve(stacked, b)
+            assert coords == (None if full is None else full[: len(span)])
+            assert (coords is not None) == group.in_subgroup(span, b)
+            if coords is None:
+                outsiders += 1
+                continue
+            members += 1
+            image = [sum(c * v[i] for c, v in zip(coords, span)) for i in range(gens)]
+            assert group.classes_equal(image, b)
+    assert members > 20 and outsiders > 20

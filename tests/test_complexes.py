@@ -130,3 +130,29 @@ def test_component_ids_deterministic():
     c = Complex.build([["b", "z"], ["a", "b"]])
     comps = connected_components(c)
     assert comps == [("a", "b", "z")]
+
+
+def test_subdivider_coface_index_matches_recomputed():
+    # The vertex -> simplices index that star uses for coface lookup stays
+    # equal to one recomputed from the simplex set, through a whole
+    # subdivision of every sample input (and a map needing several stars).
+    import pathlib
+
+    from rzero.complexes import _Subdivider
+    from rzero.io import parse_input
+
+    root = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
+    maps = [parse_input(p.read_text()) for p in sorted(root.glob("*.json"))]
+    c = Complex.build([["a", "b", "c"], ["b", "c", "d"]])
+    maps.append(PLMap(c, {"a": (3, -1), "b": (-2, 2), "c": (1, 3), "d": (-1, -2)}, 2, "l2"))
+    assert len(maps) == 5
+    for f in maps:
+        state = _Subdivider(f)
+        while state.argmin_pass() | state.zero_split_pass():
+            pass
+        recomputed = {}
+        for s in state.simplices:
+            for v in s:
+                recomputed.setdefault(v, set()).add(s)
+        assert state.by_vertex == recomputed
+        assert Complex(state.simplices).simplices == star_subdivide(f).complex.simplices

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from rzero.complexes import PLMap, star_subdivide, full_subcomplex
-from rzero.errors import InputError
+from rzero.complexes import Complex, PLMap, star_subdivide, full_subcomplex
+from rzero.errors import InputError, InternalError
 from rzero.exact import ExactRadius
 from rzero.filtration import (
     CriticalSet,
     build_filtration,
+    check_face_order,
     critical_values,
     level_at_radius,
     sample_radii,
@@ -131,3 +132,72 @@ def test_constant_planar_map():
     assert list(analysis.criticals) == [ExactRadius.of(5)]
     assert not analysis.filtration.criticals.has_zero_min
     assert analysis.robust.radius == ExactRadius.of(0)
+
+
+def _random_map(sampler, dim, n, norm):
+    """A small random 1- or 2-complex with values in {-2..2}^n: norms tie,
+    and some vertices (or all, or none) have norm zero."""
+    vertices = sampler.integer(3, 7)
+    simplices = []
+    for _ in range(sampler.integer(2, 8)):
+        s = set()
+        while len(s) < dim + 1:
+            s.add(sampler.integer(0, vertices - 1))
+        simplices.append(sorted(s))
+    c = Complex.build(simplices)
+    kind = sampler.integer(0, 5)
+    if kind == 0:
+        const = tuple(Fraction(sampler.integer(-2, 2)) for _ in range(n))
+        values = {v: const for v in c.vertices}
+    elif kind == 1:
+        values = {v: (Fraction(0),) * n for v in c.vertices}
+    else:
+        values = {v: tuple(Fraction(sampler.integer(-2, 2)) for _ in range(n))
+                  for v in c.vertices}
+    return PLMap(c, values, n, norm)
+
+
+def test_levels_match_full_subcomplex_oracle():
+    sampler = RationalSampler(4242)
+    seen = set()
+    for t in range(36):
+        norm = ("l1", "l2", "linf")[t % 3]
+        dim = 1 + (t // 3) % 2
+        n = 1 + (t // 6) % 2
+        f = star_subdivide(_random_map(sampler, dim, n, norm))
+        filt = build_filtration(f)
+        assert filt.level_count() == len(filt.levels) == len(filt.samples)
+        for r, level in zip(filt.samples, filt.levels):
+            oracle = full_subcomplex(f.complex, lambda v: f.norm_at(v).cmp(r) >= 0)
+            assert level.simplices == oracle.simplices
+            assert level.vertices == oracle.vertices
+            assert level.dim == oracle.dim
+            for q in range(-1, f.complex.dim + 2):
+                assert level.simplices_of_dim(q) == oracle.simplices_of_dim(q)
+            assert level.all_simplices() == oracle.all_simplices()
+            assert level.parent is f.complex
+        for small, large in zip(filt.levels[1:], filt.levels):
+            assert small.simplices <= large.simplices
+        seen.add((len(filt.levels), filt.criticals.has_zero_min, len(filt.levels[0]) > 0))
+    # The draws cover one and several levels, zero minima, and empty first levels.
+    assert {k for k, _, _ in seen} >= {1, 2, 3}
+    assert {z for _, z, _ in seen} == {True, False}
+    assert {e for _, _, e in seen} == {True, False}
+
+
+def test_face_order_check_rejects_corrupted_order():
+    f = star_subdivide(octagon_winding2_map())
+    norms = {v: f.norm_at(v) for v in f.complex.vertices}
+    crit = critical_values(f)
+    exits = {v: next((k for k, r in enumerate(crit.values, 1) if r == norms[v]), 0)
+             for v in f.complex.vertices}
+    entry = {s: min(exits[v] for v in s) for s in f.complex.simplices}
+    check_face_order(entry)
+    edge = f.complex.edges()[0]
+    bad = dict(entry)
+    bad[(edge[0],)] = entry[edge] - 1  # the vertex now enters after its edge
+    with pytest.raises(InternalError):
+        check_face_order(bad)
+    missing = {s: e for s, e in entry.items() if s != (edge[1],)}
+    with pytest.raises(InternalError):
+        check_face_order(missing)

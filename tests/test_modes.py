@@ -14,6 +14,7 @@ from rzero.modes import (
     degree_cocycle,
     determinacy_flag,
     sign_vector,
+    sign_witness,
     winding_cocycle,
 )
 from rzero.pipeline import analyze, assemble_pointed_module
@@ -50,6 +51,19 @@ def test_sign_vector_edge():
     sv = sign_vector(f, level)
     assert sv.components == (("p",), ("q",))
     assert sv.signs == (-1, 1)
+
+
+def test_sign_witness_edge():
+    # One ambient component holding both signs cannot extend; split the
+    # ambient complex in two and the same signs extend.
+    f = star_subdivide(edge_map())
+    level = full_subcomplex(f.complex, lambda v: f.norm_at(v).cmp(ExactRadius.of(1)) >= 0)
+    sv = sign_vector(f, level)
+    joined = {v: 0 for v in f.complex.vertices}
+    assert sign_witness(sv, joined) == {
+        "positive_component": ["q"], "negative_component": ["p"]}
+    split = {v: 0 if v == "p" else 1 for v in f.complex.vertices}
+    assert sign_witness(sv, split) == {}
 
 
 def test_sign_vector_empty():
