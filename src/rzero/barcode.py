@@ -341,11 +341,3 @@ def _verify_distinguished_summand(module: PointedModule, snapshots, support: int
         raise InternalError("distinguished expansion uses a late-born summand")
     if all(bar.death != t for bar in contributing):
         raise InternalError("no contributing summand matches the support")
-
-
-def oracle_matches_rank(module: PointedModule,
-                        signs_robust_radius: ExactRadius | None = None) -> bool:
-    """Cross-validation entry point used by the acceptance suite."""
-    return decompose_oracle(module, signs_robust_radius).same_as(
-        barcode(module, signs_robust_radius)
-    )

@@ -301,14 +301,3 @@ def radius_max(values):
         if v.cmp(best) > 0:
             best = v
     return best
-
-
-def radius_min(values):
-    values = list(values)
-    if not values:
-        raise ValueError("radius_min of empty sequence")
-    best = values[0]
-    for v in values[1:]:
-        if v.cmp(best) < 0:
-            best = v
-    return best

@@ -1,24 +1,51 @@
 """Exact minimization of |f| over a closed simplex for affine f.
 
-The map on a simplex with vertex values w_1 .. w_k is the barycentric
-interpolation g(t) = sum t_j w_j.  For the l1 and linf norms the minimum of
-|g| is a small linear program solved exactly by vertex enumeration; for l2
-the squared norm is a convex quadratic whose minimum is located by solving
-the equality-constrained critical equations on every face and keeping the
-candidates that actually land inside the face.  The l2 minimum value is the
-square root of a rational and is returned as such.
+On a simplex with vertex values w_1 .. w_k the map is g(λ) = sum λ_j w_j.
+The minimum of |g| is attained in the relative interior of some face, so
+one search serves all three norms: the vertices, then the faces by
+increasing dimension, each offering its interior candidates (every λ > 0).
+
+- l2: the unique solution of the face's critical system
+  [2G 1; 1ᵀ 0] (λ, μ) = (0, 1), G the Gram matrix; there |g|² = -μ/2.
+- l1, linf: the basic solutions of the face's norm LP, with variables λ
+  and z (linf) or u_1 .. u_n (l1) and rows ±g_i - z <= 0 or
+  ±g_i - u_i <= 0 (i-major, + first).  Every choice of `size + extra - 1`
+  rows, in lexicographic order, is solved with sum λ = 1; a candidate is
+  a unique solution satisfying every row.  An edge's candidates are
+  visited by increasing t = λ_2.
+
+Tie rule: the best point is replaced only on a strict improvement, so a
+vertex beats any face and a lower-dimensional face a higher one.
+`star_subdivide` relies on it: an argmin interior to a proper face is left
+to that face's own visit.  A floor certificate settles most calls first:
+|g_i| is at least 0 where the i-th vertex values change sign and their
+smallest magnitude otherwise, and a vertex attaining the norm of that
+floor is the minimum.
+
+Values are scaled to integers by the LCM of their denominators, which
+moves no argmin; the systems (at most 7 x 7) are solved fraction-free and
+Fractions are built only for the chosen point.  The l2 minimum is returned
+as the square root of a rational.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
+from math import lcm
 
 from .exact import ExactRadius
-from .lp import lp_feasible_point, lp_minimize
 
 NORMS = ("l1", "l2", "linf")
+
+# |v| of an integer vector, squared for l2 so that it stays an integer.
+_MEASURE = {
+    "l1": lambda v: sum(abs(x) for x in v),
+    "l2": lambda v: sum(x * x for x in v),
+    "linf": lambda v: max((abs(x) for x in v), default=0),
+}
 
 
 @dataclass(frozen=True)
@@ -40,13 +67,6 @@ def vector_norm(vector, norm: str) -> ExactRadius:
     raise ValueError(f"unknown norm {norm!r}")
 
 
-def _interpolate(values, bary):
-    n = len(values[0])
-    return tuple(
-        sum(b * Fraction(v[i]) for b, v in zip(bary, values)) for i in range(n)
-    )
-
-
 def simplex_norm_min(values, norm: str) -> NormMin:
     """Exact minimum of |g| over the closed simplex, with one minimizer.
 
@@ -63,232 +83,94 @@ def simplex_norm_min(values, norm: str) -> NormMin:
     if any(len(v) != n for v in values):
         raise ValueError("vertex values have mixed dimensions")
     k = len(values)
+    scale = lcm(*(x.denominator for v in values for x in v))
+    ints = [[x.numerator * (scale // x.denominator) for x in v] for v in values]
 
-    shortcut = _vertex_floor_shortcut(values, k, n, norm)
-    if shortcut is not None:
-        return shortcut
+    measure = _MEASURE[norm]
+    norms = [measure(w) for w in ints]
+    vertex = norms.index(min(norms))
+    # The best value so far as a fraction num / den of scaled units, with
+    # its face and the numerators of λ over that den.
+    best = (norms[vertex], 1, (vertex,), (1,))
+    floor = [0 if min(c) <= 0 <= max(c) else min(map(abs, c)) for c in zip(*ints)]
+    if measure(floor) < best[0]:
+        for size in range(2, k + 1):
+            for face in combinations(range(k), size):
+                for value, den, lam in _candidates(ints, face, n, norm):
+                    if value * best[1] < best[0] * den:
+                        best = (value, den, face, lam)
 
-    minimum = bary = None
-    if k == 2:
-        minimum, bary = _min_edge(values, n, norm)
-    elif k == 3 and n == 2 and norm in ("l1", "linf"):
-        result = _min_triangle_plane(values, norm)
-        if result is not None:
-            minimum, bary = result
-    if minimum is None:
-        if norm == "l2":
-            minimum, bary = _min_l2(values, k)
-        else:
-            minimum, bary = _min_lp(values, k, n, norm)
-
-    vertex_hit = any(
-        vector_norm(v, norm).cmp(minimum) == 0 for v in values
-    )
-    return NormMin(minimum, tuple(bary), vertex_hit)
-
-
-def _vertex_floor_shortcut(values, k, n, norm) -> NormMin | None:
-    """Detect vertex-attained minima without optimization.
-
-    Each coordinate of the affine map satisfies |g_i| >= its own minimum
-    over the simplex, which is 0 when the vertex values change sign and the
-    smallest vertex magnitude otherwise; the norm of that floor vector is a
-    lower bound for |g| on the whole simplex.  When some vertex attains the
-    bound the minimization is settled.
-    """
-    if k == 1:
-        return NormMin(vector_norm(values[0], norm), (Fraction(1),), True)
-    floor = []
-    for i in range(n):
-        coords = [v[i] for v in values]
-        if min(coords) <= 0 <= max(coords):
-            floor.append(Fraction(0))
-        else:
-            floor.append(min(abs(x) for x in coords))
-    bound = vector_norm(floor, norm)
-    best = None
-    for j, v in enumerate(values):
-        norm_v = vector_norm(v, norm)
-        if best is None or norm_v.cmp(best[0]) < 0:
-            best = (norm_v, j)
-    if best[0].cmp(bound) == 0:
-        bary = tuple(Fraction(1 if j == best[1] else 0) for j in range(k))
-        return NormMin(best[0], bary, True)
-    return None
-
-
-def _min_edge(values, n, norm):
-    """Closed-form minimum of |g| on an edge.
-
-    For l1/linf the norm along the edge is piecewise-linear convex, so the
-    minimum sits at an endpoint or a kink (a coordinate zero, or for linf a
-    crossing of two signed coordinates); for l2 the squared norm is a
-    quadratic with an explicit critical point.
-    """
-    a, b = values
-    direction = [b[i] - a[i] for i in range(n)]
+    value, den, face, lam = best
+    bary = [Fraction(0)] * k
+    for j, num in zip(face, lam):
+        bary[j] = Fraction(num, den)
     if norm == "l2":
-        dd = sum(d * d for d in direction)
-        candidates = {Fraction(0), Fraction(1)}
-        if dd != 0:
-            t = -sum(x * d for x, d in zip(a, direction)) / dd
-            if 0 < t < 1:
-                candidates.add(t)
-        best = None
-        for t in sorted(candidates):
-            point = [x + t * d for x, d in zip(a, direction)]
-            sq = sum(c * c for c in point)
-            if best is None or sq < best[0]:
-                best = (sq, t)
-        return ExactRadius.sqrt(best[0]), (1 - best[1], best[1])
+        minimum = ExactRadius.sqrt(Fraction(value, den * scale * scale))
+    else:
+        minimum = ExactRadius.of(Fraction(value, den * scale))
+    return NormMin(minimum, tuple(bary), len(face) == 1)
 
-    candidates = {Fraction(0), Fraction(1)}
+
+def _candidates(ints, face, n, norm):
+    """(value, den, λ numerators) of the candidates interior to `face`, in
+    visiting order; the value is |g| (squared for l2) times den."""
+    size = len(face)
+    if norm == "l2":
+        gram = [[2 * sum(a * b for a, b in zip(ints[i], ints[j])) for j in face] + [1, 0]
+                for i in face]
+        solution = _solve(gram + [[1] * size + [0, 1]])
+        if solution is not None:
+            sol, det = solution
+            if all(x > 0 for x in sol[:size]):
+                yield -sol[size], 2 * det, [2 * x for x in sol[:size]]
+        return
+
+    extra = 1 if norm == "linf" else n
+    rows = []
     for i in range(n):
-        if direction[i] != 0:
-            t = -a[i] / direction[i]
-            if 0 < t < 1:
-                candidates.add(t)
-    if norm == "linf":
-        for i in range(n):
-            for j in range(i + 1, n):
-                for sign in (1, -1):
-                    den = direction[i] - sign * direction[j]
-                    if den != 0:
-                        t = (sign * a[j] - a[i]) / den
-                        if 0 < t < 1:
-                            candidates.add(t)
-    best = None
-    for t in sorted(candidates):
-        point = [x + t * d for x, d in zip(a, direction)]
-        if norm == "l1":
-            val = sum(abs(c) for c in point)
-        else:
-            val = max(abs(c) for c in point)
-        if best is None or val < best[0]:
-            best = (val, t)
-    return ExactRadius.of(best[0]), (1 - best[1], best[1])
+        slack = [0] * extra
+        slack[0 if norm == "linf" else i] = -1
+        for sign in (1, -1):
+            rows.append([sign * ints[j][i] for j in face] + slack)
+    found = []
+    for active in combinations(rows, size + extra - 1):
+        solution = _solve([[1] * size + [0] * extra + [1]] + [row + [0] for row in active])
+        if solution is None:
+            continue
+        sol, det = solution
+        if all(x > 0 for x in sol[:size]) and all(
+            sum(a * x for a, x in zip(row, sol)) <= 0 for row in rows
+        ):
+            found.append((sum(sol[size:]), det, sol[:size]))
+    if size == 2:
+        found.sort(key=cmp_to_key(lambda a, b: a[2][1] * b[1] - b[2][1] * a[1]))
+    yield from found
 
 
-def _min_triangle_plane(values, norm):
-    """Minimum of a planar |g| over a triangle (l1/linf), or None.
+def _solve(augmented):
+    """Unique solution of the square integer system [A | b] as (numerators,
+    den) with den > 0, or None when A is singular.
 
-    Both norms are affine on the cells cut out by the sign and comparison
-    lines of the two coordinates, and in the plane all those lines meet at
-    the common zero of g; so the minimum is attained on an edge or at that
-    zero.  Returns None (falling back to the LP) when the affine map is
-    degenerate.
+    Fraction-free (Bareiss) Gauss-Jordan: after the step on column c every
+    entry is a minor of the input, so the division by the previous pivot is
+    exact, and at the end the matrix is ±det(A) [I | x].  Rows are
+    replaced, never changed in place.
     """
-    from .linalg import field_kernel, field_solve
-
-    best = None
-    best_bary = None
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        val, (s, t) = _min_edge([values[i], values[j]], 2, norm)
-        bary = [Fraction(0)] * 3
-        bary[i], bary[j] = s, t
-        if best is None or val.cmp(best) < 0:
-            best, best_bary = val, bary
-    rows = [[values[j][i] for j in range(3)] for i in range(2)]
-    rows.append([Fraction(1)] * 3)
-    rhs = [Fraction(0), Fraction(0), Fraction(1)]
-    if field_kernel(rows, 0):
-        return None  # degenerate affine map: let the LP decide
-    sol = field_solve(rows, rhs, 0)
-    if sol is not None and all(x > 0 for x in sol):
-        zero = ExactRadius.of(0)
-        if zero.cmp(best) < 0:
-            best, best_bary = zero, sol
-    return best, tuple(best_bary)
-
-
-def _min_lp(values, k, n, norm):
-    one = Fraction(1)
-    zero = Fraction(0)
-    if norm == "linf":
-        # variables (t_1..t_k, z): minimize z subject to +-g_i(t) <= z
-        dim = k + 1
-        objective = [zero] * k + [one]
-        a_ub, b_ub = [], []
-        for j in range(k):  # t_j >= 0
-            row = [zero] * dim
-            row[j] = -one
-            a_ub.append(row)
-            b_ub.append(zero)
-        for i in range(n):
-            for sign in (1, -1):
-                row = [sign * values[j][i] for j in range(k)] + [-one]
-                a_ub.append(row)
-                b_ub.append(zero)
-        a_eq = [[one] * k + [zero]]
-        b_eq = [one]
-    else:  # l1
-        # variables (t_1..t_k, u_1..u_n): minimize sum u, u_i >= +-g_i(t)
-        dim = k + n
-        objective = [zero] * k + [one] * n
-        a_ub, b_ub = [], []
-        for j in range(k):
-            row = [zero] * dim
-            row[j] = -one
-            a_ub.append(row)
-            b_ub.append(zero)
-        for i in range(n):
-            for sign in (1, -1):
-                row = [sign * values[j][i] for j in range(k)] + [zero] * n
-                row[k + i] = -one
-                a_ub.append(row)
-                b_ub.append(zero)
-        a_eq = [[one] * k + [zero] * n]
-        b_eq = [one]
-
-    result = lp_minimize(objective, a_ub, b_ub, a_eq, b_eq)
-    if result is None:  # cannot happen: the region is a nonempty polytope
-        raise RuntimeError("norm LP unexpectedly infeasible")
-    value, point = result
-    return ExactRadius.of(value), point[:k]
-
-
-def _min_l2(values, k):
-    # Gram matrix of the vertex values.
-    gram = [[sum(a * b for a, b in zip(values[i], values[j])) for j in range(k)]
-            for i in range(k)]
-    one = Fraction(1)
-    zero = Fraction(0)
-    best_sq = None
-    best_bary = None
-    for size in range(1, k + 1):
-        for face in combinations(range(k), size):
-            # Critical equations of the squared norm on the affine hull of the
-            # face, plus feasibility lambda >= 0: variables (lambda_S, mu).
-            dim = size + 1
-            a_eq = []
-            b_eq = []
-            for row_idx in face:
-                row = [2 * gram[row_idx][col] for col in face] + [one]
-                a_eq.append(row)
-                b_eq.append(zero)
-            a_eq.append([one] * size + [zero])
-            b_eq.append(one)
-            a_ub = []
-            b_ub = []
-            for j in range(size):
-                row = [zero] * dim
-                row[j] = -one
-                a_ub.append(row)
-                b_ub.append(zero)
-            point = lp_feasible_point(a_ub, b_ub, a_eq, b_eq)
-            if point is None:
-                continue
-            lam = point[:size]
-            value_sq = sum(
-                lam[i] * lam[j] * gram[face[i]][face[j]]
-                for i in range(size) for j in range(size)
-            )
-            if best_sq is None or value_sq < best_sq:
-                best_sq = value_sq
-                full = [zero] * k
-                for pos, idx in enumerate(face):
-                    full[idx] = lam[pos]
-                best_bary = full
-    if best_sq is None:  # singleton faces always produce a candidate
-        raise RuntimeError("l2 minimization produced no candidate")
-    return ExactRadius.sqrt(best_sq), best_bary
+    m = list(augmented)
+    size = len(m)
+    prev = 1
+    for c in range(size):
+        pivot = next((r for r in range(c, size) if m[r][c]), None)
+        if pivot is None:
+            return None
+        m[c], m[pivot] = m[pivot], m[c]
+        top = m[c]
+        p = top[c]
+        for r in range(size):
+            if r != c:
+                row = m[r]
+                f = row[c]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    sign = 1 if prev > 0 else -1
+    return [sign * row[size] for row in m], sign * prev

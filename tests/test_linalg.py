@@ -13,7 +13,6 @@ from rzero.linalg import (
     field_solve,
     from_columns,
     identity,
-    int_det,
     integer_kernel,
     lattice_basis,
     mat_mul,
@@ -30,8 +29,6 @@ from rzero.rng import RationalSampler
 def check_snf(m):
     snf = smith_normal_form(m)
     assert mat_mul(mat_mul(snf.u, m), snf.v) == snf.s
-    assert abs(int_det(snf.u)) == 1
-    assert abs(int_det(snf.v)) == 1
     assert mat_mul(snf.u, snf.uinv) == identity(len(m))
     assert mat_mul(snf.v, snf.vinv) == identity(len(m[0]))
     diag = [d for d in snf.diagonal if d != 0]

@@ -3,10 +3,37 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from lp_oracle import in_hull, lp_norm_min
 from rzero.exact import ExactRadius
-from rzero.normmin import simplex_norm_min, vector_norm, _min_lp
+from rzero.normmin import simplex_norm_min, vector_norm
 from rzero.rng import RationalSampler
+
+# Small integers make ties between vertices, edges and faces common.
+_COORD = st.one_of(st.integers(-3, 3).map(Fraction),
+                   st.fractions(-5, 5, max_denominator=8))
+
+
+@st.composite
+def simplices(draw, min_k=2):
+    """Vertex values of a simplex with 2..4 (or min_k..4) vertices in R^1..R^3,
+    sometimes with two vertices sharing a value."""
+    k = draw(st.integers(min_k, 4))
+    n = draw(st.integers(1, 3))
+    values = [tuple(draw(_COORD) for _ in range(n)) for _ in range(k)]
+    if k > 1 and draw(st.booleans()):
+        values[draw(st.integers(1, k - 1))] = values[0]
+    return values
+
+
+def _point(values, bary):
+    return tuple(sum(b * v[i] for b, v in zip(bary, values))
+                 for i in range(len(values[0])))
+
+
+def _facets(values):
+    return [values[:j] + values[j + 1:] for j in range(len(values))]
 
 
 def test_single_vertex():
@@ -53,17 +80,51 @@ def test_triangle_interior_zero():
         assert not r.at_vertex
 
 
-def test_closed_forms_match_lp():
-    sampler = RationalSampler(3)
-    for _ in range(150):
-        k = sampler.integer(2, 3)
-        n = sampler.integer(1, 3) if k == 2 else 2
-        vals = [tuple(Fraction(sampler.integer(-40, 40), 8) for _ in range(n))
-                for _ in range(k)]
-        for norm in ("l1", "linf"):
-            got = simplex_norm_min(vals, norm)
-            ref_min, _ = _min_lp(vals, k, n, norm)
-            assert got.minimum.cmp(ref_min) == 0
+@settings(max_examples=100)
+@given(simplices(), st.sampled_from(["l1", "linf"]))
+def test_minimum_matches_lp_oracle(values, norm):
+    # Minimum and at_vertex against the LP over the whole simplex; the
+    # support is the whole simplex exactly when every proper face (every
+    # facet suffices) has a strictly larger minimum.
+    got = simplex_norm_min(values, norm)
+    ref = lp_norm_min(values, norm)
+    assert got.minimum == ExactRadius.of(ref)
+    assert vector_norm(_point(values, got.barycentric), norm) == got.minimum
+    assert got.at_vertex == any(vector_norm(v, norm) == got.minimum for v in values)
+    whole = not got.at_vertex and all(b != 0 for b in got.barycentric)
+    assert whole == all(lp_norm_min(f, norm) > ref for f in _facets(values))
+
+
+@settings(max_examples=150)
+@given(simplices(min_k=1))
+def test_l2_optimality_certificate(values):
+    # p = g(λ) is the point of the hull nearest 0 iff <p, w_j - p> >= 0 for
+    # every vertex value w_j; it is unique, so at_vertex means p is a vertex
+    # value, and the support is the whole simplex iff no facet's hull holds p.
+    got = simplex_norm_min(values, "l2")
+    bary = got.barycentric
+    assert all(b >= 0 for b in bary) and sum(bary) == 1
+    p = _point(values, bary)
+    assert got.minimum == ExactRadius.sqrt(sum(x * x for x in p))
+    for w in values:
+        assert sum(x * (y - x) for x, y in zip(p, w)) >= 0
+    assert got.at_vertex == (p in values)
+    if len(values) > 1:
+        whole = not got.at_vertex and all(b != 0 for b in bary)
+        assert whole == (not any(in_hull(p, f) for f in _facets(values)))
+
+
+def test_ties_go_to_the_lowest_face_and_smallest_t():
+    # Subdivision stars a simplex only at an argmin interior to it, so a
+    # tie must keep the vertex, or the lower face, or on an edge the
+    # smallest t = λ_2 of a flat minimum.
+    r = simplex_norm_min([(-1, 2, 0), (-2, -1, -2)], "l1")  # |g| = 3 for t in [0, 2/3]
+    assert r.at_vertex and r.barycentric == (1, 0)
+    r = simplex_norm_min([(1, -1, -2), (-2, -1, -1), (2, -1, 0)], "linf")
+    assert r.minimum == ExactRadius.of(1)  # also attained inside the triangle
+    assert not r.at_vertex and r.barycentric[0] == 0
+    r = simplex_norm_min([(-2, -1), (2, -1)], "linf")  # |g| = 1 for t in [1/4, 3/4]
+    assert not r.at_vertex and r.barycentric == (Fraction(3, 4), Fraction(1, 4))
 
 
 def test_minimum_is_global_lower_bound():
