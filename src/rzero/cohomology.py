@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import Complex, Simplex, Subcomplex
 from .errors import InputError, InternalError
@@ -31,8 +30,10 @@ from .linalg import (
     SmithSolver,
     columns,
     field_kernel,
+    field_mat_vec,
     field_solve,
     from_columns,
+    identity,
     integer_kernel,
     lattice_basis,
     mat_vec,
@@ -182,9 +183,6 @@ class IntCohomology:
                     vec[i] += coeff * col[i]
         return vec
 
-    def tensor(self, char: int) -> QuotientSpace:
-        return self.group.tensor(char)
-
 
 def cohomology(space: Complex, q: int, ring="z", rel: Subcomplex | None = None):
     """H^q of a complex or pair over Z ("z"), Q ("q"/0) or F_p ("fp"/p).
@@ -272,9 +270,9 @@ class FieldCohomology:
         return self.quotient.dim
 
     def coords(self, vec) -> list:
-        vec = [_f(x, self.char) for x in vec]
-        if not all(x == 0 for x in _field_mat_vec_plain(
-                to_field_matrix(self.cc.coboundary(self.q), self.char), vec, self.char)):
+        vec = to_field_matrix([vec], self.char)[0]
+        if any(field_mat_vec(to_field_matrix(self.cc.coboundary(self.q), self.char),
+                             vec, self.char)):
             raise InternalError("not a cocycle")
         if not self.kernel:
             return []
@@ -286,21 +284,13 @@ class FieldCohomology:
         return self.quotient.project(sol)
 
 
-def _f(x, char):
-    return Fraction(x) if char == 0 else int(x) % char
-
-
-def _field_mat_vec_plain(a, v, char):
-    return [_f(sum(x * y for x, y in zip(row, v)), char) for row in a]
-
-
 def field_cohomology(cc: CochainComplex, q: int, char: int) -> FieldCohomology:
     d_q = to_field_matrix(cc.coboundary(q), char)
     n_q = cc.size(q)
     if n_q == 0:
         return FieldCohomology(cc, q, char, [], QuotientSpace(0, [], char))
     if cc.size(q + 1) == 0:
-        kernel = [[_f(1 if i == j else 0, char) for i in range(n_q)] for j in range(n_q)]
+        kernel = to_field_matrix(identity(n_q), char)
     else:
         kernel = field_kernel(d_q, char)
     relations = []

@@ -152,10 +152,6 @@ class ExactRadius:
 
     # -- predicates and conversions ---------------------------------------
 
-    @property
-    def is_rational(self) -> bool:
-        return self.as_fraction() is not None
-
     def as_fraction(self) -> Fraction | None:
         """The exact rational value, or None if the value is irrational."""
         if self.minus == 0:

@@ -7,9 +7,14 @@ kernels, linear Diophantine solving, and presentations of finitely generated
 abelian groups.  Its pivots are chosen by minimal absolute value (ties by
 position) to limit entry growth.  It returns both transforms u, v and both
 inverses u^-1, v^-1, tracked as it eliminates, so lattice bases and
-coordinates are read off integer matrices with no Fraction inverse or solve.  Yes/no questions about a relation lattice
-(is a class zero, is the group trivial) use a transform-free integer column
-echelon instead, and rational quotients use a fraction-free echelon.
+coordinates are read off integer matrices with no Fraction inverse or
+solve.  Yes/no questions about a relation lattice (is a class zero, is the
+group trivial) use a transform-free integer column echelon instead.
+
+Subspaces over a field, Q or F_p, are kept in one column echelon,
+`FieldEchelon`, sorted by pivot row and fraction-free over Q.  It gives the
+canonical quotient coordinates of `QuotientSpace`, the growing relation span
+of the hopf field modules and the elder-rule barcode sweep.
 """
 
 from __future__ import annotations
@@ -470,35 +475,49 @@ def field_kernel(a, char: int):
     return basis
 
 
-class RationalEchelon:
-    """Column echelon of a subspace of Q^n kept in integers (fraction-free).
+class FieldEchelon:
+    """Column echelon of a subspace of F^n, F = Q (char 0) or F_p (char p).
 
-    Each basis vector is primitive with a positive pivot, its first nonzero
-    entry; vectors are kept sorted by pivot row.  A reduced vector comes with
-    the scale it was multiplied by, so Fractions appear only when a caller
-    divides it out.
+    Basis vectors are kept sorted by pivot row, the row of their first
+    nonzero entry, so one pass in that order reduces a vector to zero on
+    every pivot row.  Over Q the echelon is fraction-free: each basis vector
+    is a primitive integer vector with a positive pivot, and a reduced vector
+    comes with the scale it was multiplied by, so Fractions appear only when
+    a caller divides it out.  Over F_p entries lie in [0, p) and each pivot
+    is 1.
     """
 
-    def __init__(self):
-        self.basis: list[tuple[int, list[int], int]] = []  # (pivot row, vector, pivot)
+    def __init__(self, char: int):
+        self.char = char
+        self.basis: list[tuple[int, list[int]]] = []  # (pivot row, vector)
 
     @property
     def pivot_rows(self) -> set[int]:
-        return {piv for piv, _, _ in self.basis}
+        return {piv for piv, _ in self.basis}
 
     def reduce(self, vec) -> tuple[list[int], int]:
-        """(w, scale) with w = scale * vec - (span element), zero on pivots.
+        """(w, scale) with w = scale * vec - (span element), zero on the
+        pivot rows; the scale is 1 over F_p.
 
-        Fraction entries are cleared by the common denominator first.
+        Over Q, Fraction entries are cleared by the common denominator first.
         """
+        p = self.char
+        if p:
+            vec = [int(x) % p for x in vec]
+            for piv, basis in self.basis:
+                c = vec[piv]
+                if c:
+                    vec = [(x - c * y) % p for x, y in zip(vec, basis)]
+            return vec, 1
         scale = 1
         fractions = [x for x in vec if type(x) is not int]
         if fractions:
             scale = math.lcm(*(x.denominator for x in fractions))
             vec = [int(x * scale) for x in vec]
-        for piv, basis, pval in self.basis:
+        for piv, basis in self.basis:
             c = vec[piv]
             if c:
+                pval = basis[piv]
                 if pval == 1:
                     vec = [x - c * y for x, y in zip(vec, basis)]
                 else:
@@ -506,24 +525,37 @@ class RationalEchelon:
                     scale *= pval
         return vec, scale
 
-    def insert(self, vec) -> None:
-        """Add a vector to the spanned subspace (ignored when already in it)."""
+    def insert(self, vec) -> list[int] | None:
+        """Add a vector to the spanned subspace.
+
+        Returns the stored basis vector (vec reduced and normalized), or None
+        when vec already lies in the span.
+        """
         vec, _ = self.reduce(vec)
         piv = next((i for i, x in enumerate(vec) if x != 0), None)
         if piv is None:
-            return
-        g = 0
-        for x in vec:
-            g = math.gcd(g, x)
-        if vec[piv] < 0:
-            g = -g
-        vec = [x // g for x in vec]   # a fresh list: callers keep theirs
-        bisect.insort(self.basis, (piv, vec, vec[piv]), key=lambda item: item[0])
+            return None
+        if self.char:
+            inv = pow(vec[piv], -1, self.char)
+            if inv != 1:
+                vec = [x * inv % self.char for x in vec]
+        else:
+            g = 0
+            for x in vec:
+                g = math.gcd(g, x)
+            if vec[piv] < 0:
+                g = -g
+            if g != 1:
+                vec = [x // g for x in vec]
+        bisect.insort(self.basis, (piv, vec), key=lambda item: item[0])
+        return vec
 
-    def project(self, vec, coord_rows) -> list[Fraction]:
+    def project(self, vec, coord_rows) -> list:
         """Entries at coord_rows of the representative of vec that vanishes
-        on the pivot rows."""
+        on the pivot rows (Fractions over Q, ints in [0, p) over F_p)."""
         reduced, scale = self.reduce(vec)
+        if self.char:
+            return [reduced[r] for r in coord_rows]
         return [Fraction(reduced[r], scale) for r in coord_rows]
 
 
@@ -533,47 +565,24 @@ class QuotientSpace:
     Quotient coordinates are taken at the non-pivot positions of the column
     echelon form of the relation set: they are the entries of the unique
     representative that vanishes on the pivot rows, so they do not depend on
-    the order of the relations.  Over Q the echelon is a RationalEchelon.
+    the order of the relations.
     """
 
     def __init__(self, ambient: int, relations, char: int):
         self.ambient = ambient
         self.char = char
-        if char == 0:
-            self._rational = RationalEchelon()
-            for rel in relations:
-                self._rational.insert(rel)
-            pivot_rows = self._rational.pivot_rows
-        else:
-            echelon = []   # list of (pivot_row, vector with pivot 1)
-            for rel in relations:
-                vec = self._reduce([_fnorm(x, char) for x in rel], echelon, char)
-                piv = next((i for i, x in enumerate(vec) if x != 0), None)
-                if piv is None:
-                    continue
-                inv = _finv(vec[piv], char)
-                echelon.append((piv, [_fnorm(x * inv, char) for x in vec]))
-            self._echelon = echelon
-            pivot_rows = {piv for piv, _ in echelon}
+        self._echelon = FieldEchelon(char)
+        for rel in relations:
+            self._echelon.insert(rel)
+        pivot_rows = self._echelon.pivot_rows
         self.coord_rows = [i for i in range(ambient) if i not in pivot_rows]
         self.dim = len(self.coord_rows)
-
-    @staticmethod
-    def _reduce(vec, echelon, char):
-        for piv, basis_vec in echelon:
-            if vec[piv] != 0:
-                f = vec[piv]
-                vec = [_fnorm(x - f * y, char) for x, y in zip(vec, basis_vec)]
-        return vec
 
     def project(self, vec):
         """Canonical quotient coordinates of an ambient vector."""
         if len(vec) != self.ambient:
             raise ValueError("ambient dimension mismatch")
-        if self.char == 0:
-            return self._rational.project(vec, self.coord_rows)
-        vec = self._reduce([_fnorm(x, self.char) for x in vec], self._echelon, self.char)
-        return [vec[i] for i in self.coord_rows]
+        return self._echelon.project(vec, self.coord_rows)
 
     def induced_matrix(self, m, target: "QuotientSpace"):
         """Matrix of an ambient-level map between two quotients."""

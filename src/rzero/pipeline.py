@@ -24,8 +24,9 @@ from .errors import InputError, InternalError
 from .exact import ExactRadius, ZERO_RADIUS
 from .filtration import Filtration, build_filtration
 from .linalg import (
-    RationalEchelon,
+    FieldEchelon,
     columns,
+    field_mat_vec,
     mat_vec,
     to_field_matrix,
 )
@@ -210,12 +211,15 @@ def _analyze_hopf(f: PLMap, filt: Filtration, seed: int, meta: dict):
         if kcoords is None:
             raise InternalError("degree class escaped ker j*")
         levels.append(HopfLevel(cc, rel, kernel, coords, kcoords))
+    # Hopf mode needs dim X <= n, so no level has (n+1)-simplices and every
+    # level's H^n is presented on its relative top simplices (`rel.kernel` is
+    # None, or empty when there are none): presentation coordinates are
+    # cochain vectors, on which the restriction is extension by zero.
     transitions = []
     for src, dst in zip(levels, levels[1:]):
-        if (src.kernel.span is None and dst.kernel.span is None
-                and src.rel.kernel is None and dst.rel.kernel is None):
-            # Top degree with full kernels: the transition in presentation
-            # coordinates is the bare index inclusion of relative simplices.
+        if src.kernel.span is None and dst.kernel.span is None:
+            # Full kernels: the transition is the bare index inclusion of
+            # relative simplices.
             src_index = {s: i for i, s in enumerate(src.cc.simplices(n))}
             matrix = []
             for s in dst.cc.simplices(n):
@@ -226,16 +230,10 @@ def _analyze_hopf(f: PLMap, filt: Filtration, seed: int, meta: dict):
                 matrix.append(row)
             transitions.append(matrix)
             continue
-        rest = induced_int_matrix(
-            src.rel, dst.rel, restriction_transfer(src.cc, dst.cc, n)
-        )
-        if src.kernel.span is None and dst.kernel.span is None:
-            transitions.append(rest)
-            continue
+        transfer = restriction_transfer(src.cc, dst.cc, n)
         cols = []
         for gen in src.kernel.generators():
-            image = mat_vec(rest, gen)
-            col = dst.kernel.member_coords(image)
+            col = dst.kernel.member_coords(transfer(gen))
             if col is None:
                 raise InternalError("restriction left ker j*")
             cols.append(col)
@@ -386,12 +384,9 @@ def _check_pointed(module: PointedModule) -> None:
                 raise InternalError("distinguished element is not preserved")
         else:
             char = module.char
-            fm = to_field_matrix(matrix, char)
-            vec = to_field_matrix([list(module.distinguished[i])], char)[0]
-            image = [sum(a * b for a, b in zip(row, vec)) for row in fm]
-            expect = to_field_matrix([list(module.distinguished[i + 1])], char)[0]
-            norm = (lambda x: Fraction(x)) if char == 0 else (lambda x: int(x) % char)
-            if [norm(x) for x in image] != [norm(x) for x in expect]:
+            image = field_mat_vec(to_field_matrix(matrix, char),
+                                  module.distinguished[i], char)
+            if image != to_field_matrix([module.distinguished[i + 1]], char)[0]:
                 raise InternalError("distinguished element is not preserved")
 
 
@@ -405,10 +400,10 @@ def assemble_pointed_module(analysis: Analysis, coefficients) -> PointedModule:
         if char is None:
             raise InputError("signs mode has no integral module; pick a field")
         return _signs_module(analysis, char, meta)
-    if (mode == Mode.HOPF and char == 0
+    if (mode == Mode.HOPF and char is not None
             and analysis.f.n == analysis.f.complex.dim
             and all(lvl.kernel.span is None for lvl in analysis.levels)):
-        return _fast_hopf_rational_module(analysis, meta)
+        return _hopf_field_module(analysis, meta, char)
     integral = _integral_module(analysis, meta, full=char is None)
     if char is None:
         return integral
@@ -440,16 +435,19 @@ def _one(char: int):
     return Fraction(1) if char == 0 else 1
 
 
-def _fast_hopf_rational_module(analysis: Analysis, meta: dict) -> PointedModule:
-    """Rational hopf module via one incremental relation echelon.
+def _hopf_field_module(analysis: Analysis, meta: dict, char: int) -> PointedModule:
+    """Hopf module over Q or F_p via one growing relation echelon.
 
-    Applies when ker j* is the whole relative group at every level (trivial
-    ambient top cohomology) and the degree equals the complex dimension, so
-    every level's group is the quotient of the top relative cochains by the
-    relative coboundaries.  Those relation lattices are nested along the
-    filtration, and over the rationals (a flat coefficient ring) the whole
-    module can be read off one growing echelon instead of one elimination
-    per level.  Output agrees with the generic route up to basis choice.
+    Applies when ker j* is the whole relative group at every level (as when
+    the ambient top cohomology is trivial) and the degree equals the complex
+    dimension, so every level's group is the quotient of the top relative
+    cochains by the relative coboundaries.  A coface of a relative
+    (n-1)-simplex is itself relative, so each relation is a full column of
+    the ambient coboundary and the relation spans are nested along the
+    filtration: the whole module is read off one growing echelon instead of
+    one elimination per level.  Quotient coordinates are the non-pivot rows
+    of the span, which do not depend on how it was built, so the output is
+    identical to the generic route's.
     """
     n = analysis.f.n
     space = analysis.f.complex
@@ -461,7 +459,7 @@ def _fast_hopf_rational_module(analysis: Analysis, meta: dict) -> PointedModule:
     d_global = ambient_cc.coboundary(n - 1)
     col_of = {s: j for j, s in enumerate(lower)}
 
-    echelon = RationalEchelon()
+    echelon = FieldEchelon(char)
 
     degree_vec = [0] * rows
     probe_cocycle = analysis.levels[0].cc.cochain(analysis.levels[0].degree_coords, n)
@@ -495,7 +493,7 @@ def _fast_hopf_rational_module(analysis: Analysis, meta: dict) -> PointedModule:
         prev_coord_rows = coord_rows
 
     module = PointedModule(
-        Mode.HOPF, 0, analysis.samples, analysis.criticals,
+        Mode.HOPF, char, analysis.samples, analysis.criticals,
         tuple(dims), tuple(transitions), tuple(distinguished), meta=meta,
     )
     _check_pointed(module)

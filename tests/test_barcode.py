@@ -1,20 +1,24 @@
 """Barcodes: rank formula, decomposition oracle, pointed structure."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from rzero import Complex, PLMap
 from rzero.barcode import (
+    ORACLE_DIMENSION_CAP,
     Interval,
     PointedBarcode,
     barcode,
     decompose_oracle,
     index_bars_by_rank,
+    interval_from_indices,
 )
 from rzero.errors import InputError
 from rzero.exact import ExactRadius
 from rzero.modes import Mode
-from rzero.pipeline import PointedModule, analyze, assemble_pointed_module
+from rzero.pipeline import PointedModule, analyze, assemble_pointed_module, parse_coefficients
 from rzero.rng import RationalSampler, child_seed
 
 from inputs import edge_map, grid_identity_map, octagon_winding2_map
@@ -147,10 +151,27 @@ def test_oracle_size_cap():
         decompose_oracle(module)
 
 
+def test_barcode_beyond_oracle_cap_matches_rank_formula():
+    # The sweep has no size cap: on a many-level signs module, where the
+    # oracle refuses to run, it still agrees with the rank formula.
+    names = [f"x{i}" for i in range(30)]
+    c = Complex.build([[a, b] for a, b in zip(names, names[1:])])
+    values = {name: (Fraction((-1) ** i * (7 * i % 31 + 1)),) for i, name in enumerate(names)}
+    an = analyze(PLMap(c, values, 1, "linf"), Mode.SIGNS, 5)
+    module = assemble_pointed_module(an, "f2")
+    assert sum(module.dims) > ORACLE_DIMENSION_CAP
+    with pytest.raises(InputError):
+        decompose_oracle(module, signs_robust_radius=an.robust.radius)
+    expected = Counter()
+    for (a, b), mult in index_bars_by_rank(module).items():
+        expected[interval_from_indices(module, a, b)] += mult
+    assert barcode(module, signs_robust_radius=an.robust.radius).multiset() == expected
+
+
 def test_hopf_fast_path_matches_generic_route():
-    # The incremental-echelon rational module must agree with the generic
-    # presentation-tensor route up to basis choice: same dimensions, same
-    # barcode, same distinguished support.
+    # The growing-echelon field module must equal the generic
+    # presentation-tensor route literally: canonical quotient coordinates
+    # do not depend on how the relation span was built.
     from fractions import Fraction as F
     from rzero.harness import PerturbSpec, perturb
     from rzero.pipeline import _integral_module
@@ -159,7 +180,11 @@ def test_hopf_fast_path_matches_generic_route():
     for seed in (0, 1, 2):
         g = perturb(f, PerturbSpec(F(1, 10), 4000 + seed)) if seed else f
         analysis = analyze(g, Mode.HOPF, 4000 + seed)
-        fast = assemble_pointed_module(analysis, "q")
-        generic = _integral_module(analysis, dict(analysis.meta), full=False).tensor(0)
-        assert fast.dims == generic.dims
-        assert barcode(fast).same_as(barcode(generic))
+        assert all(lvl.kernel.span is None for lvl in analysis.levels)
+        integral = _integral_module(analysis, dict(analysis.meta), full=False)
+        for field in ("q", "f2", "f3"):
+            fast = assemble_pointed_module(analysis, field)
+            generic = integral.tensor(parse_coefficients(field))
+            assert fast.dims == generic.dims
+            assert fast.transitions == generic.transitions
+            assert fast.distinguished == generic.distinguished

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rzero.linalg import (
+    FieldEchelon,
     FieldSolver,
     PresentedGroup,
     QuotientSpace,
@@ -268,6 +269,9 @@ def test_quotient_space():
     # Z^2/<(2,0)> = Z/2 + Z: two dimensions over F_2, one over F_5.
     assert QuotientSpace(2, [[2, 0]], 2).dim == 2
     assert QuotientSpace(2, [[2, 0]], 5).dim == 1
+    # Over F_p coordinates are ints in [0, p): (1,0,0) = (0,-1,0) mod (1,1,0).
+    assert QuotientSpace(3, [[1, 1, 0]], 2).project([1, 0, 0]) == [1, 0]
+    assert QuotientSpace(3, [[1, 1, 0]], 3).project([1, 0, 0]) == [2, 0]
 
     # Over Q, relations as Fractions and as their integer multiples give
     # the same quotient and the same coordinates.
@@ -297,6 +301,18 @@ def test_quotient_space():
     induced = q.induced_matrix(m, target)
     assert induced == [[Fraction(1, 2), 0], [0, 0]]
     assert all(type(x) is Fraction for row in induced for x in row)
+
+
+def test_field_echelon_insert():
+    # insert returns the stored, normalized vector, or None inside the span.
+    for char, first, second in ((0, [0, -4, 6], [0, 2, -3]), (5, [0, 2, 4], [0, 3, 1])):
+        echelon = FieldEchelon(char)
+        stored = echelon.insert(first)
+        assert stored == ([0, 2, -3] if char == 0 else [0, 1, 2])
+        assert echelon.insert(second) is None
+        assert echelon.insert([1, 0, 0]) == [1, 0, 0]
+        assert echelon.pivot_rows == {0, 1}
+        assert [row for row, _ in echelon.basis] == [0, 1]
 
 
 def test_quotient_space_canonical_random():

@@ -1,26 +1,41 @@
-"""The benchmark's tracer wraps functions of `rzero` by name; a rename that
-leaves one of its targets dangling makes `perfbench/run.py --trace 1` exit
-before measuring.  This test reads the target list without writing to
-`perfbench/` (no bytecode cache) and checks every entry resolves."""
+"""The benchmark's tracer wraps functions of `rzero` by name, and its runs
+check every output against recorded digests.  A rename that leaves one of
+the tracer's targets dangling makes `perfbench/run.py --trace 1` exit before
+measuring, and an output change fails every benchmark run.  These tests read
+`perfbench/` without writing to it (no bytecode cache): every trace target
+resolves, and the ladder workloads reproduce their recorded digests."""
 
+import contextlib
+import hashlib
 import importlib
 import importlib.util
+import io
+import json
 import pathlib
+import random
 import sys
 
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+import pytest
+
+from rzero.cli import main
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+DIGEST_SEED = 1   # run.py checks the recorded digests at its default seed
 
 
-def _load_tracing(monkeypatch):
+def _load(monkeypatch, name):
+    """Import perfbench/<name>.py as `perfbench_<name>`, so that it does not
+    clash with the test suite's own modules."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_tracing_targets", TRACING)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
 
 def test_trace_targets_resolve(monkeypatch):
-    targets = _load_tracing(monkeypatch).TARGETS
+    targets = _load(monkeypatch, "tracing").TARGETS
     assert len(targets) >= 20
     for span, module_name, attribute in targets:
         assert module_name.startswith("rzero.")
@@ -29,3 +44,24 @@ def test_trace_targets_resolve(monkeypatch):
             holder = getattr(holder, part, None)
             assert holder is not None, f"{span}: {module_name}.{attribute} is missing"
         assert callable(holder), f"{span}: {module_name}.{attribute} is not callable"
+
+
+@pytest.mark.parametrize("workload", ["ladder", "signs-ladder"])
+def test_ladder_outputs_match_recorded_digests(monkeypatch, tmp_path, workload):
+    bench_inputs = _load(monkeypatch, "inputs")
+    with monkeypatch.context() as patch:
+        # workloads.py imports its sibling as `inputs`, a name the test
+        # suite's own inputs module already holds.
+        patch.setitem(sys.modules, "inputs", bench_inputs)
+        workloads = _load(monkeypatch, "workloads")
+    commands = workloads.WORKLOADS[workload](
+        random.Random(DIGEST_SEED), str(tmp_path), str(PERFBENCH.parent))
+    digests = {}
+    for command in commands:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(command.argv))
+        assert code == 0, f"{command.label}: {err.getvalue()}"
+        digests[command.label] = hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+    recorded = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
+    assert digests == recorded[workload]
