@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import shlex
 import sys
 
 from .barcode import barcode as compute_barcode
@@ -205,7 +206,9 @@ def cmd_check(args) -> dict:
         "passed": invariances.passed and exactness.passed,
     }
     if not report["passed"]:
-        raise InternalError("check found violated invariants:\n" + dumps(report))
+        raise InternalError("check found violated invariants:\n" + dumps(report)
+                            + _reproduce("check", args.input, "--mode", mode.value,
+                                         "--seed", seed))
     return report
 
 
@@ -220,8 +223,20 @@ def cmd_fuzz(args) -> dict:
     doc["delta"] = args.delta
     doc["trials"] = args.trials
     if not report.passed:
-        raise InternalError("stability violations found:\n" + dumps(doc))
+        # Trial t runs on child_seed(seed, t + 1) whatever the trial count,
+        # so t + 1 trials rerun the first failing one.
+        first = min(failure["trial"] for result in report.results
+                    for failure in result.details["failures"])
+        raise InternalError("stability violations found:\n" + dumps(doc)
+                            + _reproduce("fuzz", args.input, "--mode", mode.value,
+                                         "--delta", args.delta, "--trials", first + 1,
+                                         "--seed", seed))
     return doc
+
+
+def _reproduce(*argv) -> str:
+    """The last line of a failure message: a command that reruns it."""
+    return "reproduce: " + shlex.join(["rzero", *map(str, argv)])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -19,14 +19,12 @@ from __future__ import annotations
 import bisect
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .complexes import (
     Complex,
     PLMap,
     Simplex,
     Subcomplex,
-    full_subcomplex,
     vertex_minima_ok,
 )
 from .errors import InputError, InternalError
@@ -145,9 +143,3 @@ def _prefix_levels(parent: Complex, order, keys, count) -> tuple[Subcomplex, ...
         start = end
     return tuple(reversed(levels))
 
-
-def level_at_radius(f: PLMap, r: ExactRadius | Fraction) -> Subcomplex:
-    """The superlevel subcomplex at an arbitrary exact radius."""
-    if not isinstance(r, ExactRadius):
-        r = ExactRadius.of(r)
-    return full_subcomplex(f.complex, lambda v: f.norm_at(v).cmp(r) >= 0)

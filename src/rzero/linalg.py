@@ -791,22 +791,6 @@ class PresentedGroup:
         return [uinv[r][index] for r in range(self.gens)]
 
 
-def solve_modulo(span: list[IntVector], group: PresentedGroup, target: IntVector) -> IntVector | None:
-    """Coefficients a with sum a_i span_i = target modulo group relations.
-
-    Returns None when target is not in the subgroup generated by span.
-    """
-    gens = group.gens
-    if len(target) != gens:
-        raise ValueError("target length mismatch")
-    cols = [list(v) for v in span] + [list(r) for r in group.relations]
-    matrix = from_columns(cols, gens)
-    sol = solve_integer(matrix, list(target))
-    if sol is None:
-        return None
-    return sol[: len(span)]
-
-
 def subgroup_presentation(span: list[IntVector], group: PresentedGroup):
     """Present the subgroup of `group` generated by `span` classes.
 

@@ -1,7 +1,11 @@
 """End-to-end analysis: subdivision, filtration, classes, pointed modules.
 
-`analyze` runs the whole exact pipeline for one map and one mode and caches
-the per-level data (groups, distinguished classes, triviality certificates).
+`analyze` runs the whole exact pipeline for one map and one mode.  It
+decides at every level whether the distinguished class is nonzero (hopf
+mode from one growing integer echelon of relative coboundaries, circle mode
+on demand) and builds the per-level integer data (cochain complexes,
+groups, class coordinates, transitions) only when something reads it: the
+integral module, a witness, or the harness's checks.
 `assemble_pointed_module` and `robust_radius` read off the results.
 """
 
@@ -9,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .cohomology import (
     CochainComplex,
@@ -19,12 +24,21 @@ from .cohomology import (
     kernel_subgroup,
     restriction_transfer,
 )
-from .complexes import PLMap, component_index, connected_components, star_subdivide
+from .complexes import (
+    Complex,
+    PLMap,
+    Subcomplex,
+    component_index,
+    connected_components,
+    star_subdivide,
+)
 from .errors import InputError, InternalError
 from .exact import ExactRadius, ZERO_RADIUS
 from .filtration import Filtration, build_filtration
 from .linalg import (
     FieldEchelon,
+    _lattice_contains,
+    _lattice_insert,
     columns,
     field_mat_vec,
     mat_vec,
@@ -35,7 +49,6 @@ from .modes import (
     SignVector,
     admissible_probe,
     admissible_ray,
-    degree_cocycle,
     determinacy_flag,
     require_applicable,
     sign_vector,
@@ -58,32 +71,141 @@ class SignsLevel:
     sign_witness: dict
 
 
-@dataclass
+class Ambient:
+    """The ambient complex X of one analysis, shared by its levels; its
+    cochain complex and integral H^q are built on first use."""
+
+    def __init__(self, space: Complex, q: int):
+        self.space = space
+        self.q = q
+
+    @cached_property
+    def cc(self) -> CochainComplex:
+        return CochainComplex(self.space)
+
+    @cached_property
+    def cohomology(self) -> IntCohomology:
+        return integral_cohomology(self.cc, self.q)
+
+
+class HopfAmbient(Ambient):
+    """Ambient data of a hopf analysis: X, the degree cocycle, and the
+    ambient coboundary d_{n-1} as sparse columns.
+
+    `top` lists the n-simplices, which index the rows; `columns` maps each
+    (n-1)-simplex with a coface to {row of the coface: sign}; `degree` is
+    the degree cocycle on those rows.
+    """
+
+    def __init__(self, space: Complex, n: int, cocycle: dict):
+        super().__init__(space, n)
+        self.cocycle = cocycle
+        self.top = space.simplices_of_dim(n)
+        row_of = {s: r for r, s in enumerate(self.top)}
+        cols: dict = {}
+        for r, tau in enumerate(self.top):
+            for j in range(len(tau)):
+                cols.setdefault(tau[:j] + tau[j + 1:], {})[r] = -1 if j % 2 else 1
+        self.columns = {s: cols[s] for s in sorted(cols)}
+        self.degree = {row_of[s]: v for s, v in cocycle.items()}
+
+    @property
+    def trivial(self) -> bool:
+        """Whether the ambient H^n is zero."""
+        hn = self.cohomology
+        return hn.gens == 0 or hn.group.is_trivial()
+
+    def leaving(self, levels):
+        """For each level A in turn, the (n-1)-simplices with a coface that
+        are off A but not off the previous level (sorted)."""
+        pending = list(self.columns)
+        for level in levels:
+            inside = level.simplices
+            yield [s for s in pending if s not in inside]
+            pending = [s for s in pending if s in inside]
+
+    def relative_rows(self, level: Subcomplex) -> list[int]:
+        """Rows of the n-simplices off the level, increasing."""
+        inside = level.simplices
+        return [r for r, s in enumerate(self.top) if s not in inside]
+
+
 class CircleLevel:
-    cc: CochainComplex
-    coh: IntCohomology
-    winding_coords: list[int]
-    nontrivial: bool
+    """Circle-mode level data.  `winding` is the winding cocycle restricted
+    to the level; the level's H^1, the class coordinates and whether the
+    class is nontrivial are built on first access."""
+
+    def __init__(self, ambient: Ambient, level: Subcomplex, winding: dict):
+        self.ambient = ambient
+        self.level = level
+        self.winding = winding
+
+    @cached_property
+    def cc(self) -> CochainComplex:
+        return CochainComplex(self.level)
+
+    @cached_property
+    def coh(self) -> IntCohomology:
+        return integral_cohomology(self.cc, 1)
+
+    @cached_property
+    def winding_coords(self) -> list[int]:
+        return self.coh.coords(self.cc.vector(self.winding, 1))
+
+    @cached_property
+    def nontrivial(self) -> bool:
+        """Whether the winding class lies outside the image of the ambient
+        H^1, i.e. the map does not extend over X."""
+        ambient = self.ambient
+        image_span = columns(induced_int_matrix(
+            ambient.cohomology, self.coh,
+            restriction_transfer(ambient.cc, self.cc, 1)))
+        return not self.coh.group.in_subgroup(image_span, self.winding_coords)
 
 
 class HopfLevel:
-    """Hopf-mode level data; the integer triviality test runs on demand
-    (it builds the level's relation echelon, and the robust radius needs
-    it at only a logarithmic number of levels)."""
+    """Hopf-mode level data.  `nontrivial` comes from the analysis's one
+    sweep (`_hopf_flags`); the relative H^n(X, A), ker j* and the class
+    coordinates are built on first access.
 
-    def __init__(self, cc, rel, kernel, degree_coords, kernel_coords):
-        self.cc = cc
-        self.rel = rel
-        self.kernel = kernel
-        self.degree_coords = degree_coords
-        self.kernel_coords = kernel_coords
-        self._nontrivial = None
+    Hopf mode needs dim X <= n, so H^n(X, A) is presented on the relative
+    n-simplices (`rel.kernel` is None, or empty when there are none) and
+    the degree class's coordinates are its cochain vector.
+    """
 
-    @property
-    def nontrivial(self) -> bool:
-        if self._nontrivial is None:
-            self._nontrivial = not self.rel.group.is_zero_class(self.degree_coords)
-        return self._nontrivial
+    def __init__(self, ambient: HopfAmbient, level: Subcomplex, nontrivial: bool):
+        self.ambient = ambient
+        self.level = level
+        self.nontrivial = nontrivial
+
+    @cached_property
+    def cc(self) -> CochainComplex:
+        return CochainComplex(self.ambient.space, self.level)
+
+    @cached_property
+    def rel(self) -> IntCohomology:
+        return integral_cohomology(self.cc, self.ambient.q)
+
+    @cached_property
+    def degree_coords(self) -> list[int]:
+        return self.cc.vector(self.ambient.cocycle, self.ambient.q)
+
+    @cached_property
+    def kernel(self) -> Subgroup:
+        ambient = self.ambient
+        if ambient.trivial:
+            return kernel_subgroup(None, self.rel, ambient.cohomology)
+        jmat = induced_int_matrix(
+            self.rel, ambient.cohomology,
+            restriction_transfer(self.cc, ambient.cc, ambient.q))
+        return kernel_subgroup(jmat, self.rel, ambient.cohomology)
+
+    @cached_property
+    def kernel_coords(self) -> list[int]:
+        coords = self.kernel.member_coords(self.degree_coords)
+        if coords is None:
+            raise InternalError("degree class escaped ker j*")
+        return coords
 
 
 @dataclass
@@ -102,7 +224,6 @@ class Analysis:
     seed: int
     filtration: Filtration
     levels: list
-    transitions: list          # integral transition matrices between levels
     robust: RobustResult
     meta: dict
 
@@ -118,6 +239,15 @@ class Analysis:
     def determinacy(self) -> bool:
         return determinacy_flag(self.mode, self.original.n, self.original.m)
 
+    @cached_property
+    def transitions(self) -> list:
+        """Integral transition matrices between consecutive levels."""
+        if self.mode == Mode.SIGNS:
+            return _signs_transitions(self.levels)
+        if self.mode == Mode.CIRCLE:
+            return _circle_transitions(self.levels)
+        return _hopf_transitions(self.levels, self.f.n)
+
 
 def analyze(f0: PLMap, mode: Mode, seed: int = DEFAULT_SEED) -> Analysis:
     require_applicable(mode, f0.n, f0.complex.dim)
@@ -125,23 +255,26 @@ def analyze(f0: PLMap, mode: Mode, seed: int = DEFAULT_SEED) -> Analysis:
     filt = build_filtration(f)
     meta: dict = {"seed": seed}
     if mode == Mode.SIGNS:
-        levels, transitions = _analyze_signs(f, filt)
+        levels = _analyze_signs(f, filt)
     elif mode == Mode.CIRCLE:
-        levels, transitions = _analyze_circle(f, filt, seed, meta)
+        levels = _analyze_circle(f, filt, seed, meta)
     else:
-        levels, transitions = _analyze_hopf(f, filt, seed, meta)
+        levels = _analyze_hopf(f, filt, seed, meta)
     robust = _robust_from_levels(filt, levels, mode)
-    return Analysis(f0, f, mode, seed, filt, levels, transitions, robust, meta)
+    return Analysis(f0, f, mode, seed, filt, levels, robust, meta)
 
 
-def _analyze_signs(f: PLMap, filt: Filtration):
+def _analyze_signs(f: PLMap, filt: Filtration) -> list:
     ambient = component_index(connected_components(f.complex))
     levels = []
     for level in filt.levels:
         sv = sign_vector(f, level)
         witness = sign_witness(sv, ambient)
-        nontrivial = bool(witness)
-        levels.append(SignsLevel(sv, nontrivial, witness))
+        levels.append(SignsLevel(sv, bool(witness), witness))
+    return levels
+
+
+def _signs_transitions(levels) -> list:
     transitions = []
     for small, large in zip(levels[1:], levels):
         # Rows: components of the smaller level; entry 1 when contained.
@@ -158,63 +291,71 @@ def _analyze_signs(f: PLMap, filt: Filtration):
                 raise InternalError("sign not inherited along inclusion")
             matrix.append(row)
         transitions.append(matrix)
-    return levels, transitions
+    return transitions
 
 
-def _analyze_circle(f: PLMap, filt: Filtration, seed: int, meta: dict):
+def _analyze_circle(f: PLMap, filt: Filtration, seed: int, meta: dict) -> list:
     sampler = RationalSampler(child_seed(seed, 1))
     ray = admissible_ray(filt.levels[0], f, sampler)
     meta["ray"] = ray
-    ambient_cc = CochainComplex(f.complex)
-    ambient_h1 = integral_cohomology(ambient_cc, 1)
-    levels = []
-    for level in filt.levels:
-        cc = CochainComplex(level)
-        coh = integral_cohomology(cc, 1)
-        wind = winding_cocycle(level, f, ray)
-        coords = coh.coords(cc.vector(wind, 1))
-        image_span = columns(
-            induced_int_matrix(ambient_h1, coh,
-                               restriction_transfer(ambient_cc, cc, 1))
-        )
-        nontrivial = not coh.group.in_subgroup(image_span, coords)
-        levels.append(CircleLevel(cc, coh, coords, nontrivial))
+    # The crossing count of an edge does not depend on the level, so the
+    # cocycle on the largest level restricts to every other.
+    winding = winding_cocycle(filt.levels[0], f, ray)
+    ambient = Ambient(f.complex, 1)
+    return [
+        CircleLevel(ambient, level,
+                    {e: v for e, v in winding.items() if e in level.simplices})
+        for level in filt.levels
+    ]
+
+
+def _circle_transitions(levels) -> list:
     transitions = []
     for src, dst in zip(levels, levels[1:]):
         transfer = restriction_transfer(src.cc, dst.cc, 1)
         transitions.append(induced_int_matrix(src.coh, dst.coh, transfer))
-    return levels, transitions
+    return transitions
 
 
-def _analyze_hopf(f: PLMap, filt: Filtration, seed: int, meta: dict):
-    n = f.n
+def _analyze_hopf(f: PLMap, filt: Filtration, seed: int, meta: dict) -> list:
     sampler = RationalSampler(child_seed(seed, 2))
     probe, cocycle = admissible_probe(f, filt.samples[0], sampler)
     meta["probe"] = probe
-    ambient_cc = CochainComplex(f.complex)
-    ambient_hn = integral_cohomology(ambient_cc, n)
-    ambient_trivial = ambient_hn.gens == 0 or ambient_hn.group.is_trivial()
-    levels = []
-    for level in filt.levels:
-        cc = CochainComplex(f.complex, level)
-        rel = integral_cohomology(cc, n)
-        if ambient_trivial:
-            kernel = kernel_subgroup(None, rel, ambient_hn)
-        else:
-            jmat = induced_int_matrix(
-                rel, ambient_hn, restriction_transfer(cc, ambient_cc, n)
-            )
-            kernel = kernel_subgroup(jmat, rel, ambient_hn)
-        vec = cc.vector(cocycle, n)
-        coords = rel.coords(vec)
-        kcoords = kernel.member_coords(coords)
-        if kcoords is None:
-            raise InternalError("degree class escaped ker j*")
-        levels.append(HopfLevel(cc, rel, kernel, coords, kcoords))
-    # Hopf mode needs dim X <= n, so no level has (n+1)-simplices and every
-    # level's H^n is presented on its relative top simplices (`rel.kernel` is
-    # None, or empty when there are none): presentation coordinates are
-    # cochain vectors, on which the restriction is extension by zero.
+    ambient = HopfAmbient(f.complex, f.n, cocycle)
+    flags = _hopf_flags(ambient, filt.levels)
+    return [HopfLevel(ambient, level, flag) for level, flag in zip(filt.levels, flags)]
+
+
+def _hopf_flags(ambient: HopfAmbient, levels) -> list[bool]:
+    """Whether the degree class is nonzero in H^n(X, A), for every level A.
+
+    With dim X <= n every relative n-cochain is a cocycle, so H^n(X, A) is
+    the relative n-cochains modulo the coboundaries of the relative
+    (n-1)-simplices.  A coface of a relative simplex is itself relative, so
+    each of those coboundaries is a full column of the ambient d_{n-1}, and
+    the relation lattices grow as the levels shrink.  One integer echelon,
+    given each column at the level where its simplex leaves A, holds every
+    level's relations in turn.  The degree cocycle is relative at every
+    level, so its class is zero exactly when it lies in that lattice; and
+    once it does, it does at every later level.
+    """
+    if levels and any(s in levels[0].simplices for s in ambient.cocycle):
+        raise InternalError("degree cocycle meets the superlevel complex")
+    lattice: dict = {}
+    flags = []
+    for fresh in ambient.leaving(levels):
+        for s in fresh:
+            _lattice_insert(lattice, ambient.columns[s])
+        if _lattice_contains(lattice, ambient.degree):
+            break
+        flags.append(True)
+    return flags + [False] * (len(levels) - len(flags))
+
+
+def _hopf_transitions(levels, n: int) -> list:
+    # Every level's H^n is presented on its relative top simplices (see
+    # `HopfLevel`): presentation coordinates are cochain vectors, on which
+    # the restriction is extension by zero.
     transitions = []
     for src, dst in zip(levels, levels[1:]):
         if src.kernel.span is None and dst.kernel.span is None:
@@ -240,7 +381,7 @@ def _analyze_hopf(f: PLMap, filt: Filtration, seed: int, meta: dict):
         rows = len(dst.kernel.generators())
         transitions.append([[cols[j][i] for j in range(len(cols))]
                             for i in range(rows)])
-    return levels, transitions
+    return transitions
 
 
 def _robust_from_levels(filt: Filtration, levels, mode: Mode) -> RobustResult:
@@ -248,7 +389,8 @@ def _robust_from_levels(filt: Filtration, levels, mode: Mode) -> RobustResult:
 
     The distinguished element is carried forward by the transitions, so once
     it vanishes it stays zero; the vanishing boundary is found by binary
-    search, keeping the number of integer triviality tests logarithmic.
+    search, so a class decided on demand (circle mode) is decided at a
+    logarithmic number of levels.
     """
     k = len(levels) - 1
     if not levels[0].nontrivial:
@@ -400,9 +542,7 @@ def assemble_pointed_module(analysis: Analysis, coefficients) -> PointedModule:
         if char is None:
             raise InputError("signs mode has no integral module; pick a field")
         return _signs_module(analysis, char, meta)
-    if (mode == Mode.HOPF and char is not None
-            and analysis.f.n == analysis.f.complex.dim
-            and all(lvl.kernel.span is None for lvl in analysis.levels)):
+    if mode == Mode.HOPF and char is not None and _one_echelon_applies(analysis):
         return _hopf_field_module(analysis, meta, char)
     integral = _integral_module(analysis, meta, full=char is None)
     if char is None:
@@ -435,58 +575,55 @@ def _one(char: int):
     return Fraction(1) if char == 0 else 1
 
 
+def _one_echelon_applies(analysis: Analysis) -> bool:
+    """Whether ker j* is the whole relative group at every level and the
+    degree equals the complex dimension: the ambient H^n is trivial and
+    every level has a relative n-simplex.  The relative simplices only grow
+    along the filtration, so the first level decides the latter."""
+    f = analysis.f
+    if f.n != f.complex.dim:
+        return False
+    ambient = analysis.levels[0].ambient
+    return bool(ambient.relative_rows(analysis.filtration.levels[0])) and ambient.trivial
+
+
 def _hopf_field_module(analysis: Analysis, meta: dict, char: int) -> PointedModule:
     """Hopf module over Q or F_p via one growing relation echelon.
 
-    Applies when ker j* is the whole relative group at every level (as when
-    the ambient top cohomology is trivial) and the degree equals the complex
-    dimension, so every level's group is the quotient of the top relative
-    cochains by the relative coboundaries.  A coface of a relative
-    (n-1)-simplex is itself relative, so each relation is a full column of
-    the ambient coboundary and the relation spans are nested along the
-    filtration: the whole module is read off one growing echelon instead of
-    one elimination per level.  Quotient coordinates are the non-pivot rows
-    of the span, which do not depend on how it was built, so the output is
+    Applies when `_one_echelon_applies`: every level's group is then the
+    quotient of the relative top cochains by the relative coboundaries.  As
+    in `_hopf_flags`, each relation is a full column of the ambient
+    coboundary and the relation spans are nested along the filtration, so
+    the whole module is read off one growing echelon instead of one
+    elimination per level.  Quotient coordinates are the non-pivot rows of
+    the span, which do not depend on how it was built, so the output is
     identical to the generic route's.
     """
-    n = analysis.f.n
-    space = analysis.f.complex
-    top = space.simplices_of_dim(n)
-    row_of = {s: i for i, s in enumerate(top)}
-    rows = len(top)
-    lower = space.simplices_of_dim(n - 1)
-    ambient_cc = CochainComplex(space)
-    d_global = ambient_cc.coboundary(n - 1)
-    col_of = {s: j for j, s in enumerate(lower)}
+    ambient = analysis.levels[0].ambient
+    rows = len(ambient.top)
+
+    def dense(sparse):
+        vec = [0] * rows
+        for r, v in sparse.items():
+            vec[r] = v
+        return vec
 
     echelon = FieldEchelon(char)
-
-    degree_vec = [0] * rows
-    probe_cocycle = analysis.levels[0].cc.cochain(analysis.levels[0].degree_coords, n)
-    for s, val in probe_cocycle.items():
-        degree_vec[row_of[s]] = int(val)
-
-    inserted: set = set()
+    degree_vec = dense(ambient.degree)
+    levels = analysis.filtration.levels
     dims = []
     distinguished = []
     transitions = []
     prev_coord_rows = None
-    for level in analysis.levels:
-        for s in level.cc.simplices(n - 1):
-            if s not in inserted:
-                inserted.add(s)
-                echelon.insert([d_global[i][col_of[s]] for i in range(rows)])
-        active = sorted(row_of[s] for s in level.cc.simplices(n))
+    for level, fresh in zip(levels, ambient.leaving(levels)):
+        for s in fresh:
+            echelon.insert(dense(ambient.columns[s]))
         pivot_rows = echelon.pivot_rows
-        coord_rows = [r for r in active if r not in pivot_rows]
+        coord_rows = [r for r in ambient.relative_rows(level) if r not in pivot_rows]
         dims.append(len(coord_rows))
         distinguished.append(echelon.project(degree_vec, coord_rows))
         if prev_coord_rows is not None:
-            cols = []
-            for r in prev_coord_rows:
-                unit = [0] * rows
-                unit[r] = 1
-                cols.append(echelon.project(unit, coord_rows))
+            cols = [echelon.project(dense({r: 1}), coord_rows) for r in prev_coord_rows]
             transitions.append(
                 [[cols[j][i] for j in range(len(cols))] for i in range(len(coord_rows))]
             )

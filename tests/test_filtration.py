@@ -12,12 +12,18 @@ from rzero.filtration import (
     build_filtration,
     check_face_order,
     critical_values,
-    level_at_radius,
     sample_radii,
 )
 from rzero.rng import RationalSampler
 
 from inputs import edge_map, grid_identity_map, octagon_winding2_map
+
+
+def level_at_radius(f, r):
+    """Oracle: the superlevel subcomplex {|f| >= r} at an arbitrary exact
+    radius, spanned by the vertices it keeps."""
+    r = ExactRadius.of(r)
+    return full_subcomplex(f.complex, lambda v: f.norm_at(v).cmp(r) >= 0)
 
 
 def test_critical_values_edge():

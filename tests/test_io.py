@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from collections import Counter
@@ -9,9 +10,11 @@ from fractions import Fraction
 
 import pytest
 
+import rzero.cli as cli
 from rzero.barcode import Interval, PointedBarcode
 from rzero.errors import InputError
 from rzero.exact import ExactRadius
+from rzero.harness import CheckResult, Report
 from rzero.io import (
     decode_radius,
     dumps,
@@ -191,3 +194,40 @@ def test_cli_check_and_fuzz(tmp_path):
     out = run_cli("fuzz", str(path), "--delta", "1/10", "--trials", "3", "--seed", "5")
     assert out.returncode == 0
     assert json.loads(out.stdout)["passed"] is True
+
+
+def test_failures_end_with_a_reproduce_line(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "edge.json"
+    path.write_text(as_document(edge_map()))
+    quoted = shlex.quote(str(path))
+
+    def failing_stability(f, mode, delta, trials, seed):
+        failures = [{"trial": 2, "seed": 11, "radius_ok": False},
+                    {"trial": 4, "seed": 13, "error": "boom"}]
+        return Report(seed, [CheckResult(
+            f"stability(delta={delta}, trials={trials})", False, {"failures": failures})])
+
+    monkeypatch.setattr(cli, "check_stability", failing_stability)
+    assert cli.main(["fuzz", str(path), "--delta", "1/10", "--trials", "6", "--seed", "5"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "stability violations found" in err
+    # Trial 2 is the first failure; three trials rerun it.
+    assert err.splitlines()[-1] == (
+        f"reproduce: rzero fuzz {quoted} --mode signs --delta 1/10 --trials 3 --seed 5")
+
+    # The seed is the resolved one, so the line reproduces without the env.
+    monkeypatch.setenv("RZERO_SEED", "9")
+    assert cli.main(["fuzz", str(path), "--delta", "1/2", "--mode", "hopf"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines()[-1] == (
+        f"reproduce: rzero fuzz {quoted} --mode hopf --delta 1/2 --trials 3 --seed 9")
+
+    monkeypatch.setattr(cli, "check_invariances",
+                        lambda f, mode, seed: Report(seed, [CheckResult("scaling", False)]))
+    assert cli.main(["check", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "check found violated invariants" in err
+    assert err.splitlines()[-1] == f"reproduce: rzero check {quoted} --mode signs --seed 9"

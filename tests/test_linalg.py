@@ -20,11 +20,19 @@ from rzero.linalg import (
     mat_vec,
     smith_normal_form,
     solve_integer,
-    solve_modulo,
     subgroup_presentation,
     unimodular_inverse,
 )
 from rzero.rng import RationalSampler
+
+
+def solve_modulo(span, group, target):
+    """Oracle: coefficients a with sum a_i span_i = target modulo the
+    group's relations, by one integer solve; None when target is outside
+    the subgroup generated by span."""
+    cols = [list(v) for v in span] + [list(r) for r in group.relations]
+    sol = solve_integer(from_columns(cols, group.gens), list(target))
+    return None if sol is None else sol[:len(span)]
 
 
 def check_snf(m):

@@ -3,7 +3,7 @@ check every output against recorded digests.  A rename that leaves one of
 the tracer's targets dangling makes `perfbench/run.py --trace 1` exit before
 measuring, and an output change fails every benchmark run.  These tests read
 `perfbench/` without writing to it (no bytecode cache): every trace target
-resolves, and the ladder workloads reproduce their recorded digests."""
+resolves, and every workload reproduces its recorded digests."""
 
 import contextlib
 import hashlib
@@ -46,8 +46,8 @@ def test_trace_targets_resolve(monkeypatch):
         assert callable(holder), f"{span}: {module_name}.{attribute} is not callable"
 
 
-@pytest.mark.parametrize("workload", ["ladder", "signs-ladder"])
-def test_ladder_outputs_match_recorded_digests(monkeypatch, tmp_path, workload):
+@pytest.mark.parametrize("workload", ["stability", "ladder", "signs-ladder"])
+def test_workload_outputs_match_recorded_digests(monkeypatch, tmp_path, workload):
     bench_inputs = _load(monkeypatch, "inputs")
     with monkeypatch.context() as patch:
         # workloads.py imports its sibling as `inputs`, a name the test

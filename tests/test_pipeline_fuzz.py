@@ -15,11 +15,7 @@ RP2_FACES = [
 ]
 
 
-def test_projective_plane_isolated_levels_carry_no_obstruction():
-    # On a closed surface a planar map is globally null-homotopic, so once
-    # the superlevel complex is a set of isolated points nothing obstructs:
-    # the kernel subgroup there is trivial even though the ambient relative
-    # group is all 2-torsion, and the degree cocycle has even total count.
+def projective_plane_map():
     rp2 = Complex.build([[f"p{v}" for v in face] for face in RP2_FACES])
     values = {
         "p0": (Fraction(3), Fraction(1)),
@@ -29,8 +25,15 @@ def test_projective_plane_isolated_levels_carry_no_obstruction():
         "p4": (Fraction(-1), Fraction(-3)),
         "p5": (Fraction(-3), Fraction(-1)),
     }
-    f = PLMap(rp2, values, 2, "linf")
-    analysis = analyze(f, Mode.HOPF, 17)
+    return PLMap(rp2, values, 2, "linf")
+
+
+def test_projective_plane_isolated_levels_carry_no_obstruction():
+    # On a closed surface a planar map is globally null-homotopic, so once
+    # the superlevel complex is a set of isolated points nothing obstructs:
+    # the kernel subgroup there is trivial even though the ambient relative
+    # group is all 2-torsion, and the degree cocycle has even total count.
+    analysis = analyze(projective_plane_map(), Mode.HOPF, 17)
     top = analysis.samples.index(ExactRadius.of(3))
     level = analysis.levels[top]
     # The top superlevel complex is a forest (no loops to wind around).
@@ -160,12 +163,28 @@ def test_random_signs_inputs():
             assert hopf.robust.radius == analysis.robust.radius
 
 
-def test_random_planar_inputs():
+def planar_inputs():
+    """(t, map) for the random planar trials, with t indexing their seeds."""
     for t in range(12):
         sampler = RationalSampler(child_seed(271828, t))
         c = _random_complex(sampler, max_dim=2)
-        f = PLMap(c, _random_values(sampler, c, 2),
-                  2, ("l1", "l2", "linf")[t % 3])
+        yield t, PLMap(c, _random_values(sampler, c, 2),
+                       2, ("l1", "l2", "linf")[t % 3])
+
+
+def three_dimensional_inputs():
+    """(t, map) for the random 3-D hopf trials.  Small value grids keep the
+    subdivisions (and level counts) modest."""
+    for t in range(5):
+        sampler = RationalSampler(child_seed(999, t))
+        c = _random_complex(sampler, max_dim=3, max_vertices=4)
+        yield t, PLMap(c, _random_values(sampler, c, 3, denominator=1, spread=3),
+                       3, "linf")
+
+
+def test_random_planar_inputs():
+    for t, f in planar_inputs():
+        c = f.complex
         circle = analyze(f, Mode.CIRCLE, child_seed(271828, 1000 + t))
         _consistency(circle, ("q", "f2"))
         if applicable(Mode.HOPF, 2, c.dim):
@@ -175,11 +194,6 @@ def test_random_planar_inputs():
 
 
 def test_random_three_dimensional_hopf():
-    # Small value grids keep the subdivisions (and level counts) modest.
-    for t in range(5):
-        sampler = RationalSampler(child_seed(999, t))
-        c = _random_complex(sampler, max_dim=3, max_vertices=4)
-        f = PLMap(c, _random_values(sampler, c, 3, denominator=1, spread=3),
-                  3, "linf")
+    for t, f in three_dimensional_inputs():
         analysis = analyze(f, Mode.HOPF, child_seed(999, 1000 + t))
         _consistency(analysis, ("q",))

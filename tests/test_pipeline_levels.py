@@ -1,0 +1,105 @@
+"""Per-level integer data is built only where it is read, and the routes
+that replace per-level work agree with it: the one-sweep hopf flags with a
+triviality test at each level, and the restricted winding cocycles with
+one computed on each level."""
+
+import contextlib
+import io
+import pathlib
+
+import rzero.cli as cli
+import rzero.pipeline as pipeline
+from rzero.cohomology import CochainComplex, integral_cohomology
+from rzero.modes import Mode, applicable, winding_cocycle
+from rzero.pipeline import analyze
+from rzero.rng import child_seed
+
+from inputs import grid_identity_map, octagon_winding2_map
+from test_pipeline_fuzz import (
+    moebius_odd_winding_map,
+    planar_inputs,
+    projective_plane_map,
+    three_dimensional_inputs,
+)
+
+GRID = str(pathlib.Path(__file__).resolve().parent.parent / "sample_inputs" / "grid_identity.json")
+
+
+def _count(monkeypatch, module, name) -> list:
+    """Record every call of module.name, which still runs."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _run(*argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(argv)) == 0
+    return out.getvalue()
+
+
+def test_hopf_field_run_builds_only_the_ambient_cohomology(monkeypatch):
+    integral = _count(monkeypatch, pipeline, "integral_cohomology")
+    analyses = _count(monkeypatch, cli, "analyze")
+    _run("barcode", GRID, "--mode", "hopf", "--field", "q")
+    assert len(analyses) == 1
+    assert len(integral) == 1
+    cc, degree = integral[0]
+    assert cc.rel is None and degree == 2   # the ambient H^2
+    # The robust radius alone reads no integral cohomology at all.
+    integral.clear()
+    _run("robust-radius", GRID, "--mode", "hopf")
+    assert integral == []
+
+
+def test_circle_analysis_computes_one_winding_cocycle(monkeypatch):
+    winding = _count(monkeypatch, pipeline, "winding_cocycle")
+    analysis = analyze(grid_identity_map(), Mode.CIRCLE, 7)
+    assert len(winding) == 1
+    assert analysis.robust.radius.sign() > 0
+
+
+def _hopf_cases():
+    for t, f in planar_inputs():
+        if applicable(Mode.HOPF, 2, f.complex.dim):
+            yield f, child_seed(271828, 2000 + t)
+    for t, f in three_dimensional_inputs():
+        yield f, child_seed(999, 1000 + t)
+    yield moebius_odd_winding_map(), 23
+    yield projective_plane_map(), 17
+
+
+def test_hopf_sweep_matches_per_level_triviality():
+    seen = set()
+    for f, seed in _hopf_cases():
+        analysis = analyze(f, Mode.HOPF, seed)
+        space, n = analysis.f.complex, analysis.f.n
+        cocycle = analysis.levels[0].ambient.cocycle
+        for level in analysis.levels:
+            # The oracle: the relative H^n(X, A) of this level alone.
+            cc = CochainComplex(space, level.level)
+            group = integral_cohomology(cc, n).group
+            assert level.nontrivial == (not group.is_zero_class(cc.vector(cocycle, n)))
+            seen.add(level.nontrivial)
+    assert seen == {True, False}
+
+
+def test_restricted_winding_cocycles_match_per_level():
+    cases = [(f, child_seed(271828, 1000 + t)) for t, f in planar_inputs()]
+    cases += [(moebius_odd_winding_map(), 23), (projective_plane_map(), 17),
+              (octagon_winding2_map(), 7)]
+    crossings = 0
+    for f, seed in cases:
+        analysis = analyze(f, Mode.CIRCLE, seed)
+        ray = analysis.meta["ray"]
+        for level in analysis.levels:
+            assert level.winding == winding_cocycle(level.level, analysis.f, ray)
+            crossings += len(level.winding)
+    assert crossings
