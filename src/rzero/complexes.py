@@ -226,8 +226,8 @@ def edge_zeros_ok(f: PLMap) -> bool:
     """Check postcondition (b): component zeros meet edges only at vertices
     or along whole edges."""
     for u, v in f.complex.edges():
-        for i in range(f.n):
-            if f.values[u][i] * f.values[v][i] < 0:
+        for a, b in zip(f.values[u], f.values[v]):
+            if a.numerator * b.numerator < 0:
                 return False
     return True
 
@@ -277,20 +277,20 @@ class _Subdivider:
         return cached
 
     def star(self, face: Simplex, barycentric) -> str:
-        """Star the complex at the given interior point of `face`."""
+        """Star the complex at the given interior point of `face`, whose
+        barycentric coordinates are Fractions."""
         combo: dict[str, Fraction] = {}
         for coeff, v in zip(barycentric, face):
-            coeff = Fraction(coeff)
-            if coeff == 0:
+            if not coeff:
                 continue
             for base, weight in self.expansion[v].items():
-                combo[base] = combo.get(base, Fraction(0)) + coeff * weight
+                combo[base] = combo.get(base, 0) + coeff * weight
         combo = {v: c for v, c in combo.items() if c != 0}
         new_id = _point_id(combo)
         if new_id in self.values:
             raise InternalError(f"star point {new_id} already exists")
         new_value = tuple(
-            sum(Fraction(b) * self.values[v][i] for b, v in zip(barycentric, face))
+            sum(b * self.values[v][i] for b, v in zip(barycentric, face))
             for i in range(self.n)
         )
         self.values[new_id] = new_value
@@ -342,9 +342,8 @@ class _Subdivider:
                 if edge not in self.simplices:
                     continue
                 u, v = edge
-                for i in range(self.n):
-                    a, b = self.values[u][i], self.values[v][i]
-                    if a * b < 0:
+                for a, b in zip(self.values[u], self.values[v]):
+                    if a.numerator * b.numerator < 0:
                         t = a / (a - b)
                         self.star(edge, (1 - t, t))
                         changed = progress = True

@@ -58,6 +58,15 @@ def _sign(x: Fraction) -> int:
     return EQ
 
 
+def _cmp(a: Fraction, b: Fraction) -> int:
+    """Three-way comparison of two rationals, with no subtraction."""
+    if a > b:
+        return GT
+    if a < b:
+        return LT
+    return EQ
+
+
 def _sign_a_plus_b_sqrt(a: Fraction, b: Fraction, c: Fraction) -> int:
     """Exact sign of a + b*sqrt(c) for rational a, b and rational c >= 0."""
     if c < 0:
@@ -113,11 +122,13 @@ class ExactRadius:
     __slots__ = ("plus", "minus")
 
     def __init__(self, plus: Fraction, minus: Fraction = _ZERO):
-        plus = Fraction(plus)
-        minus = Fraction(minus)
-        if plus < 0 or minus < 0:
+        if type(plus) is not Fraction:
+            plus = Fraction(plus)
+        if type(minus) is not Fraction:
+            minus = Fraction(minus)
+        if plus.numerator < 0 or minus.numerator < 0:
             raise ValueError("radicands must be nonnegative")
-        if plus != 0 and minus != 0:
+        if plus and minus:
             ratio = sqrt_if_square(plus / minus)
             if ratio is not None:
                 # sqrt(plus) - sqrt(minus) = (ratio - 1) sqrt(minus)
@@ -137,16 +148,18 @@ class ExactRadius:
     @staticmethod
     def of(value) -> "ExactRadius":
         """Exact radius equal to the given rational value."""
-        value = Fraction(value)
-        if value >= 0:
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        if value.numerator >= 0:
             return ExactRadius(value * value, _ZERO)
         return ExactRadius(_ZERO, value * value)
 
     @staticmethod
     def sqrt(square) -> "ExactRadius":
         """Exact radius equal to sqrt(square), square a nonnegative rational."""
-        square = Fraction(square)
-        if square < 0:
+        if type(square) is not Fraction:
+            square = Fraction(square)
+        if square.numerator < 0:
             raise ValueError("square must be nonnegative")
         return ExactRadius(square, _ZERO)
 
@@ -167,17 +180,17 @@ class ExactRadius:
         return self.plus == 0 or self.minus == 0
 
     def sign(self) -> int:
-        return _sign(self.plus - self.minus)
+        return _cmp(self.plus, self.minus)
 
     def cmp(self, other: "ExactRadius") -> int:
         """Exact three-way comparison, one of LT, EQ, GT."""
         other = _coerce(other)
         # Common fast path: two single-radical values of the same sign
         # compare by their radicands.
-        if self.minus == 0 and other.minus == 0:
-            return _sign(self.plus - other.plus)
-        if self.plus == 0 and other.plus == 0:
-            return _sign(other.minus - self.minus)
+        if not self.minus and not other.minus:
+            return _cmp(self.plus, other.plus)
+        if not self.plus and not other.plus:
+            return _cmp(other.minus, self.minus)
         return _cmp_sqrt_sums(self.plus, other.minus, other.plus, self.minus)
 
     # -- arithmetic (closed operations only) -------------------------------

@@ -5,6 +5,10 @@ critical values are just the distinct positive vertex norms.  The family
 A_r = {x : |f(x)| >= r} is constant in r between consecutive critical values;
 each constancy interval (s_i, s_{i+1}] is sampled at its right endpoint.
 
+Vertex norms are ranked by their rational `normmin.norm_key` (|v|, or |v|²
+for l2), sorted directly; an `ExactRadius` is built once per distinct
+positive key, for the critical values.
+
 The whole family is one order on the simplices.  A vertex of norm s_k (the
 k-th critical value, counted from 1) lies in the levels 0..k-1, so its exit
 index is k; a zero-norm vertex has exit index 0.  A simplex enters with the
@@ -17,7 +21,6 @@ face-closed and the prefixes are nested.
 from __future__ import annotations
 
 import bisect
-import functools
 from dataclasses import dataclass
 
 from .complexes import (
@@ -29,8 +32,7 @@ from .complexes import (
 )
 from .errors import InputError, InternalError
 from .exact import ExactRadius
-
-radius_sort_key = functools.cmp_to_key(lambda a, b: a.cmp(b))
+from .normmin import norm_key, norm_radius
 
 
 @dataclass(frozen=True)
@@ -48,22 +50,27 @@ class CriticalSet:
                 raise InputError("critical values must be strictly increasing")
 
 
-def _vertex_norms(f: PLMap) -> dict[str, ExactRadius]:
+def _ranked_vertices(f: PLMap) -> tuple[CriticalSet, dict[str, int]]:
+    """The critical set of a post-subdivision map and each vertex's exit
+    index: the rank of its norm among the critical values, 0 for norm 0."""
     if not f.minima_at_vertices and not vertex_minima_ok(f):
         raise InputError("critical_values requires a subdivided map")
-    return {v: f.norm_at(v) for v in f.complex.vertices}
-
-
-def _critical_set(norms) -> CriticalSet:
-    norms = set(norms)
-    has_zero = any(r.sign() == 0 for r in norms)
-    positive = sorted((r for r in norms if r.sign() > 0), key=radius_sort_key)
-    return CriticalSet(tuple(positive), has_zero)
+    keys = {v: norm_key(f.values[v], f.norm) for v in f.complex.vertices}
+    values = []
+    exit_index = {}
+    last = 0
+    for v in sorted(keys, key=keys.__getitem__):
+        key = keys[v]
+        if key != last:
+            values.append(norm_radius(key, f.norm))
+            last = key
+        exit_index[v] = len(values)
+    return CriticalSet(tuple(values), 0 in exit_index.values()), exit_index
 
 
 def critical_values(f: PLMap) -> CriticalSet:
     """Sorted distinct positive vertex norms of a post-subdivision map."""
-    return _critical_set(_vertex_norms(f).values())
+    return _ranked_vertices(f)[0]
 
 
 def sample_radii(criticals: CriticalSet) -> list[ExactRadius]:
@@ -96,11 +103,8 @@ class Filtration:
 
 def build_filtration(f: PLMap) -> Filtration:
     """Compute all superlevel subcomplexes A'_r at the sample radii."""
-    norms = _vertex_norms(f)
-    crit = _critical_set(norms.values())
+    crit, vertex_exit = _ranked_vertices(f)
     samples = sample_radii(crit)
-    exit_index = {r: k for k, r in enumerate(crit.values, start=1)}
-    vertex_exit = {v: exit_index.get(r, 0) for v, r in norms.items()}
     entry = {s: min(vertex_exit[v] for v in s) for s in f.complex.simplices}
     check_face_order(entry)
     order = sorted(entry, key=lambda s: (-entry[s], s))

@@ -9,7 +9,9 @@ position) to limit entry growth.  It returns both transforms u, v and both
 inverses u^-1, v^-1, tracked as it eliminates, so lattice bases and
 coordinates are read off integer matrices with no Fraction inverse or
 solve.  Yes/no questions about a relation lattice (is a class zero, is the
-group trivial) use a transform-free integer column echelon instead.
+group trivial) use a transform-free integer column echelon instead.  Small
+square integer systems (the norm minimizer's faces, the degree cocycle's
+simplices) are solved fraction-free by `solve_square`, in Cramer form.
 
 Subspaces over a field, Q or F_p, are kept in one column echelon,
 `FieldEchelon`, sorted by pivot row and fraction-free over Q.  It gives the
@@ -313,6 +315,39 @@ def unimodular_inverse(u: IntMatrix) -> IntMatrix:
     if any(d != 1 for d in snf.diagonal):
         raise ValueError("matrix is not unimodular")
     return mat_mul(snf.v, snf.u)
+
+
+def solve_square(augmented) -> tuple[IntVector, int] | None:
+    """Cramer form of the square integer system [A | b]: (numerators, det)
+    with det = det(A) and x_i = numerators[i] / det, or None when A is
+    singular.
+
+    Fraction-free (Bareiss) Gauss-Jordan: after the step on column c every
+    entry is a minor of the row-permuted input, so the division by the
+    previous pivot is exact, and at the end the matrix is d [I | x] with d
+    the determinant of the permuted A.  Rows are replaced, never changed in
+    place.
+    """
+    m = list(augmented)
+    size = len(m)
+    prev = 1
+    sign = 1
+    for c in range(size):
+        pivot = next((r for r in range(c, size) if m[r][c]), None)
+        if pivot is None:
+            return None
+        if pivot != c:
+            m[c], m[pivot] = m[pivot], m[c]
+            sign = -sign
+        top = m[c]
+        p = top[c]
+        for r in range(size):
+            if r != c:
+                row = m[r]
+                f = row[c]
+                m[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        prev = p
+    return [sign * row[size] for row in m], sign * prev
 
 
 # ---------------------------------------------------------------------------

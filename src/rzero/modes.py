@@ -25,8 +25,8 @@ from fractions import Fraction
 from .complexes import PLMap, Subcomplex, connected_components
 from .errors import InternalError, ModeError
 from .exact import ExactRadius
-from .linalg import field_kernel, field_solve
-from .normmin import vector_norm
+from .linalg import FieldEchelon, solve_square
+from .normmin import scaled, vector_norm
 from .rng import RationalSampler
 
 RETRY_BUDGET = 32
@@ -203,59 +203,37 @@ class ProbeError(InternalError):
 
 
 def _affine_preimage(values, point):
-    """Barycentric solution of sum l_j w_j = point, sum l_j = 1, or None.
+    """Cramer form of sum l_j w_j = point, sum l_j = 1 on integer data:
+    (numerators, det) with l_j = numerators[j] / det, or None when the
+    simplex is degenerate (det = 0).
 
-    Returns (solution, unique); `unique` is False when the affine system is
-    degenerate, in which case `solution` says whether any solution exists.
+    The ones row comes first, so det is the determinant of the affine map's
+    linear part in the sorted-vertex chart, [w_1 - w_0 .. w_n - w_0], and
+    its sign is the orientation of the simplex.  Triangles in the plane use
+    the 2 x 2 cross products; every other simplex one fraction-free solve.
     """
-    k = len(values)
-    n = len(point)
-    if n == 2 and k == 3:
-        # Cramer on the 3x3 barycentric system (the common case).
-        a, b, c = values
-        det = (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1])
-        if det != 0:
-            px, py = point[0] - a[0], point[1] - a[1]
-            l1 = (px * (c[1] - a[1]) - (c[0] - a[0]) * py) / det
-            l2 = ((b[0] - a[0]) * py - px * (b[1] - a[1])) / det
-            return [1 - l1 - l2, l1, l2], True
-    rows = []
-    rhs = []
-    for i in range(n):
-        rows.append([Fraction(values[j][i]) for j in range(k)])
-        rhs.append(Fraction(point[i]))
-    rows.append([Fraction(1)] * k)
-    rhs.append(Fraction(1))
-    sol = field_solve(rows, rhs, 0)
-    if sol is None:
-        return None, True
-    # Uniqueness: the homogeneous system must have trivial kernel.
-    kern = field_kernel(rows, 0)
-    return sol, not kern
+    if len(point) == 2 and len(values) == 3:
+        (ax, ay), (bx, by), (cx, cy) = values
+        ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
+        det = ux * vy - vx * uy
+        if not det:
+            return None
+        px, py = point[0] - ax, point[1] - ay
+        l1 = px * vy - vx * py
+        l2 = ux * py - px * uy
+        return [det - l1 - l2, l1, l2], det
+    rows = [[1] * len(values) + [1]]
+    rows += [[w[i] for w in values] + [x] for i, x in enumerate(point)]
+    return solve_square(rows)
 
 
-def _ordered_det_sign(values) -> int:
-    """Sign of det of the affine map's linear part in the sorted-vertex chart."""
-    base = values[0]
-    n = len(base)
-    matrix = [[Fraction(values[j + 1][i] - base[i]) for j in range(n)]
-              for i in range(n)]
-    det = Fraction(1)
-    m = [row[:] for row in matrix]
-    sign = 1
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        det *= m[c][c]
-        for r in range(c + 1, n):
-            fct = m[r][c] / m[c][c]
-            m[r] = [x - fct * y for x, y in zip(m[r], m[c])]
-    det *= sign
-    return 1 if det > 0 else -1 if det < 0 else 0
+def _has_preimage(values, point) -> bool:
+    """Whether sum l_j w_j = point, sum l_j = 1 has any solution: (1, point)
+    lies in the span of the (1, w_j), decided in a fraction-free echelon."""
+    echelon = FieldEchelon(0)
+    for w in values:
+        echelon.insert([1, *w])
+    return echelon.insert([1, *point]) is None
 
 
 def degree_cocycle(f: PLMap, probe) -> dict:
@@ -265,31 +243,28 @@ def degree_cocycle(f: PLMap, probe) -> dict:
     map when the probe has a strictly interior preimage there, else 0.  For
     dim X < n the answer is the zero cochain.  Raises ProbeError when the
     probe fails regularity (a preimage on a proper face, or a degenerate
-    simplex whose image contains the probe).
+    simplex whose image contains the probe).  Each simplex's values and the
+    probe are scaled to integers by one LCM, and the probe is located by
+    the signs of the Cramer numerators.
     """
     n = f.n
     if f.m > n:
         raise ModeError("degree cocycles require dim X <= n")
-    probe = tuple(Fraction(x) for x in probe)
     cocycle = {}
     for simplex in f.complex.simplices_of_dim(n):
-        values = [f.values[v] for v in simplex]
-        sol, unique = _affine_preimage(values, probe)
-        if not unique:
-            if sol is not None:
+        _, (*values, point) = scaled([f.values[v] for v in simplex] + [probe])
+        solution = _affine_preimage(values, point)
+        if solution is None:
+            if _has_preimage(values, point):
                 raise ProbeError(f"probe degenerate on simplex {simplex}")
             continue
-        if sol is None:
+        numerators, det = solution
+        low = min(numerators) if det > 0 else -max(numerators)  # min l_j * |det|
+        if low < 0:
             continue
-        if any(x == 0 for x in sol):
-            if all(x >= 0 for x in sol):
-                raise ProbeError(f"probe hits a face of simplex {simplex}")
-            continue
-        if all(x > 0 for x in sol):
-            sign = _ordered_det_sign(values)
-            if sign == 0:
-                raise ProbeError(f"degenerate simplex {simplex} covers the probe")
-            cocycle[simplex] = sign
+        if low == 0:
+            raise ProbeError(f"probe hits a face of simplex {simplex}")
+        cocycle[simplex] = 1 if det > 0 else -1
     return cocycle
 
 

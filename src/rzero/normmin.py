@@ -17,15 +17,20 @@ increasing dimension, each offering its interior candidates (every λ > 0).
 Tie rule: the best point is replaced only on a strict improvement, so a
 vertex beats any face and a lower-dimensional face a higher one.
 `star_subdivide` relies on it: an argmin interior to a proper face is left
-to that face's own visit.  A floor certificate settles most calls first:
-|g_i| is at least 0 where the i-th vertex values change sign and their
-smallest magnitude otherwise, and a vertex attaining the norm of that
-floor is the minimum.
+to that face's own visit.  Floor certificates prune the search: on a face,
+|g_i| is at least 0 where the face's i-th vertex values change sign and
+their smallest magnitude otherwise.  When the floor of the whole simplex
+is attained by a vertex, that vertex is the minimum; a face whose floor is
+no smaller than the best so far is skipped, since none of its candidates
+could strictly improve on it.
 
 Values are scaled to integers by the LCM of their denominators, which
-moves no argmin; the systems (at most 7 x 7) are solved fraction-free and
-Fractions are built only for the chosen point.  The l2 minimum is returned
-as the square root of a rational.
+moves no argmin (`scaled`); the systems (at most 7 x 7) are solved
+fraction-free (`linalg.solve_square`).  Fractions are built only for the
+chosen barycentric point, and `NormMin.minimum`, an `ExactRadius` (the
+square root of a rational for l2), only when it is read.  `norm_key` and
+`norm_radius` give the same exact norms for single vectors: the vertex
+norms of the filtration and the probe bounds.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from itertools import combinations
 from math import lcm
 
 from .exact import ExactRadius
+from .linalg import solve_square
 
 NORMS = ("l1", "l2", "linf")
 
@@ -47,44 +53,73 @@ _MEASURE = {
     "linf": lambda v: max((abs(x) for x in v), default=0),
 }
 
+_ZERO = Fraction(0)
 
-@dataclass(frozen=True)
-class NormMin:
-    minimum: ExactRadius
-    barycentric: tuple[Fraction, ...]
-    at_vertex: bool
+
+def scaled(vectors) -> tuple[int, list[list[int]]]:
+    """(s, integer vectors): s is the LCM of the denominators of every entry
+    (ints or Fractions, read without conversion), each vector times s."""
+    scale = lcm(*(x.denominator for v in vectors for x in v))
+    return scale, [[x.numerator * (scale // x.denominator) for x in v] for v in vectors]
+
+
+def norm_key(vector, norm: str) -> Fraction:
+    """|v| as a rational, squared for l2: the key that orders vector norms,
+    from which `norm_radius` builds the exact value."""
+    scale, (ints,) = scaled([vector])
+    return Fraction(_MEASURE[norm](ints), scale * scale if norm == "l2" else scale)
+
+
+def norm_radius(key: Fraction, norm: str) -> ExactRadius:
+    """The exact norm whose `norm_key` is `key`."""
+    return ExactRadius.sqrt(key) if norm == "l2" else ExactRadius.of(key)
 
 
 def vector_norm(vector, norm: str) -> ExactRadius:
     """Exact |v| for a rational vector under l1, l2 or linf."""
-    coords = [Fraction(x) for x in vector]
-    if norm == "l1":
-        return ExactRadius.of(sum(abs(x) for x in coords))
-    if norm == "linf":
-        return ExactRadius.of(max((abs(x) for x in coords), default=Fraction(0)))
-    if norm == "l2":
-        return ExactRadius.sqrt(sum(x * x for x in coords))
-    raise ValueError(f"unknown norm {norm!r}")
+    if norm not in NORMS:
+        raise ValueError(f"unknown norm {norm!r}")
+    return norm_radius(norm_key(vector, norm), norm)
+
+
+@dataclass(frozen=True)
+class NormMin:
+    """One minimizer of |g| over a simplex, whether a vertex attains the
+    minimum, and the minimum |g| (|g|² for l2) as the integers num / den."""
+
+    barycentric: tuple[Fraction, ...]
+    at_vertex: bool
+    norm: str
+    num: int
+    den: int
+
+    @property
+    def minimum(self) -> ExactRadius:
+        """The exact minimum, built on each read."""
+        return norm_radius(Fraction(self.num, self.den), self.norm)
+
+
+def _floor(rows) -> list[int]:
+    """Per coordinate, a lower bound on |g_i| over the hull of `rows`."""
+    return [0 if min(c) <= 0 <= max(c) else min(map(abs, c)) for c in zip(*rows)]
 
 
 def simplex_norm_min(values, norm: str) -> NormMin:
     """Exact minimum of |g| over the closed simplex, with one minimizer.
 
-    `values` lists one rational n-vector per simplex vertex.  The reported
-    minimizer is deterministic; `at_vertex` is True iff some vertex attains
-    the minimum (equality tested exactly).
+    `values` lists one n-vector of ints or Fractions per simplex vertex.
+    The reported minimizer is deterministic; `at_vertex` is True iff some
+    vertex attains the minimum (equality tested exactly).
     """
     if norm not in NORMS:
         raise ValueError(f"unknown norm {norm!r}")
-    values = [tuple(Fraction(x) for x in v) for v in values]
     if not values:
         raise ValueError("a simplex needs at least one vertex")
     n = len(values[0])
     if any(len(v) != n for v in values):
         raise ValueError("vertex values have mixed dimensions")
     k = len(values)
-    scale = lcm(*(x.denominator for v in values for x in v))
-    ints = [[x.numerator * (scale // x.denominator) for x in v] for v in values]
+    scale, ints = scaled(values)
 
     measure = _MEASURE[norm]
     norms = [measure(w) for w in ints]
@@ -92,23 +127,21 @@ def simplex_norm_min(values, norm: str) -> NormMin:
     # The best value so far as a fraction num / den of scaled units, with
     # its face and the numerators of λ over that den.
     best = (norms[vertex], 1, (vertex,), (1,))
-    floor = [0 if min(c) <= 0 <= max(c) else min(map(abs, c)) for c in zip(*ints)]
-    if measure(floor) < best[0]:
+    if measure(_floor(ints)) < best[0]:
         for size in range(2, k + 1):
             for face in combinations(range(k), size):
+                if measure(_floor([ints[j] for j in face])) * best[1] >= best[0]:
+                    continue
                 for value, den, lam in _candidates(ints, face, n, norm):
                     if value * best[1] < best[0] * den:
                         best = (value, den, face, lam)
 
     value, den, face, lam = best
-    bary = [Fraction(0)] * k
+    bary = [_ZERO] * k
     for j, num in zip(face, lam):
         bary[j] = Fraction(num, den)
-    if norm == "l2":
-        minimum = ExactRadius.sqrt(Fraction(value, den * scale * scale))
-    else:
-        minimum = ExactRadius.of(Fraction(value, den * scale))
-    return NormMin(minimum, tuple(bary), len(face) == 1)
+    den *= scale * scale if norm == "l2" else scale
+    return NormMin(tuple(bary), len(face) == 1, norm, value, den)
 
 
 def _candidates(ints, face, n, norm):
@@ -118,9 +151,11 @@ def _candidates(ints, face, n, norm):
     if norm == "l2":
         gram = [[2 * sum(a * b for a, b in zip(ints[i], ints[j])) for j in face] + [1, 0]
                 for i in face]
-        solution = _solve(gram + [[1] * size + [0, 1]])
+        solution = solve_square(gram + [[1] * size + [0, 1]])
         if solution is not None:
             sol, det = solution
+            if det < 0:
+                sol, det = [-x for x in sol], -det
             if all(x > 0 for x in sol[:size]):
                 yield -sol[size], 2 * det, [2 * x for x in sol[:size]]
         return
@@ -134,10 +169,12 @@ def _candidates(ints, face, n, norm):
             rows.append([sign * ints[j][i] for j in face] + slack)
     found = []
     for active in combinations(rows, size + extra - 1):
-        solution = _solve([[1] * size + [0] * extra + [1]] + [row + [0] for row in active])
+        solution = solve_square([[1] * size + [0] * extra + [1]] + [row + [0] for row in active])
         if solution is None:
             continue
         sol, det = solution
+        if det < 0:
+            sol, det = [-x for x in sol], -det
         if all(x > 0 for x in sol[:size]) and all(
             sum(a * x for a, x in zip(row, sol)) <= 0 for row in rows
         ):
@@ -145,32 +182,3 @@ def _candidates(ints, face, n, norm):
     if size == 2:
         found.sort(key=cmp_to_key(lambda a, b: a[2][1] * b[1] - b[2][1] * a[1]))
     yield from found
-
-
-def _solve(augmented):
-    """Unique solution of the square integer system [A | b] as (numerators,
-    den) with den > 0, or None when A is singular.
-
-    Fraction-free (Bareiss) Gauss-Jordan: after the step on column c every
-    entry is a minor of the input, so the division by the previous pivot is
-    exact, and at the end the matrix is ±det(A) [I | x].  Rows are
-    replaced, never changed in place.
-    """
-    m = list(augmented)
-    size = len(m)
-    prev = 1
-    for c in range(size):
-        pivot = next((r for r in range(c, size) if m[r][c]), None)
-        if pivot is None:
-            return None
-        m[c], m[pivot] = m[pivot], m[c]
-        top = m[c]
-        p = top[c]
-        for r in range(size):
-            if r != c:
-                row = m[r]
-                f = row[c]
-                m[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-        prev = p
-    sign = 1 if prev > 0 else -1
-    return [sign * row[size] for row in m], sign * prev

@@ -11,6 +11,7 @@ integral module, a witness, or the harness's checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -440,7 +441,7 @@ def parse_coefficients(name) -> int | None:
         return COEFFICIENTS[key]
     if key.startswith("f") and key[1:].isdigit():
         p = int(key[1:])
-        if p >= 2 and all(p % q for q in range(2, int(p ** 0.5) + 1)):
+        if p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1)):
             return p
     raise InputError(f"unknown coefficient field {name!r}")
 

@@ -1,5 +1,6 @@
 """Integer and field linear algebra: Smith form, solvers, presentations."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from rzero.linalg import (
     mat_vec,
     smith_normal_form,
     solve_integer,
+    solve_square,
     subgroup_presentation,
     unimodular_inverse,
 )
@@ -123,6 +125,39 @@ def test_field_solver_matches_field_solve():
                         assert mat_vec(m, a) == [Fraction(x) for x in b]
                     else:
                         assert [x % char for x in mat_vec(m, a)] == [x % char for x in b]
+
+
+def _leibniz_det(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def test_solve_square_cramer_form():
+    # (numerators, det): det is det(A) with its sign, A x = b for x =
+    # numerators / det, and None exactly when A is singular.
+    sampler = RationalSampler(23)
+    singular = 0
+    for _ in range(300):
+        n = sampler.integer(1, 4)
+        a = [[sampler.integer(-2, 2) for _ in range(n)] for _ in range(n)]
+        b = [sampler.integer(-4, 4) for _ in range(n)]
+        det = _leibniz_det(a)
+        got = solve_square([row + [x] for row, x in zip(a, b)])
+        if det == 0:
+            assert got is None
+            singular += 1
+            continue
+        numerators, got_det = got
+        assert got_det == det
+        assert mat_vec(a, numerators) == [det * x for x in b]
+    assert singular
 
 
 def test_integer_kernel_saturated():

@@ -1,14 +1,16 @@
 """Distinguished classes, robust radii and pointed modules per mode."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from rzero.complexes import PLMap, Subcomplex, full_subcomplex, star_subdivide
+from rzero.complexes import Complex, PLMap, Subcomplex, full_subcomplex, star_subdivide
 from rzero.errors import ModeError
 from rzero.exact import ExactRadius
 from rzero.modes import (
     Mode,
+    ProbeError,
     applicable,
     auto_mode,
     degree_cocycle,
@@ -19,6 +21,7 @@ from rzero.modes import (
 )
 from rzero.pipeline import analyze, assemble_pointed_module
 
+from cocycle_oracle import oracle_degree_cocycle
 from inputs import (
     edge_map,
     grid_identity_map,
@@ -141,6 +144,75 @@ def test_degree_grid_probe():
     from inputs import grid_vertex
 
     assert set(simplex) == {grid_vertex(0, 0), grid_vertex(1, 0), grid_vertex(1, 1)}
+
+
+# Edges on a line, a fan of triangles in the plane and two tetrahedra
+# sharing a face in space: dim X = n for n = 1, 2, 3.
+_DEGREE_COMPLEXES = {
+    1: [("a", "b"), ("b", "c")],
+    2: [("a", "b", "c"), ("a", "c", "d"), ("a", "d", "e")],
+    3: [("a", "b", "c", "d"), ("a", "b", "c", "e")],
+}
+
+
+def _random_map(rng, n):
+    simplices = _DEGREE_COMPLEXES[n]
+    vertices = sorted({v for s in simplices for v in s})
+
+    def value():
+        return tuple(Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 4)))
+                     for _ in range(n))
+
+    values = {v: value() for v in vertices}
+    if rng.random() < 0.4:
+        # A degenerate simplex: one value on the line through two others
+        # (equal to one of them when t is 0).
+        a, b, c = rng.sample(vertices, 3)
+        t = Fraction(rng.randint(0, 4), 2)
+        values[c] = tuple(x + t * (y - x) for x, y in zip(values[a], values[b]))
+    return PLMap(Complex.build(simplices), values, n, "l2")
+
+
+def _random_probe(rng, f):
+    values = list(f.values.values())
+    kind = rng.randrange(5)
+    if kind == 0:
+        return tuple(Fraction(rng.randint(-8, 8), rng.choice((1, 3, 5, 7)))
+                     for _ in range(f.n))
+    if kind == 4:
+        # Inside the image of a top simplex.
+        simplex = rng.choice(f.complex.simplices_of_dim(f.n))
+        weights = [rng.randint(1, 9) for _ in simplex]
+        return tuple(sum(c * f.values[v][i] for c, v in zip(weights, simplex)) / sum(weights)
+                     for i in range(f.n))
+    # On a vertex value, an edge image or a triangle image.
+    chosen = rng.sample(values, kind)
+    return tuple(sum(w[i] for w in chosen) / kind for i in range(f.n))
+
+
+def _cocycle_or_error(compute, f, probe):
+    try:
+        return compute(f, probe)
+    except ProbeError as exc:
+        return str(exc)
+
+
+def test_degree_cocycle_matches_fraction_oracle():
+    # The integer Cramer location against the Fraction Gauss-Jordan one on
+    # seeded maps, degenerate simplices included, and probes on vertices,
+    # edges and faces: the same cocycle or the same ProbeError.
+    rng = random.Random(20151507)
+    seen = set()
+    for _ in range(600):
+        f = _random_map(rng, rng.choice((1, 2, 2, 3, 3)))
+        probe = _random_probe(rng, f)
+        expected = _cocycle_or_error(oracle_degree_cocycle, f, probe)
+        assert _cocycle_or_error(degree_cocycle, f, probe) == expected, (f.values, probe)
+        if isinstance(expected, str):
+            seen.add(expected.split(" simplex")[0])
+        else:
+            seen.add("cocycle" if expected else "zero")
+    assert seen == {"cocycle", "zero", "probe degenerate on", "probe hits a face of"}
 
 
 def test_degree_negated_identity_same_class():

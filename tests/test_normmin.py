@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lp_oracle import in_hull, lp_norm_min
+from normmin_reference import reference_norm_min
 from rzero.exact import ExactRadius
-from rzero.normmin import simplex_norm_min, vector_norm
+from rzero.normmin import NORMS, simplex_norm_min, vector_norm
 from rzero.rng import RationalSampler
 
 # Small integers make ties between vertices, edges and faces common.
@@ -15,13 +16,17 @@ _COORD = st.one_of(st.integers(-3, 3).map(Fraction),
                    st.fractions(-5, 5, max_denominator=8))
 
 
+# Plain ints and eighths as well, for the comparison with the reference.
+_MIXED = st.one_of(_COORD, st.integers(-3, 3), st.integers(-24, 24).map(lambda x: Fraction(x, 8)))
+
+
 @st.composite
-def simplices(draw, min_k=2):
+def simplices(draw, min_k=2, coord=_COORD):
     """Vertex values of a simplex with 2..4 (or min_k..4) vertices in R^1..R^3,
     sometimes with two vertices sharing a value."""
     k = draw(st.integers(min_k, 4))
     n = draw(st.integers(1, 3))
-    values = [tuple(draw(_COORD) for _ in range(n)) for _ in range(k)]
+    values = [tuple(draw(coord) for _ in range(n)) for _ in range(k)]
     if k > 1 and draw(st.booleans()):
         values[draw(st.integers(1, k - 1))] = values[0]
     return values
@@ -112,6 +117,18 @@ def test_l2_optimality_certificate(values):
     if len(values) > 1:
         whole = not got.at_vertex and all(b != 0 for b in bary)
         assert whole == (not any(in_hull(p, f) for f in _facets(values)))
+
+
+@settings(max_examples=400)
+@given(simplices(min_k=1, coord=_MIXED), st.sampled_from(NORMS))
+def test_pruned_search_matches_unpruned_reference(values, norm):
+    # Face floors only skip faces that cannot strictly improve on the best
+    # point, so the minimizer, the flag and the minimum are unchanged.
+    got = simplex_norm_min(values, norm)
+    minimum, barycentric, at_vertex = reference_norm_min(values, norm)
+    assert got.barycentric == barycentric
+    assert got.at_vertex == at_vertex
+    assert got.minimum == minimum
 
 
 def test_ties_go_to_the_lowest_face_and_smallest_t():
