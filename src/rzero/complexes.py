@@ -179,7 +179,8 @@ class PLMap:
         object.__setattr__(
             self,
             "values",
-            {v: tuple(Fraction(x) for x in val) for v, val in self.values.items()},
+            {v: tuple(x if isinstance(x, Fraction) else Fraction(x) for x in val)
+             for v, val in self.values.items()},
         )
         if not self.expansion:
             object.__setattr__(

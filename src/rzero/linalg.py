@@ -5,11 +5,13 @@ Fraction entries (characteristic 0) or ints reduced mod p.  The Smith normal
 form drives the integer side where coefficients or torsion are needed:
 kernels, linear Diophantine solving, and presentations of finitely generated
 abelian groups.  Its pivots are chosen by minimal absolute value (ties by
-position) to limit entry growth.  It returns both transforms u, v and both
-inverses u^-1, v^-1, tracked as it eliminates, so lattice bases and
-coordinates are read off integer matrices with no Fraction inverse or
-solve.  Yes/no questions about a relation lattice (is a class zero, is the
-group trivial) use a transform-free integer column echelon instead.  Small
+position) to limit entry growth.  It gives both transforms u, v and both
+inverses u^-1, v^-1, so lattice bases and coordinates are read off integer
+matrices with no Fraction inverse or solve.  The elimination computes only
+the diagonal form and logs its operations; each transform is built from the
+log, on sparse rows, when a caller first reads it.  Yes/no questions about a
+relation lattice (is a class zero, is the group trivial) use a
+transform-free integer column echelon instead.  Small
 square integer systems (the norm minimizer's faces, the degree cocycle's
 simplices) are solved fraction-free by `solve_square`, in Cramer form.
 
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 IntMatrix = list[list[int]]
@@ -67,12 +69,6 @@ def mat_vec(a: IntMatrix, v: IntVector) -> IntVector:
     return [sum(aij * vj for aij, vj in zip(row, v)) for row in a]
 
 
-def transpose(a: IntMatrix) -> IntMatrix:
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
 def columns(a: IntMatrix) -> list[IntVector]:
     if not a:
         return []
@@ -89,21 +85,99 @@ def from_columns(cols: list[IntVector], rows: int) -> IntMatrix:
 # Smith normal form
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class SmithForm:
     """u * m * v = s with u, v unimodular; uinv and vinv are their inverses,
-    so m = uinv * s * vinv."""
+    so m = uinv * s * vinv.
 
-    s: IntMatrix
-    u: IntMatrix
-    v: IntMatrix
-    uinv: IntMatrix
-    vinv: IntMatrix
-    rank: int
+    Only s and rank are computed by the elimination.  It logs its row and
+    column operations, and each transform is built from that log on first
+    read: identity rows replayed as sparse rows, then made dense.  A caller
+    pays only for the transforms it reads.
+    """
+
+    def __init__(self, s: IntMatrix, rank: int, row_ops: list, col_ops: list):
+        self.s = s
+        self.rank = rank
+        self._rows = len(s)
+        self._cols = len(s[0]) if s else 0
+        self._row_ops = row_ops
+        self._col_ops = col_ops
 
     @property
     def diagonal(self) -> list[int]:
-        return [self.s[i][i] for i in range(min(len(self.s), len(self.s[0]) if self.s else 0))]
+        return [self.s[i][i] for i in range(min(self._rows, self._cols))]
+
+    @cached_property
+    def u(self) -> IntMatrix:
+        return _dense(_replay(self._rows, self._row_ops, True))
+
+    @cached_property
+    def uinv(self) -> IntMatrix:
+        return _dense(_replay(self._rows, self._row_ops, False), transposed=True)
+
+    @cached_property
+    def v(self) -> IntMatrix:
+        return _dense(_replay(self._cols, self._col_ops, True), transposed=True)
+
+    @cached_property
+    def vinv(self) -> IntMatrix:
+        return _dense(_replay(self._cols, self._col_ops, False))
+
+
+# Logged operations: (_SWAP, i, j), (_ADD, src, dst, factor) for
+# line[dst] += factor * line[src], and (_NEGATE, i).
+_SWAP, _ADD, _NEGATE = 0, 1, 2
+
+
+def _replay(n: int, ops: list, forward: bool) -> list[dict[int, int]]:
+    """Apply logged operations to the n x n identity, as sparse rows.
+
+    forward=True applies each operation to the rows: this gives u from the
+    row log, and v transposed from the column log.  forward=False applies
+    the inverse operation with the roles of the lines exchanged, which is
+    the same operation on the other side of the inverse: an add becomes
+    row[src] -= factor * row[dst].  This gives u^-1 transposed from the row
+    log, and v^-1 from the column log.
+    """
+    rows = [{i: 1} for i in range(n)]
+    for op in ops:
+        kind = op[0]
+        if kind == _SWAP:
+            _, i, j = op
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == _ADD:
+            _, src, dst, factor = op
+            if not factor:
+                # The elimination logs adds of 0 times a line; skip them
+                # rather than delete keys the target does not hold.
+                continue
+            if forward:
+                target, source = rows[dst], rows[src]
+            else:
+                target, source, factor = rows[src], rows[dst], -factor
+            for k, x in source.items():
+                y = target.get(k, 0) + factor * x
+                if y:
+                    target[k] = y
+                else:
+                    del target[k]
+        else:
+            i = op[1]
+            rows[i] = {k: -x for k, x in rows[i].items()}
+    return rows
+
+
+def _dense(rows: list[dict[int, int]], transposed: bool = False) -> IntMatrix:
+    """The n x n dense matrix with the given sparse rows (or columns)."""
+    n = len(rows)
+    out = zeros(n, n)
+    for i, row in enumerate(rows):
+        for k, x in row.items():
+            if transposed:
+                out[k][i] = x
+            else:
+                out[i][k] = x
+    return out
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
@@ -111,52 +185,41 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 
     The diagonal of s is nonnegative and satisfies the divisibility chain
     d1 | d2 | ... ; pivots are picked by minimal absolute value, ties broken
-    by (row, column) position so the result is deterministic.  The inverses
-    are tracked alongside: a row op on u is the inverse column op on u^-1,
-    and a column op on v is the inverse row op on v^-1.
+    by (row, column) position so the result is deterministic.  The
+    elimination runs on m alone and logs its row and column operations; the
+    transforms are built from the log when first read (see `SmithForm`).
     """
     rows = len(m)
     cols = len(m[0]) if rows else 0
     a = [row[:] for row in m]
-    u = identity(rows)
-    # u^-1 and v are changed by column ops; they are kept transposed, so
-    # that every transform update is a row op on a list.
-    uinv_t = identity(rows)
-    v_t = identity(cols)
-    vinv = identity(cols)
+    row_ops: list = []
+    col_ops: list = []
 
     def swap_rows(i, j):
         if i != j:
             a[i], a[j] = a[j], a[i]
-            u[i], u[j] = u[j], u[i]
-            uinv_t[i], uinv_t[j] = uinv_t[j], uinv_t[i]
+            row_ops.append((_SWAP, i, j))
 
     def swap_cols(i, j):
         if i != j:
             for row in a:
                 row[i], row[j] = row[j], row[i]
-            v_t[i], v_t[j] = v_t[j], v_t[i]
-            vinv[i], vinv[j] = vinv[j], vinv[i]
+            col_ops.append((_SWAP, i, j))
 
     def add_row(src, dst, factor):
-        # row[dst] += factor * row[src]; on u^-1, column[src] -= factor * column[dst]
         a[dst] = [x + factor * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + factor * y for x, y in zip(u[dst], u[src])]
-        uinv_t[src] = [x - factor * y for x, y in zip(uinv_t[src], uinv_t[dst])]
+        row_ops.append((_ADD, src, dst, factor))
 
     def add_col(src, dst, factor):
-        # column[dst] += factor * column[src]; on v^-1, row[src] -= factor * row[dst]
         for row in a:
             x = row[src]
             if x:
                 row[dst] += factor * x
-        v_t[dst] = [x + factor * y for x, y in zip(v_t[dst], v_t[src])]
-        vinv[src] = [x - factor * y for x, y in zip(vinv[src], vinv[dst])]
+        col_ops.append((_ADD, src, dst, factor))
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-        uinv_t[i] = [-x for x in uinv_t[i]]
+        row_ops.append((_NEGATE, i))
 
     def find_pivot(t):
         best = None
@@ -227,7 +290,7 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
         t += 1
 
     rank = sum(1 for i in range(min(rows, cols)) if a[i][i] != 0)
-    return SmithForm(a, u, transpose(v_t), transpose(uinv_t), vinv, rank)
+    return SmithForm(a, rank, row_ops, col_ops)
 
 
 class SmithSolver:
@@ -724,6 +787,12 @@ class PresentedGroup:
             self._rel_matrix = from_columns(self.relations, self.gens)
         return self._rel_matrix
 
+    @cached_property
+    def _smith(self) -> SmithForm:
+        """The Smith form of the relation matrix, shared by the invariants
+        and the normalized coordinates."""
+        return smith_normal_form(self.relation_matrix)
+
     def _echelon(self) -> dict[int, dict[int, int]]:
         """Integer column echelon of the relation lattice (built once)."""
         if self._lattice is None:
@@ -739,8 +808,7 @@ class PresentedGroup:
             if not self.relations:
                 self._invariants = (self.gens, ())
             else:
-                snf = smith_normal_form(self.relation_matrix)
-                diag = [d for d in snf.diagonal if d != 0]
+                diag = [d for d in self._smith.diagonal if d != 0]
                 torsion = tuple(d for d in diag if d > 1)
                 self._invariants = (self.gens - len(diag), torsion)
         return self._invariants
@@ -799,7 +867,7 @@ class PresentedGroup:
             if not self.relations:
                 u = uinv = identity(self.gens)
             else:
-                snf = smith_normal_form(self.relation_matrix)
+                snf = self._smith
                 u, uinv = snf.u, snf.uinv
                 for i in range(min(self.gens, len(self.relations))):
                     diag[i] = snf.s[i][i]

@@ -18,6 +18,7 @@ import sys
 import pytest
 
 from rzero.cli import main
+from rzero.linalg import smith_normal_form
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 DIGEST_SEED = 1   # run.py checks the recorded digests at its default seed
@@ -44,6 +45,16 @@ def test_trace_targets_resolve(monkeypatch):
             holder = getattr(holder, part, None)
             assert holder is not None, f"{span}: {module_name}.{attribute} is missing"
         assert callable(holder), f"{span}: {module_name}.{attribute} is not callable"
+
+
+def test_tracer_reads_a_smith_form(monkeypatch):
+    # The tracer's SNF hook reads s, u and v of the form it is handed.  The
+    # widest entry is u's -9 (four bits) in the first form, and v's -17
+    # (five bits) in the second; the only nonzero entry of s is a 1.
+    tracer = _load(monkeypatch, "tracing").Tracer()
+    for m, bits in (([[1, 5], [9, 45], [0, 0]], 4), ([[1, 17], [0, 0]], 5)):
+        tracer._after_linalg_snf((m,), smith_normal_form(m), None)
+        assert (tracer.snf_max_dim, tracer.snf_max_bits) == (3, bits)
 
 
 @pytest.mark.parametrize("workload", ["stability", "ladder", "signs-ladder"])
