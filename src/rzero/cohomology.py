@@ -285,22 +285,25 @@ class FieldCohomology:
 
 
 def field_cohomology(cc: CochainComplex, q: int, char: int) -> FieldCohomology:
-    d_q = to_field_matrix(cc.coboundary(q), char)
     n_q = cc.size(q)
     if n_q == 0:
         return FieldCohomology(cc, q, char, [], QuotientSpace(0, [], char))
     if cc.size(q + 1) == 0:
         kernel = to_field_matrix(identity(n_q), char)
     else:
-        kernel = field_kernel(d_q, char)
+        kernel = field_kernel(cc.coboundary(q), char)
+    # Each basis vector is 1 at its own free column, its last nonzero entry,
+    # and 0 at the others' (`field_kernel`), so the coordinates of a cocycle
+    # are its entries at those columns.
+    free = [max(i for i, x in enumerate(vec) if x) for vec in kernel]
     relations = []
-    if q >= 1 and kernel:
-        matrix = [[kernel[j][i] for j in range(len(kernel))] for i in range(n_q)]
-        for image_col in cc.coboundary_columns(q - 1):
-            sol = field_solve(matrix, image_col, char)
-            if sol is None:
+    if q >= 1:
+        d_q = cc.coboundary(q)
+        for col in cc.coboundary_columns(q - 1):
+            support = [(i, x) for i, x in enumerate(col) if x]
+            if any(sum(row[i] * x for i, x in support) for row in d_q):
                 raise InternalError("coboundary escapes cocycles over field")
-            relations.append(sol)
+            relations.append([col[i] for i in free])
     return FieldCohomology(cc, q, char, kernel, QuotientSpace(len(kernel), relations, char))
 
 

@@ -27,7 +27,7 @@ from .cohomology import (
 from .complexes import PLMap
 from .errors import InputError
 from .exact import ExactRadius
-from .linalg import field_mat_mul, mat_mul, mat_vec, to_field_matrix
+from .linalg import field_mat_mul, mat_mul, to_field_matrix
 from .matching import bottleneck
 from .modes import Mode
 from .normmin import vector_norm
@@ -165,6 +165,7 @@ def _distinguished_stable(left, right, bound) -> bool:
 ROTATE_90 = ((0, -1), (1, 0))
 SCALES = (Fraction(2), Fraction(3), Fraction(7, 2))
 RESAMPLES = 20
+INDEPENDENCE = {Mode.CIRCLE: "ray independence", Mode.HOPF: "probe independence"}
 
 
 def _scale_map(f: PLMap, c: Fraction) -> PLMap:
@@ -193,7 +194,7 @@ def check_invariances(f: PLMap, mode: Mode, seed: int,
     base_mod = assemble_pointed_module(base, coefficients)
     base_bc = barcode(base_mod, signs_robust_radius=base.robust.radius)
 
-    results.append(_check_functoriality(base, coefficients))
+    results.append(_check_functoriality(base, base_mod))
 
     # Scaling equivariance: criticals, robust radius and dims all scale.
     ok = True
@@ -235,43 +236,37 @@ def check_invariances(f: PLMap, mode: Mode, seed: int,
         ok = hopf.robust.radius == base.robust.radius
         results.append(CheckResult("signs/hopf cross-check", ok))
 
-    if mode in (Mode.CIRCLE, Mode.HOPF):
+    name = INDEPENDENCE.get(mode)
+    if name is not None:
         ok = True
         for i in range(RESAMPLES):
             other = analyze(f, mode, child_seed(seed, 1000 + i))
-            for lvl_a, lvl_b in zip(base.levels, other.levels):
-                if mode == Mode.CIRCLE:
-                    same = lvl_a.coh.group.classes_equal(
-                        lvl_a.winding_coords, lvl_b.winding_coords)
-                else:
-                    same = lvl_a.rel.group.classes_equal(
-                        lvl_a.degree_coords, lvl_b.degree_coords)
-                if not same:
-                    ok = False
-        name = "ray independence" if mode == Mode.CIRCLE else "probe independence"
+            if not all(a.same_class(b) for a, b in zip(base.levels, other.levels)):
+                ok = False
         results.append(CheckResult(name, ok, {"resamples": RESAMPLES}))
 
     return Report(seed, results)
 
 
-def _check_functoriality(analysis: Analysis, coefficients) -> CheckResult:
+def _check_functoriality(analysis: Analysis, module) -> CheckResult:
     """Composites of consecutive transitions equal the direct maps.
 
     At the integral level equality holds as maps (columns agree modulo the
     target relations); after field reduction the canonical quotient
     coordinates make the matrix equality literal.
     """
-    module = assemble_pointed_module(analysis, coefficients)
     char = module.char
     ok = True
     levels = analysis.levels
+    if char is not None:
+        quotients = [level.group.tensor(char) for level in levels]
     for i in range(len(levels) - 2):
-        direct = _direct_transition(analysis, i, i + 2)
+        direct = levels[i].transition(levels[i + 2])
         composed = mat_mul(analysis.transitions[i + 1], analysis.transitions[i])
-        if not _matrices_equal_as_maps(analysis, i + 2, direct, composed):
+        if not _matrices_equal_as_maps(levels[i + 2].group, direct, composed):
             ok = False
-        if char is not None and direct is not None:
-            fm_direct = _field_reduce_transition(analysis, module, i, i + 2, direct)
+        if char is not None:
+            fm_direct = quotients[i].induced_matrix(direct, quotients[i + 2])
             fm_comp = field_mat_mul(
                 to_field_matrix(module.transitions[i + 1], char),
                 to_field_matrix(module.transitions[i], char),
@@ -282,63 +277,11 @@ def _check_functoriality(analysis: Analysis, coefficients) -> CheckResult:
     return CheckResult("functoriality of transitions", ok)
 
 
-def _field_reduce_transition(analysis, module, src, dst, int_matrix):
-    """Field reduction of a direct integral transition matrix."""
-    char = module.char
-    if analysis.mode == Mode.SIGNS:
-        return to_field_matrix(int_matrix, char)
-    integral = assemble_pointed_module(analysis, "z")
-    q_src = integral.presentations[src].tensor(char)
-    q_dst = integral.presentations[dst].tensor(char)
-    return q_src.induced_matrix(int_matrix, q_dst)
-
-
-def _direct_transition(analysis: Analysis, src: int, dst: int):
-    """The transition matrix from level src to level dst computed directly."""
-    mode = analysis.mode
-    levels = analysis.levels
-    if mode == Mode.SIGNS:
-        large, small = levels[src], levels[dst]
-        big_index = {}
-        for idx, comp in enumerate(large.signs.components):
-            for v in comp:
-                big_index[v] = idx
-        matrix = []
-        for comp in small.signs.components:
-            row = [0] * len(large.signs.components)
-            row[big_index[comp[0]]] = 1
-            matrix.append(row)
-        return matrix
-    if mode == Mode.CIRCLE:
-        a, b = levels[src], levels[dst]
-        transfer = restriction_transfer(a.cc, b.cc, 1)
-        return induced_int_matrix(a.coh, b.coh, transfer)
-    a, b = levels[src], levels[dst]
-    rest = induced_int_matrix(
-        a.rel, b.rel, restriction_transfer(a.cc, b.cc, analysis.f.n)
-    )
-    cols = []
-    for gen in a.kernel.span:
-        col = b.kernel.member_coords(mat_vec(rest, gen))
-        if col is None:
-            return None
-        cols.append(col)
-    rows = len(b.kernel.span)
-    return [[cols[j][r] for j in range(len(cols))] for r in range(rows)]
-
-
-def _matrices_equal_as_maps(analysis: Analysis, dst: int, m1, m2) -> bool:
-    """Column-wise equality of two integral matrices as maps into level dst
+def _matrices_equal_as_maps(group, m1, m2) -> bool:
+    """Column-wise equality of two integral matrices as maps into `group`
     (equality of classes, i.e. modulo the target relations)."""
-    if m1 is None or m2 is None:
-        return False
     if len(m1) != len(m2):
         return False
-    mode = analysis.mode
-    if mode == Mode.SIGNS:
-        return m1 == m2
-    level = analysis.levels[dst]
-    group = level.coh.group if mode == Mode.CIRCLE else level.kernel.group
     cols = len(m1[0]) if m1 else 0
     if m1 and len(m2[0]) != cols:
         return False

@@ -32,13 +32,17 @@ def decode_radius(obj) -> ExactRadius:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise InputError(f"bad exact-radius encoding: {obj!r}")
     kind, payload = next(iter(obj.items()))
-    if kind == "rat":
-        return ExactRadius.of(parse_rational(payload))
-    if kind == "sqrt":
-        return ExactRadius.sqrt(parse_rational(payload))
-    if kind == "sqrt_diff":
-        plus, minus = payload
-        return ExactRadius(parse_rational(plus), parse_rational(minus))
+    try:
+        if kind == "rat":
+            return ExactRadius.of(parse_rational(payload))
+        if kind == "sqrt":
+            return ExactRadius.sqrt(parse_rational(payload))
+        if kind == "sqrt_diff":
+            if not isinstance(payload, list) or len(payload) != 2:
+                raise ValueError("payload must be a list of two rationals")
+            return ExactRadius(*map(parse_rational, payload))
+    except ValueError as exc:
+        raise InputError(f"bad exact radius {obj!r}: {exc}") from exc
     raise InputError(f"unknown exact-radius kind {kind!r}")
 
 
@@ -62,7 +66,7 @@ def parse_input(text: str) -> PLMap:
         if key not in doc:
             raise InputError(f"missing field {key!r}")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise InputError("field 'n' must be a positive integer")
     norm = doc["norm"]
     if norm not in NORM_NAMES:
@@ -81,6 +85,8 @@ def parse_input(text: str) -> PLMap:
         if not isinstance(simplex, list) or not simplex:
             raise InputError(f"bad simplex {simplex!r}")
         for v in simplex:
+            if not isinstance(v, str):
+                raise InputError(f"bad simplex {simplex!r}")
             if v not in declared:
                 raise InputError(f"simplex {simplex!r} references undeclared vertex {v!r}")
     values = doc["values"]
@@ -176,13 +182,17 @@ def parse_barcode(doc) -> PointedBarcode:
             raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "bars" not in doc:
         raise InputError("not a barcode document (no 'bars' field)")
+    if not isinstance(doc["bars"], list):
+        raise InputError("field 'bars' must be a list")
     counter: Counter = Counter()
     distinguished = None
     flagged = 0
     for row in doc["bars"]:
+        if not isinstance(row, dict) or "birth" not in row or "death" not in row:
+            raise InputError(f"bar row must be an object with 'birth' and 'death': {row!r}")
         interval = Interval(decode_radius(row["birth"]), decode_radius(row["death"]))
         mult = row.get("multiplicity", 1)
-        if not isinstance(mult, int) or mult < 1:
+        if not isinstance(mult, int) or isinstance(mult, bool) or mult < 1:
             raise InputError(f"bad multiplicity in bar row {row!r}")
         counter[interval] += mult
         if row.get("distinguished"):

@@ -552,24 +552,30 @@ class FieldSolver:
 
 
 def field_kernel(a, char: int):
-    """Basis of the kernel of a over the field (list of vectors)."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
+    """Basis of the kernel of a over the field (list of vectors).
+
+    One vector per free (non-pivot) column of the reduced row echelon form:
+    1 at that column, its last nonzero entry, and 0 at every other free
+    column.  The rows go into one `FieldEchelon`; at a pivot column the
+    vectors hold the unit vector there, reduced to vanish on the pivot
+    columns, read at the free columns.
+    """
+    ncols = len(a[0]) if a else 0
     if ncols == 0:
         return []
-    if nrows == 0:
-        return [[_fnorm(1 if i == j else 0, char) for i in range(ncols)]
-                for j in range(ncols)]
-    work, pivots = _row_echelon(a, char)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        vec = [_fnorm(0, char)] * ncols
+    echelon = FieldEchelon(char)
+    for row in a:
+        echelon.insert(row)
+    pivots = echelon.pivot_rows
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = [[_fnorm(0, char)] * ncols for _ in free]
+    for pc in sorted(pivots):
+        unit = [0] * ncols
+        unit[pc] = 1
+        for vec, x in zip(basis, echelon.project(unit, free)):
+            vec[pc] = x
+    for vec, fc in zip(basis, free):
         vec[fc] = _fnorm(1, char)
-        for r, pc in enumerate(pivots):
-            vec[pc] = _fnorm(-work[r][fc], char)
-        basis.append(vec)
     return basis
 
 

@@ -7,6 +7,13 @@ on demand) and builds the per-level integer data (cochain complexes,
 groups, class coordinates, transitions) only when something reads it: the
 integral module, a witness, or the harness's checks.
 `assemble_pointed_module` and `robust_radius` read off the results.
+
+The levels of every mode (`SignsLevel`, `CircleLevel`, `HopfLevel`) share
+one interface, `Level`: a group, the distinguished class's coordinates in
+it, the integral transition to any later level, a witness and a class
+comparison.  The transitions, the integral module, the robust radius and
+the harness's self-checks read only that interface; the mode picks the
+level class and the module route.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .exact import ExactRadius, ZERO_RADIUS
 from .filtration import Filtration, build_filtration
 from .linalg import (
     FieldEchelon,
+    PresentedGroup,
     _lattice_contains,
     _lattice_insert,
     columns,
@@ -65,11 +73,51 @@ DEFAULT_SEED = 20_177
 # per-level class data
 # ---------------------------------------------------------------------------
 
+class Level:
+    """One superlevel set A_r of a pointed persistence module.
+
+    Every mode's level provides `group` (a `PresentedGroup`), `coords` (the
+    distinguished class in it), `transition(later)` (the integral matrix of
+    the map induced by the inclusion, to any later level), `witness()` and
+    `nontrivial`.
+    """
+
+    def same_class(self, other: "Level") -> bool:
+        """Whether another analysis of the same filtration (another probe or
+        ray) has the same distinguished class at this level."""
+        return self.group.classes_equal(self.coords, other.coords)
+
+
 @dataclass
-class SignsLevel:
+class SignsLevel(Level):
     signs: SignVector
     nontrivial: bool
     sign_witness: dict
+
+    @cached_property
+    def group(self) -> PresentedGroup:
+        """The free group on the level's components."""
+        return PresentedGroup(len(self.signs.components), [])
+
+    @property
+    def coords(self) -> list[int]:
+        return [1] * len(self.signs.components)
+
+    def transition(self, later: "SignsLevel") -> list[list[int]]:
+        # Rows: components of the later level; entry 1 where contained.
+        index = {v: i for i, comp in enumerate(self.signs.components) for v in comp}
+        matrix = []
+        for comp, sign in zip(later.signs.components, later.signs.signs):
+            row = [0] * len(self.signs.components)
+            container = index[comp[0]]
+            row[container] = 1
+            if self.signs.signs[container] != sign:
+                raise InternalError("sign not inherited along inclusion")
+            matrix.append(row)
+        return matrix
+
+    def witness(self) -> dict:
+        return dict(self.sign_witness)
 
 
 class Ambient:
@@ -131,7 +179,7 @@ class HopfAmbient(Ambient):
         return [r for r, s in enumerate(self.top) if s not in inside]
 
 
-class CircleLevel:
+class CircleLevel(Level):
     """Circle-mode level data.  `winding` is the winding cocycle restricted
     to the level; the level's H^1, the class coordinates and whether the
     class is nontrivial are built on first access."""
@@ -163,15 +211,32 @@ class CircleLevel:
             restriction_transfer(ambient.cc, self.cc, 1)))
         return not self.coh.group.in_subgroup(image_span, self.winding_coords)
 
+    @property
+    def group(self) -> PresentedGroup:
+        return self.coh.group
 
-class HopfLevel:
+    @property
+    def coords(self) -> list[int]:
+        return self.winding_coords
+
+    def transition(self, later: "CircleLevel") -> list[list[int]]:
+        return induced_int_matrix(self.coh, later.coh,
+                                  restriction_transfer(self.cc, later.cc, 1))
+
+    def witness(self) -> dict:
+        return {"winding_coordinates": list(self.winding_coords)}
+
+
+class HopfLevel(Level):
     """Hopf-mode level data.  `nontrivial` comes from the analysis's one
     sweep (`_hopf_flags`); the relative H^n(X, A), ker j* and the class
     coordinates are built on first access.
 
     Hopf mode needs dim X <= n, so H^n(X, A) is presented on the relative
     n-simplices (`rel.kernel` is None, or empty when there are none) and
-    the degree class's coordinates are its cochain vector.
+    the degree class's coordinates are its cochain vector.  The group is
+    ker j*, and `same_class` compares the degree classes in H^n(X, A),
+    which does not build ker j*.
     """
 
     def __init__(self, ambient: HopfAmbient, level: Subcomplex, nontrivial: bool):
@@ -208,6 +273,46 @@ class HopfLevel:
             raise InternalError("degree class escaped ker j*")
         return coords
 
+    @property
+    def group(self) -> PresentedGroup:
+        return self.kernel.group
+
+    @property
+    def coords(self) -> list[int]:
+        return self.kernel_coords
+
+    def transition(self, later: "HopfLevel") -> list[list[int]]:
+        # Presentation coordinates of H^n(X, A) are cochain vectors, on
+        # which the restriction is extension by zero.
+        n = self.ambient.q
+        if self.kernel.span is None and later.kernel.span is None:
+            # Full kernels: the transition is the bare index inclusion of
+            # relative simplices.
+            src_index = {s: i for i, s in enumerate(self.cc.simplices(n))}
+            matrix = []
+            for s in later.cc.simplices(n):
+                row = [0] * len(src_index)
+                i = src_index.get(s)
+                if i is not None:
+                    row[i] = 1
+                matrix.append(row)
+            return matrix
+        transfer = restriction_transfer(self.cc, later.cc, n)
+        cols = []
+        for gen in self.kernel.generators():
+            col = later.kernel.member_coords(transfer(gen))
+            if col is None:
+                raise InternalError("restriction left ker j*")
+            cols.append(col)
+        rows = len(later.kernel.generators())
+        return [[cols[j][i] for j in range(len(cols))] for i in range(rows)]
+
+    def witness(self) -> dict:
+        return {"class_coordinates": list(self.degree_coords)}
+
+    def same_class(self, other: "HopfLevel") -> bool:
+        return self.rel.group.classes_equal(self.degree_coords, other.degree_coords)
+
 
 @dataclass
 class RobustResult:
@@ -243,11 +348,7 @@ class Analysis:
     @cached_property
     def transitions(self) -> list:
         """Integral transition matrices between consecutive levels."""
-        if self.mode == Mode.SIGNS:
-            return _signs_transitions(self.levels)
-        if self.mode == Mode.CIRCLE:
-            return _circle_transitions(self.levels)
-        return _hopf_transitions(self.levels, self.f.n)
+        return [a.transition(b) for a, b in zip(self.levels, self.levels[1:])]
 
 
 def analyze(f0: PLMap, mode: Mode, seed: int = DEFAULT_SEED) -> Analysis:
@@ -261,7 +362,7 @@ def analyze(f0: PLMap, mode: Mode, seed: int = DEFAULT_SEED) -> Analysis:
         levels = _analyze_circle(f, filt, seed, meta)
     else:
         levels = _analyze_hopf(f, filt, seed, meta)
-    robust = _robust_from_levels(filt, levels, mode)
+    robust = _robust_from_levels(filt, levels)
     return Analysis(f0, f, mode, seed, filt, levels, robust, meta)
 
 
@@ -273,26 +374,6 @@ def _analyze_signs(f: PLMap, filt: Filtration) -> list:
         witness = sign_witness(sv, ambient)
         levels.append(SignsLevel(sv, bool(witness), witness))
     return levels
-
-
-def _signs_transitions(levels) -> list:
-    transitions = []
-    for small, large in zip(levels[1:], levels):
-        # Rows: components of the smaller level; entry 1 when contained.
-        big_index = {}
-        for idx, comp in enumerate(large.signs.components):
-            for v in comp:
-                big_index[v] = idx
-        matrix = []
-        for comp, sign in zip(small.signs.components, small.signs.signs):
-            row = [0] * len(large.signs.components)
-            container = big_index[comp[0]]
-            row[container] = 1
-            if large.signs.signs[container] != sign:
-                raise InternalError("sign not inherited along inclusion")
-            matrix.append(row)
-        transitions.append(matrix)
-    return transitions
 
 
 def _analyze_circle(f: PLMap, filt: Filtration, seed: int, meta: dict) -> list:
@@ -308,14 +389,6 @@ def _analyze_circle(f: PLMap, filt: Filtration, seed: int, meta: dict) -> list:
                     {e: v for e, v in winding.items() if e in level.simplices})
         for level in filt.levels
     ]
-
-
-def _circle_transitions(levels) -> list:
-    transitions = []
-    for src, dst in zip(levels, levels[1:]):
-        transfer = restriction_transfer(src.cc, dst.cc, 1)
-        transitions.append(induced_int_matrix(src.coh, dst.coh, transfer))
-    return transitions
 
 
 def _analyze_hopf(f: PLMap, filt: Filtration, seed: int, meta: dict) -> list:
@@ -353,39 +426,7 @@ def _hopf_flags(ambient: HopfAmbient, levels) -> list[bool]:
     return flags + [False] * (len(levels) - len(flags))
 
 
-def _hopf_transitions(levels, n: int) -> list:
-    # Every level's H^n is presented on its relative top simplices (see
-    # `HopfLevel`): presentation coordinates are cochain vectors, on which
-    # the restriction is extension by zero.
-    transitions = []
-    for src, dst in zip(levels, levels[1:]):
-        if src.kernel.span is None and dst.kernel.span is None:
-            # Full kernels: the transition is the bare index inclusion of
-            # relative simplices.
-            src_index = {s: i for i, s in enumerate(src.cc.simplices(n))}
-            matrix = []
-            for s in dst.cc.simplices(n):
-                row = [0] * len(src_index)
-                i = src_index.get(s)
-                if i is not None:
-                    row[i] = 1
-                matrix.append(row)
-            transitions.append(matrix)
-            continue
-        transfer = restriction_transfer(src.cc, dst.cc, n)
-        cols = []
-        for gen in src.kernel.generators():
-            col = dst.kernel.member_coords(transfer(gen))
-            if col is None:
-                raise InternalError("restriction left ker j*")
-            cols.append(col)
-        rows = len(dst.kernel.generators())
-        transitions.append([[cols[j][i] for j in range(len(cols))]
-                            for i in range(rows)])
-    return transitions
-
-
-def _robust_from_levels(filt: Filtration, levels, mode: Mode) -> RobustResult:
+def _robust_from_levels(filt: Filtration, levels) -> RobustResult:
     """Locate the last level with a nonzero class.
 
     The distinguished element is carried forward by the transitions, so once
@@ -409,17 +450,9 @@ def _robust_from_levels(filt: Filtration, levels, mode: Mode) -> RobustResult:
     radius = filt.samples[last]
     if radius not in filt.criticals.values:
         raise InternalError("robust radius is not a critical value")
-    witness = _witness(levels[last], mode)
+    witness = levels[last].witness()
     witness["at_radius"] = radius
     return RobustResult(radius, witness)
-
-
-def _witness(level, mode: Mode) -> dict:
-    if mode == Mode.SIGNS:
-        return dict(level.sign_witness)
-    if mode == Mode.CIRCLE:
-        return {"winding_coordinates": list(level.winding_coords)}
-    return {"class_coordinates": list(level.degree_coords)}
 
 
 def robust_radius(analysis: Analysis) -> RobustResult:
@@ -642,17 +675,12 @@ def _integral_module(analysis: Analysis, meta: dict, full: bool = True) -> Point
     """Integral module data; `full=False` skips the per-level invariant
     computations and the integer pointedness check (the field reduction that
     follows performs its own exact check)."""
-    mode = analysis.mode
-    if mode == Mode.CIRCLE:
-        presentations = [lvl.coh.group for lvl in analysis.levels]
-        distinguished = [list(lvl.winding_coords) for lvl in analysis.levels]
-    else:
-        presentations = [lvl.kernel.group for lvl in analysis.levels]
-        distinguished = [list(lvl.kernel_coords) for lvl in analysis.levels]
+    presentations = [lvl.group for lvl in analysis.levels]
+    distinguished = [list(lvl.coords) for lvl in analysis.levels]
     groups = tuple(g.invariants() for g in presentations) if full else None
     dims = tuple(g.gens for g in presentations)
     module = PointedModule(
-        mode, None, analysis.samples, analysis.criticals, dims,
+        analysis.mode, None, analysis.samples, analysis.criticals, dims,
         tuple(analysis.transitions), tuple(distinguished),
         groups=groups, presentations=tuple(presentations), meta=meta,
     )

@@ -3,6 +3,9 @@
 import json
 from fractions import Fraction
 
+import pytest
+
+import rzero.harness as harness
 from rzero.exact import ExactRadius
 from rzero.harness import (
     PerturbSpec,
@@ -16,6 +19,7 @@ from rzero.normmin import vector_norm
 from rzero.pipeline import analyze
 
 from inputs import edge_map, grid_identity_map, octagon_winding2_map, rectangle_map
+from test_pipeline_fuzz import moebius_odd_winding_map, planar_inputs, three_dimensional_inputs
 
 
 def test_perturb_zero_delta():
@@ -99,3 +103,47 @@ def test_scaling_example():
     an = analyze(tripled, Mode.SIGNS, 9)
     assert [c.as_fraction() for c in an.criticals] == [3]
     assert an.robust.radius == ExactRadius.of(3)
+
+
+def _trivial_ambient_hopf_maps():
+    # Hopf inputs whose ambient H^n is zero, so every ker j* is the whole
+    # relative group, with at least three levels: the functoriality check
+    # then compares direct and composed transitions.
+    planar = dict(planar_inputs())
+    spatial = dict(three_dimensional_inputs())
+    return {
+        "moebius": moebius_odd_winding_map(),
+        "planar-0": planar[0],
+        "planar-4": planar[4],
+        "3d-1": spatial[1],
+    }
+
+
+@pytest.mark.parametrize("name", ["moebius", "planar-0", "planar-4", "3d-1"])
+def test_hopf_invariances_with_trivial_ambient(name):
+    f = _trivial_ambient_hopf_maps()[name]
+    analysis = analyze(f, Mode.HOPF, 5)
+    assert analysis.levels[0].ambient.trivial
+    assert len(analysis.levels) >= 3
+    report = check_invariances(f, Mode.HOPF, 5)
+    assert report.passed, report.to_dict()
+    names = [r.name for r in report.results]
+    assert "functoriality of transitions" in names and "probe independence" in names
+
+
+def test_invariances_assemble_no_module_per_level(monkeypatch):
+    # The functoriality check reads the base module and the levels' own
+    # groups: one module for the base map, one per scale and one for the
+    # rotation, whatever the number of levels.
+    calls = []
+    original = harness.assemble_pointed_module
+
+    def counted(analysis, coefficients):
+        calls.append(coefficients)
+        return original(analysis, coefficients)
+
+    monkeypatch.setattr(harness, "assemble_pointed_module", counted)
+    f = _trivial_ambient_hopf_maps()["planar-4"]
+    assert len(analyze(f, Mode.HOPF, 5).levels) > 5
+    assert check_invariances(f, Mode.HOPF, 5).passed
+    assert calls == ["q"] * (1 + len(harness.SCALES) + 1)

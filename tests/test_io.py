@@ -26,6 +26,7 @@ from rzero.io import (
 )
 
 from inputs import as_document, edge_map, grid_identity_map, octagon_winding2_map
+from test_pipeline_fuzz import moebius_odd_winding_map, planar_inputs
 
 CLI = [sys.executable, "-m", "rzero.cli"]
 
@@ -231,3 +232,79 @@ def test_failures_end_with_a_reproduce_line(tmp_path, monkeypatch, capsys):
     assert out == ""
     assert "check found violated invariants" in err
     assert err.splitlines()[-1] == f"reproduce: rzero check {quoted} --mode signs --seed 9"
+
+
+@pytest.mark.parametrize("name", ["moebius", "planar-0"])
+def test_cli_check_passes_on_trivial_ambient_hopf(name, tmp_path):
+    # Hopf maps whose ambient H^2 is zero, with more than two levels: the
+    # functoriality check compares a direct transition with a composite.
+    f = moebius_odd_winding_map() if name == "moebius" else dict(planar_inputs())[0]
+    path = tmp_path / f"{name}.json"
+    path.write_text(as_document(f))
+    out = run_cli("check", str(path), "--mode", "hopf")
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["passed"] is True
+
+
+def _malformed_inputs():
+    good = json.loads(as_document(edge_map()))
+
+    def edit(**fields):
+        return json.dumps({**good, **fields})
+
+    return {
+        "not-json": "not json",
+        "not-an-object": "[]",
+        "missing-field": "{}",
+        "n-boolean": edit(n=True),
+        "n-string": edit(n="1"),
+        "norm-unknown": edit(norm="l3"),
+        "simplex-with-list": edit(simplices=[[["p"], "q"]]),
+        "simplex-with-number": edit(simplices=[[1, "q"]]),
+        "simplex-undeclared": edit(simplices=[["p", "r"]]),
+        "values-not-object": edit(values=[["1"]]),
+        "value-not-string": edit(values={"p": [1], "q": ["1"]}),
+        "value-not-rational": edit(values={"p": ["1/0"], "q": ["1"]}),
+    }
+
+
+def _malformed_barcodes():
+    def bars(rows):
+        return json.dumps({"bars": rows})
+
+    zero, one = {"rat": "0"}, {"rat": "1"}
+    return {
+        "bars-not-list": bars(3),
+        "row-not-object": bars([3]),
+        "row-without-birth": bars([{"death": one}]),
+        "sqrt-diff-one-element": bars([{"birth": zero, "death": {"sqrt_diff": ["2"]}}]),
+        "sqrt-diff-string": bars([{"birth": zero, "death": {"sqrt_diff": "2"}}]),
+        "payload-not-string": bars([{"birth": {"rat": 0}, "death": one}]),
+        "negative-radicand": bars([{"birth": zero, "death": {"sqrt": "-2"}}]),
+        "unknown-kind": bars([{"birth": {"cube": "1"}, "death": one}]),
+        "radius-not-object": bars([{"birth": [], "death": one}]),
+        "multiplicity-boolean": bars([{"birth": zero, "death": one, "multiplicity": True}]),
+        "birth-after-death": bars([{"birth": one, "death": zero}]),
+        "two-distinguished": bars([{"birth": zero, "death": one, "distinguished": True},
+                                   {"birth": zero, "death": {"rat": "2"},
+                                    "distinguished": True}]),
+    }
+
+
+@pytest.mark.parametrize("kind, name", [("input", n) for n in _malformed_inputs()]
+                         + [("barcode", n) for n in _malformed_barcodes()])
+def test_cli_rejects_malformed_documents(kind, name, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    good = tmp_path / "edge.json"
+    good.write_text(as_document(edge_map()))
+    if kind == "input":
+        bad.write_text(_malformed_inputs()[name])
+        argv = ["criticals", str(bad)]
+    else:
+        bad.write_text(_malformed_barcodes()[name])
+        argv = ["bottleneck", str(bad), str(good)]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error:")
+    assert "Traceback" not in err

@@ -7,14 +7,17 @@ import contextlib
 import io
 import pathlib
 
+import pytest
+
 import rzero.cli as cli
 import rzero.pipeline as pipeline
 from rzero.cohomology import CochainComplex, integral_cohomology
-from rzero.modes import Mode, applicable, winding_cocycle
-from rzero.pipeline import analyze
+from rzero.errors import InternalError
+from rzero.modes import Mode, SignVector, applicable, winding_cocycle
+from rzero.pipeline import SignsLevel, analyze
 from rzero.rng import child_seed
 
-from inputs import grid_identity_map, octagon_winding2_map
+from inputs import grid_identity_map, octagon_winding2_map, rectangle_map
 from test_pipeline_fuzz import (
     moebius_odd_winding_map,
     planar_inputs,
@@ -103,3 +106,35 @@ def test_restricted_winding_cocycles_match_per_level():
             assert level.winding == winding_cocycle(level.level, analysis.f, ray)
             crossings += len(level.winding)
     assert crossings
+
+
+def test_hopf_same_class_builds_no_kernel():
+    # Probe independence compares degree classes in H^n(X, A); it must not
+    # build ker j* (a kernel and its coordinates) at every level.
+    f = moebius_odd_winding_map()
+    base = analyze(f, Mode.HOPF, 23)
+    other = analyze(f, Mode.HOPF, 24)
+    assert all(a.same_class(b) for a, b in zip(base.levels, other.levels))
+    for level in base.levels + other.levels:
+        assert "kernel" not in vars(level) and "kernel_coords" not in vars(level)
+
+
+def test_signs_levels_are_free_on_their_components():
+    analysis = analyze(rectangle_map(), Mode.SIGNS, 3)
+    level = analysis.levels[0]
+    count = len(level.signs.components)
+    assert count >= 2
+    assert level.group.gens == count and level.group.relations == []
+    assert level.coords == [1] * count
+    unit = [1] + [0] * (count - 1)
+    assert level.group.classes_equal(unit, unit)
+    assert not level.group.classes_equal(unit, unit[::-1])
+    # The inclusion of a level into itself is the identity; a component
+    # whose sign changed along an inclusion is an internal error.
+    assert level.transition(level) == [
+        [int(i == j) for j in range(count)] for i in range(count)]
+    flipped = SignsLevel(SignVector(level.signs.components,
+                                    tuple(-s for s in level.signs.signs)),
+                         level.nontrivial, level.sign_witness)
+    with pytest.raises(InternalError):
+        level.transition(flipped)
