@@ -1,6 +1,11 @@
 """Pointed barcodes of sampled persistence modules over a field.
 
-Two independent routes produce the interval multiset:
+`pipeline.field_barcode` is the entry point from an analysis: where one
+reduction over the filtration order gives the bars (`persistence`), it
+builds no module and hands the index bars to `pointed_barcode`; otherwise
+it assembles the module and runs `barcode`.
+
+Two independent routes produce the interval multiset of a module:
 
 * `barcode` runs the elder-rule sweep: at each transition the images of the
   live bars are reduced in order of birth, a bar whose image depends on
@@ -23,6 +28,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .errors import InputError, InternalError
 from .exact import ExactRadius, ZERO_RADIUS
@@ -35,7 +41,9 @@ from .linalg import (
     to_field_matrix,
 )
 from .modes import Mode
-from .pipeline import PointedModule
+
+if TYPE_CHECKING:
+    from .pipeline import PointedModule
 
 _radius_key = functools.cmp_to_key(lambda a, b: a.cmp(b))
 
@@ -121,34 +129,39 @@ def _distinguished_support(module: PointedModule) -> int:
 
 def interval_from_indices(module: PointedModule, a: int, b: int) -> Interval:
     """Radius interval of a bar alive at sample indices a..b inclusive."""
-    k = module.level_count() - 1
-    birth = ZERO_RADIUS if a == 0 else module.criticals[a - 1]
-    death = module.criticals[b] if b < k else module.samples[k]
+    return _interval(module.samples, module.criticals, a, b)
+
+
+def _interval(samples, criticals, a: int, b: int) -> Interval:
+    k = len(samples) - 1
+    birth = ZERO_RADIUS if a == 0 else criticals[a - 1]
+    death = criticals[b] if b < k else samples[k]
     return Interval(birth, death)
 
 
-def _distinguished_interval(module: PointedModule,
-                            signs_robust_radius: ExactRadius | None) -> Interval | None:
-    if module.mode == Mode.SIGNS:
-        if signs_robust_radius is None:
-            raise InputError("signs barcodes need the robust radius to place "
-                             "the distinguished bar")
-        if signs_robust_radius.sign() == 0:
-            return None
-        return Interval(ZERO_RADIUS, signs_robust_radius)
-    support = _distinguished_support(module)
-    if support == 0:
-        return None
-    return interval_from_indices(module, 0, support - 1)
+def pointed_barcode(samples, criticals, index_bars: Counter, support: int) -> PointedBarcode:
+    """The pointed barcode of index bars over the given samples, whose
+    distinguished bar lives on the first `support` samples (none if 0)."""
+    counter = Counter()
+    for (a, b), mult in index_bars.items():
+        counter[_interval(samples, criticals, a, b)] += mult
+    distinguished = _interval(samples, criticals, 0, support - 1) if support else None
+    return PointedBarcode.from_multiset(counter, distinguished)
 
 
 def _pointed(module: PointedModule, index_bars: Counter,
              signs_robust_radius: ExactRadius | None) -> PointedBarcode:
-    counter = Counter()
-    for (a, b), mult in index_bars.items():
-        counter[interval_from_indices(module, a, b)] += mult
-    distinguished = _distinguished_interval(module, signs_robust_radius)
-    return PointedBarcode.from_multiset(counter, distinguished)
+    if module.mode != Mode.SIGNS:
+        return pointed_barcode(module.samples, module.criticals, index_bars,
+                               _distinguished_support(module))
+    if signs_robust_radius is None:
+        raise InputError("signs barcodes need the robust radius to place "
+                         "the distinguished bar")
+    bars = pointed_barcode(module.samples, module.criticals, index_bars, 0).bars
+    distinguished = None
+    if signs_robust_radius.sign() != 0:
+        distinguished = Interval(ZERO_RADIUS, signs_robust_radius)
+    return PointedBarcode(bars, distinguished)
 
 
 def barcode(module: PointedModule,

@@ -12,7 +12,6 @@ import os
 import shlex
 import sys
 
-from .barcode import barcode as compute_barcode
 from .errors import InputError, InternalError, ModeError, RZeroError
 from .exact import parse_rational
 from .harness import PerturbSpec, check_invariances, check_stability, exactness_checks, perturb
@@ -31,6 +30,7 @@ from .pipeline import (
     DEFAULT_SEED,
     analyze,
     assemble_pointed_module,
+    field_barcode,
     parse_coefficients,
 )
 
@@ -113,8 +113,7 @@ def cmd_barcode(args) -> dict:
     f = parse_input(_read(args.input))
     mode = _resolve_mode(args.mode, f)
     analysis = analyze(f, mode, _resolve_seed(args.seed))
-    module = assemble_pointed_module(analysis, args.field)
-    result = compute_barcode(module, signs_robust_radius=analysis.robust.radius)
+    result = field_barcode(analysis, args.field)
     return serialize_barcode(
         result,
         mode=mode.value,
@@ -172,8 +171,7 @@ def _barcode_from_path(path: str, args) -> object:
     f = parse_input(text)
     mode = _resolve_mode(args.mode, f)
     analysis = analyze(f, mode, _resolve_seed(args.seed))
-    module = assemble_pointed_module(analysis, args.field)
-    return compute_barcode(module, signs_robust_radius=analysis.robust.radius)
+    return field_barcode(analysis, args.field)
 
 
 def cmd_bottleneck(args) -> dict:

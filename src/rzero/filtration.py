@@ -21,7 +21,7 @@ face-closed and the prefixes are nested.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .complexes import (
     Complex,
@@ -90,15 +90,28 @@ def sample_radii(criticals: CriticalSet) -> list[ExactRadius]:
 
 @dataclass(frozen=True)
 class Filtration:
-    """Superlevel subcomplexes of a subdivided map at the sample radii."""
+    """Superlevel subcomplexes of a subdivided map at the sample radii.
+
+    `entry` maps every simplex to its entry index: the simplex lies in the
+    levels 0 .. entry - 1 (none when the entry is 0).
+    """
 
     f: PLMap
     criticals: CriticalSet
     samples: tuple[ExactRadius, ...]
     levels: tuple[Subcomplex, ...]
+    entry: dict[Simplex, int] = field(compare=False, repr=False)
 
     def level_count(self) -> int:
         return len(self.samples)
+
+    def leaving(self, simplices) -> list[list[Simplex]]:
+        """For each level i in turn, those of the given simplices that leave
+        A at level i (entry i), in the given order."""
+        fresh: list[list[Simplex]] = [[] for _ in self.levels]
+        for s in simplices:
+            fresh[self.entry[s]].append(s)
+        return fresh
 
 
 def build_filtration(f: PLMap) -> Filtration:
@@ -109,7 +122,7 @@ def build_filtration(f: PLMap) -> Filtration:
     check_face_order(entry)
     order = sorted(entry, key=lambda s: (-entry[s], s))
     levels = _prefix_levels(f.complex, order, [-entry[s] for s in order], len(samples))
-    return Filtration(f, crit, tuple(samples), levels)
+    return Filtration(f, crit, tuple(samples), levels, entry)
 
 
 def check_face_order(entry: dict[Simplex, int]) -> None:

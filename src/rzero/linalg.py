@@ -711,14 +711,17 @@ def _sparse(vec) -> dict[int, int]:
     return {i: int(x) for i, x in enumerate(vec) if x}
 
 
-def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int]) -> dict[int, int]:
-    """a * x + b * y on sparse vectors (no zero entries are stored)."""
+def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int], p: int = 0) -> dict[int, int]:
+    """a * x + b * y on sparse vectors (no zero entries are stored); modulo
+    p when p is nonzero, for x already reduced mod p and a == 1."""
     if a == 1:
         out = dict(x)
     else:
         out = {i: a * v for i, v in x.items()} if a else {}
     for i, v in y.items():
         w = out.get(i, 0) + b * v
+        if p:
+            w %= p
         if w:
             out[i] = w
         else:

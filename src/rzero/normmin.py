@@ -11,8 +11,10 @@ increasing dimension, each offering its interior candidates (every λ > 0).
   and z (linf) or u_1 .. u_n (l1) and rows ±g_i - z <= 0 or
   ±g_i - u_i <= 0 (i-major, + first).  Every choice of `size + extra - 1`
   rows, in lexicographic order, is solved with sum λ = 1; a candidate is
-  a unique solution satisfying every row.  An edge's candidates are
-  visited by increasing t = λ_2.
+  a unique solution satisfying every row.  A row that cannot be active
+  at a point with every λ > 0 (its ±w_i are all <= 0, not all 0) is left
+  out of the choices first, which drops only row sets without a
+  candidate.  An edge's candidates are visited by increasing t = λ_2.
 
 Tie rule: the best point is replaced only on a strict improvement, so a
 vertex beats any face and a lower-dimensional face a higher one.
@@ -167,8 +169,13 @@ def _candidates(ints, face, n, norm):
         slack[0 if norm == "linf" else i] = -1
         for sign in (1, -1):
             rows.append([sign * ints[j][i] for j in face] + slack)
+    # An active row ±g_i - slack holds at a feasible point only where
+    # ±g_i >= 0, which with every λ > 0 needs a vertex of the face with
+    # ±w_i > 0, or the i-th values all 0; no other row is ever active.
+    held = [row for row in rows
+            if any(x > 0 for x in row[:size]) or not any(row[:size])]
     found = []
-    for active in combinations(rows, size + extra - 1):
+    for active in combinations(held, size + extra - 1):
         solution = solve_square([[1] * size + [0] * extra + [1]] + [row + [0] for row in active])
         if solution is None:
             continue

@@ -2,11 +2,17 @@
 
 `analyze` runs the whole exact pipeline for one map and one mode.  It
 decides at every level whether the distinguished class is nonzero (hopf
-mode from one growing integer echelon of relative coboundaries, circle mode
-on demand) and builds the per-level integer data (cochain complexes,
-groups, class coordinates, transitions) only when something reads it: the
-integral module, a witness, or the harness's checks.
-`assemble_pointed_module` and `robust_radius` read off the results.
+and circle mode from one growing integer echelon of relative coboundaries
+each) and builds the per-level integer data (cochain complexes, groups,
+class coordinates, transitions) only when something reads it: the integral
+module, a witness, or the harness's checks.  `assemble_pointed_module` and
+`robust_radius` read off the results.
+
+`field_barcode` is the pointed barcode over a field.  Where one sparse
+reduction over the filtration order provably gives the bars of the
+tensored module (`persistence`: circle over Q, hopf whose every level's
+group is the whole relative H^n), it builds no module at all; every other case reads `barcode` of
+`assemble_pointed_module`.
 
 The levels of every mode (`SignsLevel`, `CircleLevel`, `HopfLevel`) share
 one interface, `Level`: a group, the distinguished class's coordinates in
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .barcode import PointedBarcode, barcode, pointed_barcode
 from .cohomology import (
     CochainComplex,
     IntCohomology,
@@ -48,7 +55,6 @@ from .linalg import (
     PresentedGroup,
     _lattice_contains,
     _lattice_insert,
-    columns,
     field_mat_vec,
     mat_vec,
     to_field_matrix,
@@ -64,6 +70,7 @@ from .modes import (
     sign_witness,
     winding_cocycle,
 )
+from .persistence import circle_bars, hopf_bars
 from .rng import RationalSampler, child_seed
 
 DEFAULT_SEED = 20_177
@@ -120,13 +127,55 @@ class SignsLevel(Level):
         return dict(self.sign_witness)
 
 
-class Ambient:
-    """The ambient complex X of one analysis, shared by its levels; its
-    cochain complex and integral H^q are built on first use."""
+def _sparse_coboundary(space: Complex, q: int) -> tuple[list, dict]:
+    """The ambient coboundary d_q of X as sparse integer columns: the
+    (q+1)-simplices, which index the rows, and a map from each q-simplex
+    with a coface to {row of the coface: sign}, in simplex order."""
+    rows = space.simplices_of_dim(q + 1)
+    cols: dict = {}
+    for r, tau in enumerate(rows):
+        for j in range(len(tau)):
+            cols.setdefault(tau[:j] + tau[j + 1:], {})[r] = -1 if j % 2 else 1
+    return rows, {s: cols[s] for s in sorted(cols)}
 
-    def __init__(self, space: Complex, q: int):
+
+def _obstructed(columns: dict, target: dict, filt: Filtration) -> list[bool]:
+    """Whether the integer vector `target` lies outside the span of the
+    columns of the simplices off A, for every level A.
+
+    A coface of a simplex off A is itself off A, so those columns are whole
+    columns of the ambient coboundary, and their lattices grow as the levels
+    shrink.  One integer echelon, given each column at the level where its
+    simplex leaves A, holds every level's lattice in turn; once the target
+    lies in it, it does at every later level.
+    """
+    lattice: dict = {}
+    flags = []
+    for fresh in filt.leaving(columns):
+        for s in fresh:
+            _lattice_insert(lattice, columns[s])
+        if _lattice_contains(lattice, target):
+            break
+        flags.append(True)
+    return flags + [False] * (len(filt.levels) - len(flags))
+
+
+class HopfAmbient:
+    """Ambient data of a hopf analysis: X, the degree cocycle, and the
+    ambient coboundary d_{n-1} as sparse columns (`_sparse_coboundary`);
+    X's cochain complex and integral H^n are built on first use.
+
+    `top` lists the n-simplices, which index the rows; `degree` is the
+    degree cocycle on those rows.
+    """
+
+    def __init__(self, space: Complex, n: int, cocycle: dict):
         self.space = space
-        self.q = q
+        self.q = n
+        self.cocycle = cocycle
+        self.top, self.columns = _sparse_coboundary(space, n - 1)
+        row_of = {s: r for r, s in enumerate(self.top)}
+        self.degree = {row_of[s]: v for s, v in cocycle.items()}
 
     @cached_property
     def cc(self) -> CochainComplex:
@@ -136,42 +185,11 @@ class Ambient:
     def cohomology(self) -> IntCohomology:
         return integral_cohomology(self.cc, self.q)
 
-
-class HopfAmbient(Ambient):
-    """Ambient data of a hopf analysis: X, the degree cocycle, and the
-    ambient coboundary d_{n-1} as sparse columns.
-
-    `top` lists the n-simplices, which index the rows; `columns` maps each
-    (n-1)-simplex with a coface to {row of the coface: sign}; `degree` is
-    the degree cocycle on those rows.
-    """
-
-    def __init__(self, space: Complex, n: int, cocycle: dict):
-        super().__init__(space, n)
-        self.cocycle = cocycle
-        self.top = space.simplices_of_dim(n)
-        row_of = {s: r for r, s in enumerate(self.top)}
-        cols: dict = {}
-        for r, tau in enumerate(self.top):
-            for j in range(len(tau)):
-                cols.setdefault(tau[:j] + tau[j + 1:], {})[r] = -1 if j % 2 else 1
-        self.columns = {s: cols[s] for s in sorted(cols)}
-        self.degree = {row_of[s]: v for s, v in cocycle.items()}
-
     @property
     def trivial(self) -> bool:
         """Whether the ambient H^n is zero."""
         hn = self.cohomology
         return hn.gens == 0 or hn.group.is_trivial()
-
-    def leaving(self, levels):
-        """For each level A in turn, the (n-1)-simplices with a coface that
-        are off A but not off the previous level (sorted)."""
-        pending = list(self.columns)
-        for level in levels:
-            inside = level.simplices
-            yield [s for s in pending if s not in inside]
-            pending = [s for s in pending if s in inside]
 
     def relative_rows(self, level: Subcomplex) -> list[int]:
         """Rows of the n-simplices off the level, increasing."""
@@ -181,13 +199,14 @@ class HopfAmbient(Ambient):
 
 class CircleLevel(Level):
     """Circle-mode level data.  `winding` is the winding cocycle restricted
-    to the level; the level's H^1, the class coordinates and whether the
-    class is nontrivial are built on first access."""
+    to the level and `nontrivial` comes from the analysis's one sweep
+    (`_circle_flags`); the level's H^1 and the class coordinates are built
+    on first access."""
 
-    def __init__(self, ambient: Ambient, level: Subcomplex, winding: dict):
-        self.ambient = ambient
+    def __init__(self, level: Subcomplex, winding: dict, nontrivial: bool):
         self.level = level
         self.winding = winding
+        self.nontrivial = nontrivial
 
     @cached_property
     def cc(self) -> CochainComplex:
@@ -200,16 +219,6 @@ class CircleLevel(Level):
     @cached_property
     def winding_coords(self) -> list[int]:
         return self.coh.coords(self.cc.vector(self.winding, 1))
-
-    @cached_property
-    def nontrivial(self) -> bool:
-        """Whether the winding class lies outside the image of the ambient
-        H^1, i.e. the map does not extend over X."""
-        ambient = self.ambient
-        image_span = columns(induced_int_matrix(
-            ambient.cohomology, self.coh,
-            restriction_transfer(ambient.cc, self.cc, 1)))
-        return not self.coh.group.in_subgroup(image_span, self.winding_coords)
 
     @property
     def group(self) -> PresentedGroup:
@@ -383,12 +392,33 @@ def _analyze_circle(f: PLMap, filt: Filtration, seed: int, meta: dict) -> list:
     # The crossing count of an edge does not depend on the level, so the
     # cocycle on the largest level restricts to every other.
     winding = winding_cocycle(filt.levels[0], f, ray)
-    ambient = Ambient(f.complex, 1)
+    flags = _circle_flags(f.complex, filt, winding)
     return [
-        CircleLevel(ambient, level,
-                    {e: v for e, v in winding.items() if e in level.simplices})
-        for level in filt.levels
+        CircleLevel(level, {e: v for e, v in winding.items() if e in level.simplices}, flag)
+        for level, flag in zip(filt.levels, flags)
     ]
+
+
+def _circle_flags(space: Complex, filt: Filtration, winding: dict) -> list[bool]:
+    """Whether the winding class on A lies outside the image of H^1(X), for
+    every level A, all over Z.
+
+    By the exact sequence H^1(X) -> H^1(A) -> H^2(X, A) that holds exactly
+    when its image under the connecting map is nonzero: the coboundary of w
+    extended by zero, a relative 2-cocycle, lies outside the relative
+    coboundaries.  Extending w|A instead of w changes that coboundary by a
+    relative coboundary, so one vector serves every level (`_obstructed`).
+    On a complex without triangles every flag is False.
+    """
+    rows, columns = _sparse_coboundary(space, 1)
+    target = {}
+    for r, (a, b, c) in enumerate(rows):
+        value = winding.get((b, c), 0) - winding.get((a, c), 0) + winding.get((a, b), 0)
+        if value:
+            if filt.entry[(a, b, c)]:
+                raise InternalError("winding cocycle is not a cocycle on the superlevel complex")
+            target[r] = value
+    return _obstructed(columns, target, filt)
 
 
 def _analyze_hopf(f: PLMap, filt: Filtration, seed: int, meta: dict) -> list:
@@ -396,34 +426,21 @@ def _analyze_hopf(f: PLMap, filt: Filtration, seed: int, meta: dict) -> list:
     probe, cocycle = admissible_probe(f, filt.samples[0], sampler)
     meta["probe"] = probe
     ambient = HopfAmbient(f.complex, f.n, cocycle)
-    flags = _hopf_flags(ambient, filt.levels)
+    flags = _hopf_flags(ambient, filt)
     return [HopfLevel(ambient, level, flag) for level, flag in zip(filt.levels, flags)]
 
 
-def _hopf_flags(ambient: HopfAmbient, levels) -> list[bool]:
+def _hopf_flags(ambient: HopfAmbient, filt: Filtration) -> list[bool]:
     """Whether the degree class is nonzero in H^n(X, A), for every level A.
 
     With dim X <= n every relative n-cochain is a cocycle, so H^n(X, A) is
     the relative n-cochains modulo the coboundaries of the relative
-    (n-1)-simplices.  A coface of a relative simplex is itself relative, so
-    each of those coboundaries is a full column of the ambient d_{n-1}, and
-    the relation lattices grow as the levels shrink.  One integer echelon,
-    given each column at the level where its simplex leaves A, holds every
-    level's relations in turn.  The degree cocycle is relative at every
-    level, so its class is zero exactly when it lies in that lattice; and
-    once it does, it does at every later level.
+    (n-1)-simplices (`_obstructed`).  The degree cocycle is relative at
+    every level, so its class is zero exactly when it lies in that lattice.
     """
-    if levels and any(s in levels[0].simplices for s in ambient.cocycle):
+    if any(filt.entry[s] for s in ambient.cocycle):
         raise InternalError("degree cocycle meets the superlevel complex")
-    lattice: dict = {}
-    flags = []
-    for fresh in ambient.leaving(levels):
-        for s in fresh:
-            _lattice_insert(lattice, ambient.columns[s])
-        if _lattice_contains(lattice, ambient.degree):
-            break
-        flags.append(True)
-    return flags + [False] * (len(levels) - len(flags))
+    return _obstructed(ambient.columns, ambient.degree, filt)
 
 
 def _robust_from_levels(filt: Filtration, levels) -> RobustResult:
@@ -584,6 +601,30 @@ def assemble_pointed_module(analysis: Analysis, coefficients) -> PointedModule:
     return integral.tensor(char)
 
 
+def field_barcode(analysis: Analysis, field) -> PointedBarcode:
+    """The pointed barcode of an analysis's module over a field.
+
+    Circle mode over Q and hopf mode when every level's group is the whole
+    relative H^n (`_one_echelon_applies`) read the bars from one reduction
+    over the filtration order (`persistence`).  Everything else, signs mode,
+    an integral "field" (which `barcode` rejects), hopf with a nontrivial
+    ambient H^n and circle over F_p (where torsion in H_1 would count),
+    builds the module and runs `barcode`.
+    """
+    char = parse_coefficients(field)
+    mode = analysis.mode
+    filt = analysis.filtration
+    if char == 0 and mode == Mode.CIRCLE:
+        bars, support = circle_bars(filt, analysis.levels[0].winding)
+    elif char is not None and mode == Mode.HOPF and _one_echelon_applies(analysis):
+        ambient = analysis.levels[0].ambient
+        bars, support = hopf_bars(filt, ambient.top, ambient.columns, ambient.degree, char)
+    else:
+        module = assemble_pointed_module(analysis, field)
+        return barcode(module, signs_robust_radius=analysis.robust.radius)
+    return pointed_barcode(filt.samples, filt.criticals.values, bars, support)
+
+
 def _signs_module(analysis: Analysis, char: int, meta: dict) -> PointedModule:
     dims = []
     distinguished = []
@@ -649,7 +690,7 @@ def _hopf_field_module(analysis: Analysis, meta: dict, char: int) -> PointedModu
     distinguished = []
     transitions = []
     prev_coord_rows = None
-    for level, fresh in zip(levels, ambient.leaving(levels)):
+    for level, fresh in zip(levels, analysis.filtration.leaving(ambient.columns)):
         for s in fresh:
             echelon.insert(dense(ambient.columns[s]))
         pivot_rows = echelon.pivot_rows

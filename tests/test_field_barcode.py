@@ -1,0 +1,164 @@
+"""`field_barcode` reads the bars of circle and hopf modules from one
+reduction over the filtration order where that gives the module's bars, and
+builds the module everywhere else.  Both routes must agree exactly, with
+each other and with the rank-formula oracle, and the fast route must build
+no per-level module."""
+
+import contextlib
+import io
+import pathlib
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import rzero.cli as cli
+import rzero.cohomology as cohomology
+import rzero.pipeline as pipeline
+from rzero.barcode import ORACLE_DIMENSION_CAP, barcode, decompose_oracle
+from rzero.cohomology import CochainComplex, field_cohomology
+from rzero.complexes import Complex, PLMap
+from rzero.errors import InternalError
+from rzero.io import parse_input
+from rzero.linalg import PresentedGroup
+from rzero.modes import Mode, applicable
+from rzero.persistence import circle_bars
+from rzero.pipeline import analyze, assemble_pointed_module, field_barcode
+
+from test_pipeline_fuzz import (
+    moebius_odd_winding_map,
+    planar_inputs,
+    projective_plane_map,
+    three_dimensional_inputs,
+)
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
+FIELDS = ("q", "f2", "f3")
+
+
+def _agree(analysis, fields=FIELDS):
+    rho = analysis.robust.radius
+    for field in fields:
+        got = field_barcode(analysis, field)
+        module = assemble_pointed_module(analysis, field)
+        assert got.same_as(barcode(module, signs_robust_radius=rho)), field
+        if sum(module.dims) <= ORACLE_DIMENSION_CAP:
+            assert got.same_as(decompose_oracle(module, signs_robust_radius=rho)), field
+
+
+def _modes(f):
+    return [m for m in Mode if applicable(m, f.n, f.complex.dim)]
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in SAMPLES.glob("*.json")))
+def test_sample_inputs_agree_in_every_mode(name):
+    f = parse_input((SAMPLES / f"{name}.json").read_text(encoding="utf-8"))
+    for mode in _modes(f):
+        _agree(analyze(f, mode, 11))
+
+
+def test_planar_and_three_dimensional_maps_agree():
+    for t, f in planar_inputs():
+        for mode in _modes(f):
+            _agree(analyze(f, mode, 100 + t))
+    for t, f in three_dimensional_inputs():
+        _agree(analyze(f, Mode.HOPF, 200 + t), ("q", "f2"))
+
+
+def test_moebius_agrees_in_both_modes():
+    # Hopf over F_2 sees the 2-torsion of the strip; circle over F_2 takes
+    # the module route.
+    f = moebius_odd_winding_map()
+    for mode in (Mode.HOPF, Mode.CIRCLE):
+        _agree(analyze(f, mode, 23), ("q", "f2"))
+
+
+@st.composite
+def small_maps(draw):
+    """A random complex of dimension <= 2 on at most five vertices with a
+    planar map of small integer values, in one of the three norms."""
+    names = [f"x{i}" for i in range(draw(st.integers(3, 5)))]
+    simplices = []
+    for _ in range(draw(st.integers(1, 5))):
+        size = draw(st.integers(2, 3))
+        simplices.append(draw(st.permutations(names))[:size])
+    values = {v: (Fraction(draw(st.integers(-3, 3))), Fraction(draw(st.integers(-3, 3))))
+              for v in names}
+    complex_ = Complex.build(simplices)
+    values = {v: values[v] for v in complex_.vertices}
+    return PLMap(complex_, values, 2, draw(st.sampled_from(["l1", "l2", "linf"])))
+
+
+@settings(max_examples=25)
+@given(small_maps(), st.sampled_from([Mode.CIRCLE, Mode.HOPF]), st.integers(0, 1 << 20))
+def test_random_small_complexes_agree(f, mode, seed):
+    _agree(analyze(f, mode, seed))
+
+
+def test_torsion_trap_takes_the_module_route(monkeypatch):
+    # H^1(RP^2; Z) = 0 but H^1(RP^2; F_2) = F_2: with the map pushed away
+    # from zero the first level is all of RP^2, where the module H^1(.; Z) ⊗ F_2
+    # has dim 0 and a plain F_2 reduction would find a bar.
+    f = projective_plane_map()
+    shifted = f.with_values({v: (x + 10, y) for v, (x, y) in f.values.items()})
+    analysis = analyze(shifted, Mode.CIRCLE, 5)
+    assert analysis.filtration.levels[0].simplices == analysis.f.complex.simplices
+    assert field_cohomology(CochainComplex(analysis.f.complex), 1, 2).dim == 1
+    module = assemble_pointed_module(analysis, "f2")
+    assert module.dims[0] == 0 and module.dims[1] == 1
+    calls = _count(monkeypatch, pipeline, "assemble_pointed_module")
+    assert field_barcode(analysis, "f2").same_as(barcode(module))
+    assert len(calls) == 1
+
+
+def _count(monkeypatch, holder, name, calls=None) -> list:
+    """Record every call of holder.name, which still runs, in `calls`."""
+    calls = [] if calls is None else calls
+    original = getattr(holder, name)
+
+    def counted(*args, **kwargs):
+        calls.append((name, args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(holder, name, counted)
+    return calls
+
+
+def _run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main([str(a) for a in argv]) == 0
+
+
+@pytest.mark.parametrize("name, mode", [("octagon_winding2", "circle"), ("grid_identity", "hopf")])
+def test_fast_route_builds_no_module(monkeypatch, name, mode):
+    path = SAMPLES / f"{name}.json"
+    calls = []
+    for holder, name in [(pipeline, "assemble_pointed_module"), (pipeline, "induced_int_matrix"),
+                         (cohomology, "induced_int_matrix"), (PresentedGroup, "tensor")]:
+        _count(monkeypatch, holder, name, calls)
+    _run("barcode", path, "--mode", mode, "--field", "q")
+    _run("fuzz", path, "--mode", mode, "--delta", "1/10", "--trials", 2, "--seed", 3)
+    assert calls == []
+
+
+def test_projective_plane_hopf_takes_the_module_route(monkeypatch):
+    # The ambient H^2(RP^2; Z) = Z/2 is not trivial, so ker j* is a proper
+    # subgroup at some level and the reduction does not apply.
+    analysis = analyze(projective_plane_map(), Mode.HOPF, 17)
+    calls = _count(monkeypatch, pipeline, "assemble_pointed_module")
+    field_barcode(analysis, "f2")
+    assert len(calls) == 1
+
+
+def test_reduction_checks_the_distinguished_bar():
+    # A winding "cocycle" that is no cocycle on the first level breaks the
+    # argument that places the distinguished bar; the route must notice.
+    tri = Complex.build([["a", "b", "c"]])
+    f = PLMap(tri, {"a": (Fraction(5), Fraction(0)), "b": (Fraction(6), Fraction(1)),
+                    "c": (Fraction(5), Fraction(2))}, 2, "linf")
+    analysis = analyze(f, Mode.CIRCLE, 1)
+    assert analysis.filtration.levels[0].simplices == analysis.f.complex.simplices
+    edge = analysis.f.complex.edges()[0]
+    with pytest.raises(InternalError):
+        circle_bars(analysis.filtration, {edge: 1})

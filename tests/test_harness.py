@@ -1,6 +1,7 @@
 """Perturbations, stability checks, invariance checks, determinism."""
 
 import json
+import types
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,16 @@ from rzero.harness import (
 )
 from rzero.modes import Mode
 from rzero.normmin import vector_norm
-from rzero.pipeline import analyze
+from rzero.barcode import barcode
+from rzero.pipeline import analyze, assemble_pointed_module
 
 from inputs import edge_map, grid_identity_map, octagon_winding2_map, rectangle_map
-from test_pipeline_fuzz import moebius_odd_winding_map, planar_inputs, three_dimensional_inputs
+from test_pipeline_fuzz import (
+    moebius_odd_winding_map,
+    planar_inputs,
+    projective_plane_map,
+    three_dimensional_inputs,
+)
 
 
 def test_perturb_zero_delta():
@@ -147,3 +154,25 @@ def test_invariances_assemble_no_module_per_level(monkeypatch):
     assert len(analyze(f, Mode.HOPF, 5).levels) > 5
     assert check_invariances(f, Mode.HOPF, 5).passed
     assert calls == ["q"] * (1 + len(harness.SCALES) + 1)
+
+
+def test_rotation_compares_dims_as_functions_of_r():
+    # Rotating the RP^2 map moves a critical value (9/14 becomes 9/20), so
+    # the two sample lists differ and index-by-index dims disagree, though
+    # both modules have the same dims at every radius.
+    f = projective_plane_map()
+    seed = 20177
+    base = analyze(f, Mode.HOPF, seed)
+    module = assemble_pointed_module(base, "q")
+    result = harness._check_rotation(f, Mode.HOPF, seed, "q", base, module, barcode(module))
+    assert result.passed
+
+
+def test_same_dims_reads_the_smallest_sample_at_or_above_r():
+    def module(samples, dims):
+        return types.SimpleNamespace(samples=[ExactRadius.of(x) for x in samples], dims=dims)
+
+    # dims 2 on (0, 1], 1 on (1, 3], 0 beyond: the same function either way.
+    assert harness.same_dims(module([1, 3, 4], (2, 1, 0)), module([1, 2, 3, 5], (2, 1, 1, 0)))
+    assert not harness.same_dims(module([1, 3, 4], (2, 1, 0)), module([1, 2, 3, 5], (2, 2, 1, 0)))
+    assert not harness.same_dims(module([1, 3], (2, 1)), module([1, 3, 4], (2, 1, 0)))

@@ -1,14 +1,16 @@
 """Exact norm minimization over simplices."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lp_oracle import in_hull, lp_norm_min
+import normmin_reference
 from normmin_reference import reference_norm_min
 from rzero.exact import ExactRadius
-from rzero.normmin import NORMS, simplex_norm_min, vector_norm
+from rzero.normmin import NORMS, _candidates, scaled, simplex_norm_min, vector_norm
 from rzero.rng import RationalSampler
 
 # Small integers make ties between vertices, edges and faces common.
@@ -129,6 +131,20 @@ def test_pruned_search_matches_unpruned_reference(values, norm):
     assert got.barycentric == barycentric
     assert got.at_vertex == at_vertex
     assert got.minimum == minimum
+
+
+@settings(max_examples=300)
+@given(simplices(coord=_MIXED), st.sampled_from(NORMS))
+def test_sign_prune_keeps_every_candidate_in_order(values, norm):
+    # A row set that holds a row which cannot be active with every λ > 0
+    # has no candidate, so leaving those rows out of the choices changes
+    # nothing: every face yields the reference's candidates, in its order.
+    _, ints = scaled(values)
+    n = len(values[0])
+    for size in range(2, len(values) + 1):
+        for face in combinations(range(len(values)), size):
+            assert (list(_candidates(ints, face, n, norm))
+                    == list(normmin_reference._candidates(ints, face, n, norm)))
 
 
 def test_ties_go_to_the_lowest_face_and_smallest_t():

@@ -11,8 +11,14 @@ import pytest
 
 import rzero.cli as cli
 import rzero.pipeline as pipeline
-from rzero.cohomology import CochainComplex, integral_cohomology
+from rzero.cohomology import (
+    CochainComplex,
+    induced_int_matrix,
+    integral_cohomology,
+    restriction_transfer,
+)
 from rzero.errors import InternalError
+from rzero.linalg import columns
 from rzero.modes import Mode, SignVector, applicable, winding_cocycle
 from rzero.pipeline import SignsLevel, analyze
 from rzero.rng import child_seed
@@ -91,6 +97,26 @@ def test_hopf_sweep_matches_per_level_triviality():
             group = integral_cohomology(cc, n).group
             assert level.nontrivial == (not group.is_zero_class(cc.vector(cocycle, n)))
             seen.add(level.nontrivial)
+    assert seen == {True, False}
+
+
+def test_circle_sweep_matches_per_level_image_test():
+    # The oracle: the winding class on A against the image of H^1(X) in
+    # H^1(A), from the two integral groups and the induced map.
+    cases = [(f, child_seed(271828, 1000 + t)) for t, f in planar_inputs()]
+    cases += [(moebius_odd_winding_map(), 23), (projective_plane_map(), 17),
+              (octagon_winding2_map(), 7), (grid_identity_map(), 7)]
+    seen = set()
+    for f, seed in cases:
+        analysis = analyze(f, Mode.CIRCLE, seed)
+        ambient_cc = CochainComplex(analysis.f.complex)
+        ambient = integral_cohomology(ambient_cc, 1)
+        for level in analysis.levels:
+            image = columns(induced_int_matrix(
+                ambient, level.coh, restriction_transfer(ambient_cc, level.cc, 1)))
+            outside = not level.group.in_subgroup(image, level.coords)
+            assert level.nontrivial == outside
+            seen.add(outside)
     assert seen == {True, False}
 
 
