@@ -1,7 +1,7 @@
 """Pointed barcodes of sampled persistence modules over a field.
 
 `pipeline.field_barcode` is the entry point from an analysis: where one
-reduction over the filtration order gives the bars (`persistence`), it
+pass over the filtration order gives the bars (`persistence`), it
 builds no module and hands the index bars to `pointed_barcode`; otherwise
 it assembles the module and runs `barcode`.
 

@@ -60,9 +60,16 @@ def _unmatch_ok(interval: Interval, delta: ExactRadius, closed: bool) -> bool:
     return cmp <= 0 if closed else cmp < 0
 
 
-def _bipartite_feasible(left, right, delta, closed):
+def cost_matrix(left: list, right: list) -> list[list[ExactRadius]]:
+    """`interval_cost` of every pair of a left and a right interval."""
+    return [[interval_cost(u, v) for v in right] for u in left]
+
+
+def _bipartite_feasible(left, right, within, delta, closed):
     """Perfect matching in the dummy-augmented bipartite graph, or None.
 
+    `left` and `right` list (index, interval) pairs, and within[i][j] says
+    whether the intervals of indices i and j are at cost <= delta.
     Left nodes: the left intervals then one dummy per right interval;
     right nodes: the right intervals then one dummy per left interval.
     A real pair needs cost <= delta; a real-dummy edge exists only between
@@ -72,9 +79,9 @@ def _bipartite_feasible(left, right, delta, closed):
     n_left, n_right = len(left), len(right)
     size = n_left + n_right
 
-    cost_ok = [[interval_cost(u, v).cmp(delta) <= 0 for v in right] for u in left]
-    left_skip = [_unmatch_ok(u, delta, closed) for u in left]
-    right_skip = [_unmatch_ok(v, delta, closed) for v in right]
+    cost_ok = [[within[i][j] for j, _ in right] for i, _ in left]
+    left_skip = [_unmatch_ok(u, delta, closed) for _, u in left]
+    right_skip = [_unmatch_ok(v, delta, closed) for _, v in right]
 
     def neighbours(i):
         if i < n_left:  # real left interval
@@ -115,68 +122,74 @@ def _bipartite_feasible(left, right, delta, closed):
         i = match_right[j]
         if j < n_right:
             if i < n_left:
-                pairs.append((left[i], right[j]))
+                pairs.append((left[i][1], right[j][1]))
             else:
-                unmatched_right.append(right[j])
+                unmatched_right.append(right[j][1])
         elif i < n_left:
-            unmatched_left.append(left[i])
+            unmatched_left.append(left[i][1])
     return pairs, unmatched_left, unmatched_right
 
 
 def feasible_matching(b1: PointedBarcode, b2: PointedBarcode,
-                      delta: ExactRadius, closed: bool = False) -> Matching | None:
+                      delta: ExactRadius, closed: bool = False,
+                      costs: list | None = None) -> Matching | None:
     """A matching witnessing feasibility at `delta`, or None.
 
     With `closed=False` the unmatch rule is the strict `length < 2*delta`;
     `closed=True` relaxes it to `length <= 2*delta`, which captures
-    feasibility at tolerances just above `delta`.
+    feasibility at tolerances just above `delta`.  `costs`, when given, is
+    the `cost_matrix` of the expanded intervals of b1 and b2, so that a
+    caller probing many tolerances evaluates each pair's cost once.
     """
     if delta.sign() < 0:
         raise InputError("tolerance must be nonnegative")
     left, dist_left = _expand(b1)
     right, dist_right = _expand(b2)
+    if costs is None:
+        costs = cost_matrix(left, right)
+    within = [[c.cmp(delta) <= 0 for c in row] for row in costs]
+    left = list(enumerate(left))
+    right = list(enumerate(right))
 
     # Case: distinguished matched to distinguished.
     if dist_left is not None and dist_right is not None:
-        u, v = left[dist_left], right[dist_right]
-        if interval_cost(u, v).cmp(delta) <= 0:
+        if within[dist_left][dist_right]:
             rest = _bipartite_feasible(
                 left[:dist_left] + left[dist_left + 1:],
                 right[:dist_right] + right[dist_right + 1:],
-                delta, closed,
+                within, delta, closed,
             )
             if rest is not None:
                 pairs, ul, ur = rest
+                u, v = left[dist_left][1], right[dist_right][1]
                 return Matching(delta, [(u, v)] + pairs, ul, ur, True)
 
     # Case: all distinguished intervals unmatched.
     rest_left, rest_right = list(left), list(right)
     out_left, out_right = [], []
     if dist_left is not None:
-        if not _unmatch_ok(left[dist_left], delta, closed):
+        if not _unmatch_ok(left[dist_left][1], delta, closed):
             return None
-        out_left.append(rest_left.pop(dist_left))
+        out_left.append(rest_left.pop(dist_left)[1])
     if dist_right is not None:
-        if not _unmatch_ok(right[dist_right], delta, closed):
+        if not _unmatch_ok(right[dist_right][1], delta, closed):
             return None
-        out_right.append(rest_right.pop(dist_right))
-    rest = _bipartite_feasible(rest_left, rest_right, delta, closed)
+        out_right.append(rest_right.pop(dist_right)[1])
+    rest = _bipartite_feasible(rest_left, rest_right, within, delta, closed)
     if rest is None:
         return None
     pairs, ul, ur = rest
     return Matching(delta, pairs, out_left + ul, out_right + ur, False)
 
 
-def _candidates(b1: PointedBarcode, b2: PointedBarcode) -> list[ExactRadius]:
+def _candidates(b1: PointedBarcode, b2: PointedBarcode, costs: list) -> list[ExactRadius]:
     """Tolerances at which feasibility can change: pairwise endpoint costs
-    and half-lengths (the unmatching thresholds), plus zero."""
-    left = b1.expand()
-    right = b2.expand()
+    (the `cost_matrix` of the expanded intervals) and half-lengths (the
+    unmatching thresholds), plus zero."""
     values = {ZERO_RADIUS}
-    for u in left:
-        for v in right:
-            values.add(interval_cost(u, v))
-    for iv in left + right:
+    for row in costs:
+        values.update(row)
+    for iv in b1.expand() + b2.expand():
         values.add(iv.length().scale(Fraction(1, 2)))
     return sorted(values, key=_key)
 
@@ -186,17 +199,23 @@ def bottleneck(b1: PointedBarcode, b2: PointedBarcode) -> ExactRadius:
 
     The returned value is feasible for every strictly larger tolerance; the
     strict matching rules at the value itself may be infeasible when the
-    infimum is set by a half-length.
+    infimum is set by a half-length.  Each pair's cost is evaluated once,
+    and every probe reads it.
     """
-    candidates = _candidates(b1, b2)
+    costs = cost_matrix(b1.expand(), b2.expand())
+    candidates = _candidates(b1, b2, costs)
+
+    def feasible(delta):
+        return feasible_matching(b1, b2, delta, closed=True, costs=costs) is not None
+
     lo, hi = 0, len(candidates) - 1
-    if feasible_matching(b1, b2, candidates[0], closed=True) is not None:
+    if feasible(candidates[0]):
         return candidates[0]
-    if feasible_matching(b1, b2, candidates[hi], closed=True) is None:
+    if not feasible(candidates[hi]):
         raise InputError("no feasible tolerance among candidates")
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if feasible_matching(b1, b2, candidates[mid], closed=True) is not None:
+        if feasible(candidates[mid]):
             hi = mid
         else:
             lo = mid

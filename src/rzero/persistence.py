@@ -1,11 +1,15 @@
-"""Field barcodes from one sparse column reduction over the filtration order.
+"""Field barcodes from one pass over the filtration order.
 
 The superlevel family A_0 ⊇ A_1 ⊇ ... ⊇ A_k is one order on the simplices
 (`Filtration.entry`): a simplex of entry e lies in the levels 0 .. e - 1.
 Over a field the bars of a module built from that family are fixed by the
-order alone, so two kinds of module are read here from one reduction each,
+order alone, so three kinds of module are read here from one pass each,
 with no per-level group, transition or quotient space:
 
+* signs, H^0(A_i) with the restriction maps.  By the same duality as
+  circle's below it has the bars of H_0 of the growing family, which one
+  union-find over the vertices and edges with the elder rule gives
+  (`signs_bars`).  H^0 is free, so the bars are the same over every field.
 * circle over Q, H^1(A_i) with the restriction maps.  By the duality of
   de Silva, Morozov and Vejdemo-Johansson (2011) it has the bars of H_1 of
   the growing family A_k ⊆ ... ⊆ A_0, which the standard reduction of the boundary
@@ -20,11 +24,13 @@ with no per-level group, transition or quotient space:
   youngest row (the elder rule), so a relation ends the bar of the youngest
   generator it still meets.
 
-The distinguished class rides along as one extra vector, and its support,
-the number of leading samples at which the class is nonzero, comes out of
-the same reduction (see `circle_bars` and `hopf_bars`).  Either route
-checks that its distinguished bar, from sample 0 to the last sample of the
-support, is one of its bars, and raises InternalError otherwise.
+In circle and hopf mode the distinguished class rides along as one extra
+vector, and its support, the number of leading samples at which the class
+is nonzero, comes out of the same reduction (see `circle_bars` and
+`hopf_bars`).  Either route checks that its distinguished bar, from sample
+0 to the last sample of the support, is one of its bars, and raises
+InternalError otherwise.  The signs class has no such vector; its bar ends
+at the robust radius, which the caller places.
 
 Bars are sample-index intervals (a, b), alive at the samples a .. b, as in
 `barcode`; bars of length zero (born and killed at the same level) are not
@@ -213,3 +219,41 @@ def hopf_bars(filt: Filtration, top, columns: dict, degree: dict,
         raise InternalError("degree class survives every level")
     bars = Counter((b, d) for b, d in zip(born, death) if b <= d)
     return bars, support
+
+
+def signs_bars(filt: Filtration) -> Counter:
+    """Index bars of the signs module, H^0 of the levels, over any field.
+
+    H^0 is free, so the bars do not depend on the field.  By duality they
+    are the bars of H_0 of the growing family, which one union-find over
+    the vertices and edges of A_0 gives (Edelsbrunner, Letscher and
+    Zomorodian 2002).  A vertex of entry e founds a component
+    born at level e - 1.  Edges are taken by decreasing entry; an edge of
+    entry e that joins two components ends, by the elder rule, the one born
+    at the lower level index: it lived on the levels e .. its birth.  A
+    component that no edge ends lives on to level 0.
+    """
+    entry = filt.entry
+    born = {s[0]: e - 1 for s, e in entry.items() if e and len(s) == 1}
+    parent = {v: v for v in born}
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    bars: Counter = Counter()
+    edges = sorted((s for s, e in entry.items() if e and len(s) == 2), key=entry.__getitem__,
+                   reverse=True)
+    for u, v in edges:
+        elder, younger = find(u), find(v)
+        if elder == younger:
+            continue
+        if born[elder] < born[younger]:
+            elder, younger = younger, elder
+        parent[younger] = elder
+        if entry[(u, v)] <= born[younger]:
+            bars[(entry[(u, v)], born[younger])] += 1
+    bars.update((0, born[v]) for v in born if parent[v] == v)
+    return bars

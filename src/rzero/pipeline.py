@@ -1,18 +1,19 @@
 """End-to-end analysis: subdivision, filtration, classes, pointed modules.
 
 `analyze` runs the whole exact pipeline for one map and one mode.  It
-decides at every level whether the distinguished class is nonzero (hopf
+decides at every level whether the distinguished class is nonzero (signs
+mode from one pass over the vertices and their ambient components, hopf
 and circle mode from one growing integer echelon of relative coboundaries
-each) and builds the per-level integer data (cochain complexes, groups,
-class coordinates, transitions) only when something reads it: the integral
+each) and builds the per-level data (components, cochain complexes,
+groups, class coordinates, transitions) only when something reads it: the
 module, a witness, or the harness's checks.  `assemble_pointed_module` and
 `robust_radius` read off the results.
 
-`field_barcode` is the pointed barcode over a field.  Where one sparse
-reduction over the filtration order provably gives the bars of the
-tensored module (`persistence`: circle over Q, hopf whose every level's
-group is the whole relative H^n), it builds no module at all; every other case reads `barcode` of
-`assemble_pointed_module`.
+`field_barcode` is the pointed barcode over a field.  Where one pass over
+the filtration order provably gives the bars of the module (`persistence`:
+signs over any field, circle over Q, hopf whose every level's group is
+the whole relative H^n), it builds no module at all; every other case
+reads `barcode` of `assemble_pointed_module`.
 
 The levels of every mode (`SignsLevel`, `CircleLevel`, `HopfLevel`) share
 one interface, `Level`: a group, the distinguished class's coordinates in
@@ -67,10 +68,10 @@ from .modes import (
     determinacy_flag,
     require_applicable,
     sign_vector,
-    sign_witness,
+    sign_witness as _sign_witness,
     winding_cocycle,
 )
-from .persistence import circle_bars, hopf_bars
+from .persistence import circle_bars, hopf_bars, signs_bars
 from .rng import RationalSampler, child_seed
 
 DEFAULT_SEED = 20_177
@@ -95,11 +96,27 @@ class Level:
         return self.group.classes_equal(self.coords, other.coords)
 
 
-@dataclass
 class SignsLevel(Level):
-    signs: SignVector
-    nontrivial: bool
-    sign_witness: dict
+    """Signs-mode level data.  `nontrivial` comes from the analysis's one
+    pass over the ambient components (`_analyze_signs`); the level's
+    components, their signs and the sign witness are built on first access.
+
+    `ambient` maps each vertex of X to its ambient component index.
+    """
+
+    def __init__(self, f: PLMap, ambient: dict, level: Subcomplex, nontrivial: bool):
+        self.f = f
+        self.ambient = ambient
+        self.level = level
+        self.nontrivial = nontrivial
+
+    @cached_property
+    def signs(self) -> SignVector:
+        return sign_vector(self.f, self.level)
+
+    @cached_property
+    def sign_witness(self) -> dict:
+        return _sign_witness(self.signs, self.ambient)
 
     @cached_property
     def group(self) -> PresentedGroup:
@@ -376,13 +393,35 @@ def analyze(f0: PLMap, mode: Mode, seed: int = DEFAULT_SEED) -> Analysis:
 
 
 def _analyze_signs(f: PLMap, filt: Filtration) -> list:
+    """Signs levels, with every level's flag decided in one pass.
+
+    Each vertex's sign is read once, off its integer numerator.  A vertex
+    of A_0 has a nonzero value, and every component of every level carries
+    a constant sign exactly when every edge of A_0 joins two vertices of
+    the same sign, which is checked once.  The sign assignment on A_i then
+    fails to extend over X exactly when some ambient component holds a
+    positive and a negative vertex of A_i, and a vertex lies in A_i while
+    its entry exceeds i: the flag of level i holds iff some ambient
+    component's least of (largest positive entry, largest negative entry)
+    exceeds i.
+    """
+    entry = filt.entry
     ambient = component_index(connected_components(f.complex))
-    levels = []
-    for level in filt.levels:
-        sv = sign_vector(f, level)
-        witness = sign_witness(sv, ambient)
-        levels.append(SignsLevel(sv, bool(witness), witness))
-    return levels
+    sign = {}
+    reach: dict = {}    # (ambient component, sign) -> largest vertex entry
+    for v in f.complex.vertices:
+        x = f.values[v][0].numerator
+        sign[v] = (x > 0) - (x < 0)
+        if entry[(v,)] and not sign[v]:
+            raise InternalError(f"component of {v} does not carry a constant sign")
+        key = (ambient[v], sign[v])
+        reach[key] = max(reach.get(key, 0), entry[(v,)])
+    for u, v in f.complex.edges():
+        if entry[(u, v)] and sign[u] != sign[v]:
+            raise InternalError(f"component of {u}, {v} does not carry a constant sign")
+    alive = max((min(reach.get((c, 1), 0), reach.get((c, -1), 0)) for c, _ in reach),
+                default=0)
+    return [SignsLevel(f, ambient, level, i < alive) for i, level in enumerate(filt.levels)]
 
 
 def _analyze_circle(f: PLMap, filt: Filtration, seed: int, meta: dict) -> list:
@@ -604,17 +643,22 @@ def assemble_pointed_module(analysis: Analysis, coefficients) -> PointedModule:
 def field_barcode(analysis: Analysis, field) -> PointedBarcode:
     """The pointed barcode of an analysis's module over a field.
 
-    Circle mode over Q and hopf mode when every level's group is the whole
-    relative H^n (`_one_echelon_applies`) read the bars from one reduction
-    over the filtration order (`persistence`).  Everything else, signs mode,
-    an integral "field" (which `barcode` rejects), hopf with a nontrivial
-    ambient H^n and circle over F_p (where torsion in H_1 would count),
-    builds the module and runs `barcode`.
+    Signs mode over any field, circle mode over Q and hopf mode when every
+    level's group is the whole relative H^n (`_one_echelon_applies`) read
+    the bars from one pass over the filtration order (`persistence`).
+    Everything else, an integral "field" (which `barcode` rejects), hopf
+    with a nontrivial ambient H^n and circle over F_p (where torsion in H_1
+    would count), builds the module and runs `barcode`.
     """
     char = parse_coefficients(field)
     mode = analysis.mode
     filt = analysis.filtration
-    if char == 0 and mode == Mode.CIRCLE:
+    if char is not None and mode == Mode.SIGNS:
+        # The robust radius is the last nontrivial level's sample, so the
+        # distinguished bar (0, rho] is the bar on the nontrivial levels.
+        bars = signs_bars(filt)
+        support = sum(level.nontrivial for level in analysis.levels)
+    elif char == 0 and mode == Mode.CIRCLE:
         bars, support = circle_bars(filt, analysis.levels[0].winding)
     elif char is not None and mode == Mode.HOPF and _one_echelon_applies(analysis):
         ambient = analysis.levels[0].ambient

@@ -1,5 +1,5 @@
-"""`field_barcode` reads the bars of circle and hopf modules from one
-reduction over the filtration order where that gives the module's bars, and
+"""`field_barcode` reads the bars of signs, circle and hopf modules from one
+pass over the filtration order where that gives the module's bars, and
 builds the module everywhere else.  Both routes must agree exactly, with
 each other and with the rank-formula oracle, and the fast route must build
 no per-level module."""
@@ -14,6 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 import rzero.cli as cli
 import rzero.cohomology as cohomology
+import rzero.harness as harness
+import rzero.modes as modes
 import rzero.pipeline as pipeline
 from rzero.barcode import ORACLE_DIMENSION_CAP, barcode, decompose_oracle
 from rzero.cohomology import CochainComplex, field_cohomology
@@ -74,25 +76,32 @@ def test_moebius_agrees_in_both_modes():
 
 
 @st.composite
-def small_maps(draw):
+def small_maps(draw, n=2):
     """A random complex of dimension <= 2 on at most five vertices with a
-    planar map of small integer values, in one of the three norms."""
+    map to R^n of small integer values, zeros and tied norms included, in
+    one of the three norms."""
     names = [f"x{i}" for i in range(draw(st.integers(3, 5)))]
     simplices = []
     for _ in range(draw(st.integers(1, 5))):
         size = draw(st.integers(2, 3))
         simplices.append(draw(st.permutations(names))[:size])
-    values = {v: (Fraction(draw(st.integers(-3, 3))), Fraction(draw(st.integers(-3, 3))))
-              for v in names}
+    values = {v: tuple(Fraction(draw(st.integers(-3, 3))) for _ in range(n)) for v in names}
     complex_ = Complex.build(simplices)
     values = {v: values[v] for v in complex_.vertices}
-    return PLMap(complex_, values, 2, draw(st.sampled_from(["l1", "l2", "linf"])))
+    return PLMap(complex_, values, n, draw(st.sampled_from(["l1", "l2", "linf"])))
 
 
 @settings(max_examples=25)
 @given(small_maps(), st.sampled_from([Mode.CIRCLE, Mode.HOPF]), st.integers(0, 1 << 20))
 def test_random_small_complexes_agree(f, mode, seed):
     _agree(analyze(f, mode, seed))
+
+
+@settings(max_examples=25)
+@given(small_maps(n=1))
+def test_random_signs_maps_agree(f):
+    # Signs mode reads its bars from one union-find, with no module.
+    _agree(analyze(f, Mode.SIGNS))
 
 
 def test_torsion_trap_takes_the_module_route(monkeypatch):
@@ -130,16 +139,36 @@ def _run(*argv):
         assert cli.main([str(a) for a in argv]) == 0
 
 
-@pytest.mark.parametrize("name, mode", [("octagon_winding2", "circle"), ("grid_identity", "hopf")])
+def _results(monkeypatch, holder, name, results) -> list:
+    """Record the result of every call of holder.name in `results`."""
+    original = getattr(holder, name)
+
+    def recorded(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(holder, name, recorded)
+    return results
+
+
+@pytest.mark.parametrize("name, mode", [("octagon_winding2", "circle"), ("grid_identity", "hopf"),
+                                        ("edge", "signs"), ("rectangle_y", "signs")])
 def test_fast_route_builds_no_module(monkeypatch, name, mode):
     path = SAMPLES / f"{name}.json"
     calls = []
     for holder, name in [(pipeline, "assemble_pointed_module"), (pipeline, "induced_int_matrix"),
                          (cohomology, "induced_int_matrix"), (PresentedGroup, "tensor")]:
         _count(monkeypatch, holder, name, calls)
+    # A level's components are built by `sign_vector` only.
+    components = _count(monkeypatch, modes, "connected_components")
+    analyses = []
+    for holder in (cli, harness):
+        _results(monkeypatch, holder, "analyze", analyses)
     _run("barcode", path, "--mode", mode, "--field", "q")
     _run("fuzz", path, "--mode", mode, "--delta", "1/10", "--trials", 2, "--seed", 3)
     assert calls == []
+    # At most the robust witness's level reads its components.
+    assert len(components) <= len(analyses) < sum(len(a.levels) for a in analyses)
 
 
 def test_projective_plane_hopf_takes_the_module_route(monkeypatch):

@@ -1,13 +1,16 @@
-"""Per-level integer data is built only where it is read, and the routes
-that replace per-level work agree with it: the one-sweep hopf flags with a
-triviality test at each level, and the restricted winding cocycles with
-one computed on each level."""
+"""Per-level data is built only where it is read, and the routes that
+replace per-level work agree with it: the one-sweep hopf flags with a
+triviality test at each level, the one-pass signs flags with each level's
+sign witness, and the restricted winding cocycles with one computed on
+each level."""
 
 import contextlib
 import io
 import pathlib
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import rzero.cli as cli
 import rzero.pipeline as pipeline
@@ -17,13 +20,22 @@ from rzero.cohomology import (
     integral_cohomology,
     restriction_transfer,
 )
+from rzero.complexes import (
+    Complex,
+    PLMap,
+    component_index,
+    connected_components,
+    star_subdivide,
+)
 from rzero.errors import InternalError
+from rzero.filtration import build_filtration
 from rzero.linalg import columns
-from rzero.modes import Mode, SignVector, applicable, winding_cocycle
+from rzero.modes import Mode, SignVector, applicable, sign_vector, sign_witness, winding_cocycle
 from rzero.pipeline import SignsLevel, analyze
 from rzero.rng import child_seed
 
 from inputs import grid_identity_map, octagon_winding2_map, rectangle_map
+from test_field_barcode import small_maps
 from test_pipeline_fuzz import (
     moebius_odd_winding_map,
     planar_inputs,
@@ -159,8 +171,43 @@ def test_signs_levels_are_free_on_their_components():
     # whose sign changed along an inclusion is an internal error.
     assert level.transition(level) == [
         [int(i == j) for j in range(count)] for i in range(count)]
-    flipped = SignsLevel(SignVector(level.signs.components,
-                                    tuple(-s for s in level.signs.signs)),
-                         level.nontrivial, level.sign_witness)
+    negated = level.f.with_values({v: (-x,) for v, (x,) in level.f.values.items()})
+    flipped = SignsLevel(negated, level.ambient, level.level, level.nontrivial)
+    assert flipped.signs == SignVector(level.signs.components,
+                                       tuple(-s for s in level.signs.signs))
     with pytest.raises(InternalError):
         level.transition(flipped)
+
+
+def _assert_signs_flags_match_per_level(analysis) -> set:
+    # The oracle: the sign vector of each level alone, against the ambient
+    # components.
+    ambient = component_index(connected_components(analysis.f.complex))
+    flags = set()
+    for level in analysis.levels:
+        witness = sign_witness(sign_vector(analysis.f, level.level), ambient)
+        assert level.nontrivial == bool(witness)
+        flags.add(level.nontrivial)
+    return flags
+
+
+def test_signs_flags_match_per_level_witness():
+    assert _assert_signs_flags_match_per_level(analyze(rectangle_map(), Mode.SIGNS)) == {True, False}
+
+
+@settings(max_examples=25)
+@given(small_maps(n=1))
+def test_random_signs_flags_match_per_level_witness(f):
+    _assert_signs_flags_match_per_level(analyze(f, Mode.SIGNS))
+
+
+def test_mixed_sign_edge_in_the_first_level_is_an_internal_error():
+    # Both ends of the edge lie in A_0; flipping one end's sign keeps the
+    # norms, and so the filtration, but breaks the constant sign.
+    f = star_subdivide(PLMap(Complex.build([["a", "b"]]),
+                             {"a": (Fraction(1),), "b": (Fraction(2),)}, 1, "l1"))
+    filt = build_filtration(f)
+    assert filt.entry[("a", "b")] > 0
+    flipped = f.with_values({"a": (Fraction(1),), "b": (Fraction(-2),)})
+    with pytest.raises(InternalError):
+        pipeline._analyze_signs(flipped, filt)
