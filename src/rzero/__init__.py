@@ -37,6 +37,7 @@ from .pipeline import (
     RobustResult,
     analyze,
     assemble_pointed_module,
+    field_barcode,
     robust_radius,
 )
 

@@ -52,7 +52,6 @@ from .errors import InputError, InternalError
 from .exact import ExactRadius, ZERO_RADIUS
 from .filtration import Filtration, build_filtration
 from .linalg import (
-    FieldEchelon,
     PresentedGroup,
     _lattice_contains,
     _lattice_insert,
@@ -207,11 +206,6 @@ class HopfAmbient:
         """Whether the ambient H^n is zero."""
         hn = self.cohomology
         return hn.gens == 0 or hn.group.is_trivial()
-
-    def relative_rows(self, level: Subcomplex) -> list[int]:
-        """Rows of the n-simplices off the level, increasing."""
-        inside = level.simplices
-        return [r for r, s in enumerate(self.top) if s not in inside]
 
 
 class CircleLevel(Level):
@@ -623,7 +617,9 @@ def _check_pointed(module: PointedModule) -> None:
 
 
 def assemble_pointed_module(analysis: Analysis, coefficients) -> PointedModule:
-    """The pointed persistence module of an analysis, over Z or a field."""
+    """The pointed persistence module of an analysis, over Z or a field:
+    the free module on the components in signs mode, else the integral
+    module, tensored level by level when a field is asked for."""
     char = parse_coefficients(coefficients)
     mode = analysis.mode
     meta = dict(analysis.meta)
@@ -632,8 +628,6 @@ def assemble_pointed_module(analysis: Analysis, coefficients) -> PointedModule:
         if char is None:
             raise InputError("signs mode has no integral module; pick a field")
         return _signs_module(analysis, char, meta)
-    if mode == Mode.HOPF and char is not None and _one_echelon_applies(analysis):
-        return _hopf_field_module(analysis, meta, char)
     integral = _integral_module(analysis, meta, full=char is None)
     if char is None:
         return integral
@@ -646,21 +640,23 @@ def field_barcode(analysis: Analysis, field) -> PointedBarcode:
     Signs mode over any field, circle mode over Q and hopf mode when every
     level's group is the whole relative H^n (`_one_echelon_applies`) read
     the bars from one pass over the filtration order (`persistence`).
-    Everything else, an integral "field" (which `barcode` rejects), hopf
-    with a nontrivial ambient H^n and circle over F_p (where torsion in H_1
-    would count), builds the module and runs `barcode`.
+    Everything else, hopf with a nontrivial ambient H^n and circle over F_p
+    (where torsion in H_1 would count), builds the module and runs
+    `barcode`.  Integral coefficients are rejected before any work.
     """
     char = parse_coefficients(field)
+    if char is None:
+        raise InputError("barcodes require field coefficients; pick q or a prime field")
     mode = analysis.mode
     filt = analysis.filtration
-    if char is not None and mode == Mode.SIGNS:
+    if mode == Mode.SIGNS:
         # The robust radius is the last nontrivial level's sample, so the
         # distinguished bar (0, rho] is the bar on the nontrivial levels.
         bars = signs_bars(filt)
         support = sum(level.nontrivial for level in analysis.levels)
     elif char == 0 and mode == Mode.CIRCLE:
         bars, support = circle_bars(filt, analysis.levels[0].winding)
-    elif char is not None and mode == Mode.HOPF and _one_echelon_applies(analysis):
+    elif mode == Mode.HOPF and _one_echelon_applies(analysis):
         ambient = analysis.levels[0].ambient
         bars, support = hopf_bars(filt, ambient.top, ambient.columns, ambient.degree, char)
     else:
@@ -695,65 +691,11 @@ def _one(char: int):
 
 
 def _one_echelon_applies(analysis: Analysis) -> bool:
-    """Whether ker j* is the whole relative group at every level and the
-    degree equals the complex dimension: the ambient H^n is trivial and
-    every level has a relative n-simplex.  The relative simplices only grow
-    along the filtration, so the first level decides the latter."""
+    """Whether `hopf_bars` gives the hopf field barcode: X is n-dimensional
+    and its H^n is zero, so every level's group is the whole relative H^n
+    (zero on a level with no relative n-simplex)."""
     f = analysis.f
-    if f.n != f.complex.dim:
-        return False
-    ambient = analysis.levels[0].ambient
-    return bool(ambient.relative_rows(analysis.filtration.levels[0])) and ambient.trivial
-
-
-def _hopf_field_module(analysis: Analysis, meta: dict, char: int) -> PointedModule:
-    """Hopf module over Q or F_p via one growing relation echelon.
-
-    Applies when `_one_echelon_applies`: every level's group is then the
-    quotient of the relative top cochains by the relative coboundaries.  As
-    in `_hopf_flags`, each relation is a full column of the ambient
-    coboundary and the relation spans are nested along the filtration, so
-    the whole module is read off one growing echelon instead of one
-    elimination per level.  Quotient coordinates are the non-pivot rows of
-    the span, which do not depend on how it was built, so the output is
-    identical to the generic route's.
-    """
-    ambient = analysis.levels[0].ambient
-    rows = len(ambient.top)
-
-    def dense(sparse):
-        vec = [0] * rows
-        for r, v in sparse.items():
-            vec[r] = v
-        return vec
-
-    echelon = FieldEchelon(char)
-    degree_vec = dense(ambient.degree)
-    levels = analysis.filtration.levels
-    dims = []
-    distinguished = []
-    transitions = []
-    prev_coord_rows = None
-    for level, fresh in zip(levels, analysis.filtration.leaving(ambient.columns)):
-        for s in fresh:
-            echelon.insert(dense(ambient.columns[s]))
-        pivot_rows = echelon.pivot_rows
-        coord_rows = [r for r in ambient.relative_rows(level) if r not in pivot_rows]
-        dims.append(len(coord_rows))
-        distinguished.append(echelon.project(degree_vec, coord_rows))
-        if prev_coord_rows is not None:
-            cols = [echelon.project(dense({r: 1}), coord_rows) for r in prev_coord_rows]
-            transitions.append(
-                [[cols[j][i] for j in range(len(cols))] for i in range(len(coord_rows))]
-            )
-        prev_coord_rows = coord_rows
-
-    module = PointedModule(
-        Mode.HOPF, char, analysis.samples, analysis.criticals,
-        tuple(dims), tuple(transitions), tuple(distinguished), meta=meta,
-    )
-    _check_pointed(module)
-    return module
+    return f.n == f.complex.dim and analysis.levels[0].ambient.trivial
 
 
 def _integral_module(analysis: Analysis, meta: dict, full: bool = True) -> PointedModule:

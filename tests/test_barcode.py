@@ -18,7 +18,7 @@ from rzero.barcode import (
 from rzero.errors import InputError
 from rzero.exact import ExactRadius
 from rzero.modes import Mode
-from rzero.pipeline import PointedModule, analyze, assemble_pointed_module, parse_coefficients
+from rzero.pipeline import PointedModule, analyze, assemble_pointed_module
 from rzero.rng import RationalSampler, child_seed
 
 from inputs import edge_map, grid_identity_map, octagon_winding2_map
@@ -166,25 +166,3 @@ def test_barcode_beyond_oracle_cap_matches_rank_formula():
     for (a, b), mult in index_bars_by_rank(module).items():
         expected[interval_from_indices(module, a, b)] += mult
     assert barcode(module, signs_robust_radius=an.robust.radius).multiset() == expected
-
-
-def test_hopf_fast_path_matches_generic_route():
-    # The growing-echelon field module must equal the generic
-    # presentation-tensor route literally: canonical quotient coordinates
-    # do not depend on how the relation span was built.
-    from fractions import Fraction as F
-    from rzero.harness import PerturbSpec, perturb
-    from rzero.pipeline import _integral_module
-
-    f = grid_identity_map()
-    for seed in (0, 1, 2):
-        g = perturb(f, PerturbSpec(F(1, 10), 4000 + seed)) if seed else f
-        analysis = analyze(g, Mode.HOPF, 4000 + seed)
-        assert all(lvl.kernel.span is None for lvl in analysis.levels)
-        integral = _integral_module(analysis, dict(analysis.meta), full=False)
-        for field in ("q", "f2", "f3"):
-            fast = assemble_pointed_module(analysis, field)
-            generic = integral.tensor(parse_coefficients(field))
-            assert fast.dims == generic.dims
-            assert fast.transitions == generic.transitions
-            assert fast.distinguished == generic.distinguished

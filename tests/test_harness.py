@@ -1,12 +1,12 @@
 """Perturbations, stability checks, invariance checks, determinism."""
 
 import json
-import types
 from fractions import Fraction
 
 import pytest
 
 import rzero.harness as harness
+import rzero.pipeline as pipeline
 from rzero.exact import ExactRadius
 from rzero.harness import (
     PerturbSpec,
@@ -17,7 +17,7 @@ from rzero.harness import (
 )
 from rzero.modes import Mode
 from rzero.normmin import vector_norm
-from rzero.barcode import barcode
+from rzero.barcode import Interval, PointedBarcode, barcode
 from rzero.pipeline import analyze, assemble_pointed_module
 
 from inputs import edge_map, grid_identity_map, octagon_winding2_map, rectangle_map
@@ -139,40 +139,66 @@ def test_hopf_invariances_with_trivial_ambient(name):
 
 
 def test_invariances_assemble_no_module_per_level(monkeypatch):
-    # The functoriality check reads the base module and the levels' own
-    # groups: one module for the base map, one per scale and one for the
-    # rotation, whatever the number of levels.
-    calls = []
-    original = harness.assemble_pointed_module
+    # Only the functoriality check reads a module, the base map's; the
+    # scaled, rotated and negated maps' barcodes come from `field_barcode`,
+    # which reads these maps' bars in one pass and assembles no module.
+    harness_calls, pipeline_calls = [], []
 
-    def counted(analysis, coefficients):
-        calls.append(coefficients)
-        return original(analysis, coefficients)
+    def counting(calls, original):
+        def counted(analysis, coefficients):
+            calls.append(coefficients)
+            return original(analysis, coefficients)
+        return counted
 
-    monkeypatch.setattr(harness, "assemble_pointed_module", counted)
-    f = _trivial_ambient_hopf_maps()["planar-4"]
-    assert len(analyze(f, Mode.HOPF, 5).levels) > 5
-    assert check_invariances(f, Mode.HOPF, 5).passed
-    assert calls == ["q"] * (1 + len(harness.SCALES) + 1)
+    monkeypatch.setattr(harness, "assemble_pointed_module",
+                        counting(harness_calls, harness.assemble_pointed_module))
+    monkeypatch.setattr(pipeline, "assemble_pointed_module",
+                        counting(pipeline_calls, pipeline.assemble_pointed_module))
+    planar = _trivial_ambient_hopf_maps()["planar-4"]
+    assert len(analyze(planar, Mode.HOPF, 5).levels) > 5
+    cases = [(edge_map(), Mode.SIGNS), (octagon_winding2_map(), Mode.CIRCLE),
+             (planar, Mode.HOPF)]
+    for f, mode in cases:
+        del harness_calls[:], pipeline_calls[:]
+        assert check_invariances(f, mode, 5).passed
+        assert harness_calls == [harness.DEFAULT_FIELD[mode]]
+        assert pipeline_calls == []
+
+
+def test_scaling_check_compares_scaled_bars(monkeypatch):
+    # Shift one bar of every scaled map's barcode: criticals, radius and
+    # bar count still agree, so only the bar comparison can catch it.
+    f = grid_identity_map()
+    base = analyze(f, Mode.HOPF, 5)
+    original = harness.field_barcode
+
+    def shifted(analysis, field):
+        bc = original(analysis, field)
+        if analysis.criticals == base.criticals:
+            return bc
+        (iv, mult), *rest = bc.bars
+        moved = Interval(iv.birth, iv.death.scale(Fraction(3, 2)))
+        return PointedBarcode(((moved, mult), *rest),
+                              moved if bc.distinguished == iv else bc.distinguished)
+
+    monkeypatch.setattr(harness, "field_barcode", shifted)
+    report = check_invariances(f, Mode.HOPF, 5)
+    scaling = next(r for r in report.results if r.name == "scaling equivariance")
+    assert not scaling.passed
+    assert scaling.details["what"] == "barcode"
+    rotation = next(r for r in report.results if r.name == "rotation invariance")
+    assert rotation.passed
 
 
 def test_rotation_compares_dims_as_functions_of_r():
     # Rotating the RP^2 map moves a critical value (9/14 becomes 9/20), so
-    # the two sample lists differ and index-by-index dims disagree, though
-    # both modules have the same dims at every radius.
+    # the two sample lists differ, though both maps have the same barcode
+    # and with it the same dims at every radius.
     f = projective_plane_map()
     seed = 20177
     base = analyze(f, Mode.HOPF, seed)
+    rotated = analyze(harness._rotate_map(f), Mode.HOPF, seed)
+    assert base.samples != rotated.samples
     module = assemble_pointed_module(base, "q")
-    result = harness._check_rotation(f, Mode.HOPF, seed, "q", base, module, barcode(module))
+    result = harness._check_rotation(f, Mode.HOPF, seed, "q", base, barcode(module))
     assert result.passed
-
-
-def test_same_dims_reads_the_smallest_sample_at_or_above_r():
-    def module(samples, dims):
-        return types.SimpleNamespace(samples=[ExactRadius.of(x) for x in samples], dims=dims)
-
-    # dims 2 on (0, 1], 1 on (1, 3], 0 beyond: the same function either way.
-    assert harness.same_dims(module([1, 3, 4], (2, 1, 0)), module([1, 2, 3, 5], (2, 1, 1, 0)))
-    assert not harness.same_dims(module([1, 3, 4], (2, 1, 0)), module([1, 2, 3, 5], (2, 2, 1, 0)))
-    assert not harness.same_dims(module([1, 3], (2, 1)), module([1, 3, 4], (2, 1, 0)))

@@ -1,5 +1,6 @@
 """Document parsing, serialization round-trips, and the CLI surface."""
 
+import hashlib
 import json
 import os
 import shlex
@@ -11,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import rzero.cli as cli
+import rzero.pipeline as pipeline
 from rzero.barcode import Interval, PointedBarcode
 from rzero.errors import InputError
 from rzero.exact import ExactRadius
@@ -308,3 +310,62 @@ def test_cli_rejects_malformed_documents(kind, name, tmp_path, capsys):
     assert out == ""
     assert err.startswith("input error:")
     assert "Traceback" not in err
+
+
+SAMPLE_INPUTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "sample_inputs")
+
+# sha256 of stdout at seed 7: the hopf field modules (the integral module
+# tensored with the field) and the self-check reports, byte for byte.
+PINNED_STDOUT = {
+    "module-grid_identity-q": "4a5182e1143d221791dfa4dc40326960cbb239e701ff846a74dd2260fd1fce0d",
+    "module-grid_identity-f2": "09c380fdd2ba3384815b3828e02fc86298789af07737849318feaf0ce5ad9dbd",
+    "module-grid_identity-f3": "63bbfdd034ff847f34d8d2f73fed5f58a1c14fab20c6d66bbd02a7fd1e798a41",
+    "module-octagon_winding2-q": "d62dcab0170e2a3e53e1d9af3c797570177a3dc5942b64cf32a22f9604ba3e59",
+    "module-octagon_winding2-f2": "8771953795096157d409fb8f869b72f2cefc4de7bcf56655cf64d060f8108b4b",
+    "module-octagon_winding2-f3": "759e9c86580d50ef074302e03ecafc9a8fd3e7bcec8e1f60ce6b05551eb7eaee",
+    "module-moebius-q": "25ad2952f1345c830487cd9257c54eb38e67c55bab2cd5e06f1308bf4374a896",
+    "module-moebius-f2": "4734d40755d2c319fa7cb7ef3f0fb49f7101a588c984b3c4b19bf618dee91b44",
+    "module-moebius-f3": "0518e771dc14eb05bdadc0456f890d97df4e1ddad961d6587d9e96e96c9c5060",
+    "check-edge": "38805d8e12c06c27c3d8e7dadec7955a38ac01ee120d548bf21feec90c617881",
+    "check-grid_identity": "3929c484b8ec9abfa825b2b20467e156799e9c6482003665367eed335249253a",
+    "check-octagon_winding2": "3929c484b8ec9abfa825b2b20467e156799e9c6482003665367eed335249253a",
+    "check-rectangle_y": "1b339d14bbbba909dfb9a44acf403eb70e20ec5e64fa38e652d1a5464e6edf15",
+}
+
+
+@pytest.mark.parametrize("label", sorted(PINNED_STDOUT))
+def test_pinned_stdout(label, tmp_path, capsys):
+    command, name, *field = label.split("-")
+    if name == "moebius":
+        path = tmp_path / "moebius.json"
+        path.write_text(as_document(moebius_odd_winding_map()))
+    else:
+        path = os.path.join(SAMPLE_INPUTS, f"{name}.json")
+    argv = [command, str(path), "--seed", "7"]
+    if field:
+        argv += ["--mode", "hopf", "--field", field[0]]
+    assert cli.main(argv) == 0
+    out, _ = capsys.readouterr()
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[label]
+
+
+@pytest.mark.parametrize("mode", ["hopf", "signs"])
+def test_integral_barcode_fails_before_any_module(mode, tmp_path, capsys, monkeypatch):
+    def no_module(*args):
+        raise AssertionError("assembled a module for an integral barcode")
+
+    monkeypatch.setattr(pipeline, "assemble_pointed_module", no_module)
+    path = tmp_path / "edge.json"
+    path.write_text(as_document(edge_map()))
+    assert cli.main(["barcode", str(path), "--mode", mode, "--field", "z"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error:")
+
+    # Two barcode documents need no analysis, so `--field` is not read.
+    assert cli.main(["barcode", str(path), "--mode", mode]) == 0
+    doc = tmp_path / "bar.json"
+    doc.write_text(capsys.readouterr().out)
+    assert cli.main(["bottleneck", str(doc), str(doc), "--field", "z"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"distance": {"rat": "0"}}
