@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InputError, InternalError
-from .exact import ExactRadius, format_rational
-from .normmin import NORMS, simplex_norm_min, vector_norm
+from .exact import ExactRadius
+from .normmin import NORMS, scaled, simplex_norm_min, vector_norm
 
 Simplex = tuple[str, ...]
 
@@ -39,19 +40,27 @@ class Complex:
     """A finite simplicial complex with a fixed total order on vertices."""
 
     def __init__(self, simplices):
-        simps = {_as_simplex(s) for s in simplices}
         closed = set()
-        for s in simps:
-            for f in _faces(s):
-                closed.add(f)
+        for s in simplices:
+            closed.update(_faces(_as_simplex(s)))
+        self._index(closed)
+
+    def _index(self, closed) -> None:
         self._simplices = frozenset(closed)
-        self.vertices = tuple(sorted({v for s in closed for v in s}))
-        self.dim = max((len(s) - 1 for s in closed), default=-1)
         self._by_dim = {}
-        for s in closed:
+        for s in self._simplices:
             self._by_dim.setdefault(len(s) - 1, []).append(s)
         for lst in self._by_dim.values():
             lst.sort()
+        self.vertices = tuple(s[0] for s in self._by_dim.get(0, ()))
+        self.dim = max(self._by_dim, default=-1)
+
+    @classmethod
+    def from_closed(cls, simplices) -> "Complex":
+        """A complex from sorted simplices known to be face-closed, unchecked."""
+        self = cls.__new__(cls)
+        self._index(simplices)
+        return self
 
     @classmethod
     def build(cls, maximal_simplices) -> "Complex":
@@ -102,17 +111,11 @@ class Subcomplex(Complex):
                 raise InternalError(f"simplex {s} not in parent complex")
 
     @classmethod
-    def from_closed(cls, parent: Complex, simplices, by_dim) -> "Subcomplex":
+    def from_closed(cls, parent: Complex, simplices) -> "Subcomplex":
         """A subcomplex from simplices the caller knows to be face-closed
-        simplices of `parent`, with `by_dim` their sorted lists per
-        dimension (shared, never mutated).  Nothing is re-closed or checked.
-        """
-        self = cls.__new__(cls)
+        simplices of `parent`.  Nothing is re-closed or checked."""
+        self = super().from_closed(simplices)
         self.parent = parent
-        self._simplices = frozenset(simplices)
-        self._by_dim = by_dim
-        self.vertices = tuple(s[0] for s in by_dim.get(0, ()))
-        self.dim = max((q for q, lst in by_dim.items() if lst), default=-1)
         return self
 
 
@@ -193,9 +196,6 @@ class PLMap:
     def m(self) -> int:
         return self.complex.dim
 
-    def value(self, vertex: str):
-        return self.values[vertex]
-
     def norm_at(self, vertex: str) -> ExactRadius:
         return vector_norm(self.values[vertex], self.norm)
 
@@ -209,145 +209,154 @@ class PLMap:
     def with_values(self, new_values) -> "PLMap":
         return PLMap(self.complex, dict(new_values), self.n, self.norm)
 
-    def simplex_values(self, simplex):
-        return [self.values[v] for v in _as_simplex(simplex)]
-
 
 def vertex_minima_ok(f: PLMap) -> bool:
     """Check postcondition (a): every simplex minimum is vertex-attained."""
-    for s in f.complex.all_simplices():
-        if len(s) == 1:
-            continue
-        if not simplex_norm_min(f.simplex_values(s), f.norm).at_vertex:
-            return False
-    return True
+    return all(simplex_norm_min([f.values[v] for v in s], f.norm).at_vertex
+               for s in f.complex.all_simplices() if len(s) > 1)
 
 
 def edge_zeros_ok(f: PLMap) -> bool:
     """Check postcondition (b): component zeros meet edges only at vertices
     or along whole edges."""
-    for u, v in f.complex.edges():
-        for a, b in zip(f.values[u], f.values[v]):
-            if a.numerator * b.numerator < 0:
-                return False
-    return True
+    return not any(a.numerator * b.numerator < 0 for u, v in f.complex.edges()
+                   for a, b in zip(f.values[u], f.values[v]))
 
 
-def _point_id(expansion: dict) -> str:
-    parts = [
-        f"{v}:{format_rational(c)}"
-        for v, c in sorted(expansion.items())
-        if c != 0
-    ]
+def _point_id(den: int, combo: dict) -> str:
+    """The id of the point {base: c / den}, each nonzero coefficient
+    written reduced, as `format_rational` writes it, by base id."""
+    parts = []
+    for v in sorted(combo):
+        g = gcd(combo[v], den)
+        parts.append(f"{v}:{combo[v] // g}" + ("" if g == den else f"/{den // g}"))
     return "(" + ",".join(parts) + ")"
 
 
+def _mix(lam, lam_den: int, points, items) -> tuple[int, dict]:
+    """sum_j lam[j] / lam_den * points[j] for points (den, numerators), read
+    by `items`, as (den, {key: numerator}) divided by its gcd."""
+    scale = lcm(*[den for den, _ in points])
+    out: dict = {}
+    for c, (den, nums) in zip(lam, points):
+        if c:
+            for key, x in items(nums):
+                out[key] = out.get(key, 0) + c * (scale // den) * x
+    out = {key: x for key, x in out.items() if x}
+    g = gcd(lam_den * scale, *out.values())
+    return lam_den * scale // g, {key: x // g for key, x in out.items()}
+
+
 class _Subdivider:
-    """Mutable scratch state for iterated stellar subdivision."""
+    """Mutable scratch state for iterated stellar subdivision, with each
+    vertex's value and expansion as integers: (den, numerators) over the LCM
+    of their denominators.  Vertex values never change, every new simplex
+    has a new vertex, and whether a simplex is starred or split depends on
+    its own values alone, so each pass visits only the simplices born since
+    the previous pass of its kind (`unvisited`, `unsplit`)."""
 
     def __init__(self, f: PLMap):
-        self.n = f.n
-        self.norm = f.norm
+        self.n, self.norm = f.n, f.norm
         self.simplices: set[Simplex] = set()
         # vertex -> the current simplices containing it, kept in step with
         # `simplices` by add/discard so that star finds cofaces by lookup.
         self.by_vertex: dict[str, set[Simplex]] = {}
+        self.unvisited: set[Simplex] = set()
+        self.unsplit: set[Simplex] = set()
+        # Visited simplices whose minimum lies inside a proper face.
+        self.off_vertex: set[Simplex] = set()
         for s in f.complex.simplices:
             self.add(s)
-        self.values = dict(f.values)
-        self.expansion = {v: dict(exp) for v, exp in f.expansion.items()}
-        # Vertex values never change during subdivision, so per-simplex
-        # minimization results stay valid across passes.
-        self._norm_cache: dict[Simplex, object] = {}
+        self.values, self.expansion = {}, {}
+        for v, value in f.values.items():
+            den, (nums,) = scaled([value])
+            self.values[v] = (den, nums)
+        for v, exp in f.expansion.items():
+            den, (nums,) = scaled([exp.values()])
+            self.expansion[v] = (den, dict(zip(exp, nums)))
+        self.new_vertices: list[str] = []
 
     def add(self, s: Simplex) -> None:
-        self.simplices.add(s)
-        for v in s:
-            self.by_vertex.setdefault(v, set()).add(s)
+        if s not in self.simplices:
+            self.simplices.add(s)
+            for v in s:
+                self.by_vertex.setdefault(v, set()).add(s)
+            self.unvisited.add(s)
+            if len(s) == 2:
+                self.unsplit.add(s)
 
     def discard(self, s: Simplex) -> None:
         self.simplices.discard(s)
         for v in s:
             self.by_vertex[v].discard(s)
 
-    def norm_min(self, s: Simplex):
-        cached = self._norm_cache.get(s)
-        if cached is None:
-            cached = simplex_norm_min([self.values[v] for v in s], self.norm)
-            self._norm_cache[s] = cached
-        return cached
-
-    def star(self, face: Simplex, barycentric) -> str:
-        """Star the complex at the given interior point of `face`, whose
-        barycentric coordinates are Fractions."""
-        combo: dict[str, Fraction] = {}
-        for coeff, v in zip(barycentric, face):
-            if not coeff:
-                continue
-            for base, weight in self.expansion[v].items():
-                combo[base] = combo.get(base, 0) + coeff * weight
-        combo = {v: c for v, c in combo.items() if c != 0}
-        new_id = _point_id(combo)
+    def star(self, face: Simplex, lam) -> str:
+        """Star at the point of `face` with barycentric coordinates lam / sum(lam)."""
+        lam_den = sum(lam)
+        den, combo = _mix(lam, lam_den, [self.expansion[v] for v in face], dict.items)
+        new_id = _point_id(den, combo)
         if new_id in self.values:
             raise InternalError(f"star point {new_id} already exists")
-        new_value = tuple(
-            sum(b * self.values[v][i] for b, v in zip(barycentric, face))
-            for i in range(self.n)
-        )
-        self.values[new_id] = new_value
-        self.expansion[new_id] = combo
+        self.expansion[new_id] = (den, combo)
+        den, value = _mix(lam, lam_den, [self.values[v] for v in face], enumerate)
+        self.values[new_id] = (den, [value.get(i, 0) for i in range(self.n)])
+        self.new_vertices.append(new_id)
 
         face_set = set(face)
         cofaces = [s for s in self.by_vertex[face[0]] if face_set.issubset(s)]
-        proper_faces = [set(fc) for fc in _faces(face) if len(fc) < len(face)]
-        proper_faces.append(set())
+        proper_faces = [fc for fc in _faces(face) if len(fc) < len(face)] + [()]
         for s in cofaces:
             self.discard(s)
-            link = [v for v in s if v not in face_set]
+            link = tuple(v for v in s if v not in face_set) + (new_id,)
             for sub in proper_faces:
-                piece = tuple(sorted(sub | set(link) | {new_id}))
-                self.add(piece)
+                self.add(tuple(sorted(sub + link)))
         return new_id
 
-    def snapshot(self) -> list[Simplex]:
-        return sorted(self.simplices, key=lambda s: (-len(s), s))
-
     def argmin_pass(self) -> bool:
-        """One pass of argmin starring over the current simplices.
+        """One pass of argmin starring over the simplices born since the
+        previous pass.
 
         Simplices are visited in decreasing dimension; a simplex is starred
         at its argmin only when the argmin is interior to it (an argmin
         interior to a proper face is left to that face's own visit).
         """
+        visit = [s for s in self.unvisited if len(s) > 1 and s in self.simplices]
+        self.unvisited = set()
         changed = False
-        for s in self.snapshot():
-            if s not in self.simplices or len(s) == 1:
+        for s in sorted(visit, key=lambda s: (-len(s), s)):
+            if s not in self.simplices:
                 continue
-            result = self.norm_min(s)
-            if result.at_vertex:
-                continue
-            support = tuple(v for v, c in zip(s, result.barycentric) if c != 0)
-            if support != s:
-                continue
-            self.star(s, result.barycentric)
-            changed = True
+            points = [self.values[v] for v in s]
+            scale = lcm(*[den for den, _ in points])
+            result = simplex_norm_min(
+                [nums if den == scale else [x * (scale // den) for x in nums]
+                 for den, nums in points], self.norm)
+            bary = result.barycentric
+            if not result.at_vertex and all(bary):
+                den = lcm(*(c.denominator for c in bary))
+                self.star(s, [c.numerator * (den // c.denominator) for c in bary])
+                changed = True
+            elif not result.at_vertex:
+                self.off_vertex.add(s)
         return changed
 
     def zero_split_pass(self) -> bool:
-        """Split every edge with a strictly interior component zero."""
+        """Split every edge with a strictly interior component zero, in
+        rounds: each visits, in order, the edges born since the last."""
         changed = False
-        progress = True
-        while progress:
-            progress = False
-            for edge in sorted(s for s in self.simplices if len(s) == 2):
+        while self.unsplit:
+            edges = sorted(self.unsplit)
+            self.unsplit = set()
+            for edge in edges:
                 if edge not in self.simplices:
                     continue
-                u, v = edge
-                for a, b in zip(self.values[u], self.values[v]):
-                    if a.numerator * b.numerator < 0:
-                        t = a / (a - b)
-                        self.star(edge, (1 - t, t))
-                        changed = progress = True
+                (du, nu), (dv, nv) = self.values[edge[0]], self.values[edge[1]]
+                for a, b in zip(nu, nv):
+                    if a * b < 0:
+                        # The zero is at t = a / (a - b), over du * dv.
+                        a, b = (a * dv, b * du) if a > 0 else (-a * dv, -b * du)
+                        self.star(edge, (-b, a))
+                        changed = True
                         break
         return changed
 
@@ -364,30 +373,21 @@ def star_subdivide(f: PLMap, round_budget: int | None = None) -> PLMap:
     state = _Subdivider(f)
     budget = round_budget if round_budget is not None else 10 * max(len(f.complex), 1)
     rounds = 0
-    while True:
-        starred = state.argmin_pass()
-        split = state.zero_split_pass()
-        if not starred and not split:
-            break
+    while state.argmin_pass() | state.zero_split_pass():
         rounds += 1
         if rounds > budget:
-            raise InternalError(
-                f"subdivision did not stabilize within {budget} rounds"
-            )
-    new_complex = Complex(state.simplices)
-    result = PLMap(
-        new_complex,
-        state.values,
-        f.n,
-        f.norm,
-        minima_at_vertices=True,
-        expansion=state.expansion,
-    )
-    # Postcondition sweep (cache makes it cheap: every surviving simplex was
-    # already minimized during the final fixpoint pass).
-    for s in new_complex.all_simplices():
-        if len(s) > 1 and not state.norm_min(s).at_vertex:
-            raise InternalError("subdivision postcondition (a) failed")
+            raise InternalError(f"subdivision did not stabilize within {budget} rounds")
+    if not state.off_vertex.isdisjoint(state.simplices):
+        raise InternalError("subdivision postcondition (a) failed")
+    values = dict(f.values)
+    expansion = {v: dict(exp) for v, exp in f.expansion.items()}
+    for v in state.new_vertices:
+        den, nums = state.values[v]
+        values[v] = tuple(Fraction(x, den) for x in nums)
+        den, combo = state.expansion[v]
+        expansion[v] = {b: Fraction(c, den) for b, c in combo.items()}
+    result = PLMap(Complex.from_closed(state.simplices), values, f.n, f.norm,
+                   minima_at_vertices=True, expansion=expansion)
     if not edge_zeros_ok(result):
         raise InternalError("subdivision postcondition (b) failed")
     return result

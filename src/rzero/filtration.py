@@ -6,30 +6,24 @@ A_r = {x : |f(x)| >= r} is constant in r between consecutive critical values;
 each constancy interval (s_i, s_{i+1}] is sampled at its right endpoint.
 
 Vertex norms are ranked by their rational `normmin.norm_key` (|v|, or |v|²
-for l2), sorted directly; an `ExactRadius` is built once per distinct
-positive key, for the critical values.
+for l2): the distinct keys are sorted, and an `ExactRadius` is built once
+per distinct positive key, for the critical values.
 
 The whole family is one order on the simplices.  A vertex of norm s_k (the
 k-th critical value, counted from 1) lies in the levels 0..k-1, so its exit
 index is k; a zero-norm vertex has exit index 0.  A simplex enters with the
 minimum exit index of its vertices, and level i is the set of simplices
-whose entry exceeds i: a prefix of the simplices sorted by decreasing
-entry.  Faces enter no later than their cofaces, so every prefix is
-face-closed and the prefixes are nested.
+whose entry exceeds i.  Faces enter no later than their cofaces, so every
+level is face-closed and the levels are nested.  A level's subcomplex is
+built only when it is read (`Levels`).
 """
 
 from __future__ import annotations
 
-import bisect
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
-from .complexes import (
-    Complex,
-    PLMap,
-    Simplex,
-    Subcomplex,
-    vertex_minima_ok,
-)
+from .complexes import Complex, PLMap, Simplex, Subcomplex, vertex_minima_ok
 from .errors import InputError, InternalError
 from .exact import ExactRadius
 from .normmin import norm_key, norm_radius
@@ -56,15 +50,11 @@ def _ranked_vertices(f: PLMap) -> tuple[CriticalSet, dict[str, int]]:
     if not f.minima_at_vertices and not vertex_minima_ok(f):
         raise InputError("critical_values requires a subdivided map")
     keys = {v: norm_key(f.values[v], f.norm) for v in f.complex.vertices}
-    values = []
-    exit_index = {}
-    last = 0
-    for v in sorted(keys, key=keys.__getitem__):
-        key = keys[v]
-        if key != last:
-            values.append(norm_radius(key, f.norm))
-            last = key
-        exit_index[v] = len(values)
+    positive = sorted({key for key in keys.values() if key})
+    rank = {key: i for i, key in enumerate(positive, 1)}
+    rank[0] = 0
+    exit_index = {v: rank[key] for v, key in keys.items()}
+    values = [norm_radius(key, f.norm) for key in positive]
     return CriticalSet(tuple(values), 0 in exit_index.values()), exit_index
 
 
@@ -88,6 +78,27 @@ def sample_radii(criticals: CriticalSet) -> list[ExactRadius]:
     return samples
 
 
+class Levels(Sequence):
+    """The superlevel subcomplexes, level i holding the simplices whose
+    entry exceeds i.  A level is built on its first read and kept."""
+
+    def __init__(self, parent: Complex, entry: dict[Simplex, int], count: int):
+        self._parent, self._entry, self._count = parent, entry, count
+        self._built: dict[int, Subcomplex] = {}
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(self._count))]
+        i = range(self._count)[i]
+        if i not in self._built:
+            self._built[i] = Subcomplex.from_closed(
+                self._parent, [s for s, e in self._entry.items() if e > i])
+        return self._built[i]
+
+
 @dataclass(frozen=True)
 class Filtration:
     """Superlevel subcomplexes of a subdivided map at the sample radii.
@@ -99,8 +110,8 @@ class Filtration:
     f: PLMap
     criticals: CriticalSet
     samples: tuple[ExactRadius, ...]
-    levels: tuple[Subcomplex, ...]
     entry: dict[Simplex, int] = field(compare=False, repr=False)
+    levels: Levels = field(compare=False, repr=False)
 
     def level_count(self) -> int:
         return len(self.samples)
@@ -108,27 +119,26 @@ class Filtration:
     def leaving(self, simplices) -> list[list[Simplex]]:
         """For each level i in turn, those of the given simplices that leave
         A at level i (entry i), in the given order."""
-        fresh: list[list[Simplex]] = [[] for _ in self.levels]
+        fresh: list[list[Simplex]] = [[] for _ in self.samples]
         for s in simplices:
             fresh[self.entry[s]].append(s)
         return fresh
 
 
 def build_filtration(f: PLMap) -> Filtration:
-    """Compute all superlevel subcomplexes A'_r at the sample radii."""
+    """The entry index of every simplex and the superlevel subcomplexes
+    A'_r at the sample radii, each built when first read."""
     crit, vertex_exit = _ranked_vertices(f)
     samples = sample_radii(crit)
-    entry = {s: min(vertex_exit[v] for v in s) for s in f.complex.simplices}
+    entry = {s: min(map(vertex_exit.__getitem__, s)) for s in f.complex.simplices}
     check_face_order(entry)
-    order = sorted(entry, key=lambda s: (-entry[s], s))
-    levels = _prefix_levels(f.complex, order, [-entry[s] for s in order], len(samples))
-    return Filtration(f, crit, tuple(samples), levels, entry)
+    return Filtration(f, crit, tuple(samples), entry, Levels(f.complex, entry, len(samples)))
 
 
 def check_face_order(entry: dict[Simplex, int]) -> None:
     """Raise InternalError unless every codimension-1 face of a simplex
     enters no later than the simplex (entry at least the coface's), which
-    makes every prefix of the order face-closed and the prefixes nested."""
+    makes every level face-closed and the levels nested."""
     for s, e in entry.items():
         if len(s) < 2:
             continue
@@ -136,27 +146,3 @@ def check_face_order(entry: dict[Simplex, int]) -> None:
             face_entry = entry.get(s[:k] + s[k + 1:])
             if face_entry is None or face_entry < e:
                 raise InternalError(f"simplex {s} enters before its faces")
-
-
-def _prefix_levels(parent: Complex, order, keys, count) -> tuple[Subcomplex, ...]:
-    """Level i is the prefix of `order` with entry > i (keys are the
-    negated entries, increasing).  Levels are built from the last, smallest
-    one: level i merges the simplices of entry i + 1 into the sorted
-    per-dimension lists of level i + 1, and shares the lists it leaves
-    unchanged."""
-    levels = []
-    by_dim: dict[int, list[Simplex]] = {}
-    start = 0
-    for i in range(count - 1, -1, -1):
-        end = bisect.bisect_left(keys, -i, start)
-        fresh: dict[int, list[Simplex]] = {}
-        for s in order[start:end]:
-            fresh.setdefault(len(s) - 1, []).append(s)
-        if fresh:
-            by_dim = dict(by_dim)
-            for q, new in fresh.items():
-                by_dim[q] = sorted(by_dim.get(q, []) + new)
-        levels.append(Subcomplex.from_closed(parent, order[:end], by_dim))
-        start = end
-    return tuple(reversed(levels))
-

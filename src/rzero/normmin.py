@@ -28,11 +28,11 @@ could strictly improve on it.
 
 Values are scaled to integers by the LCM of their denominators, which
 moves no argmin (`scaled`); the systems (at most 7 x 7) are solved
-fraction-free (`linalg.solve_square`).  Fractions are built only for the
-chosen barycentric point, and `NormMin.minimum`, an `ExactRadius` (the
-square root of a rational for l2), only when it is read.  `norm_key` and
-`norm_radius` give the same exact norms for single vectors: the vertex
-norms of the filtration and the probe bounds.
+fraction-free (`linalg.solve_square`).  Fractions are built only for a
+chosen barycentric point off the vertices, and `NormMin.minimum`, an
+`ExactRadius` (the square root of a rational for l2), only when it is
+read.  `norm_key` and `norm_radius` give the same exact norms for single
+vectors: the vertex norms of the filtration and the probe bounds.
 """
 
 from __future__ import annotations
@@ -50,18 +50,19 @@ NORMS = ("l1", "l2", "linf")
 
 # |v| of an integer vector, squared for l2 so that it stays an integer.
 _MEASURE = {
-    "l1": lambda v: sum(abs(x) for x in v),
+    "l1": lambda v: sum(map(abs, v)),
     "l2": lambda v: sum(x * x for x in v),
-    "linf": lambda v: max((abs(x) for x in v), default=0),
+    "linf": lambda v: max(map(abs, v), default=0),
 }
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def scaled(vectors) -> tuple[int, list[list[int]]]:
     """(s, integer vectors): s is the LCM of the denominators of every entry
     (ints or Fractions, read without conversion), each vector times s."""
-    scale = lcm(*(x.denominator for v in vectors for x in v))
+    scale = lcm(*[x.denominator for v in vectors for x in v])
     return scale, [[x.numerator * (scale // x.denominator) for x in v] for v in vectors]
 
 
@@ -141,7 +142,7 @@ def simplex_norm_min(values, norm: str) -> NormMin:
     value, den, face, lam = best
     bary = [_ZERO] * k
     for j, num in zip(face, lam):
-        bary[j] = Fraction(num, den)
+        bary[j] = Fraction(num, den) if den > 1 else _ONE   # den 1: a vertex
     den *= scale * scale if norm == "l2" else scale
     return NormMin(tuple(bary), len(face) == 1, norm, value, den)
 

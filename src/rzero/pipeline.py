@@ -81,13 +81,24 @@ DEFAULT_SEED = 20_177
 # ---------------------------------------------------------------------------
 
 class Level:
-    """One superlevel set A_r of a pointed persistence module.
+    """One superlevel set A_r of a pointed persistence module: level
+    `index` of the filtration, whose subcomplex `level` is read only when
+    the level's data is.
 
     Every mode's level provides `group` (a `PresentedGroup`), `coords` (the
     distinguished class in it), `transition(later)` (the integral matrix of
     the map induced by the inclusion, to any later level), `witness()` and
     `nontrivial`.
     """
+
+    def __init__(self, filt: Filtration, index: int, nontrivial: bool):
+        self.filt = filt
+        self.index = index
+        self.nontrivial = nontrivial
+
+    @property
+    def level(self) -> Subcomplex:
+        return self.filt.levels[self.index]
 
     def same_class(self, other: "Level") -> bool:
         """Whether another analysis of the same filtration (another probe or
@@ -103,15 +114,13 @@ class SignsLevel(Level):
     `ambient` maps each vertex of X to its ambient component index.
     """
 
-    def __init__(self, f: PLMap, ambient: dict, level: Subcomplex, nontrivial: bool):
-        self.f = f
+    def __init__(self, filt: Filtration, index: int, ambient: dict, nontrivial: bool):
+        super().__init__(filt, index, nontrivial)
         self.ambient = ambient
-        self.level = level
-        self.nontrivial = nontrivial
 
     @cached_property
     def signs(self) -> SignVector:
-        return sign_vector(self.f, self.level)
+        return sign_vector(self.filt.f, self.level)
 
     @cached_property
     def sign_witness(self) -> dict:
@@ -173,7 +182,7 @@ def _obstructed(columns: dict, target: dict, filt: Filtration) -> list[bool]:
         if _lattice_contains(lattice, target):
             break
         flags.append(True)
-    return flags + [False] * (len(filt.levels) - len(flags))
+    return flags + [False] * (filt.level_count() - len(flags))
 
 
 class HopfAmbient:
@@ -209,15 +218,21 @@ class HopfAmbient:
 
 
 class CircleLevel(Level):
-    """Circle-mode level data.  `winding` is the winding cocycle restricted
-    to the level and `nontrivial` comes from the analysis's one sweep
-    (`_circle_flags`); the level's H^1 and the class coordinates are built
-    on first access."""
+    """Circle-mode level data.  `nontrivial` comes from the analysis's one
+    sweep (`_circle_flags`); the winding cocycle restricted to the level,
+    the level's H^1 and the class coordinates are built on first access.
 
-    def __init__(self, level: Subcomplex, winding: dict, nontrivial: bool):
-        self.level = level
-        self.winding = winding
-        self.nontrivial = nontrivial
+    `cocycle` is the winding cocycle on the largest level.
+    """
+
+    def __init__(self, filt: Filtration, index: int, cocycle: dict, nontrivial: bool):
+        super().__init__(filt, index, nontrivial)
+        self.cocycle = cocycle
+
+    @cached_property
+    def winding(self) -> dict:
+        entry = self.filt.entry
+        return {e: v for e, v in self.cocycle.items() if entry[e] > self.index}
 
     @cached_property
     def cc(self) -> CochainComplex:
@@ -259,10 +274,9 @@ class HopfLevel(Level):
     which does not build ker j*.
     """
 
-    def __init__(self, ambient: HopfAmbient, level: Subcomplex, nontrivial: bool):
+    def __init__(self, filt: Filtration, index: int, ambient: HopfAmbient, nontrivial: bool):
+        super().__init__(filt, index, nontrivial)
         self.ambient = ambient
-        self.level = level
-        self.nontrivial = nontrivial
 
     @cached_property
     def cc(self) -> CochainComplex:
@@ -415,7 +429,7 @@ def _analyze_signs(f: PLMap, filt: Filtration) -> list:
             raise InternalError(f"component of {u}, {v} does not carry a constant sign")
     alive = max((min(reach.get((c, 1), 0), reach.get((c, -1), 0)) for c, _ in reach),
                 default=0)
-    return [SignsLevel(f, ambient, level, i < alive) for i, level in enumerate(filt.levels)]
+    return [SignsLevel(filt, i, ambient, i < alive) for i in range(filt.level_count())]
 
 
 def _analyze_circle(f: PLMap, filt: Filtration, seed: int, meta: dict) -> list:
@@ -426,10 +440,7 @@ def _analyze_circle(f: PLMap, filt: Filtration, seed: int, meta: dict) -> list:
     # cocycle on the largest level restricts to every other.
     winding = winding_cocycle(filt.levels[0], f, ray)
     flags = _circle_flags(f.complex, filt, winding)
-    return [
-        CircleLevel(level, {e: v for e, v in winding.items() if e in level.simplices}, flag)
-        for level, flag in zip(filt.levels, flags)
-    ]
+    return [CircleLevel(filt, i, winding, flag) for i, flag in enumerate(flags)]
 
 
 def _circle_flags(space: Complex, filt: Filtration, winding: dict) -> list[bool]:
@@ -460,7 +471,7 @@ def _analyze_hopf(f: PLMap, filt: Filtration, seed: int, meta: dict) -> list:
     meta["probe"] = probe
     ambient = HopfAmbient(f.complex, f.n, cocycle)
     flags = _hopf_flags(ambient, filt)
-    return [HopfLevel(ambient, level, flag) for level, flag in zip(filt.levels, flags)]
+    return [HopfLevel(filt, i, ambient, flag) for i, flag in enumerate(flags)]
 
 
 def _hopf_flags(ambient: HopfAmbient, filt: Filtration) -> list[bool]:

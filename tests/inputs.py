@@ -12,6 +12,7 @@ import json
 from fractions import Fraction
 
 from rzero import Complex, PLMap
+from rzero.rng import RationalSampler
 
 
 def edge_map() -> PLMap:
@@ -71,6 +72,23 @@ def octagon_winding2_map() -> PLMap:
         for i in range(8)
     }
     return PLMap(c, values, 2, "linf")
+
+
+def seeded_grid_map(seed: int, k: int, n: int, norm: str) -> PLMap:
+    """A k x k grid of squares, each split along a diagonal, with seeded
+    values: every coordinate in [-8, 8] with denominator at most 4."""
+    sampler = RationalSampler(seed)
+    tris = []
+    for i in range(k):
+        for j in range(k):
+            tris.append([f"g{i}_{j}", f"g{i + 1}_{j}", f"g{i + 1}_{j + 1}"])
+            tris.append([f"g{i}_{j}", f"g{i}_{j + 1}", f"g{i + 1}_{j + 1}"])
+    c = Complex.build(tris)
+    values = {
+        v: tuple(Fraction(sampler.integer(-8, 8), sampler.integer(1, 4)) for _ in range(n))
+        for v in c.vertices
+    }
+    return PLMap(c, values, n, norm)
 
 
 def as_document(f: PLMap) -> str:

@@ -136,6 +136,9 @@ def test_subdivider_coface_index_matches_recomputed():
     # The vertex -> simplices index that star uses for coface lookup stays
     # equal to one recomputed from the simplex set, through a whole
     # subdivision of every sample input (and a map needing several stars).
+    # At the fixpoint both passes have visited every simplex born, no
+    # simplex whose minimum lies inside a proper face survives, and the
+    # simplex set is already face-closed, as `Complex.from_closed` assumes.
     import pathlib
 
     from rzero.complexes import _Subdivider
@@ -155,4 +158,7 @@ def test_subdivider_coface_index_matches_recomputed():
             for v in s:
                 recomputed.setdefault(v, set()).add(s)
         assert state.by_vertex == recomputed
-        assert Complex(state.simplices).simplices == star_subdivide(f).complex.simplices
+        assert not state.unvisited and not state.unsplit
+        assert state.off_vertex.isdisjoint(state.simplices)
+        assert Complex(state.simplices).simplices == state.simplices
+        assert state.simplices == star_subdivide(f).complex.simplices

@@ -23,6 +23,7 @@ from rzero.cohomology import (
 from rzero.complexes import (
     Complex,
     PLMap,
+    Subcomplex,
     component_index,
     connected_components,
     star_subdivide,
@@ -34,7 +35,13 @@ from rzero.modes import Mode, SignVector, applicable, sign_vector, sign_witness,
 from rzero.pipeline import SignsLevel, analyze
 from rzero.rng import child_seed
 
-from inputs import grid_identity_map, octagon_winding2_map, rectangle_map
+from inputs import (
+    as_document,
+    grid_identity_map,
+    octagon_winding2_map,
+    rectangle_map,
+    seeded_grid_map,
+)
 from test_field_barcode import small_maps
 from test_pipeline_fuzz import (
     moebius_odd_winding_map,
@@ -171,8 +178,9 @@ def test_signs_levels_are_free_on_their_components():
     # whose sign changed along an inclusion is an internal error.
     assert level.transition(level) == [
         [int(i == j) for j in range(count)] for i in range(count)]
-    negated = level.f.with_values({v: (-x,) for v, (x,) in level.f.values.items()})
-    flipped = SignsLevel(negated, level.ambient, level.level, level.nontrivial)
+    f = analysis.f
+    negated = build_filtration(f.with_values({v: (-x,) for v, (x,) in f.values.items()}))
+    flipped = SignsLevel(negated, level.index, level.ambient, level.nontrivial)
     assert flipped.signs == SignVector(level.signs.components,
                                        tuple(-s for s in level.signs.signs))
     with pytest.raises(InternalError):
@@ -211,3 +219,55 @@ def test_mixed_sign_edge_in_the_first_level_is_an_internal_error():
     flipped = f.with_values({"a": (Fraction(1),), "b": (Fraction(-2),)})
     with pytest.raises(InternalError):
         pipeline._analyze_signs(flipped, filt)
+
+
+def _count_level_builds(monkeypatch) -> list:
+    """Record every level subcomplex built from here on."""
+    built = []
+    original = Subcomplex.from_closed.__func__
+
+    def counting(cls, *args):
+        level = original(cls, *args)
+        built.append(level)
+        return level
+
+    monkeypatch.setattr(Subcomplex, "from_closed", classmethod(counting))
+    return built
+
+
+@pytest.mark.parametrize("mode,f", [
+    ("signs", seeded_grid_map(1, 8, 1, "linf")),
+    ("circle", seeded_grid_map(2, 3, 2, "l2")),
+    ("hopf", seeded_grid_map(2, 3, 2, "l2")),
+], ids=["signs", "circle", "hopf"])
+def test_barcode_builds_only_the_levels_it_reads(mode, f, monkeypatch, tmp_path):
+    # A one-pass barcode reads the subcomplex of the witness level and, in
+    # circle and hopf mode, of level 0 (the ray and the winding cocycle);
+    # every other level is decided from the entry indices alone.
+    path = tmp_path / "map.json"
+    path.write_text(as_document(f))
+    built = _count_level_builds(monkeypatch)
+    _run("barcode", str(path), "--mode", mode, "--field", "q", "--seed", "5")
+    built = [level.simplices for level in built]
+    monkeypatch.undo()
+    analysis = analyze(f, Mode(mode), 5)
+    levels = analysis.filtration.levels
+    assert len(levels) > 10 and analysis.robust.radius.sign() > 0
+    witness = levels[analysis.samples.index(analysis.robust.radius)].simplices
+    allowed = [witness] if mode == "signs" else [levels[0].simplices, witness]
+    assert len(built) <= len(allowed)
+    assert all(simplices in allowed for simplices in built)
+
+
+def test_levels_are_a_sequence_built_on_first_read():
+    filt = build_filtration(star_subdivide(octagon_winding2_map()))
+    levels = filt.levels
+    assert len(levels) == filt.level_count() == 3
+    assert levels[-1] is levels[2] and levels[0] is levels[0]
+    assert [len(level) for level in levels] == [len(level) for level in levels[0:3]]
+    assert list(levels)[1:] == levels[1:]
+    with pytest.raises(IndexError):
+        levels[3]
+    for i, level in enumerate(levels):
+        assert level.simplices == {s for s, e in filt.entry.items() if e > i}
+        assert level.parent is filt.f.complex
