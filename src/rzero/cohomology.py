@@ -197,17 +197,9 @@ def cohomology(space: Complex, q: int, ring="z", rel: Subcomplex | None = None):
     return field_cohomology(cc, q, ring)
 
 
-def class_coordinates(z, group):
-    """Coordinates of a cocycle's class in a group or subgroup basis.
-
-    For an IntCohomology the result is its presentation coordinates; for a
-    Subgroup the result is subgroup coordinates, or None when the class
-    lies outside the subgroup.
-    """
-    if isinstance(group, Subgroup):
-        ambient = group.ambient
-        vec = z if isinstance(z, list) else ambient.cc.vector(z, ambient.q)
-        return group.member_coords(ambient.coords(vec))
+def class_coordinates(z, group: IntCohomology) -> list[int]:
+    """Presentation coordinates of a cocycle's class, given as a vector or
+    a cochain."""
     vec = z if isinstance(z, list) else group.cc.vector(z, group.q)
     return group.coords(vec)
 
@@ -389,13 +381,13 @@ def connecting_delta(space_cc: CochainComplex, sub_cc: CochainComplex,
 # ---------------------------------------------------------------------------
 
 class Subgroup:
-    """A subgroup of an integral cohomology group with its own presentation.
+    """A subgroup of a presented group with its own presentation.
 
     `span` is None when the subgroup is the whole ambient group (generators
     the identity), in which case coordinates pass through unchanged.
     """
 
-    def __init__(self, ambient: IntCohomology, span, group: PresentedGroup):
+    def __init__(self, ambient: PresentedGroup, span, group: PresentedGroup):
         self.ambient = ambient
         self.span = span
         self.group = group
@@ -421,49 +413,49 @@ class Subgroup:
         if self.span is None:
             return ambient_coords
         if not self.span:
-            zero = self.ambient.group.is_zero_class(ambient_coords)
+            zero = self.ambient.is_zero_class(ambient_coords)
             return [] if zero else None
         if self._solver is None:
             cols = [list(v) for v in self.span]
-            cols += [list(r) for r in self.ambient.group.relations]
+            cols += [list(r) for r in self.ambient.relations]
             self._solver = SmithSolver(from_columns(cols, self.ambient.gens))
         return self._solver.solve_head(ambient_coords, len(self.span))
 
 
-def kernel_subgroup(matrix, src: IntCohomology, dst: IntCohomology) -> Subgroup:
-    """ker of an induced map between integral cohomology groups.
+def kernel_subgroup(matrix, src: PresentedGroup, dst: PresentedGroup) -> Subgroup:
+    """ker of a homomorphism between presented groups.
 
-    `matrix` maps src presentation coordinates to dst presentation
-    coordinates (it may be None when dst is trivial).  The kernel consists
-    of the classes whose image lands in the relation lattice of dst.
+    `matrix` maps src coordinates to dst coordinates (it may be None when
+    dst is trivial).  The kernel consists of the classes whose image lands
+    in the relation lattice of dst.
     """
     gens = src.gens
     if gens == 0:
         return Subgroup(src, [], PresentedGroup(0, []))
-    if dst.gens == 0 or dst.group.is_trivial():
+    if dst.is_trivial():
         # Everything maps to zero: the kernel is the whole group, and the
         # whole group keeps its own presentation.
-        return Subgroup(src, None, src.group)
+        return Subgroup(src, None, src)
     stacked = []
     for i in range(dst.gens):
         row = [matrix[i][j] for j in range(gens)]
-        row += [rel[i] for rel in dst.group.relations]
+        row += [rel[i] for rel in dst.relations]
         stacked.append(row)
     kernel = integer_kernel(stacked)
     span_vectors = [vec[:gens] for vec in kernel]
     # The kernel subgroup contains the ambient relation lattice; reduce the
     # combined generating set to a lattice basis to keep coordinates small.
-    span_vectors += [list(rel) for rel in src.group.relations]
+    span_vectors += [list(rel) for rel in src.relations]
     span_vectors = lattice_basis(span_vectors, gens)
-    span, presented = subgroup_presentation(span_vectors, src.group)
+    span, presented = subgroup_presentation(span_vectors, src)
     return Subgroup(src, span, presented)
 
 
-def image_subgroup(vectors, ambient: IntCohomology) -> Subgroup:
+def image_subgroup(vectors, ambient: PresentedGroup) -> Subgroup:
     """Subgroup generated by the given ambient-coordinate classes
     (together with the ambient relation lattice)."""
     span_vectors = [list(v) for v in vectors if any(x != 0 for x in v)]
-    span_vectors += [list(rel) for rel in ambient.group.relations]
+    span_vectors += [list(rel) for rel in ambient.relations]
     span_vectors = lattice_basis(span_vectors, ambient.gens)
-    span, presented = subgroup_presentation(span_vectors, ambient.group)
+    span, presented = subgroup_presentation(span_vectors, ambient)
     return Subgroup(ambient, span, presented)

@@ -353,7 +353,7 @@ def _check_delta_kernel(analysis: Analysis) -> CheckResult:
         jmat = induced_int_matrix(
             rel_h, ambient_hn, restriction_transfer(rel_cc, ambient_cc, n)
         )
-        kernel = kernel_subgroup(jmat, rel_h, ambient_hn)
+        kernel = kernel_subgroup(jmat, rel_h.group, ambient_hn.group)
         image_vectors = []
         for g in range(sub_h.gens):
             rep = sub_h.represent([1 if i == g else 0 for i in range(sub_h.gens)])
@@ -364,7 +364,7 @@ def _check_delta_kernel(analysis: Analysis) -> CheckResult:
             if kernel.member_coords(coords) is None:
                 ok = False
             image_vectors.append(coords)
-        image = image_subgroup(image_vectors, rel_h)
+        image = image_subgroup(image_vectors, rel_h.group)
         if image.free_rank != kernel.free_rank:
             ok = False
     return CheckResult("im(delta) = ker(j*) (rational ranks)", ok)

@@ -330,11 +330,6 @@ class SmithSolver:
         return [sum(row[i] * x for i, x in z) for row in snf.v[:k]]
 
 
-def solve_integer(m: IntMatrix, b: IntVector) -> IntVector | None:
-    """Some integer solution x of m x = b, or None when none exists."""
-    return SmithSolver(m).solve(b)
-
-
 def integer_kernel(m: IntMatrix) -> list[IntVector]:
     """Basis of the integer kernel lattice of m (a saturated sublattice)."""
     rows = len(m)
@@ -762,6 +757,11 @@ def _lattice_contains(lattice: dict[int, dict[int, int]], vec: dict[int, int]) -
     return True
 
 
+def _lattice_is_full(lattice: dict[int, dict[int, int]], dim: int) -> bool:
+    """Whether the lattice is all of Z^dim: a unit pivot in every row."""
+    return len(lattice) == dim and all(vec[row] == 1 for row, vec in lattice.items())
+
+
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with x a + y b = g = gcd(a, b) > 0."""
     x0, y0, x1, y1 = 1, 0, 0, 1
@@ -836,27 +836,13 @@ class PresentedGroup:
                 free, tors = self._invariants
                 self._trivial = free == 0 and not tors
             else:
-                # The relations span Z^gens iff their echelon has a unit
-                # pivot in every row.
-                lattice = self._echelon()
-                self._trivial = len(lattice) == self.gens and all(
-                    vec[row] == 1 for row, vec in lattice.items())
+                self._trivial = _lattice_is_full(self._echelon(), self.gens)
         return self._trivial
 
     def is_zero_class(self, vec: IntVector) -> bool:
         if len(vec) != self.gens:
             raise ValueError("coordinate length mismatch")
         return _lattice_contains(self._echelon(), _sparse(vec))
-
-    def in_subgroup(self, span: list[IntVector], vec: IntVector) -> bool:
-        """Whether the class of vec lies in the subgroup generated by the
-        classes of span."""
-        if len(vec) != self.gens:
-            raise ValueError("coordinate length mismatch")
-        lattice = dict(self._echelon())
-        for v in span:
-            _lattice_insert(lattice, _sparse(v))
-        return _lattice_contains(lattice, _sparse(vec))
 
     def classes_equal(self, a: IntVector, b: IntVector) -> bool:
         return self.is_zero_class([x - y for x, y in zip(a, b)])

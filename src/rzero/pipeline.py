@@ -4,10 +4,13 @@
 decides at every level whether the distinguished class is nonzero (signs
 mode from one pass over the vertices and their ambient components, hopf
 and circle mode from one growing integer echelon of relative coboundaries
-each) and builds the per-level data (components, cochain complexes,
-groups, class coordinates, transitions) only when something reads it: the
-module, a witness, or the harness's checks.  `assemble_pointed_module` and
+each) and builds the per-level data (components, groups, class
+coordinates, transitions) only when something reads it: the module, a
+witness, or the harness's checks.  `assemble_pointed_module` and
 `robust_radius` read off the results.
+
+Hopf mode reads every group off the ambient's sparse coboundary d_{n-1}
+(`HopfAmbient`) and builds no cochain complex.
 
 `field_barcode` is the pointed barcode over a field.  Where one pass over
 the filtration order provably gives the bars of the module (`persistence`:
@@ -55,7 +58,9 @@ from .linalg import (
     PresentedGroup,
     _lattice_contains,
     _lattice_insert,
+    _lattice_is_full,
     field_mat_vec,
+    from_columns,
     mat_vec,
     to_field_matrix,
 )
@@ -186,35 +191,46 @@ def _obstructed(columns: dict, target: dict, filt: Filtration) -> list[bool]:
 
 
 class HopfAmbient:
-    """Ambient data of a hopf analysis: X, the degree cocycle, and the
-    ambient coboundary d_{n-1} as sparse columns (`_sparse_coboundary`);
-    X's cochain complex and integral H^n are built on first use.
+    """Ambient data of a hopf analysis, the one presentation hopf mode
+    reads: the ambient coboundary d_{n-1} as sparse columns
+    (`_sparse_coboundary`) and the degree cocycle on its rows.
 
     `top` lists the n-simplices, which index the rows; `degree` is the
-    degree cocycle on those rows.
+    degree cocycle on those rows.  With dim X <= n, H^n(X) is the rows
+    modulo the columns, and each level restricts both (`HopfLevel.rel`).
     """
 
     def __init__(self, space: Complex, n: int, cocycle: dict):
-        self.space = space
-        self.q = n
         self.cocycle = cocycle
         self.top, self.columns = _sparse_coboundary(space, n - 1)
         row_of = {s: r for r, s in enumerate(self.top)}
         self.degree = {row_of[s]: v for s, v in cocycle.items()}
 
     @cached_property
-    def cc(self) -> CochainComplex:
-        return CochainComplex(self.space)
+    def group(self) -> PresentedGroup:
+        """H^n(X), with the columns made dense as its relations."""
+        return _presented(range(len(self.top)), self.columns.values())
 
     @cached_property
-    def cohomology(self) -> IntCohomology:
-        return integral_cohomology(self.cc, self.q)
-
-    @property
     def trivial(self) -> bool:
-        """Whether the ambient H^n is zero."""
-        hn = self.cohomology
-        return hn.gens == 0 or hn.group.is_trivial()
+        """Whether H^n(X) is zero: the columns span every row."""
+        lattice: dict = {}
+        for col in self.columns.values():
+            _lattice_insert(lattice, col)
+        return _lattice_is_full(lattice, len(self.top))
+
+
+def _presented(rows, columns) -> PresentedGroup:
+    """The given rows modulo the given sparse columns, which meet no other
+    row, in the rows' order."""
+    position = {r: i for i, r in enumerate(rows)}
+    relations = []
+    for col in columns:
+        vec = [0] * len(rows)
+        for r, v in col.items():
+            vec[position[r]] = v
+        relations.append(vec)
+    return PresentedGroup(len(rows), relations)
 
 
 class CircleLevel(Level):
@@ -267,11 +283,11 @@ class HopfLevel(Level):
     sweep (`_hopf_flags`); the relative H^n(X, A), ker j* and the class
     coordinates are built on first access.
 
-    Hopf mode needs dim X <= n, so H^n(X, A) is presented on the relative
-    n-simplices (`rel.kernel` is None, or empty when there are none) and
-    the degree class's coordinates are its cochain vector.  The group is
-    ker j*, and `same_class` compares the degree classes in H^n(X, A),
-    which does not build ker j*.
+    Hopf mode needs dim X <= n, so H^n(X, A) is the relative n-cochains
+    (`rows`, the rows off A) modulo the columns off A, whose cofaces lie
+    off A too; the degree class's coordinates are its cochain vector.  The
+    group is ker j*, and `same_class` compares the degree classes in
+    H^n(X, A), which does not build ker j*.
     """
 
     def __init__(self, filt: Filtration, index: int, ambient: HopfAmbient, nontrivial: bool):
@@ -279,26 +295,34 @@ class HopfLevel(Level):
         self.ambient = ambient
 
     @cached_property
-    def cc(self) -> CochainComplex:
-        return CochainComplex(self.ambient.space, self.level)
+    def rows(self) -> list[int]:
+        """The rows of `ambient.top` off A (entry <= index), in order."""
+        entry = self.filt.entry
+        return [r for r, s in enumerate(self.ambient.top) if entry[s] <= self.index]
 
     @cached_property
-    def rel(self) -> IntCohomology:
-        return integral_cohomology(self.cc, self.ambient.q)
+    def rel(self) -> PresentedGroup:
+        """H^n(X, A), presented on `rows` by the columns off A."""
+        entry = self.filt.entry
+        return _presented(self.rows, [col for s, col in self.ambient.columns.items()
+                                      if entry[s] <= self.index])
 
     @cached_property
     def degree_coords(self) -> list[int]:
-        return self.cc.vector(self.ambient.cocycle, self.ambient.q)
+        degree = self.ambient.degree
+        return [degree.get(r, 0) for r in self.rows]
 
     @cached_property
     def kernel(self) -> Subgroup:
         ambient = self.ambient
         if ambient.trivial:
-            return kernel_subgroup(None, self.rel, ambient.cohomology)
-        jmat = induced_int_matrix(
-            self.rel, ambient.cohomology,
-            restriction_transfer(self.cc, ambient.cc, ambient.q))
-        return kernel_subgroup(jmat, self.rel, ambient.cohomology)
+            # j* maps into the zero group.
+            return kernel_subgroup(None, self.rel, PresentedGroup(0, []))
+        # j* extends a relative cochain by zero: the inclusion of the rows.
+        jmat = [[0] * len(self.rows) for _ in ambient.top]
+        for j, r in enumerate(self.rows):
+            jmat[r][j] = 1
+        return kernel_subgroup(jmat, self.rel, ambient.group)
 
     @cached_property
     def kernel_coords(self) -> list[int]:
@@ -316,36 +340,33 @@ class HopfLevel(Level):
         return self.kernel_coords
 
     def transition(self, later: "HopfLevel") -> list[list[int]]:
-        # Presentation coordinates of H^n(X, A) are cochain vectors, on
-        # which the restriction is extension by zero.
-        n = self.ambient.q
+        # The restriction extends a cochain on these rows by zero onto the
+        # later level's rows: row j here is row into[j] there.
+        position = {r: i for i, r in enumerate(later.rows)}
+        into = [position[r] for r in self.rows]
+        size = len(later.rows)
         if self.kernel.span is None and later.kernel.span is None:
-            # Full kernels: the transition is the bare index inclusion of
-            # relative simplices.
-            src_index = {s: i for i, s in enumerate(self.cc.simplices(n))}
-            matrix = []
-            for s in later.cc.simplices(n):
-                row = [0] * len(src_index)
-                i = src_index.get(s)
-                if i is not None:
-                    row[i] = 1
-                matrix.append(row)
+            # Full kernels: the transition is the bare index inclusion.
+            matrix = [[0] * len(into) for _ in range(size)]
+            for j, i in enumerate(into):
+                matrix[i][j] = 1
             return matrix
-        transfer = restriction_transfer(self.cc, later.cc, n)
         cols = []
         for gen in self.kernel.generators():
-            col = later.kernel.member_coords(transfer(gen))
+            extended = [0] * size
+            for i, x in zip(into, gen):
+                extended[i] = x
+            col = later.kernel.member_coords(extended)
             if col is None:
                 raise InternalError("restriction left ker j*")
             cols.append(col)
-        rows = len(later.kernel.generators())
-        return [[cols[j][i] for j in range(len(cols))] for i in range(rows)]
+        return from_columns(cols, len(later.kernel.generators()))
 
     def witness(self) -> dict:
         return {"class_coordinates": list(self.degree_coords)}
 
     def same_class(self, other: "HopfLevel") -> bool:
-        return self.rel.group.classes_equal(self.degree_coords, other.degree_coords)
+        return self.rel.classes_equal(self.degree_coords, other.degree_coords)
 
 
 @dataclass

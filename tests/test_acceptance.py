@@ -78,7 +78,7 @@ def test_criterion_2_topological_degree():
         negated, neg_module, _ = _pipeline(grid_identity_map(negate=True), Mode.HOPF, "z")
         assert negated.robust.radius == ONE
         # det(-I_2) = +1: the negated map carries the same class exactly.
-        group = analysis.levels[0].rel.group
+        group = analysis.levels[0].rel
         assert group.classes_equal(analysis.levels[0].degree_coords,
                                    negated.levels[0].degree_coords)
 

@@ -28,7 +28,7 @@ from rzero.io import (
 )
 
 from inputs import as_document, edge_map, grid_identity_map, octagon_winding2_map
-from test_pipeline_fuzz import moebius_odd_winding_map, planar_inputs
+from test_pipeline_fuzz import moebius_odd_winding_map, planar_inputs, projective_plane_map
 
 CLI = [sys.executable, "-m", "rzero.cli"]
 
@@ -315,8 +315,10 @@ def test_cli_rejects_malformed_documents(kind, name, tmp_path, capsys):
 SAMPLE_INPUTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                              "sample_inputs")
 
-# sha256 of stdout at seed 7: the hopf field modules (the integral module
-# tensored with the field) and the self-check reports, byte for byte.
+# sha256 of stdout at seed 7: the hopf modules (integral, and the integral
+# module tensored with the field), the hopf robust radii and the self-check
+# reports, byte for byte.  RP²'s ambient H^2 (Z/2) is nonzero, so its
+# modules read ker j* through its own presentation.
 PINNED_STDOUT = {
     "module-grid_identity-q": "4a5182e1143d221791dfa4dc40326960cbb239e701ff846a74dd2260fd1fce0d",
     "module-grid_identity-f2": "09c380fdd2ba3384815b3828e02fc86298789af07737849318feaf0ce5ad9dbd",
@@ -327,6 +329,11 @@ PINNED_STDOUT = {
     "module-moebius-q": "25ad2952f1345c830487cd9257c54eb38e67c55bab2cd5e06f1308bf4374a896",
     "module-moebius-f2": "4734d40755d2c319fa7cb7ef3f0fb49f7101a588c984b3c4b19bf618dee91b44",
     "module-moebius-f3": "0518e771dc14eb05bdadc0456f890d97df4e1ddad961d6587d9e96e96c9c5060",
+    "module-moebius-z": "06655bee7a5d0e302fbb98d1077633547398e44586debed01df51a4cdba05318",
+    "module-rp2-f2": "3a6415772fbd3a7728029eaf5c64acc1d1f155ea0d1b5d3109e117fcd67a797c",
+    "module-rp2-z": "7cbd4d359f857fcfc66e06a534e311a96e92e7b3322f21ef866e05cd817f6b1e",
+    "robust_radius-moebius": "54544fd1817bb98b0ecbe0edb14aca59d486df5d0661387bbf429b4138a8b3b5",
+    "robust_radius-rp2": "aa9e8aaf2ee94b932b1282cdc9958da880dd100cd50ed6c075c307d21e0387eb",
     "check-edge": "38805d8e12c06c27c3d8e7dadec7955a38ac01ee120d548bf21feec90c617881",
     "check-grid_identity": "3929c484b8ec9abfa825b2b20467e156799e9c6482003665367eed335249253a",
     "check-octagon_winding2": "3929c484b8ec9abfa825b2b20467e156799e9c6482003665367eed335249253a",
@@ -334,17 +341,22 @@ PINNED_STDOUT = {
 }
 
 
+FIXTURES = {"moebius": moebius_odd_winding_map, "rp2": projective_plane_map}
+
+
 @pytest.mark.parametrize("label", sorted(PINNED_STDOUT))
 def test_pinned_stdout(label, tmp_path, capsys):
     command, name, *field = label.split("-")
-    if name == "moebius":
-        path = tmp_path / "moebius.json"
-        path.write_text(as_document(moebius_odd_winding_map()))
+    if name in FIXTURES:
+        path = tmp_path / f"{name}.json"
+        path.write_text(as_document(FIXTURES[name]()))
     else:
         path = os.path.join(SAMPLE_INPUTS, f"{name}.json")
-    argv = [command, str(path), "--seed", "7"]
+    argv = [command.replace("_", "-"), str(path), "--seed", "7"]
+    if command != "check":
+        argv += ["--mode", "hopf"]
     if field:
-        argv += ["--mode", "hopf", "--field", field[0]]
+        argv += ["--field", field[0]]
     assert cli.main(argv) == 0
     out, _ = capsys.readouterr()
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[label]

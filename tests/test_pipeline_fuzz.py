@@ -37,12 +37,12 @@ def test_projective_plane_isolated_levels_carry_no_obstruction():
     top = analysis.samples.index(ExactRadius.of(3))
     level = analysis.levels[top]
     # The top superlevel complex is a forest (no loops to wind around).
-    sub = level.cc.rel
+    sub = level.level
     from rzero.complexes import connected_components
 
     assert not sub.simplices_of_dim(2)
     assert len(sub.edges()) - len(sub.vertices) + len(connected_components(sub)) == 0
-    assert level.rel.group.invariants() == (0, (2,))
+    assert level.rel.invariants() == (0, (2,))
     assert level.kernel.group.invariants() in ((0, ()), (0, (1,)))
     assert sum(abs(v) for v in level.degree_coords) % 2 == 0
     assert not level.nontrivial

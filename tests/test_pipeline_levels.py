@@ -13,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 
 import rzero.cli as cli
+import rzero.cohomology as cohomology
 import rzero.pipeline as pipeline
 from rzero.cohomology import (
     CochainComplex,
+    image_subgroup,
     induced_int_matrix,
     integral_cohomology,
     restriction_transfer,
@@ -73,18 +75,19 @@ def _run(*argv) -> str:
     return out.getvalue()
 
 
-def test_hopf_field_run_builds_only_the_ambient_cohomology(monkeypatch):
-    integral = _count(monkeypatch, pipeline, "integral_cohomology")
+def test_hopf_runs_build_no_cochain_complex(monkeypatch):
+    # Hopf mode is presented from the ambient's sparse coboundary alone: no
+    # cochain complex, integral cohomology or induced map, at any level.
+    calls = [_count(monkeypatch, module, name)
+             for module in (pipeline, cohomology)
+             for name in ("CochainComplex", "integral_cohomology",
+                          "induced_int_matrix", "restriction_transfer")]
     analyses = _count(monkeypatch, cli, "analyze")
     _run("barcode", GRID, "--mode", "hopf", "--field", "q")
-    assert len(analyses) == 1
-    assert len(integral) == 1
-    cc, degree = integral[0]
-    assert cc.rel is None and degree == 2   # the ambient H^2
-    # The robust radius alone reads no integral cohomology at all.
-    integral.clear()
+    _run("module", GRID, "--mode", "hopf", "--field", "z")
     _run("robust-radius", GRID, "--mode", "hopf")
-    assert integral == []
+    assert len(analyses) == 3
+    assert calls == [[]] * len(calls)
 
 
 def test_circle_analysis_computes_one_winding_cocycle(monkeypatch):
@@ -109,12 +112,21 @@ def test_hopf_sweep_matches_per_level_triviality():
     for f, seed in _hopf_cases():
         analysis = analyze(f, Mode.HOPF, seed)
         space, n = analysis.f.complex, analysis.f.n
-        cocycle = analysis.levels[0].ambient.cocycle
+        ambient = analysis.levels[0].ambient
+        hn = integral_cohomology(CochainComplex(space), n)
+        assert ambient.group.gens == hn.gens
+        assert ambient.group.relations == hn.group.relations
+        assert ambient.trivial == (hn.gens == 0 or hn.group.is_trivial())
         for level in analysis.levels:
-            # The oracle: the relative H^n(X, A) of this level alone.
+            # The oracle: the relative H^n(X, A) of this level alone, from
+            # its own cochain complex.
             cc = CochainComplex(space, level.level)
             group = integral_cohomology(cc, n).group
-            assert level.nontrivial == (not group.is_zero_class(cc.vector(cocycle, n)))
+            degree = cc.vector(ambient.cocycle, n)
+            assert level.rel.gens == group.gens
+            assert level.rel.relations == group.relations
+            assert level.degree_coords == degree
+            assert level.nontrivial == (not group.is_zero_class(degree))
             seen.add(level.nontrivial)
     assert seen == {True, False}
 
@@ -133,7 +145,7 @@ def test_circle_sweep_matches_per_level_image_test():
         for level in analysis.levels:
             image = columns(induced_int_matrix(
                 ambient, level.coh, restriction_transfer(ambient_cc, level.cc, 1)))
-            outside = not level.group.in_subgroup(image, level.coords)
+            outside = image_subgroup(image, level.group).member_coords(level.coords) is None
             assert level.nontrivial == outside
             seen.add(outside)
     assert seen == {True, False}
