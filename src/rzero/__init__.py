@@ -9,13 +9,7 @@ the obstruction reduces to computable cohomology (n = 1, n = 2, dim X <= n).
 """
 
 from .barcode import Interval, PointedBarcode, barcode, decompose_oracle
-from .cohomology import (
-    CochainComplex,
-    class_coordinates,
-    connecting_delta,
-    kernel_subgroup,
-    restriction_map,
-)
+from .cohomology import CochainComplex, connecting_delta, kernel_subgroup
 from .complexes import (
     Complex,
     PLMap,

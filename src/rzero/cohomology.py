@@ -1,10 +1,13 @@
 """Ordered simplicial cochain complexes and their cohomology.
 
 Cochains are functions on sorted vertex tuples; the coboundary is the
-alternating-sum dual of the face maps in the fixed vertex order.  Relative
-cochains of a pair (X, A) are the cochains of X supported off A, with the
-restricted coboundary; this computes the cohomology of the quotient without
-any quotient-space machinery (excision).
+alternating-sum dual of the face maps in the fixed vertex order.  One face
+loop, `_sparse_coboundary`, builds it as sparse integer columns, and every
+coboundary in the package is read from those columns: hopf mode's ambient
+presentation, circle mode's obstruction sweep and `CochainComplex`.
+Relative cochains of a pair (X, A) are the cochains of X supported off A,
+with the restricted coboundary; this computes the cohomology of the
+quotient without any quotient-space machinery (excision).
 
 Integral cohomology is presented as ker d_q / im d_{q-1}: a basis of the
 saturated kernel lattice (from the Smith normal form of d_q) together with
@@ -12,37 +15,66 @@ the image generators rewritten in kernel coordinates.  With d_q = U^-1 S V^-1
 and rank r, the kernel basis is the last columns V[:, r:], so the
 coordinates of a cochain z are (V^-1 z)[r:], read from the V^-1 the Smith
 form returns; the cocycle check comes free, as (V^-1 z)[:r] = 0.  Coordinates
-of any cocycle in this presentation are well defined modulo the relations,
-and the same data tensored with a field gives the field cohomology with
-canonical quotient coordinates.
+of any cocycle in this presentation are well defined modulo the relations.
+The Smith form's input is the only dense coboundary.
+
+Over a field only the dimension is read (`field_dim`): n_q - rank d_q -
+rank d_{q-1}, with the ranks from one sparse reduction of the columns.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from dataclasses import dataclass
-
 from .complexes import Complex, Simplex, Subcomplex
-from .errors import InputError, InternalError
+from .errors import InternalError
 from .linalg import (
     PresentedGroup,
-    QuotientSpace,
     SmithSolver,
+    _sparse,
     columns,
-    field_kernel,
-    field_mat_vec,
-    field_solve,
     from_columns,
-    identity,
     integer_kernel,
     lattice_basis,
-    mat_vec,
     smith_normal_form,
     subgroup_presentation,
-    to_field_matrix,
 )
+from .persistence import _in_field, _Reduction
 
 Cochain = dict  # simplex tuple -> coefficient
+
+
+def _sparse_coboundary(space: Complex, q: int) -> tuple[list, dict]:
+    """The coboundary d_q of a complex as sparse integer columns: the
+    (q+1)-simplices, which index the rows, and a map from each q-simplex
+    with a coface to {row of the coface: sign}, in simplex order."""
+    rows = space.simplices_of_dim(q + 1)
+    cols: dict = {}
+    for r, tau in enumerate(rows):
+        for j in range(len(tau)):
+            cols.setdefault(tau[:j] + tau[j + 1:], {})[r] = -1 if j % 2 else 1
+    return rows, {s: cols[s] for s in sorted(cols)}
+
+
+def _presented(rows, columns) -> PresentedGroup:
+    """The given rows modulo the given sparse columns, which meet no other
+    row, in the rows' order."""
+    position = {r: i for i, r in enumerate(rows)}
+    relations = []
+    for col in columns:
+        vec = [0] * len(rows)
+        for r, v in col.items():
+            vec[position[r]] = v
+        relations.append(vec)
+    return PresentedGroup(len(rows), relations)
+
+
+def coboundary_of(columns: dict, cochain: dict) -> dict:
+    """Sparse columns applied to a sparse cochain keyed like them: {row:
+    value}, with no zero entries."""
+    out: dict = {}
+    for c, x in cochain.items():
+        for r, v in columns.get(c, {}).items():
+            out[r] = out.get(r, 0) + x * v
+    return {r: v for r, v in out.items() if v}
 
 
 class CochainComplex:
@@ -60,7 +92,7 @@ class CochainComplex:
             q: {s: i for i, s in enumerate(lst)}
             for q, lst in self._simplices.items()
         }
-        self._coboundaries: dict[int, list[list[int]]] = {}
+        self._columns: dict[int, dict[int, dict[int, int]]] = {}
 
     def simplices(self, q: int) -> list[Simplex]:
         return self._simplices.get(q, [])
@@ -68,41 +100,30 @@ class CochainComplex:
     def size(self, q: int) -> int:
         return len(self.simplices(q))
 
+    def columns(self, q: int) -> dict[int, dict[int, int]]:
+        """The nonzero columns of d_q in column order, sparse: column ->
+        {row: sign}.  Empty for q < 0.
+
+        A simplex off the subcomplex has all its cofaces off it too, so each
+        column is a whole column of the space's coboundary, renumbered."""
+        if q not in self._columns:
+            rows, cols = _sparse_coboundary(self.space, q)
+            col_index = self._index.get(q, {})
+            row_index = self._index.get(q + 1, {})
+            self._columns[q] = {
+                col_index[s]: {row_index[rows[r]]: v for r, v in col.items()}
+                for s, col in cols.items() if s in col_index
+            }
+        return self._columns[q]
+
     def coboundary(self, q: int) -> list[list[int]]:
-        """Matrix of d_q : C^q -> C^{q+1} in the sorted-simplex bases."""
-        if q not in self._coboundaries:
-            rows = self.simplices(q + 1)
-            cols_index = self._index.get(q, {})
-            matrix = [[0] * len(cols_index) for _ in rows]
-            for r, tau in enumerate(rows):
-                for j in range(len(tau)):
-                    face = tau[:j] + tau[j + 1:]
-                    c = cols_index.get(face)
-                    if c is not None:
-                        matrix[r][c] = -1 if j % 2 else 1
-            self._coboundaries[q] = matrix
-        return self._coboundaries[q]
-
-    def coboundary_columns(self, q: int) -> Iterator[list[int]]:
-        """The nonzero columns of d_q in column order, as dense vectors.
-
-        Built from the faces of the (q+1)-simplices, without the dense
-        matrix: a column is nonzero iff its simplex has a coface.
-        """
-        cols_index = self._index.get(q, {})
-        entries: list[list[tuple[int, int]]] = [[] for _ in cols_index]
-        rows = self.simplices(q + 1)
-        for r, tau in enumerate(rows):
-            for j in range(len(tau)):
-                c = cols_index.get(tau[:j] + tau[j + 1:])
-                if c is not None:
-                    entries[c].append((r, -1 if j % 2 else 1))
-        for col_entries in entries:
-            if col_entries:
-                col = [0] * len(rows)
-                for r, sign in col_entries:
-                    col[r] = sign
-                yield col
+        """Matrix of d_q : C^q -> C^{q+1} in the sorted-simplex bases, dense
+        for the Smith form."""
+        matrix = [[0] * self.size(q) for _ in range(self.size(q + 1))]
+        for c, col in self.columns(q).items():
+            for r, v in col.items():
+                matrix[r][c] = v
+        return matrix
 
     # -- cochain plumbing ---------------------------------------------------
 
@@ -122,7 +143,7 @@ class CochainComplex:
         return {s: v for s, v in zip(self.simplices(q), vec) if v != 0}
 
     def is_cocycle(self, vec, q: int) -> bool:
-        return all(x == 0 for x in mat_vec(self.coboundary(q), list(vec)))
+        return not coboundary_of(self.columns(q), _sparse(vec))
 
 
 class IntCohomology:
@@ -165,7 +186,7 @@ class IntCohomology:
             return vec
         if len(vec) != len(self.vinv_cols):
             raise ValueError("cochain length mismatch")
-        y = _apply_columns(self.vinv_cols, vec)
+        y = _apply_columns(self.vinv_cols, _sparse(vec))
         rank = len(vec) - len(self.kernel)
         if any(y[:rank]):
             raise InternalError("not a cocycle")
@@ -184,26 +205,6 @@ class IntCohomology:
         return vec
 
 
-def cohomology(space: Complex, q: int, ring="z", rel: Subcomplex | None = None):
-    """H^q of a complex or pair over Z ("z"), Q ("q"/0) or F_p ("fp"/p).
-
-    Returns an IntCohomology or FieldCohomology with a deterministic basis.
-    """
-    cc = CochainComplex(space, rel)
-    if ring in ("z", "Z", None):
-        return integral_cohomology(cc, q)
-    if isinstance(ring, str):
-        ring = 0 if ring.lower() == "q" else int(ring.lower().lstrip("f"))
-    return field_cohomology(cc, q, ring)
-
-
-def class_coordinates(z, group: IntCohomology) -> list[int]:
-    """Presentation coordinates of a cocycle's class, given as a vector or
-    a cochain."""
-    vec = z if isinstance(z, list) else group.cc.vector(z, group.q)
-    return group.coords(vec)
-
-
 def integral_cohomology(cc: CochainComplex, q: int) -> IntCohomology:
     """ker d_q / im d_{q-1} over the integers via Smith normal form."""
     n_q = cc.size(q)
@@ -211,10 +212,7 @@ def integral_cohomology(cc: CochainComplex, q: int) -> IntCohomology:
         return IntCohomology(cc, q, [], PresentedGroup(0, []), [])
     if cc.size(q + 1) == 0:
         # Top degree: the kernel is everything; keep the identity implicit.
-        relations = []
-        if q >= 1:
-            relations = list(cc.coboundary_columns(q - 1))
-        return IntCohomology(cc, q, None, PresentedGroup(n_q, relations))
+        return IntCohomology(cc, q, None, _presented(range(n_q), cc.columns(q - 1).values()))
     snf = smith_normal_form(cc.coboundary(q))
     kernel = columns(snf.v)[snf.rank:]
     vinv_cols = columns(snf.vinv)
@@ -222,12 +220,11 @@ def integral_cohomology(cc: CochainComplex, q: int) -> IntCohomology:
     return IntCohomology(cc, q, kernel, group, vinv_cols)
 
 
-def _apply_columns(cols, vec) -> list[int]:
-    """The matrix with the given columns times vec (zero entries skipped)."""
+def _apply_columns(cols, vec: dict[int, int]) -> list[int]:
+    """The matrix with the given columns times a sparse vector."""
     out = [0] * len(cols[0]) if cols else []
-    for x, col in zip(vec, cols):
-        if x:
-            out = [o + x * c for o, c in zip(out, col)]
+    for i, x in vec.items():
+        out = [o + x * c for o, c in zip(out, cols[i])]
     return out
 
 
@@ -238,65 +235,27 @@ def _present_quotient(cc: CochainComplex, q: int, rank: int, vinv_cols) -> Prese
     if gens == 0:
         return PresentedGroup(0, [])
     relations = []
-    if q >= 1:
-        for image_col in cc.coboundary_columns(q - 1):
-            y = _apply_columns(vinv_cols, image_col)
-            if any(y[:rank]):
-                raise InternalError("coboundary escapes the cocycle lattice")
-            relations.append(y[rank:])
+    for image_col in cc.columns(q - 1).values():
+        y = _apply_columns(vinv_cols, image_col)
+        if any(y[:rank]):
+            raise InternalError("coboundary escapes the cocycle lattice")
+        relations.append(y[rank:])
     return PresentedGroup(gens, relations)
 
 
-@dataclass
-class FieldCohomology:
-    """H^q with coefficients in Q (char 0) or F_p (char p)."""
+def field_dim(cc: CochainComplex, q: int, char: int) -> int:
+    """dim H^q over Q (char 0) or F_p: n_q - rank d_q - rank d_{q-1}.
 
-    cc: CochainComplex
-    q: int
-    char: int
-    kernel: list[list]          # kernel basis over the field
-    quotient: QuotientSpace     # kernel coords modulo image coords
-
-    @property
-    def dim(self) -> int:
-        return self.quotient.dim
-
-    def coords(self, vec) -> list:
-        vec = to_field_matrix([vec], self.char)[0]
-        if any(field_mat_vec(to_field_matrix(self.cc.coboundary(self.q), self.char),
-                             vec, self.char)):
-            raise InternalError("not a cocycle")
-        if not self.kernel:
-            return []
-        matrix = [[self.kernel[j][i] for j in range(len(self.kernel))]
-                  for i in range(len(vec))]
-        sol = field_solve(matrix, vec, self.char)
-        if sol is None:
-            raise InternalError("cocycle not in kernel span")
-        return self.quotient.project(sol)
+    The formula needs d_q d_{q-1} = 0, which the caller checks.  The ranks
+    come from one sparse reduction of each matrix's columns over the field.
+    """
+    return cc.size(q) - _field_rank(cc.columns(q), char) - _field_rank(cc.columns(q - 1), char)
 
 
-def field_cohomology(cc: CochainComplex, q: int, char: int) -> FieldCohomology:
-    n_q = cc.size(q)
-    if n_q == 0:
-        return FieldCohomology(cc, q, char, [], QuotientSpace(0, [], char))
-    if cc.size(q + 1) == 0:
-        kernel = to_field_matrix(identity(n_q), char)
-    else:
-        kernel = field_kernel(cc.coboundary(q), char)
-    # Each basis vector is 1 at its own free column, its last nonzero entry,
-    # and 0 at the others' (`field_kernel`), so the coordinates of a cocycle
-    # are its entries at those columns.
-    free = [max(i for i, x in enumerate(vec) if x) for vec in kernel]
-    relations = []
-    if q >= 1:
-        d_q = cc.coboundary(q)
-        for col in cc.coboundary_columns(q - 1):
-            support = [(i, x) for i, x in enumerate(col) if x]
-            if any(sum(row[i] * x for i, x in support) for row in d_q):
-                raise InternalError("coboundary escapes cocycles over field")
-            relations.append([col[i] for i in free])
-    return FieldCohomology(cc, q, char, kernel, QuotientSpace(len(kernel), relations, char))
+def _field_rank(cols: dict[int, dict[int, int]], char: int) -> int:
+    reduction = _Reduction(char)
+    return sum(reduction.insert({r: _in_field(v, char) for r, v in col.items()}) is not None
+               for col in cols.values())
 
 
 # ---------------------------------------------------------------------------
@@ -332,22 +291,6 @@ def induced_int_matrix(src: IntCohomology, dst: IntCohomology, transfer) -> list
     return [[cols[j][i] for j in range(src.gens)] for i in range(dst.gens)]
 
 
-def restriction_map(src: IntCohomology, dst: IntCohomology) -> list[list[int]]:
-    """Induced map on integral cohomology for nested supports.
-
-    One support set must contain the other: restriction onto a smaller
-    complex in the absolute case, extension by zero onto a larger relative
-    support in the relative case.
-    """
-    q = src.q
-    src_set = set(src.cc.simplices(q))
-    dst_set = set(dst.cc.simplices(q))
-    if not (dst_set <= src_set or src_set <= dst_set):
-        raise InputError("restriction_map needs nested supports")
-    transfer = restriction_transfer(src.cc, dst.cc, q)
-    return induced_int_matrix(src, dst, transfer)
-
-
 def connecting_delta(space_cc: CochainComplex, sub_cc: CochainComplex,
                      rel_cc: CochainComplex, z: Cochain, q: int) -> Cochain:
     """The connecting homomorphism on cochains.
@@ -360,19 +303,15 @@ def connecting_delta(space_cc: CochainComplex, sub_cc: CochainComplex,
     z_vec = sub_cc.vector(z, q)
     if not sub_cc.is_cocycle(z_vec, q):
         raise InternalError("connecting_delta needs a cocycle")
-    extended = [0] * space_cc.size(q)
-    idx = {s: i for i, s in enumerate(space_cc.simplices(q))}
-    for s, val in zip(sub_cc.simplices(q), z_vec):
-        if val:
-            extended[idx[s]] = val
-    image = mat_vec(space_cc.coboundary(q), extended)
+    idx = space_cc._index.get(q, {})
+    extended = {idx[s]: val for s, val in zip(sub_cc.simplices(q), z_vec) if val}
+    rows = space_cc.simplices(q + 1)
+    rel_index = rel_cc._index.get(q + 1, {})
     out: Cochain = {}
-    for s, val in zip(space_cc.simplices(q + 1), image):
-        if val == 0:
-            continue
-        if s not in rel_cc._index.get(q + 1, {}):
+    for r, val in sorted(coboundary_of(space_cc.columns(q), extended).items()):
+        if rows[r] not in rel_index:
             raise InternalError("connecting image fails to vanish on subcomplex")
-        out[s] = val
+        out[rows[r]] = val
     return out
 
 

@@ -17,8 +17,8 @@ simplices) are solved fraction-free by `solve_square`, in Cramer form.
 
 Subspaces over a field, Q or F_p, are kept in one column echelon,
 `FieldEchelon`, sorted by pivot row and fraction-free over Q.  It gives the
-canonical quotient coordinates of `QuotientSpace`, the growing relation span
-of the hopf field modules and the elder-rule barcode sweep.
+canonical quotient coordinates of `QuotientSpace` (the tensored field
+modules), the field kernels and the elder-rule barcode sweep.
 """
 
 from __future__ import annotations

@@ -38,6 +38,9 @@ from .cohomology import (
     CochainComplex,
     IntCohomology,
     Subgroup,
+    _presented,
+    _sparse_coboundary,
+    coboundary_of,
     induced_int_matrix,
     integral_cohomology,
     kernel_subgroup,
@@ -157,18 +160,6 @@ class SignsLevel(Level):
         return dict(self.sign_witness)
 
 
-def _sparse_coboundary(space: Complex, q: int) -> tuple[list, dict]:
-    """The ambient coboundary d_q of X as sparse integer columns: the
-    (q+1)-simplices, which index the rows, and a map from each q-simplex
-    with a coface to {row of the coface: sign}, in simplex order."""
-    rows = space.simplices_of_dim(q + 1)
-    cols: dict = {}
-    for r, tau in enumerate(rows):
-        for j in range(len(tau)):
-            cols.setdefault(tau[:j] + tau[j + 1:], {})[r] = -1 if j % 2 else 1
-    return rows, {s: cols[s] for s in sorted(cols)}
-
-
 def _obstructed(columns: dict, target: dict, filt: Filtration) -> list[bool]:
     """Whether the integer vector `target` lies outside the span of the
     columns of the simplices off A, for every level A.
@@ -218,19 +209,6 @@ class HopfAmbient:
         for col in self.columns.values():
             _lattice_insert(lattice, col)
         return _lattice_is_full(lattice, len(self.top))
-
-
-def _presented(rows, columns) -> PresentedGroup:
-    """The given rows modulo the given sparse columns, which meet no other
-    row, in the rows' order."""
-    position = {r: i for i, r in enumerate(rows)}
-    relations = []
-    for col in columns:
-        vec = [0] * len(rows)
-        for r, v in col.items():
-            vec[position[r]] = v
-        relations.append(vec)
-    return PresentedGroup(len(rows), relations)
 
 
 class CircleLevel(Level):
@@ -476,13 +454,9 @@ def _circle_flags(space: Complex, filt: Filtration, winding: dict) -> list[bool]
     On a complex without triangles every flag is False.
     """
     rows, columns = _sparse_coboundary(space, 1)
-    target = {}
-    for r, (a, b, c) in enumerate(rows):
-        value = winding.get((b, c), 0) - winding.get((a, c), 0) + winding.get((a, b), 0)
-        if value:
-            if filt.entry[(a, b, c)]:
-                raise InternalError("winding cocycle is not a cocycle on the superlevel complex")
-            target[r] = value
+    target = coboundary_of(columns, winding)
+    if any(filt.entry[rows[r]] for r in target):
+        raise InternalError("winding cocycle is not a cocycle on the superlevel complex")
     return _obstructed(columns, target, filt)
 
 

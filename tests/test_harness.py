@@ -7,7 +7,9 @@ import pytest
 
 import rzero.harness as harness
 import rzero.pipeline as pipeline
+from rzero.cohomology import Subgroup
 from rzero.exact import ExactRadius
+from rzero.linalg import PresentedGroup
 from rzero.harness import (
     PerturbSpec,
     check_invariances,
@@ -83,14 +85,53 @@ def test_invariances_all_examples():
 
 
 def test_exactness_all_examples():
+    # RP^2 is the one fixture with torsion, H^2 = Z/2, so the only one whose
+    # universal-coefficient torsion terms are not zero.
     cases = [
         (edge_map(), Mode.SIGNS),
         (grid_identity_map(), Mode.HOPF),
         (octagon_winding2_map(), Mode.CIRCLE),
+        (projective_plane_map(), Mode.HOPF),
     ]
     for f, mode in cases:
         report = exactness_checks(f, mode, 31)
         assert report.passed, report.to_dict()
+
+
+def _failed(report) -> list[str]:
+    return [r.name for r in report.results if not r.passed]
+
+
+def test_uct_check_fails_on_a_wrong_field_dim(monkeypatch):
+    real = harness.field_dim
+    monkeypatch.setattr(harness, "field_dim", lambda cc, q, char: real(cc, q, char) + 1)
+    assert _failed(exactness_checks(grid_identity_map(), Mode.HOPF, 31)) == [
+        "universal coefficients"]
+
+
+def test_d_squared_check_fails_on_one_flipped_entry():
+    analysis = analyze(grid_identity_map(), Mode.HOPF, 31)
+    ccs = harness._all_cochain_complexes(analysis)
+    dim = analysis.f.complex.dim
+    assert harness._check_d_squared(ccs, dim).passed
+    d0, d1 = ccs[0].columns(0), ccs[0].columns(1)
+    c, r = next((c, r) for c, col in d0.items() for r in col if r in d1)
+    col = d0[c]
+    # A whole column negated is still a coboundary: d^2 stays zero.
+    d0[c] = {k: -v for k, v in col.items()}
+    assert harness._check_d_squared(ccs, dim).passed
+    d0[c] = {**col, r: -col[r]}
+    result = harness._check_d_squared(ccs, dim)
+    assert result.name == "d^2 = 0" and not result.passed
+
+
+def test_delta_check_fails_on_a_zero_kernel(monkeypatch):
+    def zero(matrix, src, dst):
+        return Subgroup(src, [], PresentedGroup(0, []))
+
+    monkeypatch.setattr(harness, "kernel_subgroup", zero)
+    assert _failed(exactness_checks(grid_identity_map(), Mode.HOPF, 31)) == [
+        "im(delta) = ker(j*) (rational ranks)"]
 
 
 def test_reports_are_deterministic():
