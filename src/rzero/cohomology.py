@@ -19,7 +19,8 @@ of any cocycle in this presentation are well defined modulo the relations.
 The Smith form's input is the only dense coboundary.
 
 Over a field only the dimension is read (`field_dim`): n_q - rank d_q -
-rank d_{q-1}, with the ranks from one sparse reduction of the columns.
+rank d_{q-1}, with each rank from one sparse reduction of the columns,
+computed once per complex, degree and field (`CochainComplex.field_rank`).
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ class CochainComplex:
             for q, lst in self._simplices.items()
         }
         self._columns: dict[int, dict[int, dict[int, int]]] = {}
+        self._ranks: dict[tuple[int, int], int] = {}
 
     def simplices(self, q: int) -> list[Simplex]:
         return self._simplices.get(q, [])
@@ -115,6 +117,12 @@ class CochainComplex:
                 for s, col in cols.items() if s in col_index
             }
         return self._columns[q]
+
+    def field_rank(self, q: int, char: int) -> int:
+        """rank d_q over Q (char 0) or F_p, reduced once per degree and field."""
+        if (q, char) not in self._ranks:
+            self._ranks[q, char] = _field_rank(self.columns(q), char)
+        return self._ranks[q, char]
 
     def coboundary(self, q: int) -> list[list[int]]:
         """Matrix of d_q : C^q -> C^{q+1} in the sorted-simplex bases, dense
@@ -247,9 +255,10 @@ def field_dim(cc: CochainComplex, q: int, char: int) -> int:
     """dim H^q over Q (char 0) or F_p: n_q - rank d_q - rank d_{q-1}.
 
     The formula needs d_q d_{q-1} = 0, which the caller checks.  The ranks
-    come from one sparse reduction of each matrix's columns over the field.
+    come from one sparse reduction of each matrix's columns over the field,
+    kept on `cc`: rank d_q serves degrees q and q + 1.
     """
-    return cc.size(q) - _field_rank(cc.columns(q), char) - _field_rank(cc.columns(q - 1), char)
+    return cc.size(q) - cc.field_rank(q, char) - cc.field_rank(q - 1, char)
 
 
 def _field_rank(cols: dict[int, dict[int, int]], char: int) -> int:

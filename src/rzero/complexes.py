@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 from .errors import InputError, InternalError
 from .exact import ExactRadius
-from .normmin import NORMS, scaled, simplex_norm_min, vector_norm
+from .normmin import NORMS, scaled, simplex_norm_min, vector_norm, vertex_floor_holds
 
 Simplex = tuple[str, ...]
 
@@ -318,7 +318,10 @@ class _Subdivider:
 
         Simplices are visited in decreasing dimension; a simplex is starred
         at its argmin only when the argmin is interior to it (an argmin
-        interior to a proper face is left to that face's own visit).
+        interior to a proper face is left to that face's own visit).  The
+        vertex-floor certificate is decided first, on the vertex values
+        over their common denominator; only a simplex whose floor lies
+        below its least vertex norm reaches `simplex_norm_min`.
         """
         visit = [s for s in self.unvisited if len(s) > 1 and s in self.simplices]
         self.unvisited = set()
@@ -328,9 +331,11 @@ class _Subdivider:
                 continue
             points = [self.values[v] for v in s]
             scale = lcm(*[den for den, _ in points])
-            result = simplex_norm_min(
-                [nums if den == scale else [x * (scale // den) for x in nums]
-                 for den, nums in points], self.norm)
+            ints = [nums if den == scale else [x * (scale // den) for x in nums]
+                    for den, nums in points]
+            if vertex_floor_holds(ints, self.norm):
+                continue
+            result = simplex_norm_min(ints, self.norm)
             bary = result.barycentric
             if not result.at_vertex and all(bary):
                 den = lcm(*(c.denominator for c in bary))

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .barcode import Interval, barcode
 from .cohomology import (
@@ -315,10 +316,12 @@ def exactness_checks(f: PLMap, mode: Mode, seed: int) -> Report:
     analysis = analyze(f, mode, seed)
     ccs = _all_cochain_complexes(analysis)
     dim = analysis.f.complex.dim
+    # H^q(cc; Z) once per complex and degree, for the delta and UCT checks.
+    integral = cache(integral_cohomology)
     results = [
         _check_d_squared(ccs, dim),
-        _check_delta_kernel(ccs, analysis.f.n),
-        _check_uct(ccs, dim),
+        _check_delta_kernel(ccs, analysis.f.n, integral),
+        _check_uct(ccs, dim, integral),
     ]
     return Report(seed, results)
 
@@ -340,14 +343,14 @@ def _check_d_squared(ccs: list[CochainComplex], dim: int) -> CheckResult:
     return CheckResult("d^2 = 0", ok)
 
 
-def _check_delta_kernel(ccs: list[CochainComplex], n: int) -> CheckResult:
+def _check_delta_kernel(ccs: list[CochainComplex], n: int, integral) -> CheckResult:
     """Im(delta) lands in ker(j*) and has the same rational rank."""
     ambient_cc = ccs[0]
-    ambient_hn = integral_cohomology(ambient_cc, n)
+    ambient_hn = integral(ambient_cc, n)
     ok = True
     for sub_cc, rel_cc in zip(ccs[1::2], ccs[2::2]):
-        sub_h = integral_cohomology(sub_cc, n - 1)
-        rel_h = integral_cohomology(rel_cc, n)
+        sub_h = integral(sub_cc, n - 1)
+        rel_h = integral(rel_cc, n)
         jmat = induced_int_matrix(
             rel_h, ambient_hn, restriction_transfer(rel_cc, ambient_cc, n)
         )
@@ -368,20 +371,19 @@ def _check_delta_kernel(ccs: list[CochainComplex], n: int) -> CheckResult:
     return CheckResult("im(delta) = ker(j*) (rational ranks)", ok)
 
 
-def _check_uct(ccs: list[CochainComplex], dim: int) -> CheckResult:
+def _check_uct(ccs: list[CochainComplex], dim: int, integral) -> CheckResult:
     """Field dimensions match the prediction from integral cohomology."""
     ok = True
     for cc in ccs:
-        integral = {q: integral_cohomology(cc, q) for q in range(dim + 2)}
         for q in range(dim + 1):
+            here = integral(cc, q)
+            above = integral(cc, q + 1)
             for p in (2, 3, 5):
-                here = integral[q]
-                above = integral[q + 1]
                 predicted = (here.free_rank
                              + sum(1 for d in here.torsion if d % p == 0)
                              + sum(1 for d in above.torsion if d % p == 0))
                 if field_dim(cc, q, p) != predicted:
                     ok = False
-            if field_dim(cc, q, 0) != integral[q].free_rank:
+            if field_dim(cc, q, 0) != here.free_rank:
                 ok = False
     return CheckResult("universal coefficients", ok)

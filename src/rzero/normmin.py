@@ -5,41 +5,47 @@ The minimum of |g| is attained in the relative interior of some face, so
 one search serves all three norms: the vertices, then the faces by
 increasing dimension, each offering its interior candidates (every λ > 0).
 
-- l2: the unique solution of the face's critical system
+- Edges, in closed form (`_edge_min`), with g(t) = a + t·d on t in (0, 1):
+  l2 has the one candidate t* = -a·d / |d|²; l1 has the kinks at the
+  zeros of the g_i; linf has the pairwise crossings of the lines ±g_i.
+  The edge offers the leftmost of its candidates of least |g|.
+- l2, larger faces: the unique solution of the face's critical system
   [2G 1; 1ᵀ 0] (λ, μ) = (0, 1), G the Gram matrix; there |g|² = -μ/2.
-- l1, linf: the basic solutions of the face's norm LP, with variables λ
-  and z (linf) or u_1 .. u_n (l1) and rows ±g_i - z <= 0 or
+- l1, linf, larger faces: the basic solutions of the face's norm LP, with
+  variables λ and z (linf) or u_1 .. u_n (l1) and rows ±g_i - z <= 0 or
   ±g_i - u_i <= 0 (i-major, + first).  Every choice of `size + extra - 1`
   rows, in lexicographic order, is solved with sum λ = 1; a candidate is
   a unique solution satisfying every row.  A row that cannot be active
   at a point with every λ > 0 (its ±w_i are all <= 0, not all 0) is left
   out of the choices first, which drops only row sets without a
-  candidate.  An edge's candidates are visited by increasing t = λ_2.
+  candidate.
 
 Tie rule: the best point is replaced only on a strict improvement, so a
-vertex beats any face and a lower-dimensional face a higher one.
-`star_subdivide` relies on it: an argmin interior to a proper face is left
-to that face's own visit.  Floor certificates prune the search: on a face,
-|g_i| is at least 0 where the face's i-th vertex values change sign and
-their smallest magnitude otherwise.  When the floor of the whole simplex
-is attained by a vertex, that vertex is the minimum; a face whose floor is
-no smaller than the best so far is skipped, since none of its candidates
-could strictly improve on it.
+vertex beats any face, a lower-dimensional face a higher one, and on an
+edge the smallest t wins.  `star_subdivide` relies on it: an argmin
+interior to a proper face is left to that face's own visit.  Floor
+certificates prune the search: on a face, |g_i| is at least 0 where the
+face's i-th vertex values change sign and their smallest magnitude
+otherwise.  When the floor of the whole simplex is attained by a vertex,
+that vertex is the minimum (`vertex_floor_holds`); the subdivider decides
+this on its own integer vectors before it calls `simplex_norm_min`.  A
+face whose floor is no smaller than the best so far is skipped, since none
+of its candidates could strictly improve on it.
 
 Values are scaled to integers by the LCM of their denominators, which
-moves no argmin (`scaled`); the systems (at most 7 x 7) are solved
-fraction-free (`linalg.solve_square`).  Fractions are built only for a
-chosen barycentric point off the vertices, and `NormMin.minimum`, an
-`ExactRadius` (the square root of a rational for l2), only when it is
-read.  `norm_key` and `norm_radius` give the same exact norms for single
-vectors: the vertex norms of the filtration and the probe bounds.
+moves no argmin (`scaled`); integer input is taken as it is.  The systems
+(at most 7 x 7) are solved fraction-free (`linalg.solve_square`).
+Fractions are built only for a chosen barycentric point off the vertices,
+and `NormMin.minimum`, an `ExactRadius` (the square root of a rational for
+l2), only when it is read.  `norm_key` and `norm_radius` give the same
+exact norms for single vectors: the vertex norms of the filtration and the
+probe bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import combinations
 from math import lcm
 
@@ -107,6 +113,14 @@ def _floor(rows) -> list[int]:
     return [0 if min(c) <= 0 <= max(c) else min(map(abs, c)) for c in zip(*rows)]
 
 
+def vertex_floor_holds(ints, norm: str) -> bool:
+    """The floor certificate on integer vertex values over one scale: the
+    measure of the floor is at least the least vertex measure, so a vertex
+    of least norm attains the minimum of |g| over the simplex."""
+    measure = _MEASURE[norm]
+    return measure(_floor(ints)) >= min(map(measure, ints))
+
+
 def simplex_norm_min(values, norm: str) -> NormMin:
     """Exact minimum of |g| over the closed simplex, with one minimizer.
 
@@ -122,7 +136,10 @@ def simplex_norm_min(values, norm: str) -> NormMin:
     if any(len(v) != n for v in values):
         raise ValueError("vertex values have mixed dimensions")
     k = len(values)
-    scale, ints = scaled(values)
+    if all(type(x) is int for v in values for x in v):
+        scale, ints = 1, values
+    else:
+        scale, ints = scaled(values)
 
     measure = _MEASURE[norm]
     norms = [measure(w) for w in ints]
@@ -130,12 +147,17 @@ def simplex_norm_min(values, norm: str) -> NormMin:
     # The best value so far as a fraction num / den of scaled units, with
     # its face and the numerators of λ over that den.
     best = (norms[vertex], 1, (vertex,), (1,))
-    if measure(_floor(ints)) < best[0]:
+    if not vertex_floor_holds(ints, norm):
         for size in range(2, k + 1):
             for face in combinations(range(k), size):
                 if measure(_floor([ints[j] for j in face])) * best[1] >= best[0]:
                     continue
-                for value, den, lam in _candidates(ints, face, n, norm):
+                if size == 2:
+                    found = _edge_min(ints[face[0]], ints[face[1]], norm)
+                    candidates = () if found is None else (found,)
+                else:
+                    candidates = _candidates(ints, face, n, norm)
+                for value, den, lam in candidates:
                     if value * best[1] < best[0] * den:
                         best = (value, den, face, lam)
 
@@ -147,9 +169,38 @@ def simplex_norm_min(values, norm: str) -> NormMin:
     return NormMin(tuple(bary), len(face) == 1, norm, value, den)
 
 
+def _edge_min(a, b, norm):
+    """(value, den, λ numerators) of the leftmost point of least |g| among
+    the edge's candidates t = p / q in (0, 1), with den = q, or None when
+    it has none; the value is |g| (squared for l2) times den."""
+    d = [y - x for x, y in zip(a, b)]
+    if norm == "l2":
+        q = sum(x * x for x in d)
+        p = -sum(x * y for x, y in zip(a, d))
+        # |a + t d|² = (q |a|² - p²) / q at t = p / q.
+        return (sum(x * x for x in a) * q - p * p, q, (q - p, p)) if 0 < p < q else None
+    ts = [(-x, y) for x, y in zip(a, d) if y]       # the zeros of the g_i
+    if norm == "linf":
+        for i, j in combinations(range(len(d)), 2):
+            for sign in (1, -1):                    # g_i = sign g_j
+                if d[i] != sign * d[j]:
+                    ts.append((sign * a[j] - a[i], d[i] - sign * d[j]))
+    measure = _MEASURE[norm]
+    best = None
+    for p, q in ts:
+        if q < 0:
+            p, q = -p, -q
+        if 0 < p < q:
+            value = measure([q * x + p * y for x, y in zip(a, d)])
+            if best is None or (value * best[1], p * best[1]) < (best[0] * q, best[2][1] * q):
+                best = (value, q, (q - p, p))
+    return best
+
+
 def _candidates(ints, face, n, norm):
-    """(value, den, λ numerators) of the candidates interior to `face`, in
-    visiting order; the value is |g| (squared for l2) times den."""
+    """(value, den, λ numerators) of the candidates interior to `face`, a
+    face of at least three vertices, in visiting order; the value is |g|
+    (squared for l2) times den."""
     size = len(face)
     if norm == "l2":
         gram = [[2 * sum(a * b for a, b in zip(ints[i], ints[j])) for j in face] + [1, 0]
@@ -175,7 +226,6 @@ def _candidates(ints, face, n, norm):
     # ±w_i > 0, or the i-th values all 0; no other row is ever active.
     held = [row for row in rows
             if any(x > 0 for x in row[:size]) or not any(row[:size])]
-    found = []
     for active in combinations(held, size + extra - 1):
         solution = solve_square([[1] * size + [0] * extra + [1]] + [row + [0] for row in active])
         if solution is None:
@@ -186,7 +236,4 @@ def _candidates(ints, face, n, norm):
         if all(x > 0 for x in sol[:size]) and all(
             sum(a * x for a, x in zip(row, sol)) <= 0 for row in rows
         ):
-            found.append((sum(sol[size:]), det, sol[:size]))
-    if size == 2:
-        found.sort(key=cmp_to_key(lambda a, b: a[2][1] * b[1] - b[2][1] * a[1]))
-    yield from found
+            yield sum(sol[size:]), det, sol[:size]

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import rzero.cohomology as cohomology
 from rzero.cohomology import (
     CochainComplex,
     Subgroup,
@@ -348,6 +349,24 @@ def test_field_dim_matches_dense_ranks_and_uct():
                                   + sum(1 for d in integral[q + 1].torsion if d % p == 0))
                 assert field_dim(cc, q, p) == dense == predicted
     assert torsion  # RP^2's H^2 = Z/2 at least
+
+
+def test_field_dim_reduces_each_coboundary_once(monkeypatch):
+    # rank d_q serves degrees q and q + 1, so every dimension over every
+    # field on Moebius reduces each d_q (q = -1 .. 2) once per field.
+    reduced = []
+    real = cohomology._field_rank
+    monkeypatch.setattr(cohomology, "_field_rank",
+                        lambda cols, char: reduced.append(char) or real(cols, char))
+    cc = CochainComplex(Complex.build(MOEBIUS_FACES))
+    chars = (2, 3, 5, 0)
+    dims = [[field_dim(cc, q, p) for q in range(3)] for p in chars for _ in range(2)]
+    assert len(reduced) == 4 * len(chars)
+    assert sorted(reduced) == sorted(4 * chars)
+    for p, got in zip(chars, dims[::2]):
+        assert got == [cc.size(q) - field_rank(cc.coboundary(q), p)
+                       - field_rank(cc.coboundary(q - 1), p) for q in range(3)]
+    assert dims[0] == [1, 1, 0] and dims[1] == dims[0]
 
 
 def test_integral_coordinates_from_smith_inverse():

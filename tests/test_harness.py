@@ -125,6 +125,25 @@ def test_d_squared_check_fails_on_one_flipped_entry():
     assert result.name == "d^2 = 0" and not result.passed
 
 
+def test_exactness_checks_share_integral_cohomology(monkeypatch):
+    # The delta and universal-coefficient checks both read H^{n-1} of every
+    # level and H^n of X and of every pair: each is computed once.
+    computed = []
+    real = harness.integral_cohomology
+
+    def counting(cc, q):
+        computed.append((id(cc), q))
+        return real(cc, q)
+
+    monkeypatch.setattr(harness, "integral_cohomology", counting)
+    f = grid_identity_map()
+    report = exactness_checks(f, Mode.HOPF, 31)
+    assert report.passed
+    analysis = analyze(f, Mode.HOPF, 31)
+    complexes = 1 + 2 * len(analysis.filtration.levels)
+    assert len(computed) == len(set(computed)) == complexes * (analysis.f.complex.dim + 2)
+
+
 def test_delta_check_fails_on_a_zero_kernel(monkeypatch):
     def zero(matrix, src, dst):
         return Subgroup(src, [], PresentedGroup(0, []))

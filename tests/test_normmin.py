@@ -4,13 +4,13 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lp_oracle import in_hull, lp_norm_min
 import normmin_reference
 from normmin_reference import reference_norm_min
 from rzero.exact import ExactRadius
-from rzero.normmin import NORMS, _candidates, scaled, simplex_norm_min, vector_norm
+from rzero.normmin import NORMS, _candidates, _edge_min, scaled, simplex_norm_min, vector_norm
 from rzero.rng import RationalSampler
 
 # Small integers make ties between vertices, edges and faces common.
@@ -134,17 +134,70 @@ def test_pruned_search_matches_unpruned_reference(values, norm):
 
 
 @settings(max_examples=300)
-@given(simplices(coord=_MIXED), st.sampled_from(NORMS))
+@given(simplices(min_k=3, coord=_MIXED), st.sampled_from(NORMS))
 def test_sign_prune_keeps_every_candidate_in_order(values, norm):
     # A row set that holds a row which cannot be active with every λ > 0
     # has no candidate, so leaving those rows out of the choices changes
-    # nothing: every face yields the reference's candidates, in its order.
+    # nothing: every face of three or more vertices yields the reference's
+    # candidates, in its order.  Edges take the closed form (`_edge_min`).
     _, ints = scaled(values)
     n = len(values[0])
-    for size in range(2, len(values) + 1):
+    for size in range(3, len(values) + 1):
         for face in combinations(range(len(values)), size):
             assert (list(_candidates(ints, face, n, norm))
                     == list(normmin_reference._candidates(ints, face, n, norm)))
+
+
+@st.composite
+def edges(draw):
+    """Vertex values of an edge in R^1..R^3 with mixed denominators: any
+    edge, a constant one (d = 0), or one whose minimum may be flat, with
+    two coordinates of opposite slopes (l1) or a constant coordinate
+    (linf)."""
+    n = draw(st.integers(1, 3))
+    a = [draw(_MIXED) for _ in range(n)]
+    b = [draw(_MIXED) for _ in range(n)]
+    kind = draw(st.sampled_from(["any", "constant", "opposite", "level"]))
+    if kind == "constant":
+        b = list(a)
+    elif kind == "opposite" and n > 1:
+        b[1] = a[1] - (b[0] - a[0])
+    elif kind == "level":
+        b[-1] = a[-1]
+    return [a, b]
+
+
+def _edge_outcome(found, best):
+    """The best point after an edge offers `found` candidates in order, from
+    the best (value, den, λ numerators or None), as exact fractions."""
+    for value, den, lam in found:
+        if value * best[1] < best[0] * den:
+            best = (value, den, lam)
+    value, den, lam = best
+    return Fraction(value, den), lam and tuple(Fraction(x, den) for x in lam)
+
+
+@settings(max_examples=400)
+@given(edges(), st.sampled_from(NORMS), st.integers(0, 8))
+@example([(-1, 2, 0), (-2, -1, -2)], "l1", 8)     # |g| = 3 for t in [0, 2/3]
+@example([(-2, -1), (2, -1)], "linf", 8)          # |g| = 1 for t in [1/4, 3/4]
+@example([(1, -1), (-1, 1)], "l1", 8)             # |g| = 2 on the whole edge
+@example([(Fraction(1, 3), 2), (Fraction(1, 3), 2)], "l2", 8)
+def test_edge_route_matches_the_reference_candidates(values, norm, eighths):
+    # The search hands an edge a best no larger than either vertex norm:
+    # the least vertex norm, or less after an earlier edge.  From any such
+    # best, the closed form moves it exactly where the reference's row-set
+    # candidates, visited by increasing t, move it.
+    _, ints = scaled(values)
+    n = len(values[0])
+    least = min(normmin_reference._MEASURE[norm](w) for w in ints)
+    best = (least * eighths, 8, None)
+    found = _edge_min(ints[0], ints[1], norm)
+    if found is not None:
+        value, den, (l1, l2) = found
+        assert den > 0 and l1 > 0 and l2 > 0 and l1 + l2 == den
+    assert (_edge_outcome([] if found is None else [found], best)
+            == _edge_outcome(normmin_reference._candidates(ints, (0, 1), n, norm), best))
 
 
 def test_ties_go_to_the_lowest_face_and_smallest_t():

@@ -9,6 +9,7 @@ were recorded before the subdivider moved to integer vertex data.
 import hashlib
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +17,7 @@ import rzero.complexes as complexes
 from rzero.complexes import star_subdivide
 from rzero.exact import format_rational
 from rzero.io import parse_input
+from rzero.normmin import simplex_norm_min
 
 from inputs import seeded_grid_map
 from test_pipeline_fuzz import (
@@ -76,12 +78,25 @@ def test_subdivision_output_is_pinned(name):
 
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_each_simplex_is_minimized_once(name, monkeypatch):
-    # Each argmin pass is handed only the simplices born since the previous
-    # pass, so every simplex of dim >= 1 present when a pass starts is
-    # visited, and minimized, exactly once.  (A simplex born and starred
-    # away within one pass is never minimized.)
+_MEASURE = {
+    "l1": lambda v: sum(abs(x) for x in v),
+    "l2": lambda v: sum(x * x for x in v),
+    "linf": lambda v: max(abs(x) for x in v),
+}
+
+
+def _floor_below_vertices(values, norm):
+    """Whether the floor of |g| over the simplex (0 on a coordinate whose
+    values change sign, else their least magnitude) measures below the
+    least vertex norm."""
+    floor = [0 if min(c) <= 0 <= max(c) else min(abs(x) for x in c) for c in zip(*values)]
+    return _MEASURE[norm](floor) < min(map(_MEASURE[norm], values))
+
+
+def _argmin_passes(f, monkeypatch):
+    """Subdivide f, recording the `simplex_norm_min` calls, every simplex of
+    dim >= 1 present when an argmin pass starts, and per pass the simplices
+    of dim >= 1 it is handed, with their rational vertex values."""
     calls = []
     original_min = complexes.simplex_norm_min
 
@@ -89,17 +104,48 @@ def test_each_simplex_is_minimized_once(name, monkeypatch):
         calls.append(values)
         return original_min(values, norm)
 
-    handed = []     # per pass, the simplices of dim >= 1 it is handed
-    present = set()  # the simplices of dim >= 1 present when a pass starts
+    handed = []
+    present = set()
     original_pass = complexes._Subdivider.argmin_pass
 
     def argmin_pass(state):
         alive = {s for s in state.simplices if len(s) > 1}
         present.update(alive)
-        handed.append(alive & state.unvisited)
+        handed.append({
+            s: [[Fraction(x, den) for x in nums] for den, nums in map(state.values.get, s)]
+            for s in alive & state.unvisited
+        })
         return original_pass(state)
 
     monkeypatch.setattr(complexes, "simplex_norm_min", counting_min)
     monkeypatch.setattr(complexes._Subdivider, "argmin_pass", argmin_pass)
-    star_subdivide(CASES[name])
-    assert len(calls) == len(present) == sum(map(len, handed))
+    star_subdivide(f)
+    return calls, handed, present
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_each_simplex_is_minimized_once(name, monkeypatch):
+    # Each argmin pass is handed only the simplices born since the previous
+    # pass, so every simplex of dim >= 1 present when a pass starts is
+    # visited exactly once.  (A simplex born and starred away within one
+    # pass is never visited.)  A visited simplex reaches the minimizer
+    # exactly when its floor lies below its least vertex norm.
+    f = CASES[name]
+    calls, handed, present = _argmin_passes(f, monkeypatch)
+    assert len(present) == sum(map(len, handed))
+    below = sum(_floor_below_vertices(values, f.norm)
+                for visit in handed for values in visit.values())
+    assert len(calls) == below
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_floor_exit_skips_only_vertex_minima(name, monkeypatch):
+    # Every simplex the floor certificate lets the subdivider skip has its
+    # minimum at a vertex, by the full minimizer.
+    f = CASES[name]
+    _, handed, _ = _argmin_passes(f, monkeypatch)
+    monkeypatch.undo()
+    skipped = [values for visit in handed for values in visit.values()
+               if not _floor_below_vertices(values, f.norm)]
+    assert skipped
+    assert all(simplex_norm_min(values, f.norm).at_vertex for values in skipped)
