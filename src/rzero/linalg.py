@@ -294,12 +294,39 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 
 
 class SmithSolver:
-    """Cached Smith form of one matrix for solving many systems m x = b."""
+    """Cached Smith form of one matrix for solving many systems m x = b.
+
+    The nonzero entries of u's columns and of v's first `rank` columns are
+    kept once per solver, so a solve reads only the columns of u in the
+    support of b and the columns of v in the support of z.
+    """
 
     def __init__(self, m: IntMatrix):
         self.rows = len(m)
         self.cols = len(m[0]) if self.rows else 0
         self._snf = smith_normal_form(m) if self.cols else None
+
+    @cached_property
+    def _u_columns(self) -> list[list[tuple[int, int]]]:
+        """(row, entry) for the nonzero entries of each column of u."""
+        out: list[list[tuple[int, int]]] = [[] for _ in range(self.rows)]
+        for i, row in enumerate(self._snf.u):
+            for j, x in enumerate(row):
+                if x:
+                    out[j].append((i, x))
+        return out
+
+    @cached_property
+    def _v_columns(self) -> list[list[tuple[int, int]]]:
+        """(row, entry) for the nonzero entries of each of the first `rank`
+        columns of v, by increasing row."""
+        rank = self._snf.rank
+        out: list[list[tuple[int, int]]] = [[] for _ in range(rank)]
+        for r, row in enumerate(self._snf.v):
+            for i in range(rank):
+                if row[i]:
+                    out[i].append((r, row[i]))
+        return out
 
     def solve(self, b: IntVector) -> IntVector | None:
         return self.solve_head(b, self.cols)
@@ -315,19 +342,27 @@ class SmithSolver:
         if self.cols == 0:
             return [] if all(x == 0 for x in b) else None
         snf = self._snf
-        support = [(j, x) for j, x in enumerate(b) if x]
-        z = []
-        for i, row in enumerate(snf.u):
-            y = sum(row[j] * x for j, x in support)
-            if i < snf.rank:
-                d = snf.s[i][i]
-                if y % d != 0:
-                    return None
-                if y:
-                    z.append((i, y // d))
-            elif y != 0:
+        ub: dict[int, int] = {}
+        u_columns = self._u_columns
+        for j, x in enumerate(b):
+            if x:
+                for i, y in u_columns[j]:
+                    ub[i] = ub.get(i, 0) + y * x
+        out = [0] * k
+        v_columns = self._v_columns
+        for i, y in ub.items():
+            if not y:
+                continue
+            if i >= snf.rank:
                 return None
-        return [sum(row[i] * x for i, x in z) for row in snf.v[:k]]
+            z, r = divmod(y, snf.s[i][i])
+            if r:
+                return None
+            for row, x in v_columns[i]:
+                if row >= k:
+                    break
+                out[row] += x * z
+        return out
 
 
 def integer_kernel(m: IntMatrix) -> list[IntVector]:
@@ -744,17 +779,26 @@ def _lattice_insert(lattice: dict[int, dict[int, int]], vec: dict[int, int]) -> 
         vec = _combine(b // g, basis, -(a // g), vec)
 
 
-def _lattice_contains(lattice: dict[int, dict[int, int]], vec: dict[int, int]) -> bool:
+def _lattice_coords(lattice: dict[int, dict[int, int]],
+                    vec: dict[int, int]) -> dict[int, int] | None:
+    """vec in the echelon basis, {pivot row: coefficient}, by exact
+    division from its first row on; None when vec is off the lattice."""
+    coords = {}
     while vec:
         row = min(vec)
         basis = lattice.get(row)
         if basis is None:
-            return False
+            return None
         q, r = divmod(vec[row], basis[row])
         if r:
-            return False
+            return None
+        coords[row] = q
         vec = _combine(1, vec, -q, basis)
-    return True
+    return coords
+
+
+def _lattice_contains(lattice: dict[int, dict[int, int]], vec: dict[int, int]) -> bool:
+    return _lattice_coords(lattice, vec) is not None
 
 
 def _lattice_is_full(lattice: dict[int, dict[int, int]], dim: int) -> bool:

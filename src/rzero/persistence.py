@@ -16,13 +16,18 @@ with no per-level group, transition or quotient space:
   matrix in entry order gives (Zomorodian–Carlsson 2005).  A triangle whose
   reduced boundary ends at the edge σ closes the cycle born at σ; a positive
   edge that no triangle closes gives a cycle that lives on to A_0.
-* hopf with every level's group the whole relative H^n(X, A_i): the
-  relative top cochains modulo the relative coboundaries.  Its generators
-  (the n-simplices) are born at the level where they leave A, and so are
-  its relations (the ambient coboundary columns of the (n-1)-simplices).
-  The relations are reduced in order of birth with the pivot on the
-  youngest row (the elder rule), so a relation ends the bar of the youngest
-  generator it still meets.
+* hopf, ker(j*: H^n(X, A_i) -> H^n(X)) with the restriction maps.  Its
+  relations are the ambient coboundary columns of the (n-1)-simplices off
+  A_i.  When H^n(X) = 0 the kernel is all of H^n(X, A_i) and its
+  generators are the n-simplices off A_i.  Otherwise they are read off one
+  integer echelon of all the columns (Kaczynski, Mischaikow and Mrozek
+  2004) whose pivots are the youngest rows: the relative n-cochains off A_i
+  are a prefix of the rows, and by triangularity the basis vectors with
+  their pivot in that prefix span B^n(X) ∩ C^n(X, A_i).  Either way a
+  generator is born where its (pivot) row leaves A and a relation where
+  its simplex does.  The relations are reduced in order of birth with the
+  pivot on the youngest generator (the elder rule), so a relation ends the
+  bar of the youngest generator it still meets.
 
 In circle and hopf mode the distinguished class rides along as one extra
 vector, and its support, the number of leading samples at which the class
@@ -45,7 +50,7 @@ from collections import Counter
 
 from .errors import InternalError
 from .filtration import Filtration
-from .linalg import _combine
+from .linalg import _combine, _lattice_coords, _lattice_insert
 
 
 class _Reduction:
@@ -170,24 +175,32 @@ def circle_bars(filt: Filtration, winding: dict) -> tuple[Counter, int]:
     return bars, entry[first] if first is not None else 0
 
 
-def hopf_bars(filt: Filtration, top, columns: dict, degree: dict,
-              char: int) -> tuple[Counter, int]:
-    """Index bars of the module H^n(X, A_i) over Q or F_p, when that whole
-    group is every level's group, and the support of the degree class.
+def hopf_bars(filt: Filtration, top, columns: dict, degree: dict, char: int,
+              trivial: bool) -> tuple[Counter, int]:
+    """Index bars of the module ker(j*: H^n(X, A_i) -> H^n(X)) over Q or
+    F_p, and the support of the degree class.
 
     `top` lists the n-simplices (the rows), `columns` maps each (n-1)-simplex
-    with a coface to its ambient coboundary column {row: sign}, and `degree`
-    is the degree cocycle on the rows.  A row is born at its entry; its key
-    is its rank by (entry, row), so the youngest row of a column is its
-    lowest.  A column born at entry e that keeps the lowest row r after
-    reduction ends r's bar at level e - 1.
+    with a coface to its ambient coboundary column {row: sign}, `degree` is
+    the degree cocycle on the rows, and `trivial` says whether H^n(X) = 0.
+    A row is born at its entry; its rank is its place by (entry, row), so
+    the youngest row of a vector is its highest rank.
+
+    When H^n(X) = 0, ker j* is all of H^n(X, A_i): the rows are the
+    generators and the columns the relations.  Otherwise the generators are
+    a basis of B^n(X) from one integer echelon of all the columns, each
+    named by its pivot, its youngest row (`_kernel_presentation`), and the
+    columns and the degree vector are written in that basis.  Either way a
+    generator is keyed by the rank of its row, and a relation born at entry
+    e that keeps the lowest key g after reduction ends g's bar at level
+    e - 1.
 
     The degree vector is relative at level 0 and is reduced once more after
     each level's relations: it lies in a level's relation span exactly when
     it reduces to zero there, and the first such level is the support.  Its
-    rows are all born at 0, and so is every row a reduction on them can
-    reach; the row whose relation finally kills it must end a bar
-    (0, support - 1).
+    generators are all born at 0, and so is every generator a reduction on
+    them can reach; the generator whose relation finally kills it must end
+    a bar (0, support - 1).
     """
     entry = filt.entry
     k = len(filt.samples) - 1
@@ -195,30 +208,62 @@ def hopf_bars(filt: Filtration, top, columns: dict, degree: dict,
     rank = {r: i for i, r in enumerate(ranked)}
     born = [entry[top[r]] for r in ranked]
     death = [k] * len(top)
+    gens, relations = range(len(top)), columns
+    if not trivial:
+        gens, relations, degree = _kernel_presentation(columns, degree, ranked, rank)
 
     target = {rank[r]: _in_field(v, char) for r, v in degree.items()}
     target = {r: v for r, v in target.items() if v}
     if any(born[r] for r in target):
         raise InternalError("degree cocycle meets the superlevel complex")
-    relations = _Reduction(char)
+    reduction = _Reduction(char)
     support = None
     for level, batch in enumerate(filt.leaving(columns)):
         for s in batch:
-            col = {rank[r]: _in_field(v, char) for r, v in columns[s].items()}
-            low = relations.insert(col)
+            col = {rank[r]: _in_field(v, char) for r, v in relations[s].items()}
+            low = reduction.insert(col)
             if low is not None:
                 death[low] = level - 1
         if support is None:
             last = max(target) if target else None
-            target = relations.reduce(target)
+            target = reduction.reduce(target)
             if not target:
                 support = level
                 if last is not None and (born[last] or death[last] != level - 1):
                     raise InternalError("the degree class dies off its bar")
     if support is None:
         raise InternalError("degree class survives every level")
-    bars = Counter((b, d) for b, d in zip(born, death) if b <= d)
+    bars = Counter((born[g], death[g]) for g in gens if born[g] <= death[g])
     return bars, support
+
+
+def _kernel_presentation(columns: dict, degree: dict, ranked: list, rank: dict) -> tuple:
+    """ker j* at every level as one presentation: the ranks of the
+    generators' pivot rows, the relations {simplex: {pivot row:
+    coefficient}} and the degree vector {pivot row: coefficient}.
+
+    One integer echelon of all the columns, each row keyed by -rank, pivots
+    every basis vector on its youngest row, so by triangularity the basis
+    vectors whose pivot is born by level i span B^n(X) ∩ C^n(X, A_i), which
+    is ker j* before the relations.  Each such vector is a generator born
+    with its pivot row and named by it.  A column off A_i, and the degree
+    vector, lie in B^n(X) on rows off A_i, so exact division writes them in
+    the generators of level i; a remainder raises InternalError.
+    """
+    keyed = {s: {-rank[r]: v for r, v in col.items()} for s, col in columns.items()}
+    lattice: dict = {}
+    for col in keyed.values():
+        _lattice_insert(lattice, col)
+    relations = {}
+    for s, col in keyed.items():
+        coords = _lattice_coords(lattice, col)
+        if coords is None:
+            raise InternalError("a coboundary column is off its own lattice")
+        relations[s] = {ranked[-g]: q for g, q in coords.items()}
+    coords = _lattice_coords(lattice, {-rank[r]: v for r, v in degree.items()})
+    if coords is None:
+        raise InternalError("degree cocycle is no ambient coboundary")
+    return [-g for g in lattice], relations, {ranked[-g]: q for g, q in coords.items()}
 
 
 def signs_bars(filt: Filtration) -> Counter:

@@ -14,9 +14,9 @@ Hopf mode reads every group off the ambient's sparse coboundary d_{n-1}
 
 `field_barcode` is the pointed barcode over a field.  Where one pass over
 the filtration order provably gives the bars of the module (`persistence`:
-signs over any field, circle over Q, hopf whose every level's group is
-the whole relative H^n), it builds no module at all; every other case
-reads `barcode` of `assemble_pointed_module`.
+signs over any field, circle over Q, hopf over any field), it builds no
+module at all; only circle over F_p reads `barcode` of
+`assemble_pointed_module`.
 
 The levels of every mode (`SignsLevel`, `CircleLevel`, `HopfLevel`) share
 one interface, `Level`: a group, the distinguished class's coordinates in
@@ -643,12 +643,12 @@ def assemble_pointed_module(analysis: Analysis, coefficients) -> PointedModule:
 def field_barcode(analysis: Analysis, field) -> PointedBarcode:
     """The pointed barcode of an analysis's module over a field.
 
-    Signs mode over any field, circle mode over Q and hopf mode when every
-    level's group is the whole relative H^n (`_one_echelon_applies`) read
-    the bars from one pass over the filtration order (`persistence`).
-    Everything else, hopf with a nontrivial ambient H^n and circle over F_p
-    (where torsion in H_1 would count), builds the module and runs
-    `barcode`.  Integral coefficients are rejected before any work.
+    Signs mode and hopf mode over any field and circle mode over Q read
+    the bars from one pass over the filtration order (`persistence`).  Hopf
+    with a nontrivial ambient H^n reads ker j* off one integer echelon of
+    the ambient coboundary, and with dim X < n its groups are all zero.
+    Circle over F_p (where torsion in H_1 would count) builds the module
+    and runs `barcode`.  Integral coefficients are rejected before any work.
     """
     char = parse_coefficients(field)
     if char is None:
@@ -662,9 +662,10 @@ def field_barcode(analysis: Analysis, field) -> PointedBarcode:
         support = sum(level.nontrivial for level in analysis.levels)
     elif char == 0 and mode == Mode.CIRCLE:
         bars, support = circle_bars(filt, analysis.levels[0].winding)
-    elif mode == Mode.HOPF and _one_echelon_applies(analysis):
+    elif mode == Mode.HOPF:
         ambient = analysis.levels[0].ambient
-        bars, support = hopf_bars(filt, ambient.top, ambient.columns, ambient.degree, char)
+        bars, support = hopf_bars(filt, ambient.top, ambient.columns, ambient.degree, char,
+                                  ambient.trivial)
     else:
         module = assemble_pointed_module(analysis, field)
         return barcode(module, signs_robust_radius=analysis.robust.radius)
@@ -694,14 +695,6 @@ def _signs_module(analysis: Analysis, char: int, meta: dict) -> PointedModule:
 
 def _one(char: int):
     return Fraction(1) if char == 0 else 1
-
-
-def _one_echelon_applies(analysis: Analysis) -> bool:
-    """Whether `hopf_bars` gives the hopf field barcode: X is n-dimensional
-    and its H^n is zero, so every level's group is the whole relative H^n
-    (zero on a level with no relative n-simplex)."""
-    f = analysis.f
-    return f.n == f.complex.dim and analysis.levels[0].ambient.trivial
 
 
 def _integral_module(analysis: Analysis, meta: dict, full: bool = True) -> PointedModule:

@@ -24,10 +24,11 @@ from rzero.errors import InternalError
 from rzero.io import parse_input
 from rzero.linalg import PresentedGroup
 from rzero.modes import Mode, applicable
-from rzero.persistence import circle_bars
+from rzero.persistence import circle_bars, hopf_bars
 from rzero.pipeline import analyze, assemble_pointed_module, field_barcode
 
 from test_pipeline_fuzz import (
+    RP2_FACES,
     moebius_odd_winding_map,
     planar_inputs,
     projective_plane_map,
@@ -171,13 +172,58 @@ def test_fast_route_builds_no_module(monkeypatch, name, mode):
     assert len(components) <= len(analyses) < sum(len(a.levels) for a in analyses)
 
 
-def test_projective_plane_hopf_takes_the_module_route(monkeypatch):
+@pytest.mark.parametrize("field", FIELDS)
+def test_projective_plane_hopf_builds_no_module(monkeypatch, field):
     # The ambient H^2(RP^2; Z) = Z/2 is not trivial, so ker j* is a proper
-    # subgroup at some level and the reduction does not apply.
+    # subgroup at some level; its generators come from one integer echelon
+    # of the ambient coboundary, with no per-level kernel or tensoring.
     analysis = analyze(projective_plane_map(), Mode.HOPF, 17)
-    calls = _count(monkeypatch, pipeline, "assemble_pointed_module")
-    field_barcode(analysis, "f2")
-    assert len(calls) == 1
+    assert not analysis.levels[0].ambient.trivial
+    calls = []
+    for holder, name in [(pipeline, "assemble_pointed_module"), (pipeline, "kernel_subgroup"),
+                         (cohomology, "kernel_subgroup"), (PresentedGroup, "tensor")]:
+        _count(monkeypatch, holder, name, calls)
+    field_barcode(analysis, field)
+    assert calls == []
+    monkeypatch.undo()
+    _agree(analysis, (field,))
+
+
+def test_hopf_bars_checks_the_degree_vector():
+    # A single triangle of RP^2 spans H^2(RP^2; Z) = Z/2, so it is no
+    # ambient coboundary and cannot be written in the kernel's generators.
+    analysis = analyze(projective_plane_map(), Mode.HOPF, 17)
+    ambient = analysis.levels[0].ambient
+    row = next(r for r, s in enumerate(ambient.top) if analysis.filtration.entry[s] == 0)
+    for char in (0, 2, 3):
+        with pytest.raises(InternalError, match="ambient coboundary"):
+            hopf_bars(analysis.filtration, ambient.top, ambient.columns, {row: 1}, char, False)
+
+
+TETRAHEDRON_BOUNDARY = [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]]
+GRAPH = [["a", "b"], ["b", "c"], ["c", "d"], ["a", "d"], ["a", "c"], ["d", "e"]]
+NONZERO_TOP = {
+    # H^2 = Z/2, H^2 = Z, and dim X < n = 2 (no 2-simplex at all).
+    "rp2": [[f"p{v}" for v in face] for face in RP2_FACES],
+    "s2": TETRAHEDRON_BOUNDARY,
+    "graph": GRAPH,
+}
+
+
+@st.composite
+def fixed_complex_maps(draw):
+    """A map to R^2 of small integer values, zeros and tied norms included,
+    in one of the three norms, on RP^2, S^2 or a graph."""
+    complex_ = Complex.build(NONZERO_TOP[draw(st.sampled_from(sorted(NONZERO_TOP)))])
+    values = {v: (Fraction(draw(st.integers(-3, 3))), Fraction(draw(st.integers(-3, 3))))
+              for v in complex_.vertices}
+    return PLMap(complex_, values, 2, draw(st.sampled_from(["l1", "l2", "linf"])))
+
+
+@settings(max_examples=20)
+@given(fixed_complex_maps(), st.integers(0, 1 << 20))
+def test_random_hopf_maps_with_nonzero_ambient_agree(f, seed):
+    _agree(analyze(f, Mode.HOPF, seed))
 
 
 def test_reduction_checks_the_distinguished_bar():

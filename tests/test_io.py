@@ -315,11 +315,15 @@ def test_cli_rejects_malformed_documents(kind, name, tmp_path, capsys):
 SAMPLE_INPUTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                              "sample_inputs")
 
-# sha256 of stdout at seed 7: the hopf modules (integral, and the integral
-# module tensored with the field), the hopf robust radii and the self-check
-# reports, byte for byte.  RP²'s ambient H^2 (Z/2) is nonzero, so its
-# modules read ker j* through its own presentation.
+# sha256 of stdout at seed 7: RP²'s hopf barcodes, the hopf modules
+# (integral, and the integral module tensored with the field), the hopf
+# robust radii and the self-check reports, byte for byte.  RP²'s ambient H^2
+# (Z/2) is nonzero, so its modules read ker j* through its own presentation
+# and its barcodes through generators of the ambient coboundary lattice.
 PINNED_STDOUT = {
+    "barcode-rp2-q": "42ce99b1df1a9e7743cc5f7335896e9bc6a5d90ed3f975d84974fe187415f945",
+    "barcode-rp2-f2": "01ef96c524b528740727e4822e5b071f853aa9390e3a694cfb1f1797bceaf3fa",
+    "barcode-rp2-f3": "85e5b9cb54363a3864028425e7cc9f96fe11ae8c3afacbf3a908be100ca857ca",
     "module-grid_identity-q": "4a5182e1143d221791dfa4dc40326960cbb239e701ff846a74dd2260fd1fce0d",
     "module-grid_identity-f2": "09c380fdd2ba3384815b3828e02fc86298789af07737849318feaf0ce5ad9dbd",
     "module-grid_identity-f3": "63bbfdd034ff847f34d8d2f73fed5f58a1c14fab20c6d66bbd02a7fd1e798a41",

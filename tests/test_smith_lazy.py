@@ -159,3 +159,38 @@ def test_callers_build_only_what_they_read(smith_calls):
     unimodular_inverse([[2, 1], [1, 1]])
     assert [built(snf) for snf in smith_calls] == [
         {"v"}, {"uinv"}, set(), {"u", "v"}, {"v", "vinv"}, {"u", "v"}]
+
+
+def dense_solve_head(m, b, k):
+    """Oracle: the first k entries of v z, where s z = u b, from the eager
+    form's dense u, s and v; None when s z = u b has no integer solution."""
+    snf = eager_smith_normal_form(m)
+    ub = [sum(x * y for x, y in zip(row, b)) for row in snf.u]
+    z = []
+    for i, y in enumerate(ub):
+        if i < snf.rank:
+            if y % snf.s[i][i]:
+                return None
+            z.append(y // snf.s[i][i])
+        elif y:
+            return None
+    return [sum(row[i] * z[i] for i in range(snf.rank)) for row in snf.v[:k]]
+
+
+def test_solve_head_matches_the_dense_products():
+    rng = random.Random(19)
+    answers = {"solved": 0, "none": 0}
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = [[rng.choice([0, 0, rng.randint(-4, 4)]) for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.5:
+            x = [rng.randint(-3, 3) for _ in range(cols)]
+            b = [sum(a * y for a, y in zip(row, x)) for row in m]
+        else:
+            b = [rng.randint(-5, 5) for _ in range(rows)]
+        solver = SmithSolver(m)
+        for k in range(cols + 1):
+            expected = dense_solve_head(m, b, k)
+            assert solver.solve_head(b, k) == expected
+        answers["none" if expected is None else "solved"] += 1
+    assert min(answers.values()) > 50, answers
