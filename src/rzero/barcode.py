@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 from .errors import InputError, InternalError
 from .exact import ExactRadius, ZERO_RADIUS
 from .linalg import (
-    FieldEchelon,
+    DenseAdapter,
     field_mat_mul,
     field_mat_vec,
     field_rank,
@@ -189,7 +189,7 @@ def barcode(module: PointedModule,
     live: list[tuple[int, list]] = []   # (bar, vector), in order of birth
     snapshot = None
     for i in range(k + 1):
-        echelon = FieldEchelon(char)
+        echelon = DenseAdapter(char)
         survivors = []
         if i:
             step = to_field_matrix(module.transitions[i - 1], char)

@@ -19,8 +19,9 @@ of any cocycle in this presentation are well defined modulo the relations.
 The Smith form's input is the only dense coboundary.
 
 Over a field only the dimension is read (`field_dim`): n_q - rank d_q -
-rank d_{q-1}, with each rank from one sparse reduction of the columns,
-computed once per complex, degree and field (`CochainComplex.field_rank`).
+rank d_{q-1}, with each rank from one `linalg.FieldEchelon` of the sparse
+columns, computed once per complex, degree and field
+(`CochainComplex.field_rank`).
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 from .complexes import Complex, Simplex, Subcomplex
 from .errors import InternalError
 from .linalg import (
+    FieldEchelon,
     PresentedGroup,
     SmithSolver,
     _sparse,
@@ -38,7 +40,6 @@ from .linalg import (
     smith_normal_form,
     subgroup_presentation,
 )
-from .persistence import _in_field, _Reduction
 
 Cochain = dict  # simplex tuple -> coefficient
 
@@ -255,16 +256,15 @@ def field_dim(cc: CochainComplex, q: int, char: int) -> int:
     """dim H^q over Q (char 0) or F_p: n_q - rank d_q - rank d_{q-1}.
 
     The formula needs d_q d_{q-1} = 0, which the caller checks.  The ranks
-    come from one sparse reduction of each matrix's columns over the field,
+    come from one `FieldEchelon` of each matrix's sparse columns,
     kept on `cc`: rank d_q serves degrees q and q + 1.
     """
     return cc.size(q) - cc.field_rank(q, char) - cc.field_rank(q - 1, char)
 
 
 def _field_rank(cols: dict[int, dict[int, int]], char: int) -> int:
-    reduction = _Reduction(char)
-    return sum(reduction.insert({r: _in_field(v, char) for r, v in col.items()}) is not None
-               for col in cols.values())
+    echelon = FieldEchelon(char)
+    return sum(echelon.insert(col) is not None for col in cols.values())
 
 
 # ---------------------------------------------------------------------------

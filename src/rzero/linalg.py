@@ -15,15 +15,21 @@ transform-free integer column echelon instead.  Small
 square integer systems (the norm minimizer's faces, the degree cocycle's
 simplices) are solved fraction-free by `solve_square`, in Cramer form.
 
-Subspaces over a field, Q or F_p, are kept in one column echelon,
-`FieldEchelon`, sorted by pivot row and fraction-free over Q.  It gives the
-canonical quotient coordinates of `QuotientSpace` (the tensored field
-modules), the field kernels and the elder-rule barcode sweep.
+Every field elimination in the package runs in one sparse column echelon
+over Q or F_p, `FieldEchelon`: columns {key: entry} pivot on their highest
+key, fraction-free over Q and with unit pivots mod p, and the echelon maps
+its own input into the field.  The persistence reductions and the field
+ranks of coboundaries reduce a column only until its highest key is no
+pivot.  Dense vectors reach it through `DenseAdapter`, which keys row r as
+-r and reduces fully: it gives the canonical quotient coordinates of
+`QuotientSpace` (the tensored field modules), the field kernels, the
+elder-rule barcode sweep and the degree cocycle's degeneracy test.  Dense
+Gauss-Jordan (`_row_echelon`) is left for `field_rank` (the rank-formula
+oracle), `field_solve` (the sweep's direct-summand check) and `FieldSolver`.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from functools import cached_property
 from fractions import Fraction
@@ -483,14 +489,15 @@ def field_mat_vec(a, v, char: int):
     return [_fnorm(sum(x * y for x, y in zip(row, v)), char) for row in a]
 
 
-def _row_echelon(m, char: int):
-    """Row echelon form; returns (rows, pivot column list)."""
+def _row_echelon(m, char: int, pivot_cols: int | None = None):
+    """Reduced row echelon form, with pivots sought in the first pivot_cols
+    columns (all of them by default); returns (rows, pivot column list)."""
     work = [[_fnorm(x, char) for x in row] for row in m]
     nrows = len(work)
     ncols = len(work[0]) if nrows else 0
     pivots = []
     r = 0
-    for c in range(ncols):
+    for c in range(ncols if pivot_cols is None else pivot_cols):
         piv = next((i for i in range(r, nrows) if work[i][c] != 0), None)
         if piv is None:
             continue
@@ -534,7 +541,8 @@ def field_solve(a, b, char: int):
 class FieldSolver:
     """Cached reduced row echelon of a matrix for many solves a x = b.
 
-    Stores the row transform t with t a = r (r reduced); a solve is then one
+    Stores the row transform t with t a = r (r reduced), read off the
+    echelon of [a | I] with its pivots in a's columns; a solve is then one
     matrix-vector product plus a consistency check on the zero rows.
     """
 
@@ -542,28 +550,10 @@ class FieldSolver:
         self.char = char
         self.rows = len(a)
         self.cols = len(a[0]) if self.rows else 0
-        work = [[_fnorm(x, char) for x in row]
-                + [_fnorm(1 if i == j else 0, char) for j in range(self.rows)]
-                for i, row in enumerate(a)]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            piv = next((i for i in range(r, self.rows) if work[i][c] != 0), None)
-            if piv is None:
-                continue
-            work[r], work[piv] = work[piv], work[r]
-            inv = _finv(work[r][c], char)
-            work[r] = [_fnorm(x * inv, char) for x in work[r]]
-            for i in range(self.rows):
-                if i != r and work[i][c] != 0:
-                    f = work[i][c]
-                    work[i] = [_fnorm(x - f * y, char) for x, y in zip(work[i], work[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.rows:
-                break
-        self.rank = r
-        self.pivots = pivots
+        augmented = [list(row) + [int(i == j) for j in range(self.rows)]
+                     for i, row in enumerate(a)]
+        work, self.pivots = _row_echelon(augmented, char, self.cols)
+        self.rank = len(self.pivots)
         self.transform = [row[self.cols:] for row in work]
 
     def solve(self, b):
@@ -581,19 +571,145 @@ class FieldSolver:
         return x
 
 
+class FieldEchelon:
+    """Sparse columns {key: entry} over Q (char 0) or F_p, reduced so that
+    the stored columns have pairwise distinct pivots, their highest keys.
+
+    Every column is first mapped into the field: over F_p its integer
+    entries are taken mod p, and over Q its Fraction entries are cleared by
+    their common denominator; zero entries are dropped.  A stored column
+    over F_p has its entries in [1, p) and is 1 at its pivot; over Q it is a
+    primitive integer column, positive at its pivot, so the reduction is
+    fraction-free.
+    """
+
+    def __init__(self, char: int):
+        self.char = char
+        self.pivots: dict[int, dict[int, int]] = {}
+
+    def _field(self, col: dict) -> tuple[dict[int, int], int]:
+        """col in the field, and the scale it was multiplied by (1 over
+        F_p): the common denominator of its entries over Q."""
+        p = self.char
+        if p:
+            return {k: x for k, v in col.items() if (x := v % p)}, 1
+        for v in col.values():
+            if type(v) is not int or not v:
+                break
+        else:
+            return col, 1   # nonzero integers already, the common case
+        scale = math.lcm(*(v.denominator for v in col.values()))
+        return {k: int(v * scale) for k, v in col.items() if v}, scale
+
+    def reduce(self, col: dict) -> dict[int, int]:
+        """A nonzero multiple of col minus a combination of stored columns
+        whose highest key is not a pivot, or {} when col is in their span."""
+        col, _ = self._field(col)
+        p = self.char
+        while col:
+            top = max(col)
+            pivot = self.pivots.get(top)
+            if pivot is None:
+                break
+            a, b = pivot[top], col[top]
+            if not p:
+                g = math.gcd(a, b)
+                a, b = a // g, b // g
+            col = _combine(a, col, -b, pivot, p)
+        return col
+
+    def reduce_fully(self, col: dict) -> tuple[dict[int, int], int]:
+        """(w, scale) with w = scale * col minus a combination of stored
+        columns, and w zero at every pivot; the scale is 1 over F_p.
+
+        The pivots are taken by decreasing key: a stored column has no key
+        above its pivot, so clearing one pivot leaves the higher ones clear.
+        """
+        col, scale = self._field(col)
+        p = self.char
+        for top in sorted(self.pivots, reverse=True):
+            b = col.get(top)
+            if b:
+                pivot = self.pivots[top]
+                a = pivot[top]
+                if not p:
+                    g = math.gcd(a, b)
+                    a, b = a // g, b // g
+                    scale *= a
+                col = _combine(a, col, -b, pivot, p)
+        return col, scale
+
+    def insert(self, col: dict, full: bool = False) -> int | None:
+        """Reduce col (fully, when asked) and store it; its pivot, or None
+        when it lies in the span of the stored columns."""
+        col = self.reduce_fully(col)[0] if full else self.reduce(col)
+        if not col:
+            return None
+        top = max(col)
+        p = self.char
+        if p:
+            inv = pow(col[top], -1, p)
+            if inv != 1:
+                col = {k: v * inv % p for k, v in col.items()}
+        else:
+            g = math.gcd(*col.values())
+            if col[top] < 0:
+                g = -g
+            if g != 1:
+                col = {k: v // g for k, v in col.items()}
+        self.pivots[top] = col
+        return top
+
+
+class DenseAdapter:
+    """Dense vectors in one `FieldEchelon`, row r keyed as -r, so that the
+    pivot of a vector is its first nonzero row, and reduced fully: a stored
+    vector is zero on every pivot row stored before it, and a projection
+    reads the one representative that is zero on every pivot row."""
+
+    def __init__(self, char: int):
+        self.echelon = FieldEchelon(char)
+
+    @property
+    def pivot_rows(self) -> set[int]:
+        return {-k for k in self.echelon.pivots}
+
+    def insert(self, vec) -> list[int] | None:
+        """Add a vector to the spanned subspace.
+
+        Returns the stored basis vector (vec reduced and normalized), or None
+        when vec already lies in the span.
+        """
+        top = self.echelon.insert({-r: x for r, x in enumerate(vec) if x}, full=True)
+        if top is None:
+            return None
+        stored = [0] * len(vec)
+        for k, x in self.echelon.pivots[top].items():
+            stored[-k] = x
+        return stored
+
+    def project(self, vec, coord_rows) -> list:
+        """Entries at coord_rows of the representative of vec that vanishes
+        on the pivot rows (Fractions over Q, ints in [0, p) over F_p)."""
+        reduced, scale = self.echelon.reduce_fully({-r: x for r, x in enumerate(vec) if x})
+        if self.echelon.char:
+            return [reduced.get(-r, 0) for r in coord_rows]
+        return [Fraction(reduced.get(-r, 0), scale) for r in coord_rows]
+
+
 def field_kernel(a, char: int):
     """Basis of the kernel of a over the field (list of vectors).
 
     One vector per free (non-pivot) column of the reduced row echelon form:
     1 at that column, its last nonzero entry, and 0 at every other free
-    column.  The rows go into one `FieldEchelon`; at a pivot column the
+    column.  The rows go into one `DenseAdapter`; at a pivot column the
     vectors hold the unit vector there, reduced to vanish on the pivot
     columns, read at the free columns.
     """
     ncols = len(a[0]) if a else 0
     if ncols == 0:
         return []
-    echelon = FieldEchelon(char)
+    echelon = DenseAdapter(char)
     for row in a:
         echelon.insert(row)
     pivots = echelon.pivot_rows
@@ -609,90 +725,6 @@ def field_kernel(a, char: int):
     return basis
 
 
-class FieldEchelon:
-    """Column echelon of a subspace of F^n, F = Q (char 0) or F_p (char p).
-
-    Basis vectors are kept sorted by pivot row, the row of their first
-    nonzero entry, so one pass in that order reduces a vector to zero on
-    every pivot row.  Over Q the echelon is fraction-free: each basis vector
-    is a primitive integer vector with a positive pivot, and a reduced vector
-    comes with the scale it was multiplied by, so Fractions appear only when
-    a caller divides it out.  Over F_p entries lie in [0, p) and each pivot
-    is 1.
-    """
-
-    def __init__(self, char: int):
-        self.char = char
-        self.basis: list[tuple[int, list[int]]] = []  # (pivot row, vector)
-
-    @property
-    def pivot_rows(self) -> set[int]:
-        return {piv for piv, _ in self.basis}
-
-    def reduce(self, vec) -> tuple[list[int], int]:
-        """(w, scale) with w = scale * vec - (span element), zero on the
-        pivot rows; the scale is 1 over F_p.
-
-        Over Q, Fraction entries are cleared by the common denominator first.
-        """
-        p = self.char
-        if p:
-            vec = [int(x) % p for x in vec]
-            for piv, basis in self.basis:
-                c = vec[piv]
-                if c:
-                    vec = [(x - c * y) % p for x, y in zip(vec, basis)]
-            return vec, 1
-        scale = 1
-        fractions = [x for x in vec if type(x) is not int]
-        if fractions:
-            scale = math.lcm(*(x.denominator for x in fractions))
-            vec = [int(x * scale) for x in vec]
-        for piv, basis in self.basis:
-            c = vec[piv]
-            if c:
-                pval = basis[piv]
-                if pval == 1:
-                    vec = [x - c * y for x, y in zip(vec, basis)]
-                else:
-                    vec = [x * pval - c * y for x, y in zip(vec, basis)]
-                    scale *= pval
-        return vec, scale
-
-    def insert(self, vec) -> list[int] | None:
-        """Add a vector to the spanned subspace.
-
-        Returns the stored basis vector (vec reduced and normalized), or None
-        when vec already lies in the span.
-        """
-        vec, _ = self.reduce(vec)
-        piv = next((i for i, x in enumerate(vec) if x != 0), None)
-        if piv is None:
-            return None
-        if self.char:
-            inv = pow(vec[piv], -1, self.char)
-            if inv != 1:
-                vec = [x * inv % self.char for x in vec]
-        else:
-            g = 0
-            for x in vec:
-                g = math.gcd(g, x)
-            if vec[piv] < 0:
-                g = -g
-            if g != 1:
-                vec = [x // g for x in vec]
-        bisect.insort(self.basis, (piv, vec), key=lambda item: item[0])
-        return vec
-
-    def project(self, vec, coord_rows) -> list:
-        """Entries at coord_rows of the representative of vec that vanishes
-        on the pivot rows (Fractions over Q, ints in [0, p) over F_p)."""
-        reduced, scale = self.reduce(vec)
-        if self.char:
-            return [reduced[r] for r in coord_rows]
-        return [Fraction(reduced[r], scale) for r in coord_rows]
-
-
 class QuotientSpace:
     """F^n modulo the span of given relation vectors, with canonical coords.
 
@@ -705,7 +737,7 @@ class QuotientSpace:
     def __init__(self, ambient: int, relations, char: int):
         self.ambient = ambient
         self.char = char
-        self._echelon = FieldEchelon(char)
+        self._echelon = DenseAdapter(char)
         for rel in relations:
             self._echelon.insert(rel)
         pivot_rows = self._echelon.pivot_rows

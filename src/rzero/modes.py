@@ -25,7 +25,7 @@ from fractions import Fraction
 from .complexes import PLMap, Subcomplex, connected_components
 from .errors import InternalError, ModeError
 from .exact import ExactRadius
-from .linalg import FieldEchelon, solve_square
+from .linalg import DenseAdapter, solve_square
 from .normmin import scaled, vector_norm
 from .rng import RationalSampler
 
@@ -230,7 +230,7 @@ def _affine_preimage(values, point):
 def _has_preimage(values, point) -> bool:
     """Whether sum l_j w_j = point, sum l_j = 1 has any solution: (1, point)
     lies in the span of the (1, w_j), decided in a fraction-free echelon."""
-    echelon = FieldEchelon(0)
+    echelon = DenseAdapter(0)
     for w in values:
         echelon.insert([1, *w])
     return echelon.insert([1, *point]) is None

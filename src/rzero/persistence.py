@@ -39,74 +39,19 @@ at the robust radius, which the caller places.
 
 Bars are sample-index intervals (a, b), alive at the samples a .. b, as in
 `barcode`; bars of length zero (born and killed at the same level) are not
-bars of the module and are dropped.  Over Q the reduction is fraction-free
-on integers; hopf over F_p works modulo p.
+bars of the module and are dropped.  Every reduction here is one
+`linalg.FieldEchelon`: fraction-free on integers over Q, and for hopf over
+F_p modulo p, where a coefficient that vanishes mod p is dropped before it
+can be taken for a pivot.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 
 from .errors import InternalError
 from .filtration import Filtration
-from .linalg import _combine, _lattice_coords, _lattice_insert
-
-
-class _Reduction:
-    """Sparse columns {row key: entry}, reduced so that the stored columns
-    have pairwise distinct lowest rows (their largest key).
-
-    Over F_p entries lie in [0, p) and a stored column is 1 at its lowest
-    row; over Q (char 0) entries are integers and a stored column is
-    primitive, positive at its lowest row.
-    """
-
-    def __init__(self, char: int):
-        self.char = char
-        self.pivots: dict[int, dict[int, int]] = {}
-
-    def reduce(self, col: dict[int, int]) -> dict[int, int]:
-        """A nonzero multiple of col minus a combination of stored columns
-        whose lowest row is not a stored one, or {} when col is in their span."""
-        p = self.char
-        while col:
-            low = max(col)
-            pivot = self.pivots.get(low)
-            if pivot is None:
-                break
-            a, b = pivot[low], col[low]
-            if not p:
-                g = math.gcd(a, b)
-                a, b = a // g, b // g
-            col = _combine(a, col, -b, pivot, p)
-        return col
-
-    def insert(self, col: dict[int, int]) -> int | None:
-        """Reduce col and store it; its lowest row, or None when it lies in
-        the span of the stored columns."""
-        col = self.reduce(col)
-        if not col:
-            return None
-        low = max(col)
-        p = self.char
-        if p:
-            inv = pow(col[low], -1, p)
-            if inv != 1:
-                col = {r: v * inv % p for r, v in col.items()}
-        else:
-            g = math.gcd(*col.values())
-            if col[low] < 0:
-                g = -g
-            if g != 1:
-                col = {r: v // g for r, v in col.items()}
-        self.pivots[low] = col
-        return low
-
-
-def _in_field(x: int, char: int) -> int:
-    """An integer entry as stored over the field: reduced mod p over F_p."""
-    return x % char if char else x
+from .linalg import FieldEchelon, _lattice_coords, _lattice_insert
 
 
 def circle_bars(filt: Filtration, winding: dict) -> tuple[Counter, int]:
@@ -137,7 +82,7 @@ def circle_bars(filt: Filtration, winding: dict) -> tuple[Counter, int]:
     key = {s: i for i, s in enumerate(simplices)}
     winding_row = -1
 
-    closed = _Reduction(0)
+    closed = FieldEchelon(0)
     closers = {}    # positive edge -> the triangle that closes its cycle
     for s in simplices:
         if len(s) == 3:
@@ -146,7 +91,7 @@ def circle_bars(filt: Filtration, winding: dict) -> tuple[Counter, int]:
             if low is not None:
                 closers[simplices[low]] = s
 
-    cycles = _Reduction(0)
+    cycles = FieldEchelon(0)
     positive = set()
     first = None
     for s in simplices:
@@ -212,16 +157,15 @@ def hopf_bars(filt: Filtration, top, columns: dict, degree: dict, char: int,
     if not trivial:
         gens, relations, degree = _kernel_presentation(columns, degree, ranked, rank)
 
-    target = {rank[r]: _in_field(v, char) for r, v in degree.items()}
-    target = {r: v for r, v in target.items() if v}
+    reduction = FieldEchelon(char)
+    # Reduced against no relation yet: the degree vector over the field.
+    target = reduction.reduce({rank[r]: v for r, v in degree.items()})
     if any(born[r] for r in target):
         raise InternalError("degree cocycle meets the superlevel complex")
-    reduction = _Reduction(char)
     support = None
     for level, batch in enumerate(filt.leaving(columns)):
         for s in batch:
-            col = {rank[r]: _in_field(v, char) for r, v in relations[s].items()}
-            low = reduction.insert(col)
+            low = reduction.insert({rank[r]: v for r, v in relations[s].items()})
             if low is not None:
                 death[low] = level - 1
         if support is None:

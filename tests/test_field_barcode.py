@@ -7,7 +7,9 @@ no per-level module."""
 import contextlib
 import io
 import pathlib
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,12 +23,14 @@ from rzero.barcode import ORACLE_DIMENSION_CAP, barcode, decompose_oracle
 from rzero.cohomology import CochainComplex, field_dim
 from rzero.complexes import Complex, PLMap
 from rzero.errors import InternalError
+from rzero.filtration import Filtration
 from rzero.io import parse_input
 from rzero.linalg import PresentedGroup
 from rzero.modes import Mode, applicable
 from rzero.persistence import circle_bars, hopf_bars
 from rzero.pipeline import analyze, assemble_pointed_module, field_barcode
 
+from inputs import as_document
 from test_pipeline_fuzz import (
     RP2_FACES,
     moebius_odd_winding_map,
@@ -237,3 +241,35 @@ def test_reduction_checks_the_distinguished_bar():
     edge = analysis.f.complex.edges()[0]
     with pytest.raises(InternalError):
         circle_bars(analysis.filtration, {edge: 1})
+
+
+def rp2_zero_pivot_map():
+    """The 6-vertex RP^2 under l2 where a ker j* relation coefficient of
+    the integer echelon vanishes mod 2."""
+    values = {"p0": (2, -4), "p1": (-3, -3), "p2": (1, -4), "p3": (-2, 0), "p4": (-2, -3),
+              "p5": (3, 4)}
+    complex_ = Complex.build(NONZERO_TOP["rp2"])
+    return PLMap(complex_, {v: tuple(map(Fraction, xy)) for v, xy in values.items()}, 2, "l2")
+
+
+def test_hopf_relation_coefficients_zero_mod_p_agree():
+    _agree(analyze(rp2_zero_pivot_map(), Mode.HOPF, 7), ("q", "f2", "f3", "f5"))
+
+
+def test_rp2_zero_pivot_barcode_cli(tmp_path):
+    path = tmp_path / "rp2.json"
+    path.write_text(as_document(rp2_zero_pivot_map()))
+    for field in ("q", "f2", "f3"):
+        _run("barcode", path, "--mode", "hopf", "--field", field)
+
+
+def test_hopf_bars_drops_relation_coefficients_zero_mod_p():
+    # One row, born at 0; the relation {row: 2} leaves A at level 1 and
+    # {row: 1} at level 2.  Over F_2 the first is zero and meets no pivot:
+    # it ends no bar, and the degree vector {row: 1} dies with the second.
+    # Over Q the first relation already kills it.
+    filt = SimpleNamespace(entry={("t",): 0, ("a",): 1, ("b",): 2}, samples=[0, 1, 2])
+    filt.leaving = lambda simplices: Filtration.leaving(filt, simplices)
+    columns = {("a",): {0: 2}, ("b",): {0: 1}}
+    assert hopf_bars(filt, [("t",)], columns, {0: 1}, 2, True) == (Counter({(0, 1): 1}), 2)
+    assert hopf_bars(filt, [("t",)], columns, {0: 1}, 0, True) == (Counter({(0, 0): 1}), 1)

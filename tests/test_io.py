@@ -320,6 +320,9 @@ SAMPLE_INPUTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__f
 # robust radii and the self-check reports, byte for byte.  RP²'s ambient H^2
 # (Z/2) is nonzero, so its modules read ker j* through its own presentation
 # and its barcodes through generators of the ambient coboundary lattice.
+# A label is [mode.]command-input[-field]; with no mode it runs in hopf
+# mode.  The circle modules and barcodes pin the field quotient coordinates
+# and the elder-rule sweep of the tensored module route.
 PINNED_STDOUT = {
     "barcode-rp2-q": "42ce99b1df1a9e7743cc5f7335896e9bc6a5d90ed3f975d84974fe187415f945",
     "barcode-rp2-f2": "01ef96c524b528740727e4822e5b071f853aa9390e3a694cfb1f1797bceaf3fa",
@@ -338,6 +341,14 @@ PINNED_STDOUT = {
     "module-rp2-z": "7cbd4d359f857fcfc66e06a534e311a96e92e7b3322f21ef866e05cd817f6b1e",
     "robust_radius-moebius": "54544fd1817bb98b0ecbe0edb14aca59d486df5d0661387bbf429b4138a8b3b5",
     "robust_radius-rp2": "aa9e8aaf2ee94b932b1282cdc9958da880dd100cd50ed6c075c307d21e0387eb",
+    "circle.module-octagon_winding2-q": "49ec2c9d117200afe39211a99fc0fb08a3659e22d057903d847043d87d295438",
+    "circle.module-octagon_winding2-f2": "e30fd00262c359838ced49ce40ef48eb47bb347d4c4cec992ec852e8f75be937",
+    "circle.module-octagon_winding2-z": "4d15c1ac2fb66b5306a2340a7148e99ec3dc5fb5c463b6d579d38752fc194971",
+    "circle.module-moebius-q": "d6b008a0b0767774c9742a3a64a61b1ba44b4ca1f309bae1540ecc924103191b",
+    "circle.module-moebius-f2": "5d2db2ded2cec3e1f722261ccb717009582d9c02730c63875aff5d68b510ee9a",
+    "circle.module-moebius-z": "24658c1dfa60e05e1c9582176dc4587f6c9490f4093093fc41067d8befec4f88",
+    "circle.barcode-moebius-f2": "c6958bb333157c1ddc8f049a7960f8108c6d159e8f9c848f976d52004403840d",
+    "circle.barcode-moebius-f3": "08abe5d14ae5405373af429d9415f4d6a0588fb488b64371e52253623c22067b",
     "check-edge": "38805d8e12c06c27c3d8e7dadec7955a38ac01ee120d548bf21feec90c617881",
     "check-grid_identity": "3929c484b8ec9abfa825b2b20467e156799e9c6482003665367eed335249253a",
     "check-octagon_winding2": "3929c484b8ec9abfa825b2b20467e156799e9c6482003665367eed335249253a",
@@ -350,7 +361,8 @@ FIXTURES = {"moebius": moebius_odd_winding_map, "rp2": projective_plane_map}
 
 @pytest.mark.parametrize("label", sorted(PINNED_STDOUT))
 def test_pinned_stdout(label, tmp_path, capsys):
-    command, name, *field = label.split("-")
+    mode, _, command = label.rpartition(".")
+    command, name, *field = command.split("-")
     if name in FIXTURES:
         path = tmp_path / f"{name}.json"
         path.write_text(as_document(FIXTURES[name]()))
@@ -358,7 +370,7 @@ def test_pinned_stdout(label, tmp_path, capsys):
         path = os.path.join(SAMPLE_INPUTS, f"{name}.json")
     argv = [command.replace("_", "-"), str(path), "--seed", "7"]
     if command != "check":
-        argv += ["--mode", "hopf"]
+        argv += ["--mode", mode or "hopf"]
     if field:
         argv += ["--field", field[0]]
     assert cli.main(argv) == 0

@@ -1,12 +1,16 @@
 """Integer and field linear algebra: Smith form, solvers, presentations."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+import echelon_oracle
+
 from rzero.cohomology import image_subgroup
 from rzero.linalg import (
+    DenseAdapter,
     FieldEchelon,
     FieldSolver,
     PresentedGroup,
@@ -351,13 +355,97 @@ def test_quotient_space():
 def test_field_echelon_insert():
     # insert returns the stored, normalized vector, or None inside the span.
     for char, first, second in ((0, [0, -4, 6], [0, 2, -3]), (5, [0, 2, 4], [0, 3, 1])):
-        echelon = FieldEchelon(char)
+        echelon = DenseAdapter(char)
         stored = echelon.insert(first)
         assert stored == ([0, 2, -3] if char == 0 else [0, 1, 2])
         assert echelon.insert(second) is None
         assert echelon.insert([1, 0, 0]) == [1, 0, 0]
         assert echelon.pivot_rows == {0, 1}
-        assert [row for row, _ in echelon.basis] == [0, 1]
+        assert sorted(-key for key in echelon.echelon.pivots) == [0, 1]
+
+
+def test_sparse_field_echelon_maps_its_input_into_the_field():
+    # Over F_p entries are taken mod p and zeros dropped, so an entry that
+    # vanishes mod p is never a pivot.
+    echelon = FieldEchelon(2)
+    assert echelon.insert({0: 1, 3: 2}) == 0
+    assert echelon.pivots == {0: {0: 1}}
+    assert echelon.insert({5: 4, 0: 3}) is None
+    assert echelon.insert({1: 3, 2: -1}) == 2
+    assert echelon.pivots[2] == {1: 1, 2: 1}
+    # Over F_3 a stored column is 1 at its pivot, its highest key.
+    echelon = FieldEchelon(3)
+    assert echelon.insert({0: 1, 4: 2}) == 4
+    assert echelon.pivots[4] == {0: 2, 4: 1}
+    # Over Q Fractions are cleared by their common denominator, and a
+    # stored column is primitive and positive at its pivot.
+    echelon = FieldEchelon(0)
+    assert echelon.insert({1: Fraction(1, 2), 2: Fraction(-2, 3), 3: 0}) == 2
+    assert echelon.pivots[2] == {1: -3, 2: 4}
+    assert echelon.reduce({1: 6, 2: -8}) == {}
+    assert echelon.reduce({1: 1, 2: Fraction(1, 3)}) == {1: 15}
+    assert echelon.reduce_fully({1: 1, 2: Fraction(1, 3)}) == ({1: 15}, 12)
+
+
+def _random_vector(rng, n, char, fractions):
+    """A short vector with many zeros; over Q with Fraction entries when
+    asked."""
+    entries = []
+    for _ in range(n):
+        x = rng.choice([0, 0, 0, 1, -1, 2, -2, 3]) if rng.random() < 0.8 else rng.randint(-9, 9)
+        if fractions and x:
+            x = Fraction(x, rng.randint(1, 4))
+        entries.append(x)
+    return entries
+
+
+def _typed(vec):
+    return [(type(x), x) for x in vec]
+
+
+@pytest.mark.parametrize("char, fractions", [(0, False), (0, True), (2, False), (3, False),
+                                             (5, False)])
+def test_dense_adapter_matches_the_dense_oracle(char, fractions):
+    """The sparse echelon behind `DenseAdapter` stores, refuses and projects
+    exactly as the dense echelon it replaced (`echelon_oracle.py`), and so
+    do `QuotientSpace` and `field_kernel`."""
+    rng = random.Random(20 + char + fractions)
+    for _ in range(80):
+        n = rng.randint(1, 6)
+        draw = lambda: _random_vector(rng, n, char, fractions)
+        vectors = [draw() for _ in range(rng.randint(0, 7))]
+        if vectors and rng.random() < 0.5:
+            # A combination of earlier vectors, so some inserts are refused.
+            vectors.append([sum(x) for x in zip(*vectors[: rng.randint(1, len(vectors))])])
+        adapter, oracle = DenseAdapter(char), echelon_oracle.FieldEchelon(char)
+        for vec in vectors:
+            stored = adapter.insert(vec)
+            expected = oracle.insert(vec)
+            assert (stored is None) == (expected is None)
+            if stored is not None:
+                assert _typed(stored) == _typed(expected)
+            assert adapter.pivot_rows == oracle.pivot_rows
+        probes = [draw() for _ in range(3)] + [[int(r == j) for r in range(n)] for j in range(n)]
+        for vec in probes:
+            rows = sorted(rng.sample(range(n), rng.randint(0, n)))
+            assert _typed(adapter.project(vec, rows)) == _typed(oracle.project(vec, rows))
+
+        space = QuotientSpace(n, vectors, char)
+        expected_space = echelon_oracle.QuotientSpace(n, vectors, char)
+        assert space.coord_rows == expected_space.coord_rows
+        for vec in probes:
+            assert _typed(space.project(vec)) == _typed(expected_space.project(vec))
+        m = [draw() for _ in range(n)]
+        for target, expected_target in ((space, expected_space),
+                                        (QuotientSpace(n, vectors[:1], char),
+                                         echelon_oracle.QuotientSpace(n, vectors[:1], char))):
+            got = space.induced_matrix(m, target)
+            assert list(map(_typed, got)) == list(map(_typed, expected_space.induced_matrix(
+                m, expected_target)))
+        if vectors:
+            got = field_kernel(vectors, char)
+            assert list(map(_typed, got)) == list(map(_typed, echelon_oracle.field_kernel(
+                vectors, char)))
 
 
 def test_quotient_space_canonical_random():
