@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 from .errors import InputError, InternalError
 from .exact import ExactRadius
-from .normmin import NORMS, scaled, simplex_norm_min, vector_norm, vertex_floor_holds
+from .normmin import NORMS, floor_vertex, scaled, simplex_norm_min, vector_norm
 
 Simplex = tuple[str, ...]
 
@@ -250,10 +250,22 @@ def _mix(lam, lam_den: int, points, items) -> tuple[int, dict]:
 class _Subdivider:
     """Mutable scratch state for iterated stellar subdivision, with each
     vertex's value and expansion as integers: (den, numerators) over the LCM
-    of their denominators.  Vertex values never change, every new simplex
-    has a new vertex, and whether a simplex is starred or split depends on
-    its own values alone, so each pass visits only the simplices born since
-    the previous pass of its kind (`unvisited`, `unsplit`)."""
+    of their denominators.
+
+    Every simplex of dim >= 1 is either waiting for the next argmin pass
+    (`unvisited`) or settled: `minimizer` names a vertex of it that attains
+    its minimum of |f|.  A visit settles a simplex by the floor certificate
+    or by `simplex_norm_min`.  A star settles most new simplices with no
+    visit: a piece cut from a coface c lies in c's hull, so it inherits c's
+    minimizer when it contains that vertex, and the pieces of a simplex
+    starred at its argmin, or of a coface whose argmin lay inside the
+    starred face, inherit the new vertex.  When a visit finds the argmin
+    inside a proper face F, F's point is kept (`kept`) and F is starred
+    there at its own visit later in the pass, with no second search: by the
+    tie rule of `simplex_norm_min` it is the point F's own search returns.
+    Vertex values never change, so settled simplices stay settled, and
+    whether an edge is split depends on its own values alone (`unsplit`).
+    """
 
     def __init__(self, f: PLMap):
         self.n, self.norm = f.n, f.norm
@@ -263,10 +275,14 @@ class _Subdivider:
         self.by_vertex: dict[str, set[Simplex]] = {}
         self.unvisited: set[Simplex] = set()
         self.unsplit: set[Simplex] = set()
-        # Visited simplices whose minimum lies inside a proper face.
-        self.off_vertex: set[Simplex] = set()
+        self.minimizer: dict[Simplex, str] = {}
+        # For this pass only: face -> integer barycentric weights of the
+        # argmin a coface's visit found inside it, and each simplex visited
+        # with its argmin off the vertices -> the face holding the argmin.
+        self.kept: dict[Simplex, list[int]] = {}
+        self.inside: dict[Simplex, Simplex] = {}
         for s in f.complex.simplices:
-            self.add(s)
+            self.add(s, None)
         self.values, self.expansion = {}, {}
         for v, value in f.values.items():
             den, (nums,) = scaled([value])
@@ -276,12 +292,15 @@ class _Subdivider:
             self.expansion[v] = (den, dict(zip(exp, nums)))
         self.new_vertices: list[str] = []
 
-    def add(self, s: Simplex) -> None:
-        if s not in self.simplices:
-            self.simplices.add(s)
-            for v in s:
-                self.by_vertex.setdefault(v, set()).add(s)
-            self.unvisited.add(s)
+    def add(self, s: Simplex, minimizer: str | None) -> None:
+        self.simplices.add(s)
+        for v in s:
+            self.by_vertex.setdefault(v, set()).add(s)
+        if len(s) > 1:
+            if minimizer is None:
+                self.unvisited.add(s)
+            else:
+                self.minimizer[s] = minimizer
             if len(s) == 2:
                 self.unsplit.add(s)
 
@@ -289,6 +308,7 @@ class _Subdivider:
         self.simplices.discard(s)
         for v in s:
             self.by_vertex[v].discard(s)
+        self.minimizer.pop(s, None)
 
     def star(self, face: Simplex, lam) -> str:
         """Star at the point of `face` with barycentric coordinates lam / sum(lam)."""
@@ -306,44 +326,70 @@ class _Subdivider:
         cofaces = [s for s in self.by_vertex[face[0]] if face_set.issubset(s)]
         proper_faces = [fc for fc in _faces(face) if len(fc) < len(face)] + [()]
         for s in cofaces:
+            known = new_id if self.inside.get(s) == face else self.minimizer.get(s)
             self.discard(s)
             link = tuple(v for v in s if v not in face_set) + (new_id,)
             for sub in proper_faces:
-                self.add(tuple(sorted(sub + link)))
+                piece = tuple(sorted(sub + link))
+                self.add(piece, known if known in piece else None)
         return new_id
 
     def argmin_pass(self) -> bool:
-        """One pass of argmin starring over the simplices born since the
-        previous pass.
+        """One pass of argmin starring over the unsettled simplices.
 
         Simplices are visited in decreasing dimension; a simplex is starred
-        at its argmin only when the argmin is interior to it (an argmin
-        interior to a proper face is left to that face's own visit).  The
-        vertex-floor certificate is decided first, on the vertex values
-        over their common denominator; only a simplex whose floor lies
-        below its least vertex norm reaches `simplex_norm_min`.
+        at its argmin only when the argmin is interior to it.  A face whose
+        argmin a coface's visit found is starred there at its own visit,
+        with no search.
         """
-        visit = [s for s in self.unvisited if len(s) > 1 and s in self.simplices]
+        visit = [s for s in self.unvisited if s in self.simplices]
         self.unvisited = set()
         changed = False
         for s in sorted(visit, key=lambda s: (-len(s), s)):
             if s not in self.simplices:
                 continue
-            points = [self.values[v] for v in s]
-            scale = lcm(*[den for den, _ in points])
-            ints = [nums if den == scale else [x * (scale // den) for x in nums]
-                    for den, nums in points]
-            if vertex_floor_holds(ints, self.norm):
-                continue
-            result = simplex_norm_min(ints, self.norm)
-            bary = result.barycentric
-            if not result.at_vertex and all(bary):
-                den = lcm(*(c.denominator for c in bary))
-                self.star(s, [c.numerator * (den // c.denominator) for c in bary])
-                changed = True
-            elif not result.at_vertex:
-                self.off_vertex.add(s)
+            if s in self.kept:
+                lam = self.kept.pop(s)
+            else:
+                lam = self._search(s)
+                if lam is None:
+                    continue
+            self.inside[s] = s
+            self.star(s, lam)
+            changed = True
+        if self.kept:
+            raise InternalError(f"kept argmin of {min(self.kept)} was never starred")
+        self.inside = {}
         return changed
+
+    def _search(self, s: Simplex) -> list[int] | None:
+        """The integer barycentric weights of the argmin of |f| over s when
+        it is interior to s, else None, with s settled or its argmin kept
+        for the proper face that holds it.  The vertex-floor certificate is
+        decided first, on the vertex values over their common denominator;
+        only a simplex whose floor lies below its least vertex norm reaches
+        `simplex_norm_min`."""
+        points = [self.values[v] for v in s]
+        scale = lcm(*[den for den, _ in points])
+        ints = [nums if den == scale else [x * (scale // den) for x in nums]
+                for den, nums in points]
+        vertex = floor_vertex(ints, self.norm)
+        if vertex is not None:
+            self.minimizer[s] = s[vertex]
+            return None
+        result = simplex_norm_min(ints, self.norm)
+        bary = result.barycentric
+        if result.at_vertex:
+            self.minimizer[s] = s[bary.index(1)]
+            return None
+        den = lcm(*(c.denominator for c in bary))
+        lam = [c.numerator * (den // c.denominator) for c in bary]
+        if all(lam):
+            return lam
+        face = tuple(v for v, c in zip(s, lam) if c)
+        self.kept[face] = [c for c in lam if c]
+        self.inside[s] = face
+        return None
 
     def zero_split_pass(self) -> bool:
         """Split every edge with a strictly interior component zero, in
@@ -382,7 +428,7 @@ def star_subdivide(f: PLMap, round_budget: int | None = None) -> PLMap:
         rounds += 1
         if rounds > budget:
             raise InternalError(f"subdivision did not stabilize within {budget} rounds")
-    if not state.off_vertex.isdisjoint(state.simplices):
+    if len(state.minimizer) != sum(len(s) > 1 for s in state.simplices):
         raise InternalError("subdivision postcondition (a) failed")
     values = dict(f.values)
     expansion = {v: dict(exp) for v, exp in f.expansion.items()}

@@ -5,9 +5,10 @@ critical values are just the distinct positive vertex norms.  The family
 A_r = {x : |f(x)| >= r} is constant in r between consecutive critical values;
 each constancy interval (s_i, s_{i+1}] is sampled at its right endpoint.
 
-Vertex norms are ranked by their rational `normmin.norm_key` (|v|, or |v|²
-for l2): the distinct keys are sorted, and an `ExactRadius` is built once
-per distinct positive key, for the critical values.
+Vertex norms are ranked as integers (`normmin.norm_keys`: |v|, or |v|² for
+l2, over one LCM of every vertex value's denominator): the distinct keys
+are sorted, and a `Fraction` and an `ExactRadius` are built once per
+distinct positive key, for the critical values.
 
 The whole family is one order on the simplices.  A vertex of norm s_k (the
 k-th critical value, counted from 1) lies in the levels 0..k-1, so its exit
@@ -22,11 +23,12 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .complexes import Complex, PLMap, Simplex, Subcomplex, vertex_minima_ok
 from .errors import InputError, InternalError
 from .exact import ExactRadius
-from .normmin import norm_key, norm_radius
+from .normmin import norm_keys, norm_radius
 
 
 @dataclass(frozen=True)
@@ -49,12 +51,13 @@ def _ranked_vertices(f: PLMap) -> tuple[CriticalSet, dict[str, int]]:
     index: the rank of its norm among the critical values, 0 for norm 0."""
     if not f.minima_at_vertices and not vertex_minima_ok(f):
         raise InputError("critical_values requires a subdivided map")
-    keys = {v: norm_key(f.values[v], f.norm) for v in f.complex.vertices}
-    positive = sorted({key for key in keys.values() if key})
+    vertices = f.complex.vertices
+    den, keys = norm_keys([f.values[v] for v in vertices], f.norm)
+    positive = sorted(set(keys) - {0})
     rank = {key: i for i, key in enumerate(positive, 1)}
     rank[0] = 0
-    exit_index = {v: rank[key] for v, key in keys.items()}
-    values = [norm_radius(key, f.norm) for key in positive]
+    exit_index = {v: rank[key] for v, key in zip(vertices, keys)}
+    values = [norm_radius(Fraction(key, den), f.norm) for key in positive]
     return CriticalSet(tuple(values), 0 in exit_index.values()), exit_index
 
 

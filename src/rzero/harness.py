@@ -34,7 +34,13 @@ from .linalg import field_mat_mul, mat_mul, to_field_matrix
 from .matching import bottleneck
 from .modes import Mode
 from .normmin import vector_norm
-from .pipeline import Analysis, analyze, assemble_pointed_module, field_barcode
+from .pipeline import (
+    Analysis,
+    _analyze_filtered,
+    analyze,
+    assemble_pointed_module,
+    field_barcode,
+)
 from .rng import RationalSampler, child_seed
 
 DEFAULT_FIELD = {Mode.SIGNS: "f2", Mode.CIRCLE: "q", Mode.HOPF: "q"}
@@ -192,7 +198,9 @@ def check_invariances(f: PLMap, mode: Mode, seed: int,
 
     Only the base map's module is assembled, for the functoriality check;
     its barcode is compared with the barcodes of the scaled, rotated and
-    negated maps, which `field_barcode` reads as the CLI does."""
+    negated maps, which `field_barcode` reads as the CLI does.  Those maps
+    are subdivided anew, as that is part of what their checks test; the
+    probe/ray resamples share the base's filtration, which reads no seed."""
     coefficients = coefficients or DEFAULT_FIELD[mode]
     results = []
     base = analyze(f, mode, seed)
@@ -238,7 +246,7 @@ def check_invariances(f: PLMap, mode: Mode, seed: int,
     if name is not None:
         ok = True
         for i in range(RESAMPLES):
-            other = analyze(f, mode, child_seed(seed, 1000 + i))
+            other = _analyze_filtered(f, base.filtration, mode, child_seed(seed, 1000 + i))
             if not all(a.same_class(b) for a, b in zip(base.levels, other.levels)):
                 ok = False
         results.append(CheckResult(name, ok, {"resamples": RESAMPLES}))

@@ -23,12 +23,14 @@ increasing dimension, each offering its interior candidates (every λ > 0).
 Tie rule: the best point is replaced only on a strict improvement, so a
 vertex beats any face, a lower-dimensional face a higher one, and on an
 edge the smallest t wins.  `star_subdivide` relies on it: an argmin
-interior to a proper face is left to that face's own visit.  Floor
+interior to a proper face F is the point F's own search returns (F's faces
+come in the same relative order, and scaling moves no candidate), so the
+subdivider stars F there with no second search.  Floor
 certificates prune the search: on a face, |g_i| is at least 0 where the
 face's i-th vertex values change sign and their smallest magnitude
 otherwise.  When the floor of the whole simplex is attained by a vertex,
-that vertex is the minimum (`vertex_floor_holds`); the subdivider decides
-this on its own integer vectors before it calls `simplex_norm_min`.  A
+that vertex is the minimum (`floor_vertex`); the subdivider decides this
+on its own integer vectors before it calls `simplex_norm_min`.  A
 face whose floor is no smaller than the best so far is skipped, since none
 of its candidates could strictly improve on it.
 
@@ -37,9 +39,9 @@ moves no argmin (`scaled`); integer input is taken as it is.  The systems
 (at most 7 x 7) are solved fraction-free (`linalg.solve_square`).
 Fractions are built only for a chosen barycentric point off the vertices,
 and `NormMin.minimum`, an `ExactRadius` (the square root of a rational for
-l2), only when it is read.  `norm_key` and `norm_radius` give the same
-exact norms for single vectors: the vertex norms of the filtration and the
-probe bounds.
+l2), only when it is read.  `norm_keys`, `norm_key` and `norm_radius`
+give the same exact norms for single vectors: the vertex norms of the
+filtration, ranked as integers over one denominator, and the probe bounds.
 """
 
 from __future__ import annotations
@@ -72,11 +74,18 @@ def scaled(vectors) -> tuple[int, list[list[int]]]:
     return scale, [[x.numerator * (scale // x.denominator) for x in v] for v in vectors]
 
 
+def norm_keys(vectors, norm: str) -> tuple[int, list[int]]:
+    """(d, keys): the norms of the vectors as integers over one denominator,
+    each |v| (|v|² for l2) being key / d, from the vectors over their LCM."""
+    scale, ints = scaled(vectors)
+    return scale * scale if norm == "l2" else scale, list(map(_MEASURE[norm], ints))
+
+
 def norm_key(vector, norm: str) -> Fraction:
     """|v| as a rational, squared for l2: the key that orders vector norms,
     from which `norm_radius` builds the exact value."""
-    scale, (ints,) = scaled([vector])
-    return Fraction(_MEASURE[norm](ints), scale * scale if norm == "l2" else scale)
+    den, (key,) = norm_keys([vector], norm)
+    return Fraction(key, den)
 
 
 def norm_radius(key: Fraction, norm: str) -> ExactRadius:
@@ -113,12 +122,15 @@ def _floor(rows) -> list[int]:
     return [0 if min(c) <= 0 <= max(c) else min(map(abs, c)) for c in zip(*rows)]
 
 
-def vertex_floor_holds(ints, norm: str) -> bool:
-    """The floor certificate on integer vertex values over one scale: the
-    measure of the floor is at least the least vertex measure, so a vertex
-    of least norm attains the minimum of |g| over the simplex."""
+def floor_vertex(ints, norm: str) -> int | None:
+    """The floor certificate on integer vertex values over one scale: when
+    the measure of the floor is at least the least vertex measure, the index
+    of the first vertex of least norm, which attains the minimum of |g| over
+    the simplex; otherwise None."""
     measure = _MEASURE[norm]
-    return measure(_floor(ints)) >= min(map(measure, ints))
+    norms = [measure(w) for w in ints]
+    least = min(norms)
+    return norms.index(least) if measure(_floor(ints)) >= least else None
 
 
 def simplex_norm_min(values, norm: str) -> NormMin:
@@ -147,7 +159,7 @@ def simplex_norm_min(values, norm: str) -> NormMin:
     # The best value so far as a fraction num / den of scaled units, with
     # its face and the numerators of λ over that den.
     best = (norms[vertex], 1, (vertex,), (1,))
-    if not vertex_floor_holds(ints, norm):
+    if measure(_floor(ints)) < norms[vertex]:
         for size in range(2, k + 1):
             for face in combinations(range(k), size):
                 if measure(_floor([ints[j] for j in face])) * best[1] >= best[0]:

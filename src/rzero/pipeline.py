@@ -386,8 +386,13 @@ class Analysis:
 
 def analyze(f0: PLMap, mode: Mode, seed: int = DEFAULT_SEED) -> Analysis:
     require_applicable(mode, f0.n, f0.complex.dim)
-    f = star_subdivide(f0)
-    filt = build_filtration(f)
+    return _analyze_filtered(f0, build_filtration(star_subdivide(f0)), mode, seed)
+
+
+def _analyze_filtered(f0: PLMap, filt: Filtration, mode: Mode, seed: int) -> Analysis:
+    """`analyze` from the filtration of f0's subdivision, which reads
+    neither the mode nor the seed, so analyses of one map can share it."""
+    f = filt.f
     meta: dict = {"seed": seed}
     if mode == Mode.SIGNS:
         levels = _analyze_signs(f, filt)

@@ -136,9 +136,10 @@ def test_subdivider_coface_index_matches_recomputed():
     # The vertex -> simplices index that star uses for coface lookup stays
     # equal to one recomputed from the simplex set, through a whole
     # subdivision of every sample input (and a map needing several stars).
-    # At the fixpoint both passes have visited every simplex born, no
-    # simplex whose minimum lies inside a proper face survives, and the
-    # simplex set is already face-closed, as `Complex.from_closed` assumes.
+    # At the fixpoint no simplex waits for a visit or a split, every kept
+    # face point has been starred, exactly the surviving simplices of
+    # dim >= 1 carry a minimizing vertex of their own, and the simplex set
+    # is already face-closed, as `Complex.from_closed` assumes.
     import pathlib
 
     from rzero.complexes import _Subdivider
@@ -158,7 +159,8 @@ def test_subdivider_coface_index_matches_recomputed():
             for v in s:
                 recomputed.setdefault(v, set()).add(s)
         assert state.by_vertex == recomputed
-        assert not state.unvisited and not state.unsplit
-        assert state.off_vertex.isdisjoint(state.simplices)
+        assert not state.unvisited and not state.unsplit and not state.kept
+        assert state.minimizer.keys() == {s for s in state.simplices if len(s) > 1}
+        assert all(v in s for s, v in state.minimizer.items())
         assert Complex(state.simplices).simplices == state.simplices
         assert state.simplices == star_subdivide(f).complex.simplices

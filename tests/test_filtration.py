@@ -3,17 +3,20 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rzero.complexes import Complex, PLMap, star_subdivide, full_subcomplex
 from rzero.errors import InputError, InternalError
 from rzero.exact import ExactRadius
 from rzero.filtration import (
     CriticalSet,
+    _ranked_vertices,
     build_filtration,
     check_face_order,
     critical_values,
     sample_radii,
 )
+from rzero.normmin import norm_key, norm_radius
 from rzero.rng import RationalSampler
 
 from inputs import edge_map, grid_identity_map, octagon_winding2_map
@@ -219,3 +222,33 @@ def test_build_filtration_rejects_a_complex_that_is_not_face_closed():
     g = PLMap(broken, f.values, f.n, f.norm, minima_at_vertices=True)
     with pytest.raises(InternalError):
         build_filtration(g)
+
+
+@st.composite
+def subdivided_maps(draw):
+    """A random complex of dimension <= 2 on at most five vertices with a
+    map to R^n (n <= 3) of small rationals, some vertices at zero, in one
+    of the three norms, after subdivision."""
+    names = [f"x{i}" for i in range(draw(st.integers(2, 5)))]
+    simplices = [draw(st.permutations(names))[:draw(st.integers(1, 3))]
+                 for _ in range(draw(st.integers(1, 5)))]
+    complex_ = Complex.build(simplices)
+    n = draw(st.integers(1, 3))
+    coordinate = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    values = {v: tuple(draw(coordinate) if draw(st.booleans()) or draw(st.booleans()) else 0
+                       for _ in range(n))
+              for v in complex_.vertices}
+    return star_subdivide(PLMap(complex_, values, n, draw(st.sampled_from(["l1", "l2", "linf"]))))
+
+
+@settings(max_examples=60)
+@given(subdivided_maps())
+def test_integer_ranking_matches_rational_norm_keys(f):
+    # Ranking the vertex norms as integers over one LCM gives the exit
+    # indices and critical values of ranking each vertex's rational key.
+    keys = {v: norm_key(f.values[v], f.norm) for v in f.complex.vertices}
+    positive = sorted(set(keys.values()) - {0})
+    crit, exit_index = _ranked_vertices(f)
+    assert exit_index == {v: positive.index(key) + 1 if key else 0 for v, key in keys.items()}
+    assert crit.values == tuple(norm_radius(key, f.norm) for key in positive)
+    assert crit.has_zero_min == (0 in keys.values())

@@ -225,6 +225,33 @@ def test_invariances_assemble_no_module_per_level(monkeypatch):
         assert pipeline_calls == []
 
 
+def test_resamples_share_the_base_subdivision(monkeypatch):
+    # The probe/ray resamples differ from the base analysis only in the
+    # seed, which neither the subdivision nor the filtration reads, so they
+    # reuse the base's filtration: only the base, the three scaled maps and
+    # the rotated map are subdivided, not 20 more, and the resampled levels
+    # are those of a fresh analysis with the same seed.
+    maps = []
+    original = pipeline.star_subdivide
+
+    def counting(f):
+        maps.append(f)
+        return original(f)
+
+    monkeypatch.setattr(pipeline, "star_subdivide", counting)
+    f = octagon_winding2_map()
+    report = check_invariances(f, Mode.CIRCLE, 5)
+    assert report.passed
+    assert "ray independence" in [r.name for r in report.results]
+    assert len(maps) == 1 + len(harness.SCALES) + 1
+    base = analyze(f, Mode.CIRCLE, 5)
+    seed = harness.child_seed(5, 1000)
+    shared = pipeline._analyze_filtered(f, base.filtration, Mode.CIRCLE, seed)
+    fresh = analyze(f, Mode.CIRCLE, seed)
+    assert [a.coords for a in shared.levels] == [a.coords for a in fresh.levels]
+    assert shared.robust == fresh.robust
+
+
 def test_scaling_check_compares_scaled_bars(monkeypatch):
     # Shift one bar of every scaled map's barcode: criticals, radius and
     # bar count still agree, so only the bar comparison can catch it.

@@ -3,23 +3,28 @@
 The digests pin `star_subdivide`'s output itself (sorted simplices, vertex
 values and expansions), so a change to the subdivision fails here, at the
 stage that moved, and not only in the digests of downstream output.  They
-were recorded before the subdivider moved to integer vertex data.
+were recorded before the subdivider moved to integer vertex data.  On
+random maps full of ties the output must also equal that of
+`subdivision_reference`, which searches every new simplex.
 """
 
 import hashlib
+import itertools
 import json
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 
 import rzero.complexes as complexes
-from rzero.complexes import star_subdivide
+from rzero.complexes import Complex, PLMap, star_subdivide
 from rzero.exact import format_rational
 from rzero.io import parse_input
-from rzero.normmin import simplex_norm_min
+from rzero.normmin import simplex_norm_min, vector_norm
 
 from inputs import seeded_grid_map
+from subdivision_reference import reference_subdivide
 from test_pipeline_fuzz import (
     moebius_odd_winding_map,
     projective_plane_map,
@@ -93,10 +98,28 @@ def _floor_below_vertices(values, norm):
     return _MEASURE[norm](floor) < min(map(_MEASURE[norm], values))
 
 
+class _KeptPoints(dict):
+    """The subdivider's kept face points, recording each one kept and
+    counting each one starred."""
+
+    def __init__(self):
+        super().__init__()
+        self.kept, self.hits = [], 0
+
+    def __setitem__(self, face, lam):
+        self.kept.append((face, list(lam)))
+        super().__setitem__(face, lam)
+
+    def pop(self, face):
+        self.hits += 1
+        return super().pop(face)
+
+
 def _argmin_passes(f, monkeypatch):
-    """Subdivide f, recording the `simplex_norm_min` calls, every simplex of
-    dim >= 1 present when an argmin pass starts, and per pass the simplices
-    of dim >= 1 it is handed, with their rational vertex values."""
+    """Subdivide f, recording the `simplex_norm_min` calls and, per argmin
+    pass, the simplices of dim >= 1 it is handed and those that carry a
+    known minimizing vertex when it starts.  Returns the calls, the passes,
+    the subdivider and its kept points."""
     calls = []
     original_min = complexes.simplex_norm_min
 
@@ -104,48 +127,115 @@ def _argmin_passes(f, monkeypatch):
         calls.append(values)
         return original_min(values, norm)
 
-    handed = []
-    present = set()
+    states, passes = [], []
+    original_init = complexes._Subdivider.__init__
     original_pass = complexes._Subdivider.argmin_pass
+
+    def init(state, f):
+        original_init(state, f)
+        state.kept = _KeptPoints()
+        states.append(state)
 
     def argmin_pass(state):
         alive = {s for s in state.simplices if len(s) > 1}
-        present.update(alive)
-        handed.append({
-            s: [[Fraction(x, den) for x in nums] for den, nums in map(state.values.get, s)]
-            for s in alive & state.unvisited
-        })
+        passes.append((alive, alive & state.unvisited, dict(state.minimizer)))
         return original_pass(state)
 
     monkeypatch.setattr(complexes, "simplex_norm_min", counting_min)
+    monkeypatch.setattr(complexes._Subdivider, "__init__", init)
     monkeypatch.setattr(complexes._Subdivider, "argmin_pass", argmin_pass)
     star_subdivide(f)
-    return calls, handed, present
+    monkeypatch.undo()
+    (state,) = states
+    return calls, passes, state, state.kept
+
+
+def _rational(state, simplex):
+    return [[Fraction(x, den) for x in nums] for den, nums in map(state.values.get, simplex)]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_each_simplex_is_minimized_once(name, monkeypatch):
-    # Each argmin pass is handed only the simplices born since the previous
-    # pass, so every simplex of dim >= 1 present when a pass starts is
-    # visited exactly once.  (A simplex born and starred away within one
-    # pass is never visited.)  A visited simplex reaches the minimizer
-    # exactly when its floor lies below its least vertex norm.
+    # Every simplex of dim >= 1 present when an argmin pass starts is
+    # either handed to that pass (born since the previous one with no known
+    # minimizer) or carries a vertex known to attain its minimum, never
+    # both.  A handed simplex reaches the minimizer exactly when its floor
+    # lies below its least vertex norm, unless a coface's search already
+    # found its argmin (a kept point).
     f = CASES[name]
-    calls, handed, present = _argmin_passes(f, monkeypatch)
-    assert len(present) == sum(map(len, handed))
-    below = sum(_floor_below_vertices(values, f.norm)
-                for visit in handed for values in visit.values())
-    assert len(calls) == below
+    calls, passes, state, kept = _argmin_passes(f, monkeypatch)
+    below = 0
+    for alive, handed, settled in passes:
+        assert handed | settled.keys() == alive
+        assert handed.isdisjoint(settled)
+        below += sum(_floor_below_vertices(_rational(state, s), f.norm) for s in handed)
+    assert len(calls) == below - kept.hits
+    assert kept.hits == len({face for face, _ in kept.kept})
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_floor_exit_skips_only_vertex_minima(name, monkeypatch):
-    # Every simplex the floor certificate lets the subdivider skip has its
-    # minimum at a vertex, by the full minimizer.
+    # Every vertex the subdivider records as a simplex's minimizer, by the
+    # floor certificate, by a search or inherited from the simplex it was
+    # cut from, attains that simplex's minimum by the full minimizer; and
+    # every kept face point is the point the minimizer returns on that face.
     f = CASES[name]
-    _, handed, _ = _argmin_passes(f, monkeypatch)
-    monkeypatch.undo()
-    skipped = [values for visit in handed for values in visit.values()
-               if not _floor_below_vertices(values, f.norm)]
-    assert skipped
-    assert all(simplex_norm_min(values, f.norm).at_vertex for values in skipped)
+    _, passes, state, kept = _argmin_passes(f, monkeypatch)
+    settled = {}
+    for _, _, known in passes:
+        settled.update(known)
+    settled.update(state.minimizer)
+    assert settled
+    for s, vertex in settled.items():
+        assert vertex in s
+        result = simplex_norm_min(_rational(state, s), f.norm)
+        assert result.at_vertex
+        assert result.minimum == vector_norm(_rational(state, (vertex,))[0], f.norm)
+    for face, lam in kept.kept:
+        result = simplex_norm_min(_rational(state, face), f.norm)
+        assert result.barycentric == tuple(Fraction(x, sum(lam)) for x in lam)
+
+
+def _tie_heavy_maps():
+    """(label, map) for 2-D grids and small 3-D complexes, n = 1..3 in every
+    norm, with values in -3..3, in eighths or in {±1, ±2}, so that vertex
+    norms and argmins tie often: seven maps per family, but one on one
+    tetrahedron for 3-D maps to R³ under l2, whose subdivisions run to
+    thousands of simplices."""
+    rng = random.Random(22)
+    draws = {
+        "ints": lambda: Fraction(rng.randint(-3, 3)),
+        "eighths": lambda: Fraction(rng.randint(-16, 16), 8),
+        "units": lambda: Fraction(rng.choice((-2, -1, 1, 2))),
+    }
+    for shape, n, norm, kind in itertools.product(
+            ("grid", "3d"), (1, 2, 3), ("l1", "l2", "linf"), draws):
+        heavy = (shape, n, norm) == ("3d", 3, "l2")
+        for t in range(1 if heavy else 7):
+            if shape == "grid":
+                k = rng.randint(1, 2)
+                c = Complex.build([[f"g{i}_{j}", f"g{i + di}_{j + 1 - di}", f"g{i + 1}_{j + 1}"]
+                                   for i in range(k) for j in range(k) for di in (0, 1)])
+            elif heavy:
+                c = Complex.build([["x0", "x1", "x2", "x3"]])
+            else:
+                names = [f"x{i}" for i in range(rng.randint(4, 5))]
+                tets = list(itertools.combinations(names, 4))
+                c = Complex.build(rng.sample(tets, min(len(tets), rng.randint(1, 2))))
+            values = {v: tuple(draws[kind]() for _ in range(n)) for v in c.vertices}
+            yield f"{shape}-n{n}-{norm}-{kind}-{t}", PLMap(c, values, n, norm)
+
+
+def test_subdivision_matches_the_search_everything_reference():
+    # Settling simplices from the simplex they were cut from, and starring a
+    # face at the point its coface's search found, changes no output: the
+    # same simplices, vertex values and expansions as the subdivider that
+    # searches every new simplex, on 360 maps full of ties.
+    count = 0
+    for label, f in _tie_heavy_maps():
+        got, want = star_subdivide(f), reference_subdivide(f)
+        assert got.complex.simplices == want.complex.simplices, label
+        assert got.values == want.values, label
+        assert got.expansion == want.expansion, label
+        count += 1
+    assert count == 360
