@@ -8,6 +8,7 @@ to stdout, and reports problems on stderr with exit code 1 (bad input),
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import shlex
 import sys
@@ -237,7 +238,10 @@ def _reproduce(*argv) -> str:
     return "reproduce: " + shlex.join(["rzero", *map(str, argv)])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was, and each command's handler is looked up when it runs."""
     parser = argparse.ArgumentParser(
         prog="rzero",
         description="Exact persistence analysis of robust zero sets of "

@@ -18,13 +18,17 @@ form returns; the cocycle check comes free, as (V^-1 z)[:r] = 0.  Coordinates
 of any cocycle in this presentation are well defined modulo the relations.
 The Smith form's input is the only dense coboundary.
 
-Over a field only the dimension is read (`field_dim`): n_q - rank d_q -
-rank d_{q-1}, with each rank from one `linalg.FieldEchelon` of the sparse
-columns, computed once per complex, degree and field
-(`CochainComplex.field_rank`).
+Over a field only dimensions are read, and only along a filtration
+(`filtration_field_dims`): dim H^q = n_q - rank d_q - rank d_{q-1} on X,
+on every superlevel subcomplex A_i and on every pair (X, A_i).  The levels'
+(q+1)-simplices are prefixes of the decreasing-entry order and the pairs'
+q-simplices prefixes of the increasing-entry order, so one
+`linalg.FieldEchelon` per order, degree and field gives every rank at once.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 from .complexes import Complex, Simplex, Subcomplex
 from .errors import InternalError
@@ -95,7 +99,6 @@ class CochainComplex:
             for q, lst in self._simplices.items()
         }
         self._columns: dict[int, dict[int, dict[int, int]]] = {}
-        self._ranks: dict[tuple[int, int], int] = {}
 
     def simplices(self, q: int) -> list[Simplex]:
         return self._simplices.get(q, [])
@@ -118,12 +121,6 @@ class CochainComplex:
                 for s, col in cols.items() if s in col_index
             }
         return self._columns[q]
-
-    def field_rank(self, q: int, char: int) -> int:
-        """rank d_q over Q (char 0) or F_p, reduced once per degree and field."""
-        if (q, char) not in self._ranks:
-            self._ranks[q, char] = _field_rank(self.columns(q), char)
-        return self._ranks[q, char]
 
     def coboundary(self, q: int) -> list[list[int]]:
         """Matrix of d_q : C^q -> C^{q+1} in the sorted-simplex bases, dense
@@ -184,9 +181,6 @@ class IntCohomology:
     @property
     def torsion(self) -> tuple[int, ...]:
         return self.group.torsion
-
-    def is_trivial(self) -> bool:
-        return self.group.is_trivial()
 
     def coords(self, vec) -> list[int]:
         """Presentation coordinates of a cocycle (well defined mod relations)."""
@@ -252,19 +246,69 @@ def _present_quotient(cc: CochainComplex, q: int, rank: int, vinv_cols) -> Prese
     return PresentedGroup(gens, relations)
 
 
-def field_dim(cc: CochainComplex, q: int, char: int) -> int:
-    """dim H^q over Q (char 0) or F_p: n_q - rank d_q - rank d_{q-1}.
+def filtration_field_dims(space: Complex, entry: dict[Simplex, int], levels: int,
+                          char: int) -> list[list[int]]:
+    """dim H^q over Q (char 0) or F_p for q = 0 .. dim X: of X, then of A_i
+    and of (X, A_i) for each level i < `levels`, A_i holding the simplices
+    whose entry exceeds i (every level face-closed).
 
-    The formula needs d_q d_{q-1} = 0, which the caller checks.  The ranks
-    come from one `FieldEchelon` of each matrix's sparse columns,
-    kept on `cc`: rank d_q serves degrees q and q + 1.
+    Each dimension is n_q - rank d_q - rank d_{q-1}, with every rank read
+    off `_prefix_ranks`: one reduction per degree and order.
     """
-    return cc.size(q) - cc.field_rank(q, char) - cc.field_rank(q - 1, char)
+    dim = space.dim
+    none = (0, [0] * levels, [0] * levels)
+    # ranks[q + 1]: rank d_q of X, of every A_i and of every (X, A_i).
+    ranks = [none, *(_prefix_ranks(space, entry, levels, q, char) for q in range(dim)), none]
+    by_degree = []
+    for q in range(dim + 1):
+        simplices = space.simplices_of_dim(q)
+        in_level = _above([entry[s] for s in simplices], levels)
+        (x, a, p), (x_, a_, p_) = ranks[q + 1], ranks[q]
+        row = [len(simplices) - x - x_]
+        for i in range(levels):
+            row.append(in_level[i] - a[i] - a_[i])
+            row.append(len(simplices) - in_level[i] - p[i] - p_[i])
+        by_degree.append(row)
+    return [list(dims) for dims in zip(*by_degree)]
 
 
-def _field_rank(cols: dict[int, dict[int, int]], char: int) -> int:
+def _prefix_ranks(space: Complex, entry: dict[Simplex, int], levels: int, q: int,
+                  char: int) -> tuple[int, list[int], list[int]]:
+    """rank d_q over the field of X, of every level and of every pair.
+
+    A level's d_q is the transpose of the boundary of its (q+1)-simplices,
+    and those of A_i lead the decreasing-entry order.  A pair's d_q takes
+    the whole coboundary column of each of its q-simplices, as no simplex
+    off A_i has a coface on it, and those of (X, A_i) lead the
+    increasing-entry order.  The rank of a prefix is its count of columns
+    that an echelon, filled in that order, takes in.
+    """
+    rows, cols = _sparse_coboundary(space, q)
+    boundary: list[dict[int, int]] = [{} for _ in rows]
+    for c, col in enumerate(cols.values()):
+        for r, v in col.items():
+            boundary[r][c] = v
+    level_kept = _kept(zip(map(entry.__getitem__, rows), boundary), char, reverse=True)
+    pair_kept = _kept(((entry[s], col) for s, col in cols.items()), char, reverse=False)
+    rank = len(pair_kept)
+    return (rank, _above(level_kept, levels),
+            [rank - k for k in _above(pair_kept, levels)])
+
+
+def _kept(columns, char: int, reverse: bool) -> list[int]:
+    """The entries of the (entry, column) pairs that one `FieldEchelon`
+    takes in, the columns inserted by entry, decreasing when `reverse`."""
     echelon = FieldEchelon(char)
-    return sum(echelon.insert(col) is not None for col in cols.values())
+    ordered = sorted(columns, key=lambda pair: pair[0], reverse=reverse)
+    return [e for e, col in ordered if echelon.insert(col) is not None]
+
+
+def _above(entries, levels: int) -> list[int]:
+    """For each level i < levels, how many of the entries exceed i."""
+    counts = [0] * (levels + 1)
+    for e in entries:
+        counts[min(e, levels)] += 1
+    return list(accumulate(reversed(counts[1:])))[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +335,19 @@ def restriction_transfer(src: CochainComplex, dst: CochainComplex, q: int):
     return transfer
 
 
-def induced_int_matrix(src: IntCohomology, dst: IntCohomology, transfer) -> list[list[int]]:
-    """Matrix (dst coords per src generator) of a cochain-level map."""
+def induced_columns(src: IntCohomology, dst: IntCohomology, transfer) -> list[list[int]]:
+    """The dst coords of the image of each src generator under a
+    cochain-level map: the columns of its matrix."""
     cols = []
     for j in range(src.gens):
         rep = src.represent([1 if i == j else 0 for i in range(src.gens)])
         cols.append(dst.coords(transfer(rep)))
+    return cols
+
+
+def induced_int_matrix(src: IntCohomology, dst: IntCohomology, transfer) -> list[list[int]]:
+    """Matrix (dst coords per src generator) of a cochain-level map."""
+    cols = induced_columns(src, dst, transfer)
     return [[cols[j][i] for j in range(src.gens)] for i in range(dst.gens)]
 
 
@@ -340,14 +391,6 @@ class Subgroup:
         self.span = span
         self.group = group
         self._solver = None
-
-    @property
-    def free_rank(self) -> int:
-        return self.group.free_rank
-
-    @property
-    def torsion(self) -> tuple[int, ...]:
-        return self.group.torsion
 
     def generators(self) -> list[list[int]]:
         if self.span is None:

@@ -18,14 +18,15 @@ simplices) are solved fraction-free by `solve_square`, in Cramer form.
 Every field elimination in the package runs in one sparse column echelon
 over Q or F_p, `FieldEchelon`: columns {key: entry} pivot on their highest
 key, fraction-free over Q and with unit pivots mod p, and the echelon maps
-its own input into the field.  The persistence reductions and the field
-ranks of coboundaries reduce a column only until its highest key is no
-pivot.  Dense vectors reach it through `DenseAdapter`, which keys row r as
--r and reduces fully: it gives the canonical quotient coordinates of
-`QuotientSpace` (the tensored field modules), the field kernels, the
-elder-rule barcode sweep and the degree cocycle's degeneracy test.  Dense
-Gauss-Jordan (`_row_echelon`) is left for `field_rank` (the rank-formula
-oracle), `field_solve` (the sweep's direct-summand check) and `FieldSolver`.
+its own input into the field.  The persistence reductions, the field
+ranks along a filtration and the rational ranks of `rzero check` reduce a
+column only until its highest key is no pivot.  Dense vectors reach it
+through `DenseAdapter`, which keys row r as -r and reduces fully: it gives
+the canonical quotient coordinates of `QuotientSpace` (the tensored field
+modules), the elder-rule barcode sweep and the degree cocycle's degeneracy
+test.  Dense Gauss-Jordan (`_row_echelon`) is left for `field_rank` (the
+rank-formula oracle), `field_solve` (the sweep's direct-summand check) and
+`FieldSolver`.
 """
 
 from __future__ import annotations
@@ -587,6 +588,13 @@ class FieldEchelon:
         self.char = char
         self.pivots: dict[int, dict[int, int]] = {}
 
+    def copy(self) -> "FieldEchelon":
+        """An echelon with the same stored columns, which neither changes,
+        to take further columns on its own."""
+        other = FieldEchelon(self.char)
+        other.pivots = dict(self.pivots)
+        return other
+
     def _field(self, col: dict) -> tuple[dict[int, int], int]:
         """col in the field, and the scale it was multiplied by (1 over
         F_p): the common denominator of its entries over Q."""
@@ -695,34 +703,6 @@ class DenseAdapter:
         if self.echelon.char:
             return [reduced.get(-r, 0) for r in coord_rows]
         return [Fraction(reduced.get(-r, 0), scale) for r in coord_rows]
-
-
-def field_kernel(a, char: int):
-    """Basis of the kernel of a over the field (list of vectors).
-
-    One vector per free (non-pivot) column of the reduced row echelon form:
-    1 at that column, its last nonzero entry, and 0 at every other free
-    column.  The rows go into one `DenseAdapter`; at a pivot column the
-    vectors hold the unit vector there, reduced to vanish on the pivot
-    columns, read at the free columns.
-    """
-    ncols = len(a[0]) if a else 0
-    if ncols == 0:
-        return []
-    echelon = DenseAdapter(char)
-    for row in a:
-        echelon.insert(row)
-    pivots = echelon.pivot_rows
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = [[_fnorm(0, char)] * ncols for _ in free]
-    for pc in sorted(pivots):
-        unit = [0] * ncols
-        unit[pc] = 1
-        for vec, x in zip(basis, echelon.project(unit, free)):
-            vec[pc] = x
-    for vec, fc in zip(basis, free):
-        vec[fc] = _fnorm(1, char)
-    return basis
 
 
 class QuotientSpace:

@@ -488,26 +488,19 @@ def _hopf_flags(ambient: HopfAmbient, filt: Filtration) -> list[bool]:
 
 
 def _robust_from_levels(filt: Filtration, levels) -> RobustResult:
-    """Locate the last level with a nonzero class.
+    """Locate the last level with a nonzero class, read off the flags.
 
     The distinguished element is carried forward by the transitions, so once
-    it vanishes it stays zero; the vanishing boundary is found by binary
-    search, so a class decided on demand (circle mode) is decided at a
-    logarithmic number of levels.
+    it vanishes it stays zero: the nontrivial levels lead the filtration.
     """
-    k = len(levels) - 1
-    if not levels[0].nontrivial:
-        return RobustResult(ZERO_RADIUS, {})
-    if levels[k].nontrivial:
+    count = next((i for i, level in enumerate(levels) if not level.nontrivial), len(levels))
+    if count == len(levels):
         raise InternalError("class nontrivial beyond the largest critical value")
-    lo, hi = 0, k  # nontrivial at lo, trivial at hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if levels[mid].nontrivial:
-            lo = mid
-        else:
-            hi = mid
-    last = lo
+    if any(level.nontrivial for level in levels[count:]):
+        raise InternalError("class nontrivial again after it vanished")
+    if count == 0:
+        return RobustResult(ZERO_RADIUS, {})
+    last = count - 1
     radius = filt.samples[last]
     if radius not in filt.criticals.values:
         raise InternalError("robust radius is not a critical value")

@@ -5,7 +5,8 @@ before it moved to integer Cramer numerators.  It raises the same
 
 from fractions import Fraction
 
-from rzero.linalg import field_kernel, field_solve
+from echelon_oracle import field_kernel
+from rzero.linalg import field_solve
 from rzero.modes import ProbeError
 
 

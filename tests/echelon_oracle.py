@@ -5,8 +5,9 @@ row of its first nonzero entry, and every vector is reduced against all of
 them in that order.  `rzero.linalg.DenseAdapter` reaches the sparse
 `FieldEchelon` with row r keyed as -r and reduces fully, so its stored
 vectors, its `None` answers, its pivot rows and its projections must equal
-this one's exactly.  `field_kernel` and `QuotientSpace` are kept here as
-they read this echelon, to compare with the package's.
+this one's exactly.  `QuotientSpace` is kept here as it reads this
+echelon, to compare with the package's, and `field_kernel` for the
+reference degree cocycle (`cocycle_oracle.py`).
 """
 
 from __future__ import annotations

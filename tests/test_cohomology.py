@@ -1,5 +1,7 @@
 """Cochain complexes, integral and field cohomology, induced maps."""
 
+import json
+import random
 import types
 from fractions import Fraction
 
@@ -10,16 +12,17 @@ from rzero.cohomology import (
     CochainComplex,
     Subgroup,
     connecting_delta,
-    field_dim,
+    filtration_field_dims,
     image_subgroup,
     induced_int_matrix,
     integral_cohomology,
     kernel_subgroup,
     restriction_transfer,
 )
-from rzero.complexes import Complex, full_subcomplex, star_subdivide
+from rzero.complexes import Complex, Subcomplex, full_subcomplex, star_subdivide
 from rzero.errors import InternalError
 from rzero.exact import ExactRadius
+from rzero.io import parse_input
 from rzero.linalg import (
     FieldSolver,
     PresentedGroup,
@@ -30,13 +33,47 @@ from rzero.linalg import (
     mat_vec,
     smith_normal_form,
 )
+from rzero.modes import Mode
+from rzero.pipeline import analyze
 from rzero.rng import RationalSampler
 
 from inputs import grid_identity_map, octagon_winding2_map
+from test_perfbench_targets import _load
 
 
 def circle_complex(k=6):
     return Complex.build([[f"c{i}", f"c{(i + 1) % k}"] for i in range(k)])
+
+
+def _field_dims(space, sub=None, char=0):
+    """dim H^q over the field, q = 0 .. dim, of X, of A and of (X, A), read
+    by the prefix route off the one-level filtration with A_0 = A (empty
+    when no A is given)."""
+    entry = {s: int(sub is not None and s in sub) for s in space.simplices}
+    return filtration_field_dims(space, entry, 1, char)
+
+
+def _vertex_filtration(space, vertex_entry):
+    """Simplex entries from vertex entries: each simplex enters with its
+    least vertex, so every level is face-closed."""
+    return {s: min(vertex_entry[v] for v in s) for s in space.simplices}
+
+
+def _filtration_complexes(space, entry, levels):
+    """X, then A_i and (X, A_i) for every level, as `filtration_field_dims`
+    lists them."""
+    ccs = [CochainComplex(space)]
+    for i in range(levels):
+        level = Subcomplex(space, [s for s, e in entry.items() if e > i])
+        ccs += [CochainComplex(level), CochainComplex(space, level)]
+    return ccs
+
+
+def _dense_dims(cc, char, dim=2):
+    """dim H^q, q = 0 .. dim, from dense field ranks of the complex's own
+    coboundaries."""
+    return [cc.size(q) - field_rank(cc.coboundary(q), char)
+            - field_rank(cc.coboundary(q - 1), char) for q in range(dim + 1)]
 
 
 def test_d_squared_zero():
@@ -56,7 +93,7 @@ def test_circle_h1():
 
 def test_two_points_h0_f2():
     c = Complex.build([["a"], ["b"]])
-    assert field_dim(CochainComplex(c), 0, 2) == 2
+    assert _field_dims(c, char=2)[0] == [2]
 
 
 def test_grid_relative_h2():
@@ -67,7 +104,7 @@ def test_grid_relative_h2():
     assert rel.torsion == ()
     # The absolute H^2 of the contractible grid is trivial.
     absolute = integral_cohomology(CochainComplex(f.complex), 2)
-    assert absolute.is_trivial()
+    assert absolute.group.is_trivial()
 
 
 def test_projective_plane_torsion():
@@ -85,10 +122,9 @@ def test_projective_plane_torsion():
     assert h2.torsion == (2,)
     h1 = integral_cohomology(cc, 1)
     assert h1.free_rank == 0 and h1.torsion == ()
-    assert field_dim(cc, 2, 2) == 1
-    assert field_dim(cc, 2, 3) == 0
-    assert field_dim(cc, 2, 0) == 0
-    assert field_dim(cc, 1, 2) == 1  # torsion appears one degree down
+    assert _field_dims(rp2, char=2)[0] == [1, 1, 1]  # torsion appears one degree down too
+    assert _field_dims(rp2, char=3)[0] == [1, 0, 0]
+    assert _field_dims(rp2, char=0)[0] == [1, 0, 0]
 
 
 def test_restriction_identity_and_zero():
@@ -192,21 +228,21 @@ def test_kernel_subgroup_cases():
                              CochainComplex(f.complex), 2),
     )
     kernel = kernel_subgroup(jmat, rel.group, h_abs.group)
-    assert kernel.free_rank == 1  # whole group: H^2(X) = 0
-    assert kernel.torsion == ()
+    assert kernel.group.free_rank == 1  # whole group: H^2(X) = 0
+    assert kernel.group.torsion == ()
 
     # Zero map: kernel is the whole group.
     whole = kernel_subgroup(None, rel.group, integral_cohomology(
         CochainComplex(Complex.build([["z"]])), 2).group)
-    assert whole.free_rank == rel.free_rank
+    assert whole.group.free_rank == rel.free_rank
 
     # Identity-like map: trivial kernel.
     circle = circle_complex()
     h1 = integral_cohomology(CochainComplex(circle), 1)
     ident = [[1 if i == j else 0 for j in range(h1.gens)] for i in range(h1.gens)]
     trivial = kernel_subgroup(ident, h1.group, h1.group)
-    assert trivial.free_rank == 0
-    assert trivial.torsion == ()
+    assert trivial.group.free_rank == 0
+    assert trivial.group.torsion == ()
 
 
 def test_class_coordinates():
@@ -250,22 +286,23 @@ def test_image_subgroup_ranks():
     doubled = [[2 * (1 if i == j else 0) for j in range(h1.gens)] for i in range(h1.gens)]
     img = image_subgroup([mat_vec(doubled, [1 if i == j else 0 for i in range(h1.gens)])
                           for j in range(h1.gens)], h1.group)
-    assert img.free_rank == 1
+    assert img.group.free_rank == 1
 
 
 def test_universal_coefficients_grid():
     f = grid_identity_map()
     boundary = full_subcomplex(f.complex, lambda v: f.norm_at(v).cmp(ExactRadius.of(1)) >= 0)
-    for cc in (CochainComplex(f.complex), CochainComplex(boundary),
-               CochainComplex(f.complex, boundary)):
-        integral = {q: integral_cohomology(cc, q) for q in range(4)}
-        for q in range(3):
-            for p in (2, 3, 5):
-                predicted = (integral[q].free_rank
-                             + sum(1 for d in integral[q].torsion if d % p == 0)
-                             + sum(1 for d in integral[q + 1].torsion if d % p == 0))
-                assert field_dim(cc, q, p) == predicted
-            assert field_dim(cc, q, 0) == integral[q].free_rank
+    ccs = (CochainComplex(f.complex), CochainComplex(boundary),
+           CochainComplex(f.complex, boundary))
+    for p in (2, 3, 5, 0):
+        for cc, dims in zip(ccs, _field_dims(f.complex, boundary, p), strict=True):
+            integral = {q: integral_cohomology(cc, q) for q in range(4)}
+            for q in range(3):
+                predicted = integral[q].free_rank
+                if p:
+                    predicted += (sum(1 for d in integral[q].torsion if d % p == 0)
+                                  + sum(1 for d in integral[q + 1].torsion if d % p == 0))
+                assert dims[q] == predicted
 
 
 MOEBIUS_FACES = [[1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 1], [5, 1, 2]]
@@ -322,51 +359,77 @@ def _check_coordinates(cc, sampler):
 
 
 def test_field_dim_matches_dense_ranks_and_uct():
-    # Two routes besides field_dim's sparse reduction: dense field ranks of
-    # the coboundary matrices, and the universal-coefficient prediction from
-    # the integral Smith route.
+    # Two routes besides the prefix reductions: dense field ranks of each
+    # complex's own coboundary matrices, and the universal-coefficient
+    # prediction from the integral Smith route.  Each filtration has two
+    # levels from random vertex entries in 0..2.
     sampler = RationalSampler(53)
     spaces = [Complex.build(MOEBIUS_FACES), Complex.build(RP2_FACES)]
     spaces += [_random_two_complex(sampler) for _ in range(8)]
-    ccs = []
-    for c in spaces:
-        ccs.append(CochainComplex(c))
-        for _ in range(2):
-            kept = {v for v in c.vertices if sampler.integer(0, 2) == 0}
-            sub = full_subcomplex(c, lambda v: v in kept)
-            ccs += [CochainComplex(sub), CochainComplex(c, sub)]
     torsion = 0
-    for cc in ccs:
-        integral = {q: integral_cohomology(cc, q) for q in range(4)}
-        for q in range(3):
-            torsion += len(integral[q].torsion)
-            for p in (2, 3, 5, 0):
-                dense = (cc.size(q) - field_rank(cc.coboundary(q), p)
-                         - field_rank(cc.coboundary(q - 1), p))
-                predicted = integral[q].free_rank
-                if p:
-                    predicted += (sum(1 for d in integral[q].torsion if d % p == 0)
-                                  + sum(1 for d in integral[q + 1].torsion if d % p == 0))
-                assert field_dim(cc, q, p) == dense == predicted
+    for c in spaces:
+        for _ in range(2):
+            entry = _vertex_filtration(c, {v: sampler.integer(0, 2) for v in c.vertices})
+            ccs = _filtration_complexes(c, entry, 2)
+            by_field = {p: filtration_field_dims(c, entry, 2, p) for p in (2, 3, 5, 0)}
+            for k, cc in enumerate(ccs):
+                integral = {q: integral_cohomology(cc, q) for q in range(4)}
+                for q in range(3):
+                    torsion += len(integral[q].torsion)
+                for p, dims in by_field.items():
+                    predicted = [integral[q].free_rank for q in range(3)]
+                    if p:
+                        predicted = [predicted[q]
+                                     + sum(1 for d in integral[q].torsion if d % p == 0)
+                                     + sum(1 for d in integral[q + 1].torsion if d % p == 0)
+                                     for q in range(3)]
+                    assert dims[k] == _dense_dims(cc, p) == predicted
     assert torsion  # RP^2's H^2 = Z/2 at least
 
 
+def _count_echelons(monkeypatch) -> list:
+    """The field of every `FieldEchelon` the prefix route makes, in order."""
+    made = []
+
+    class Counting(cohomology.FieldEchelon):
+        def __init__(self, char):
+            made.append(char)
+            super().__init__(char)
+
+    monkeypatch.setattr(cohomology, "FieldEchelon", Counting)
+    return made
+
+
 def test_field_dim_reduces_each_coboundary_once(monkeypatch):
-    # rank d_q serves degrees q and q + 1, so every dimension over every
-    # field on Moebius reduces each d_q (q = -1 .. 2) once per field.
-    reduced = []
-    real = cohomology._field_rank
-    monkeypatch.setattr(cohomology, "_field_rank",
-                        lambda cols, char: reduced.append(char) or real(cols, char))
-    cc = CochainComplex(Complex.build(MOEBIUS_FACES))
+    # One echelon per order (the levels' boundaries by decreasing entry,
+    # the pairs' coboundaries by increasing entry) and per nonzero d_q
+    # (q = 0, 1) serves X and every level and pair: on a Moebius filtration
+    # with three levels, four echelons per field.
+    made = _count_echelons(monkeypatch)
+    space = Complex.build(MOEBIUS_FACES)
+    entry = _vertex_filtration(space, {"1": 3, "2": 1, "3": 2, "4": 0, "5": 3})
     chars = (2, 3, 5, 0)
-    dims = [[field_dim(cc, q, p) for q in range(3)] for p in chars for _ in range(2)]
-    assert len(reduced) == 4 * len(chars)
-    assert sorted(reduced) == sorted(4 * chars)
-    for p, got in zip(chars, dims[::2]):
-        assert got == [cc.size(q) - field_rank(cc.coboundary(q), p)
-                       - field_rank(cc.coboundary(q - 1), p) for q in range(3)]
-    assert dims[0] == [1, 1, 0] and dims[1] == dims[0]
+    dims = {p: filtration_field_dims(space, entry, 3, p) for p in chars}
+    assert sorted(made) == sorted(4 * chars)
+    ccs = _filtration_complexes(space, entry, 3)
+    for p in chars:
+        assert dims[p] == [_dense_dims(cc, p) for cc in ccs]
+        assert dims[p][0] == [1, 1, 0]
+
+
+def test_field_dims_take_one_reduction_per_order_degree_and_field(monkeypatch):
+    # On the 4 x 4 generic grid (86 levels) a reduction of each d_q of X,
+    # of every level and of every pair once per field took
+    # (2 * 86 + 1) * 4 * 4 = 2768 echelons.
+    doc = _load(monkeypatch, "inputs").grid(random.Random(5), 4, 2, "l2", True)
+    analysis = analyze(parse_input(json.dumps(doc)), Mode.HOPF, 5)
+    filt, dim = analysis.filtration, analysis.f.complex.dim
+    assert filt.level_count() == 86 and dim == 2
+    made = _count_echelons(monkeypatch)
+    for p in (2, 3, 5, 0):
+        dims = filtration_field_dims(analysis.f.complex, filt.entry, filt.level_count(), p)
+        assert len(dims) == 2 * 86 + 1
+    assert len(made) <= 2 * (dim + 2) * 4
 
 
 def test_integral_coordinates_from_smith_inverse():

@@ -20,7 +20,7 @@ import rzero.harness as harness
 import rzero.modes as modes
 import rzero.pipeline as pipeline
 from rzero.barcode import ORACLE_DIMENSION_CAP, barcode, decompose_oracle
-from rzero.cohomology import CochainComplex, field_dim
+from rzero.cohomology import filtration_field_dims
 from rzero.complexes import Complex, PLMap
 from rzero.errors import InternalError
 from rzero.filtration import Filtration
@@ -117,7 +117,9 @@ def test_torsion_trap_takes_the_module_route(monkeypatch):
     shifted = f.with_values({v: (x + 10, y) for v, (x, y) in f.values.items()})
     analysis = analyze(shifted, Mode.CIRCLE, 5)
     assert analysis.filtration.levels[0].simplices == analysis.f.complex.simplices
-    assert field_dim(CochainComplex(analysis.f.complex), 1, 2) == 1
+    filt = analysis.filtration
+    dims = filtration_field_dims(analysis.f.complex, filt.entry, filt.level_count(), 2)
+    assert dims[0][1] == dims[1][1] == 1  # X, and A_0 = X
     module = assemble_pointed_module(analysis, "f2")
     assert module.dims[0] == 0 and module.dims[1] == 1
     calls = _count(monkeypatch, pipeline, "assemble_pointed_module")

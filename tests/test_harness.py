@@ -4,12 +4,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rzero.harness as harness
 import rzero.pipeline as pipeline
-from rzero.cohomology import Subgroup
+from rzero.cohomology import filtration_field_dims
 from rzero.exact import ExactRadius
-from rzero.linalg import PresentedGroup
 from rzero.harness import (
     PerturbSpec,
     check_invariances,
@@ -17,12 +17,14 @@ from rzero.harness import (
     exactness_checks,
     perturb,
 )
-from rzero.modes import Mode
+from rzero.modes import Mode, applicable
 from rzero.normmin import vector_norm
 from rzero.barcode import Interval, PointedBarcode, barcode
 from rzero.pipeline import analyze, assemble_pointed_module
 
 from inputs import edge_map, grid_identity_map, octagon_winding2_map, rectangle_map
+from test_cohomology import _dense_dims
+from test_field_barcode import small_maps
 from test_pipeline_fuzz import (
     moebius_odd_winding_map,
     planar_inputs,
@@ -103,8 +105,16 @@ def _failed(report) -> list[str]:
 
 
 def test_uct_check_fails_on_a_wrong_field_dim(monkeypatch):
-    real = harness.field_dim
-    monkeypatch.setattr(harness, "field_dim", lambda cc, q, char: real(cc, q, char) + 1)
+    # One dimension off by one, over F_3 only: H^2 of the last pair.
+    real = harness.filtration_field_dims
+
+    def one_wrong(space, entry, levels, char):
+        dims = real(space, entry, levels, char)
+        if char == 3:
+            dims[-1][2] += 1
+        return dims
+
+    monkeypatch.setattr(harness, "filtration_field_dims", one_wrong)
     assert _failed(exactness_checks(grid_identity_map(), Mode.HOPF, 31)) == [
         "universal coefficients"]
 
@@ -127,7 +137,8 @@ def test_d_squared_check_fails_on_one_flipped_entry():
 
 def test_exactness_checks_share_integral_cohomology(monkeypatch):
     # The delta and universal-coefficient checks both read H^{n-1} of every
-    # level and H^n of X and of every pair: each is computed once.
+    # level and H^n of X and of every pair: each is computed once.  The
+    # field dimensions of all complexes come from one call per field.
     computed = []
     real = harness.integral_cohomology
 
@@ -135,22 +146,63 @@ def test_exactness_checks_share_integral_cohomology(monkeypatch):
         computed.append((id(cc), q))
         return real(cc, q)
 
+    fields = []
+    real_dims = harness.filtration_field_dims
+
+    def counting_dims(space, entry, levels, char):
+        fields.append(char)
+        return real_dims(space, entry, levels, char)
+
     monkeypatch.setattr(harness, "integral_cohomology", counting)
+    monkeypatch.setattr(harness, "filtration_field_dims", counting_dims)
     f = grid_identity_map()
     report = exactness_checks(f, Mode.HOPF, 31)
     assert report.passed
     analysis = analyze(f, Mode.HOPF, 31)
     complexes = 1 + 2 * len(analysis.filtration.levels)
     assert len(computed) == len(set(computed)) == complexes * (analysis.f.complex.dim + 2)
+    assert sorted(fields) == [0, 2, 3, 5]
 
 
 def test_delta_check_fails_on_a_zero_kernel(monkeypatch):
-    def zero(matrix, src, dst):
-        return Subgroup(src, [], PresentedGroup(0, []))
-
-    monkeypatch.setattr(harness, "kernel_subgroup", zero)
+    monkeypatch.setattr(harness, "_kernel_rank", lambda *args: 0)
     assert _failed(exactness_checks(grid_identity_map(), Mode.HOPF, 31)) == [
         "im(delta) = ker(j*) (rational ranks)"]
+
+
+def test_delta_check_fails_when_jstar_misses_the_kernel(monkeypatch):
+    # H^2(RP^2) = Z/2 has rational rank 0, so adding the class of one
+    # triangle to the first column of j* leaves both ranks as they were;
+    # the integral membership test alone sees a delta class with an odd
+    # first coordinate leave ker j*.
+    real = harness.induced_columns
+
+    def shifted(src, dst, transfer):
+        cols = real(src, dst, transfer)
+        if cols:
+            cols[0] = [x + (i == 0) for i, x in enumerate(cols[0])]
+        return cols
+
+    monkeypatch.setattr(harness, "induced_columns", shifted)
+    assert _failed(exactness_checks(projective_plane_map(), Mode.HOPF, 31)) == [
+        "im(delta) = ker(j*) (rational ranks)"]
+
+
+@settings(max_examples=15)
+@given(st.sampled_from([1, 2]).flatmap(lambda n: small_maps(n=n)), st.integers(0, 1 << 20))
+def test_random_complexes_pass_the_exactness_checks(f, seed):
+    # Every applicable mode passes, and the prefix dimensions equal the
+    # dense field ranks of each complex's own coboundaries.
+    modes = [m for m in Mode if applicable(m, f.n, f.complex.dim)]
+    for mode in modes:
+        report = exactness_checks(f, mode, seed)
+        assert report.passed, report.to_dict()
+    analysis = analyze(f, modes[0], seed)
+    filt, dim = analysis.filtration, analysis.f.complex.dim
+    ccs = harness._all_cochain_complexes(analysis)
+    for p in (2, 3, 5, 0):
+        dims = filtration_field_dims(analysis.f.complex, filt.entry, filt.level_count(), p)
+        assert dims == [_dense_dims(cc, p, dim) for cc in ccs]
 
 
 def test_reports_are_deterministic():

@@ -378,6 +378,39 @@ def test_pinned_stdout(label, tmp_path, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[label]
 
 
+def test_cached_parser_prints_what_fresh_parsers_print(tmp_path, capsys, monkeypatch):
+    # One parser serves every in-process `main` call; a run of different
+    # subcommands, with an error and a repeat among them, prints the same
+    # bytes and exit codes as the same run with a fresh parser per call.
+    edge = tmp_path / "edge.json"
+    edge.write_text(as_document(edge_map()))
+    grid = os.path.join(SAMPLE_INPUTS, "grid_identity.json")
+    runs = [
+        ["criticals", str(edge)],
+        ["barcode", grid, "--field", "f2", "--seed", "3"],
+        ["robust-radius", str(edge), "--mode", "signs"],
+        ["perturb", str(edge), "--delta", "1/10", "--seed", "5"],
+        ["bottleneck", grid, grid],
+        ["criticals", str(tmp_path / "missing.json")],
+        ["module", grid, "--field", "z", "--seed", "3"],
+        ["criticals", str(edge)],
+    ]
+
+    def outputs():
+        printed = []
+        for argv in runs:
+            code = cli.main(argv)
+            printed.append((code, *capsys.readouterr()))
+        return printed
+
+    assert cli.build_parser() is cli.build_parser()
+    cached = outputs()
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    assert cli.build_parser() is not cli.build_parser()
+    assert cached == outputs()
+    assert cached[0] == cached[-1] and cached[5][0] == 1
+
+
 @pytest.mark.parametrize("mode", ["hopf", "signs"])
 def test_integral_barcode_fails_before_any_module(mode, tmp_path, capsys, monkeypatch):
     def no_module(*args):

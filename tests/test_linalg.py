@@ -16,7 +16,6 @@ from rzero.linalg import (
     PresentedGroup,
     QuotientSpace,
     SmithSolver,
-    field_kernel,
     field_rank,
     field_solve,
     from_columns,
@@ -174,13 +173,6 @@ def test_integer_kernel_saturated():
     # (−2, 1, 0) must be an integer combination of the basis
     matrix = from_columns(kern, 3)
     assert SmithSolver(matrix).solve([-2, 1, 0]) is not None
-
-
-def test_field_kernel():
-    kern = field_kernel([[1, 1, 0]], 2)
-    assert len(kern) == 2
-    for vec in kern:
-        assert sum(vec[:2]) % 2 == 0
 
 
 def test_presented_group_invariants():
@@ -408,7 +400,7 @@ def _typed(vec):
 def test_dense_adapter_matches_the_dense_oracle(char, fractions):
     """The sparse echelon behind `DenseAdapter` stores, refuses and projects
     exactly as the dense echelon it replaced (`echelon_oracle.py`), and so
-    do `QuotientSpace` and `field_kernel`."""
+    does `QuotientSpace`."""
     rng = random.Random(20 + char + fractions)
     for _ in range(80):
         n = rng.randint(1, 6)
@@ -442,10 +434,6 @@ def test_dense_adapter_matches_the_dense_oracle(char, fractions):
             got = space.induced_matrix(m, target)
             assert list(map(_typed, got)) == list(map(_typed, expected_space.induced_matrix(
                 m, expected_target)))
-        if vectors:
-            got = field_kernel(vectors, char)
-            assert list(map(_typed, got)) == list(map(_typed, echelon_oracle.field_kernel(
-                vectors, char)))
 
 
 def test_quotient_space_canonical_random():

@@ -7,6 +7,7 @@ each level."""
 import contextlib
 import io
 import pathlib
+import types
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from rzero.complexes import (
     star_subdivide,
 )
 from rzero.errors import InternalError
+from rzero.exact import ExactRadius
 from rzero.filtration import build_filtration
 from rzero.linalg import columns
 from rzero.modes import Mode, SignVector, applicable, sign_vector, sign_witness, winding_cocycle
@@ -283,3 +285,25 @@ def test_levels_are_a_sequence_built_on_first_read():
     for i, level in enumerate(levels):
         assert level.simplices == {s for s, e in filt.entry.items() if e > i}
         assert level.parent is filt.f.complex
+
+
+def test_robust_radius_reads_the_last_nontrivial_flag():
+    # The radius is the sample of the last level whose flag is set; flags
+    # that are not a run of Trues from the first level are an internal error.
+    analysis = analyze(grid_identity_map(), Mode.HOPF, 31)
+    flags = [level.nontrivial for level in analysis.levels]
+    last = flags.count(True) - 1
+    assert last >= 0 and flags == [True] * (last + 1) + [False] * (len(flags) - last - 1)
+    robust = pipeline._robust_from_levels(analysis.filtration, analysis.levels)
+    assert robust.radius == analysis.samples[last] == analysis.robust.radius
+
+    def levels(*flags):
+        return [types.SimpleNamespace(nontrivial=flag) for flag in flags]
+
+    zero = pipeline._robust_from_levels(analysis.filtration, levels(False, False))
+    assert zero.radius == ExactRadius.of(0) and zero.witness == {}
+    with pytest.raises(InternalError, match="beyond the largest critical value"):
+        pipeline._robust_from_levels(analysis.filtration, levels(True, True))
+    for gap in (levels(True, False, True, False), levels(False, True, False)):
+        with pytest.raises(InternalError, match="after it vanished"):
+            pipeline._robust_from_levels(analysis.filtration, gap)
