@@ -11,12 +11,12 @@ quotient without any quotient-space machinery (excision).
 
 Integral cohomology is presented as ker d_q / im d_{q-1}: a basis of the
 saturated kernel lattice (from the Smith normal form of d_q) together with
-the image generators rewritten in kernel coordinates.  With d_q = U^-1 S V^-1
-and rank r, the kernel basis is the last columns V[:, r:], so the
-coordinates of a cochain z are (V^-1 z)[r:], read from the V^-1 the Smith
-form returns; the cocycle check comes free, as (V^-1 z)[:r] = 0.  Coordinates
-of any cocycle in this presentation are well defined modulo the relations.
-The Smith form's input is the only dense coboundary.
+the image generators rewritten in kernel coordinates.  With u d_q v = s and
+rank r, the kernel basis is the last columns v[:, r:].  The coordinates of
+a cocycle in that basis are unique, and one `linalg.IntegerSolver` of the
+basis gives them; a cochain that it cannot write is no cocycle.
+Coordinates of any cocycle in this presentation are well defined modulo the
+relations.  The Smith form's input is the only dense coboundary.
 
 Over a field only dimensions are read, and only along a filtration
 (`filtration_field_dims`): dim H^q = n_q - rank d_q - rank d_{q-1} on X,
@@ -28,17 +28,17 @@ q-simplices prefixes of the increasing-entry order, so one
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import accumulate
 
 from .complexes import Complex, Simplex, Subcomplex
 from .errors import InternalError
 from .linalg import (
     FieldEchelon,
+    IntegerSolver,
     PresentedGroup,
-    SmithSolver,
     _sparse,
     columns,
-    from_columns,
     integer_kernel,
     lattice_basis,
     smith_normal_form,
@@ -157,18 +157,17 @@ class IntCohomology:
 
     `kernel` is a basis of the saturated cocycle lattice; None stands for the
     identity basis (top degree, where every cochain is a cocycle), in which
-    case coordinates are the cochain vectors themselves.  Otherwise
-    `vinv_cols` are the columns of V^-1 from the Smith form of d_q, whose
-    last columns V[:, rank:] are the kernel basis.
+    case coordinates are the cochain vectors themselves.  Otherwise `solver`
+    is the `IntegerSolver` of the kernel basis.
     """
 
     def __init__(self, cc: CochainComplex, q: int, kernel, group: PresentedGroup,
-                 vinv_cols=None):
+                 solver: IntegerSolver | None = None):
         self.cc = cc
         self.q = q
         self.kernel = kernel
         self.group = group
-        self.vinv_cols = vinv_cols
+        self.solver = solver
 
     @property
     def gens(self) -> int:
@@ -187,13 +186,10 @@ class IntCohomology:
         vec = [int(x) for x in vec]
         if self.kernel is None:
             return vec
-        if len(vec) != len(self.vinv_cols):
-            raise ValueError("cochain length mismatch")
-        y = _apply_columns(self.vinv_cols, _sparse(vec))
-        rank = len(vec) - len(self.kernel)
-        if any(y[:rank]):
+        coords = self.solver.solve(vec)
+        if coords is None:
             raise InternalError("not a cocycle")
-        return y[rank:]
+        return coords
 
     def represent(self, coords) -> list[int]:
         """A cocycle vector representing the given presentation coordinates."""
@@ -209,41 +205,26 @@ class IntCohomology:
 
 
 def integral_cohomology(cc: CochainComplex, q: int) -> IntCohomology:
-    """ker d_q / im d_{q-1} over the integers via Smith normal form."""
+    """ker d_q / im d_{q-1} over the integers: the kernel basis from the
+    Smith normal form of d_q, and each nonzero column of d_{q-1} written in
+    it as a relation."""
     n_q = cc.size(q)
     if n_q == 0:
-        return IntCohomology(cc, q, [], PresentedGroup(0, []), [])
+        return IntCohomology(cc, q, [], PresentedGroup(0, []), IntegerSolver([], 0))
     if cc.size(q + 1) == 0:
         # Top degree: the kernel is everything; keep the identity implicit.
         return IntCohomology(cc, q, None, _presented(range(n_q), cc.columns(q - 1).values()))
     snf = smith_normal_form(cc.coboundary(q))
     kernel = columns(snf.v)[snf.rank:]
-    vinv_cols = columns(snf.vinv)
-    group = _present_quotient(cc, q, snf.rank, vinv_cols)
-    return IntCohomology(cc, q, kernel, group, vinv_cols)
-
-
-def _apply_columns(cols, vec: dict[int, int]) -> list[int]:
-    """The matrix with the given columns times a sparse vector."""
-    out = [0] * len(cols[0]) if cols else []
-    for i, x in vec.items():
-        out = [o + x * c for o, c in zip(out, cols[i])]
-    return out
-
-
-def _present_quotient(cc: CochainComplex, q: int, rank: int, vinv_cols) -> PresentedGroup:
-    """Relations of ker d_q / im d_{q-1}: each nonzero column of d_{q-1} in
-    kernel coordinates, (V^-1 col)[rank:]."""
-    gens = len(vinv_cols) - rank
-    if gens == 0:
-        return PresentedGroup(0, [])
+    solver = IntegerSolver(kernel, n_q)
     relations = []
-    for image_col in cc.columns(q - 1).values():
-        y = _apply_columns(vinv_cols, image_col)
-        if any(y[:rank]):
-            raise InternalError("coboundary escapes the cocycle lattice")
-        relations.append(y[rank:])
-    return PresentedGroup(gens, relations)
+    if kernel:
+        for image_col in cc.columns(q - 1).values():
+            rel = solver.solve(image_col)
+            if rel is None:
+                raise InternalError("coboundary escapes the cocycle lattice")
+            relations.append(rel)
+    return IntCohomology(cc, q, kernel, PresentedGroup(len(kernel), relations), solver)
 
 
 def filtration_field_dims(space: Complex, entry: dict[Simplex, int], levels: int,
@@ -390,7 +371,6 @@ class Subgroup:
         self.ambient = ambient
         self.span = span
         self.group = group
-        self._solver = None
 
     def generators(self) -> list[list[int]]:
         if self.span is None:
@@ -398,19 +378,19 @@ class Subgroup:
             return [[1 if i == j else 0 for i in range(g)] for j in range(g)]
         return [list(v) for v in self.span]
 
+    @cached_property
+    def _solver(self) -> IntegerSolver:
+        return IntegerSolver([*self.span, *self.ambient.relations], self.ambient.gens)
+
     def member_coords(self, ambient_coords) -> list[int] | None:
-        """Subgroup coordinates of an ambient class, or None if outside."""
+        """Subgroup coordinates of an ambient class, or None if outside: the
+        span's entries of one solution over the span and the ambient
+        relations."""
         ambient_coords = list(ambient_coords)
         if self.span is None:
             return ambient_coords
-        if not self.span:
-            zero = self.ambient.is_zero_class(ambient_coords)
-            return [] if zero else None
-        if self._solver is None:
-            cols = [list(v) for v in self.span]
-            cols += [list(r) for r in self.ambient.relations]
-            self._solver = SmithSolver(from_columns(cols, self.ambient.gens))
-        return self._solver.solve_head(ambient_coords, len(self.span))
+        x = self._solver.solve(ambient_coords)
+        return None if x is None else x[:len(self.span)]
 
 
 def kernel_subgroup(matrix, src: PresentedGroup, dst: PresentedGroup) -> Subgroup:

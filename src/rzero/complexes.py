@@ -412,17 +412,17 @@ class _Subdivider:
         return changed
 
 
-def star_subdivide(f: PLMap, round_budget: int | None = None) -> PLMap:
+def star_subdivide(f: PLMap) -> PLMap:
     """Refine f's complex until minima are vertex-attained and component
     zeros meet edges only in vertices (or along whole edges).
 
     The geometric realization is unchanged and the returned map agrees with
     f pointwise; `expansion` on the result expresses each new vertex as an
-    affine combination of original vertices.  Raises InternalError when the
-    configured round budget is exhausted (diagnostic for non-termination).
+    affine combination of original vertices.  Raises InternalError after
+    10 rounds per input simplex (diagnostic for non-termination).
     """
     state = _Subdivider(f)
-    budget = round_budget if round_budget is not None else 10 * max(len(f.complex), 1)
+    budget = 10 * max(len(f.complex), 1)
     rounds = 0
     while state.argmin_pass() | state.zero_split_pass():
         rounds += 1

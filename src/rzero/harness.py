@@ -116,10 +116,11 @@ def _pipeline_barcode(f: PLMap, mode: Mode, coefficients, seed: int):
 
 
 def check_stability(f: PLMap, mode: Mode, delta: Fraction, trials: int,
-                    seed: int, coefficients=None) -> Report:
+                    seed: int) -> Report:
     """Perturb `trials` times and verify the two stability inequalities:
-    bottleneck(B_f, B_g) <= delta and |rho_f - rho_g| <= delta."""
-    coefficients = coefficients or DEFAULT_FIELD[mode]
+    bottleneck(B_f, B_g) <= delta and |rho_f - rho_g| <= delta, with the
+    barcodes over the mode's `DEFAULT_FIELD`."""
+    coefficients = DEFAULT_FIELD[mode]
     delta = Fraction(delta)
     bound = ExactRadius.of(delta)
     base_bc, base_rho = _pipeline_barcode(f, mode, coefficients, child_seed(seed, 0))
@@ -190,17 +191,18 @@ def _negate_map(f: PLMap) -> PLMap:
     return f.with_values({v: tuple(-x for x in val) for v, val in f.values.items()})
 
 
-def check_invariances(f: PLMap, mode: Mode, seed: int,
-                      coefficients=None) -> Report:
+def check_invariances(f: PLMap, mode: Mode, seed: int) -> Report:
     """Scaling, rotation, negation, functoriality, probe/ray independence
     and the signs/hopf cross-check, each with exact assertions.
 
-    Only the base map's module is assembled, for the functoriality check;
-    its barcode is compared with the barcodes of the scaled, rotated and
-    negated maps, which `field_barcode` reads as the CLI does.  Those maps
+    Only the base map's module is assembled, over the mode's
+    `DEFAULT_FIELD`, for the functoriality check; its barcode is compared
+    with the barcodes of the scaled, rotated and negated maps, which
+    `field_barcode` reads as the CLI does.  Those maps
     are subdivided anew, as that is part of what their checks test; the
-    probe/ray resamples share the base's filtration, which reads no seed."""
-    coefficients = coefficients or DEFAULT_FIELD[mode]
+    probe/ray resamples share the base's filtration, which reads no seed,
+    and each resample's class is compared in the base's groups."""
+    coefficients = DEFAULT_FIELD[mode]
     results = []
     base = analyze(f, mode, seed)
     base_mod = assemble_pointed_module(base, coefficients)

@@ -2,18 +2,18 @@
 
 Integer matrices are plain lists of lists of Python ints; field matrices use
 Fraction entries (characteristic 0) or ints reduced mod p.  The Smith normal
-form drives the integer side where coefficients or torsion are needed:
-kernels, linear Diophantine solving, and presentations of finitely generated
-abelian groups.  Its pivots are chosen by minimal absolute value (ties by
-position) to limit entry growth.  It gives both transforms u, v and both
-inverses u^-1, v^-1, so lattice bases and coordinates are read off integer
-matrices with no Fraction inverse or solve.  The elimination computes only
+form defines the presentations: the invariants of a finitely generated
+abelian group and its normalized basis (u and u^-1), integer kernels (v)
+and lattice bases (u^-1).  Its pivots are chosen by minimal absolute value
+(ties by position) to limit entry growth.  The elimination computes only
 the diagonal form and logs its operations; each transform is built from the
-log, on sparse rows, when a caller first reads it.  Yes/no questions about a
-relation lattice (is a class zero, is the group trivial) use a
-transform-free integer column echelon instead.  Small
-square integer systems (the norm minimizer's faces, the degree cocycle's
-simplices) are solved fraction-free by `solve_square`, in Cramer form.
+log, on sparse rows, when a caller first reads it.  Every other integer
+question is answered by one transform-free integer column echelon on sparse
+vectors (`_lattice_insert`): whether a vector lies in a lattice (is a class
+zero, is the group trivial) and, through `IntegerSolver`, the integer
+coordinates of a vector in given vectors.  Small square integer systems
+(the norm minimizer's faces, the degree cocycle's simplices) are solved
+fraction-free by `solve_square`, in Cramer form.
 
 Every field elimination in the package runs in one sparse column echelon
 over Q or F_p, `FieldEchelon`: columns {key: entry} pivot on their highest
@@ -93,8 +93,8 @@ def from_columns(cols: list[IntVector], rows: int) -> IntMatrix:
 # ---------------------------------------------------------------------------
 
 class SmithForm:
-    """u * m * v = s with u, v unimodular; uinv and vinv are their inverses,
-    so m = uinv * s * vinv.
+    """u * m * v = s with u, v unimodular, and uinv the inverse of u: the
+    column lattice of m is that of uinv * s.
 
     Only s and rank are computed by the elimination.  It logs its row and
     column operations, and each transform is built from that log on first
@@ -126,10 +126,6 @@ class SmithForm:
     def v(self) -> IntMatrix:
         return _dense(_replay(self._cols, self._col_ops, True), transposed=True)
 
-    @cached_property
-    def vinv(self) -> IntMatrix:
-        return _dense(_replay(self._cols, self._col_ops, False))
-
 
 # Logged operations: (_SWAP, i, j), (_ADD, src, dst, factor) for
 # line[dst] += factor * line[src], and (_NEGATE, i).
@@ -144,7 +140,7 @@ def _replay(n: int, ops: list, forward: bool) -> list[dict[int, int]]:
     the inverse operation with the roles of the lines exchanged, which is
     the same operation on the other side of the inverse: an add becomes
     row[src] -= factor * row[dst].  This gives u^-1 transposed from the row
-    log, and v^-1 from the column log.
+    log.
     """
     rows = [{i: 1} for i in range(n)]
     for op in ops:
@@ -188,7 +184,7 @@ def _dense(rows: list[dict[int, int]], transposed: bool = False) -> IntMatrix:
 
 
 def smith_normal_form(m: IntMatrix) -> SmithForm:
-    """Smith normal form u*m*v = s with u, v unimodular, and their inverses.
+    """Smith normal form u*m*v = s with u, v unimodular, and u^-1.
 
     The diagonal of s is nonnegative and satisfies the divisibility chain
     d1 | d2 | ... ; pivots are picked by minimal absolute value, ties broken
@@ -298,78 +294,6 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 
     rank = sum(1 for i in range(min(rows, cols)) if a[i][i] != 0)
     return SmithForm(a, rank, row_ops, col_ops)
-
-
-class SmithSolver:
-    """Cached Smith form of one matrix for solving many systems m x = b.
-
-    The nonzero entries of u's columns and of v's first `rank` columns are
-    kept once per solver, so a solve reads only the columns of u in the
-    support of b and the columns of v in the support of z.
-    """
-
-    def __init__(self, m: IntMatrix):
-        self.rows = len(m)
-        self.cols = len(m[0]) if self.rows else 0
-        self._snf = smith_normal_form(m) if self.cols else None
-
-    @cached_property
-    def _u_columns(self) -> list[list[tuple[int, int]]]:
-        """(row, entry) for the nonzero entries of each column of u."""
-        out: list[list[tuple[int, int]]] = [[] for _ in range(self.rows)]
-        for i, row in enumerate(self._snf.u):
-            for j, x in enumerate(row):
-                if x:
-                    out[j].append((i, x))
-        return out
-
-    @cached_property
-    def _v_columns(self) -> list[list[tuple[int, int]]]:
-        """(row, entry) for the nonzero entries of each of the first `rank`
-        columns of v, by increasing row."""
-        rank = self._snf.rank
-        out: list[list[tuple[int, int]]] = [[] for _ in range(rank)]
-        for r, row in enumerate(self._snf.v):
-            for i in range(rank):
-                if row[i]:
-                    out[i].append((r, row[i]))
-        return out
-
-    def solve(self, b: IntVector) -> IntVector | None:
-        return self.solve_head(b, self.cols)
-
-    def solve_head(self, b: IntVector, k: int) -> IntVector | None:
-        """The first k entries of `solve(b)`.
-
-        With u m v = s, x = v z where s z = u b; z vanishes past the rank, so
-        only the first k rows and the first `rank` columns of v are read.
-        """
-        if len(b) != self.rows:
-            raise ValueError("dimension mismatch in SmithSolver.solve")
-        if self.cols == 0:
-            return [] if all(x == 0 for x in b) else None
-        snf = self._snf
-        ub: dict[int, int] = {}
-        u_columns = self._u_columns
-        for j, x in enumerate(b):
-            if x:
-                for i, y in u_columns[j]:
-                    ub[i] = ub.get(i, 0) + y * x
-        out = [0] * k
-        v_columns = self._v_columns
-        for i, y in ub.items():
-            if not y:
-                continue
-            if i >= snf.rank:
-                return None
-            z, r = divmod(y, snf.s[i][i])
-            if r:
-                return None
-            for row, x in v_columns[i]:
-                if row >= k:
-                    break
-                out[row] += x * z
-        return out
 
 
 def integer_kernel(m: IntMatrix) -> list[IntVector]:
@@ -791,26 +715,39 @@ def _lattice_insert(lattice: dict[int, dict[int, int]], vec: dict[int, int]) -> 
         vec = _combine(b // g, basis, -(a // g), vec)
 
 
-def _lattice_coords(lattice: dict[int, dict[int, int]],
-                    vec: dict[int, int]) -> dict[int, int] | None:
-    """vec in the echelon basis, {pivot row: coefficient}, by exact
-    division from its first row on; None when vec is off the lattice."""
+def _lattice_reduce(lattice: dict[int, dict[int, int]], vec: dict[int, int],
+                    rows: int | None = None) -> tuple[dict[int, int], dict[int, int]]:
+    """(coords, rest): vec less the combination {pivot row: coefficient} of
+    echelon vectors that exact division takes off it, from its first key
+    on.  The division stops at the first key with no pivot or a remainder,
+    or at the first key not below `rows` when given; rest is empty exactly
+    when vec is the combination."""
     coords = {}
     while vec:
         row = min(vec)
+        if rows is not None and row >= rows:
+            break
         basis = lattice.get(row)
         if basis is None:
-            return None
+            break
         q, r = divmod(vec[row], basis[row])
         if r:
-            return None
+            break
         coords[row] = q
         vec = _combine(1, vec, -q, basis)
-    return coords
+    return coords, vec
+
+
+def _lattice_coords(lattice: dict[int, dict[int, int]],
+                    vec: dict[int, int]) -> dict[int, int] | None:
+    """vec in the echelon basis, {pivot row: coefficient}; None when vec is
+    off the lattice."""
+    coords, rest = _lattice_reduce(lattice, vec)
+    return None if rest else coords
 
 
 def _lattice_contains(lattice: dict[int, dict[int, int]], vec: dict[int, int]) -> bool:
-    return _lattice_coords(lattice, vec) is not None
+    return not _lattice_reduce(lattice, vec)[1]
 
 
 def _lattice_is_full(lattice: dict[int, dict[int, int]], dim: int) -> bool:
@@ -829,6 +766,48 @@ def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     if a < 0:
         return -a, -x0, -y0
     return a, x0, y0
+
+
+class IntegerSolver:
+    """Integer solutions x of sum_j x_j vectors[j] = b, for vectors of
+    length `rows`, from one integer echelon of the vectors.
+
+    Vector j enters the echelon with a tag 1 at key rows + j, past every
+    row, so each stored vector carries on the tag keys the combination of
+    the inputs that it is.  A solve divides b exactly by the stored vectors
+    on the rows; when the rows are cleared, what is left is -x on the tags.
+    x is unique when the vectors are independent, and one solution
+    otherwise.
+    """
+
+    def __init__(self, vectors, rows: int):
+        self.rows = rows
+        self.count = len(vectors)
+        self._lattice: dict[int, dict[int, int]] = {}
+        for j, vec in enumerate(vectors):
+            if len(vec) != rows:
+                raise ValueError("vector length mismatch in IntegerSolver")
+            tagged = _sparse(vec)
+            tagged[rows + j] = 1
+            _lattice_insert(self._lattice, tagged)
+
+    def solve(self, b) -> IntVector | None:
+        """x with sum_j x_j vectors[j] = b, or None when b is off their
+        lattice.  b is a dense vector, or sparse as {row: entry}."""
+        if isinstance(b, dict):
+            vec = b
+        elif len(b) != self.rows:
+            raise ValueError("dimension mismatch in IntegerSolver.solve")
+        else:
+            vec = _sparse(b)
+        rows = self.rows
+        _, rest = _lattice_reduce(self._lattice, vec, rows)
+        if rest and min(rest) < rows:
+            return None
+        x = [0] * self.count
+        for k, v in rest.items():
+            x[k - rows] = -v
+        return x
 
 
 class PresentedGroup:

@@ -96,7 +96,9 @@ class Level:
     Every mode's level provides `group` (a `PresentedGroup`), `coords` (the
     distinguished class in it), `transition(later)` (the integral matrix of
     the map induced by the inclusion, to any later level), `witness()` and
-    `nontrivial`.
+    `nontrivial`.  Circle and hopf levels also provide `same_class(other)`:
+    whether another analysis of the same filtration (another probe or ray)
+    has the same distinguished class at this level.
     """
 
     def __init__(self, filt: Filtration, index: int, nontrivial: bool):
@@ -107,11 +109,6 @@ class Level:
     @property
     def level(self) -> Subcomplex:
         return self.filt.levels[self.index]
-
-    def same_class(self, other: "Level") -> bool:
-        """Whether another analysis of the same filtration (another probe or
-        ray) has the same distinguished class at this level."""
-        return self.group.classes_equal(self.coords, other.coords)
 
 
 class SignsLevel(Level):
@@ -255,6 +252,12 @@ class CircleLevel(Level):
     def witness(self) -> dict:
         return {"winding_coordinates": list(self.winding_coords)}
 
+    def same_class(self, other: "CircleLevel") -> bool:
+        """Compares the winding classes in this level's H^1, where the other
+        analysis's cocycle is written too, so the other builds no H^1."""
+        theirs = self.coh.coords(self.cc.vector(other.winding, 1))
+        return self.group.classes_equal(self.winding_coords, theirs)
+
 
 class HopfLevel(Level):
     """Hopf-mode level data.  `nontrivial` comes from the analysis's one
@@ -349,8 +352,19 @@ class HopfLevel(Level):
 
 @dataclass
 class RobustResult:
+    """The robust radius, and the last level with a nonzero class (None
+    when there is none), whose witness is built on first read."""
+
     radius: ExactRadius
-    witness: dict
+    level: Level | None = None
+
+    @cached_property
+    def witness(self) -> dict:
+        if self.level is None:
+            return {}
+        witness = self.level.witness()
+        witness["at_radius"] = self.radius
+        return witness
 
 
 @dataclass
@@ -499,14 +513,12 @@ def _robust_from_levels(filt: Filtration, levels) -> RobustResult:
     if any(level.nontrivial for level in levels[count:]):
         raise InternalError("class nontrivial again after it vanished")
     if count == 0:
-        return RobustResult(ZERO_RADIUS, {})
+        return RobustResult(ZERO_RADIUS)
     last = count - 1
     radius = filt.samples[last]
     if radius not in filt.criticals.values:
         raise InternalError("robust radius is not a critical value")
-    witness = levels[last].witness()
-    witness["at_radius"] = radius
-    return RobustResult(radius, witness)
+    return RobustResult(radius, levels[last])
 
 
 def robust_radius(analysis: Analysis) -> RobustResult:

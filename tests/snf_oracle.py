@@ -4,7 +4,9 @@ It runs the pivot rule and the operations of
 `rzero.linalg.smith_normal_form`, and keeps u, u^-1, v and v^-1 up to date
 as dense lists while it eliminates.  The package's form logs the same
 operations and builds each transform from the log when it is first read,
-so every field must agree with this one exactly.
+so every field must agree with this one exactly.  `solve` reads an integer
+solution of m x = b off the dense transforms; v^-1 is kept as the oracle
+for the kernel coordinates of integral cohomology.
 """
 
 from __future__ import annotations
@@ -159,3 +161,22 @@ def smith_normal_form(m: IntMatrix) -> SmithForm:
 
     rank = sum(1 for i in range(min(rows, cols)) if a[i][i] != 0)
     return SmithForm(a, u, transpose(v_t), transpose(uinv_t), vinv, rank)
+
+
+def solve(m: IntMatrix, b: list[int]) -> list[int] | None:
+    """Some integer x with m x = b, as v z where s z = u b, from the dense
+    transforms; None when there is none.  x is unique when m has full
+    column rank."""
+    snf = smith_normal_form(m)
+    cols = len(m[0]) if m else 0
+    z = [0] * cols
+    for i, row in enumerate(snf.u):
+        y = sum(x * c for x, c in zip(row, b))
+        d = snf.s[i][i] if i < snf.rank else 0
+        if d:
+            if y % d:
+                return None
+            z[i] = y // d
+        elif y:
+            return None
+    return [sum(x * c for x, c in zip(row, z)) for row in snf.v]

@@ -37,6 +37,7 @@ from rzero.modes import Mode
 from rzero.pipeline import analyze
 from rzero.rng import RationalSampler
 
+import snf_oracle
 from inputs import grid_identity_map, octagon_winding2_map
 from test_perfbench_targets import _load
 
@@ -326,7 +327,10 @@ def _random_two_complex(sampler, vertices=7, faces=8):
 def _check_coordinates(cc, sampler):
     """coords inverts represent and rejects non-cocycles in every non-top
     degree; the relations are the nonzero columns of d_{q-1}, solved over Q
-    in the kernel basis below the top degree."""
+    in the kernel basis below the top degree.  The kernel basis is v[:, r:]
+    of the dense oracle's Smith form of d_q, and the coordinates of a
+    cocycle z, and of each column of d_{q-1} (the relations), are
+    (v^-1 z)[r:]."""
     checked = 0
     for q in range(cc.space.dim + 1):
         if cc.size(q) == 0:
@@ -337,11 +341,28 @@ def _check_coordinates(cc, sampler):
             assert h.kernel is None and h.group.relations == image
             continue
         checked += 1
+        d_q = cc.coboundary(q)
+        oracle = snf_oracle.smith_normal_form(d_q)
+        r = oracle.rank
+        assert h.kernel == columns(oracle.v)[r:]
+
+        def smith_inverse_coords(z):
+            y = mat_vec(oracle.vinv, z)
+            assert not any(y[:r])
+            return y[r:]
+
         c = []
         for _ in range(4):
             c = [sampler.integer(-3, 3) for _ in range(h.gens)]
             assert h.coords(h.represent(c)) == c
-        d_q = cc.coboundary(q)
+            # A cocycle not built from the kernel basis: add a coboundary.
+            z = h.represent(c)
+            if q:
+                x = [sampler.integer(-2, 2) for _ in range(cc.size(q - 1))]
+                z = [a + b for a, b in zip(z, mat_vec(cc.coboundary(q - 1), x))]
+            assert h.coords(z) == smith_inverse_coords(z)
+        if h.gens:
+            assert h.group.relations == [smith_inverse_coords(col) for col in image]
         j = next((j for j in range(cc.size(q)) if any(row[j] for row in d_q)), None)
         if j is not None:
             off = [x + (1 if i == j else 0) for i, x in enumerate(h.represent(c))]
@@ -455,26 +476,13 @@ def test_cohomology_module_not_shadowed():
     assert callable(cohomology_module.integral_cohomology)
 
 
-def _reference_solve(m, b):
-    """Some integer x with m x = b, from the full dense Smith transforms."""
-    rows, cols = len(m), len(m[0])
-    snf = smith_normal_form(m)
-    y = mat_vec(snf.u, b)
-    z = [0] * cols
-    for i in range(rows):
-        d = snf.s[i][i] if i < cols else 0
-        if d != 0:
-            if y[i] % d != 0:
-                return None
-            z[i] = y[i] // d
-        elif y[i] != 0:
-            return None
-    return mat_vec(snf.v, z)
-
-
 def test_member_coords_match_full_solve():
-    # Subgroup coordinates read only the head of v z; they must equal the
-    # head of the full solve, with None exactly for classes outside.
+    # On an arbitrary span, subgroup coordinates are the span's entries of
+    # one solution over the span and the relations: None exactly when the
+    # dense oracle finds no solution, and otherwise a combination of the
+    # span in the class.  An image subgroup's span is a lattice basis that
+    # holds the relations, so there the solution over the span alone is
+    # unique, and it must be returned exactly.
     sampler = RationalSampler(77)
     members = outsiders = 0
     for _ in range(60):
@@ -486,17 +494,20 @@ def test_member_coords_match_full_solve():
                 for _ in range(sampler.integer(1, 3))]
         sub = Subgroup(group, span, PresentedGroup(len(span), []))
         stacked = from_columns(span + relations, gens)
+        image = image_subgroup(span, group)
+        basis = from_columns(image.span, gens)
+        assert snf_oracle.smith_normal_form(basis).rank == len(image.span)
         for _ in range(6):
             b = [sampler.integer(-4, 4) for _ in range(gens)]
             coords = sub.member_coords(b)
-            full = _reference_solve(stacked, b)
-            assert coords == (None if full is None else full[: len(span)])
-            inside = image_subgroup(span, group).member_coords(b) is not None
-            assert (coords is not None) == inside
+            assert (coords is None) == (snf_oracle.solve(stacked, b) is None)
+            unique = image.member_coords(b)
+            assert unique == snf_oracle.solve(basis, b)
+            assert (coords is None) == (unique is None)
             if coords is None:
                 outsiders += 1
                 continue
             members += 1
-            image = [sum(c * v[i] for c, v in zip(coords, span)) for i in range(gens)]
-            assert group.classes_equal(image, b)
+            combination = [sum(c * v[i] for c, v in zip(coords, span)) for i in range(gens)]
+            assert group.classes_equal(combination, b)
     assert members > 20 and outsiders > 20

@@ -7,15 +7,17 @@ from fractions import Fraction
 import pytest
 
 import echelon_oracle
+import snf_oracle
 
 from rzero.cohomology import image_subgroup
 from rzero.linalg import (
     DenseAdapter,
     FieldEchelon,
     FieldSolver,
+    IntegerSolver,
     PresentedGroup,
     QuotientSpace,
-    SmithSolver,
+    columns,
     field_rank,
     field_solve,
     from_columns,
@@ -34,10 +36,10 @@ from rzero.rng import RationalSampler
 
 def solve_modulo(span, group, target):
     """Oracle: coefficients a with sum a_i span_i = target modulo the
-    group's relations, by one integer solve; None when target is outside
-    the subgroup generated by span."""
+    group's relations, by one dense integer solve (`snf_oracle.solve`);
+    None when target is outside the subgroup generated by span."""
     cols = [list(v) for v in span] + [list(r) for r in group.relations]
-    sol = SmithSolver(from_columns(cols, group.gens)).solve(list(target))
+    sol = snf_oracle.solve(from_columns(cols, group.gens), list(target))
     return None if sol is None else sol[:len(span)]
 
 
@@ -45,7 +47,7 @@ def check_snf(m):
     snf = smith_normal_form(m)
     assert mat_mul(mat_mul(snf.u, m), snf.v) == snf.s
     assert mat_mul(snf.u, snf.uinv) == identity(len(m))
-    assert mat_mul(snf.v, snf.vinv) == identity(len(m[0]))
+    assert mat_mul(snf.v, snf_oracle.smith_normal_form(m).vinv) == identity(len(m[0]))
     diag = [d for d in snf.diagonal if d != 0]
     assert all(d > 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
@@ -74,10 +76,20 @@ def test_snf_random():
 
 
 def test_solve_integer_examples():
-    assert SmithSolver([[2]]).solve([4]) == [2]
-    assert SmithSolver([[2]]).solve([3]) is None
-    x = SmithSolver([[1, 2], [0, 3]]).solve([5, 6])
+    assert IntegerSolver([[2]], 1).solve([4]) == [2]
+    assert IntegerSolver([[2]], 1).solve([3]) is None
+    x = IntegerSolver(columns([[1, 2], [0, 3]]), 2).solve([5, 6])
     assert x == [1, 2]
+    assert IntegerSolver([], 2).solve([0, 0]) == []
+    assert IntegerSolver([], 2).solve([0, 1]) is None
+    assert IntegerSolver([], 0).solve([]) == []
+    # Sparse right-hand sides, {row: entry}, give the same answers.
+    assert IntegerSolver(columns([[1, 2], [0, 3]]), 2).solve({0: 5, 1: 6}) == [1, 2]
+    assert IntegerSolver([[2, 0]], 2).solve({1: 1}) is None
+    with pytest.raises(ValueError):
+        IntegerSolver([[1, 0]], 2).solve([1])
+    with pytest.raises(ValueError):
+        IntegerSolver([[1, 0], [1]], 2)
 
 
 def test_solve_integer_brute_force():
@@ -86,7 +98,7 @@ def test_solve_integer_brute_force():
     for _ in range(40):
         m = [[sampler.integer(-3, 3) for _ in range(3)] for _ in range(3)]
         b = [sampler.integer(-4, 4) for _ in range(3)]
-        got = SmithSolver(m).solve(b)
+        got = IntegerSolver(columns(m), 3).solve(b)
         brute = None
         for x0 in range(-box, box + 1):
             for x1 in range(-box, box + 1):
@@ -102,6 +114,66 @@ def test_solve_integer_brute_force():
             assert mat_vec(m, got) == b
         elif brute is not None:
             raise AssertionError(f"solver missed solution {brute} of {m} x = {b}")
+
+
+def _combination(vectors, x):
+    return [sum(c * v[i] for c, v in zip(x, vectors)) for i in range(len(vectors[0]))]
+
+
+def test_integer_solver_dependent_zero_and_duplicate_vectors():
+    vectors = [[1, 2], [2, 4], [0, 0], [1, 2]]
+    solver = IntegerSolver(vectors, 2)
+    x = solver.solve([3, 6])
+    assert _combination(vectors, x) == [3, 6]
+    assert solver.solve([1, 3]) is None
+    zeros = IntegerSolver([[0, 0], [0, 0]], 2)
+    assert zeros.solve([0, 0]) == [0, 0]
+    assert zeros.solve([1, 0]) is None
+    duplicates = [[2, 0], [2, 0], [0, 3], [0, 3]]
+    solver = IntegerSolver(duplicates, 2)
+    assert _combination(duplicates, solver.solve([4, -3])) == [4, -3]
+    assert solver.solve([1, 0]) is None and solver.solve([0, 1]) is None
+    # Random spanning sets with zero, repeated and dependent vectors: a
+    # solution exactly when the dense oracle finds one.
+    rng = random.Random(41)
+    answers = {"solved": 0, "none": 0}
+    for _ in range(200):
+        rows = rng.randint(1, 4)
+        base = [[rng.randint(-3, 3) for _ in range(rows)] for _ in range(rng.randint(0, 3))]
+        vectors = base + [[0] * rows]
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            vectors.append([a * x + b * y for x, y in zip(rng.choice(vectors), rng.choice(vectors))])
+        rng.shuffle(vectors)
+        target = [rng.randint(-5, 5) for _ in range(rows)]
+        x = IntegerSolver(vectors, rows).solve(target)
+        assert (x is None) == (snf_oracle.solve(from_columns(vectors, rows), target) is None)
+        if x is not None:
+            assert _combination(vectors, x) == target
+        answers["none" if x is None else "solved"] += 1
+    assert min(answers.values()) > 40, answers
+
+
+def test_integer_solver_matches_the_oracle_on_independent_vectors():
+    # On independent vectors the solution is unique, so the echelon's and
+    # the dense Smith transforms' must be the same vector.
+    rng = random.Random(19)
+    answers = {"solved": 0, "none": 0}
+    while min(answers.values()) < 60:
+        rows = rng.randint(1, 6)
+        count = rng.randint(0, rows)
+        vectors = [[rng.choice([0, 0, rng.randint(-4, 4)]) for _ in range(rows)]
+                   for _ in range(count)]
+        m = from_columns(vectors, rows)
+        if snf_oracle.smith_normal_form(m).rank < count:
+            continue
+        if rng.random() < 0.5:
+            b = [rng.randint(-5, 5) for _ in range(rows)]
+        else:
+            b = mat_vec(m, [rng.randint(-3, 3) for _ in range(count)]) if count else [0] * rows
+        x = IntegerSolver(vectors, rows).solve(b)
+        assert x == snf_oracle.solve(m, b), (vectors, b)
+        answers["none" if x is None else "solved"] += 1
 
 
 def test_field_rank_examples():
@@ -171,8 +243,7 @@ def test_integer_kernel_saturated():
     for vec in kern:
         assert mat_vec(m, vec) == [0, 0]
     # (−2, 1, 0) must be an integer combination of the basis
-    matrix = from_columns(kern, 3)
-    assert SmithSolver(matrix).solve([-2, 1, 0]) is not None
+    assert IntegerSolver(kern, 3).solve([-2, 1, 0]) is not None
 
 
 def test_presented_group_invariants():
@@ -473,9 +544,8 @@ def test_tensor_dimensions():
 def test_lattice_basis_and_subgroup():
     vectors = [[2, 0], [0, 2], [1, 1]]
     basis = lattice_basis(vectors, 2)
-    matrix = from_columns(basis, 2)
     # (1,1) and (2,0) generate the index-2 sublattice {x + y even}
-    solver = SmithSolver(matrix)
+    solver = IntegerSolver(basis, 2)
     assert solver.solve([1, 1]) is not None
     assert solver.solve([2, 0]) is not None
     assert solver.solve([1, 0]) is None

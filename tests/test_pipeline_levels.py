@@ -15,6 +15,7 @@ from hypothesis import given, settings
 
 import rzero.cli as cli
 import rzero.cohomology as cohomology
+import rzero.harness as harness
 import rzero.pipeline as pipeline
 from rzero.cohomology import (
     CochainComplex,
@@ -176,6 +177,37 @@ def test_hopf_same_class_builds_no_kernel():
     assert all(a.same_class(b) for a, b in zip(base.levels, other.levels))
     for level in base.levels + other.levels:
         assert "kernel" not in vars(level) and "kernel_coords" not in vars(level)
+
+
+def test_circle_resamples_build_no_integral_cohomology(monkeypatch):
+    # Ray independence writes each resample's winding cocycle in the base
+    # level's H^1: the base module's one H^1 per level serves all 20
+    # resamples, which once built their own.
+    f = moebius_odd_winding_map()
+    levels = analyze(f, Mode.CIRCLE, 23).filtration.level_count()
+    calls = _count(monkeypatch, pipeline, "integral_cohomology")
+    report = harness.check_invariances(f, Mode.CIRCLE, 23)
+    assert report.passed
+    assert len(calls) == levels
+
+
+def test_ray_independence_fails_on_a_shifted_winding_class(monkeypatch):
+    # Each resample's winding cocycle is shifted by itself, a cocycle that
+    # is no coboundary on the levels where the class is nonzero.
+    original = harness._analyze_filtered
+
+    def shifted(f, filt, mode, seed):
+        analysis = original(f, filt, mode, seed)
+        for level in analysis.levels:
+            level.cocycle = {e: 2 * v for e, v in level.cocycle.items()}
+        return analysis
+
+    monkeypatch.setattr(harness, "_analyze_filtered", shifted)
+    f = moebius_odd_winding_map()
+    assert any(level.nontrivial for level in analyze(f, Mode.CIRCLE, 23).levels)
+    results = {r.name: r.passed for r in harness.check_invariances(f, Mode.CIRCLE, 23).results}
+    assert results.pop("ray independence") is False
+    assert all(results.values())
 
 
 def test_signs_levels_are_free_on_their_components():
