@@ -2,10 +2,20 @@
 
 Every quantity that enters a comparison anywhere in this package is either a
 rational number or a value of the form sqrt(p) - sqrt(q) with p, q rational
-and nonnegative.  Plain rationals and single square roots (the l2 critical
-values) are the two common cases; differences of square roots appear when
-bottleneck candidates are formed from l2 endpoints.  All comparisons are
-decided exactly by sign-tracked squaring; no floating point is involved.
+and nonnegative.  An `ExactRadius` comes by one of two routes:
+
+* The rational route (`ExactRadius.of`, the l1 and linf norms, and `gap` and
+  `scale` of rational radii) keeps the rational value itself.  Comparing,
+  subtracting or scaling two such radii is one operation on their integer
+  numerators and denominators, with no square roots.
+* The radicand route (the constructor and `ExactRadius.sqrt`: the l2
+  critical values and their differences) keeps the two radicands in
+  canonical form.  Comparisons are decided by sign-tracked squaring.
+
+A radicand-route value that is rational (the root of a perfect square) is
+stored as that rational, so equal values are equal and hash alike whichever
+route built them.  Every comparison reduces to signs of integers; no
+floating point is involved.
 """
 
 from __future__ import annotations
@@ -38,9 +48,9 @@ def format_rational(value: Fraction) -> str:
 
 def sqrt_if_square(q: Fraction) -> Fraction | None:
     """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        raise ValueError("sqrt_if_square needs a nonnegative argument")
     num, den = q.numerator, q.denominator
+    if num < 0:
+        raise ValueError("sqrt_if_square needs a nonnegative argument")
     rn = math.isqrt(num)
     if rn * rn != num:
         return None
@@ -51,27 +61,24 @@ def sqrt_if_square(q: Fraction) -> Fraction | None:
 
 
 def _sign(x: Fraction) -> int:
-    if x > 0:
-        return GT
-    if x < 0:
-        return LT
-    return EQ
+    """Sign of a rational, read off its numerator."""
+    n = x.numerator
+    return (n > 0) - (n < 0)
 
 
 def _cmp(a: Fraction, b: Fraction) -> int:
-    """Three-way comparison of two rationals, with no subtraction."""
-    if a > b:
-        return GT
-    if a < b:
-        return LT
-    return EQ
+    """Three-way comparison of two rationals on integers: the numerators
+    cross-multiplied by the (positive) denominators."""
+    x = a.numerator * b.denominator
+    y = b.numerator * a.denominator
+    return (x > y) - (x < y)
 
 
 def _sign_a_plus_b_sqrt(a: Fraction, b: Fraction, c: Fraction) -> int:
     """Exact sign of a + b*sqrt(c) for rational a, b and rational c >= 0."""
-    if c < 0:
+    if c.numerator < 0:
         raise ValueError("radicand must be nonnegative")
-    if b == 0 or c == 0:
+    if not b or not c:
         return _sign(a)
     sb = _sign(b)
     sa = _sign(a)
@@ -80,7 +87,7 @@ def _sign_a_plus_b_sqrt(a: Fraction, b: Fraction, c: Fraction) -> int:
     if sa == sb:
         return sa
     # Opposite signs: compare |a| against |b| sqrt(c) by squaring.
-    cmp_sq = _sign(a * a - b * b * c)
+    cmp_sq = _cmp(a * a, b * b * c)
     if cmp_sq == 0:
         return EQ
     return sa if cmp_sq > 0 else sb
@@ -96,7 +103,7 @@ def _cmp_sqrt_sums(p1: Fraction, p2: Fraction, q1: Fraction, q2: Fraction) -> in
     x = p1 + p2 - q1 - q2
     v = p1 * p2
     w = q1 * q2
-    t = _sign(v - w)  # sign of sqrt(v) - sqrt(w)
+    t = _cmp(v, w)  # sign of sqrt(v) - sqrt(w)
     sx = _sign(x)
     if sx == 0:
         return t
@@ -110,16 +117,33 @@ def _cmp_sqrt_sums(p1: Fraction, p2: Fraction, q1: Fraction, q2: Fraction) -> in
     return sx if m > 0 else t
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _make(root: Fraction | None, plus: Fraction | None = None,
+          minus: Fraction | None = None) -> "ExactRadius":
+    """A radius from its parts, already canonical: a rational `root`, or
+    (root None) the radicands of an irrational value."""
+    radius = _new(ExactRadius)
+    _set(radius, "root", root)
+    _set(radius, "_plus", plus)
+    _set(radius, "_minus", minus)
+    return radius
+
+
 class ExactRadius:
     """An exact scalar of the form sqrt(plus) - sqrt(minus).
 
-    Canonical form: if plus/minus is a perfect rational square the value
-    collapses to a single term, so structural equality coincides with
-    numerical equality and instances hash consistently.  Rationals are stored
-    as (x^2, 0) for x >= 0 and (0, x^2) for x < 0.
+    A rational value keeps itself as `root`; its radicands, (x^2, 0) for
+    x >= 0 and (0, x^2) for x < 0, are derived when read.  An irrational
+    value has `root` None and keeps its radicands in canonical form: when
+    plus/minus is a perfect rational square the value collapses to a single
+    term.  So structural equality coincides with numerical equality, and
+    instances hash consistently.
     """
 
-    __slots__ = ("plus", "minus")
+    __slots__ = ("root", "_plus", "_minus")
 
     def __init__(self, plus: Fraction, minus: Fraction = _ZERO):
         if type(plus) is not Fraction:
@@ -128,17 +152,25 @@ class ExactRadius:
             minus = Fraction(minus)
         if plus.numerator < 0 or minus.numerator < 0:
             raise ValueError("radicands must be nonnegative")
+        root = None
         if plus and minus:
             ratio = sqrt_if_square(plus / minus)
             if ratio is not None:
                 # sqrt(plus) - sqrt(minus) = (ratio - 1) sqrt(minus)
                 coeff = ratio - 1
-                if coeff >= 0:
+                if coeff.numerator >= 0:
                     plus, minus = coeff * coeff * minus, _ZERO
                 else:
                     plus, minus = _ZERO, coeff * coeff * minus
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "minus", minus)
+        # A genuine difference of two radicals is irrational; one radical
+        # is rational when its radicand is a square.
+        if not (plus and minus):
+            root = sqrt_if_square(plus or minus)
+            if root is not None and not plus:
+                root = -root
+        _set(self, "root", root)
+        _set(self, "_plus", plus)
+        _set(self, "_minus", minus)
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("ExactRadius is immutable")
@@ -150,9 +182,7 @@ class ExactRadius:
         """Exact radius equal to the given rational value."""
         if type(value) is not Fraction:
             value = Fraction(value)
-        if value.numerator >= 0:
-            return ExactRadius(value * value, _ZERO)
-        return ExactRadius(_ZERO, value * value)
+        return _make(value)
 
     @staticmethod
     def sqrt(square) -> "ExactRadius":
@@ -165,81 +195,116 @@ class ExactRadius:
 
     # -- predicates and conversions ---------------------------------------
 
+    @property
+    def plus(self) -> Fraction:
+        """The radicand of the positive term."""
+        root = self.root
+        if root is None:
+            return self._plus
+        return root * root if root.numerator > 0 else _ZERO
+
+    @property
+    def minus(self) -> Fraction:
+        """The radicand of the negative term."""
+        root = self.root
+        if root is None:
+            return self._minus
+        return root * root if root.numerator < 0 else _ZERO
+
     def as_fraction(self) -> Fraction | None:
         """The exact rational value, or None if the value is irrational."""
-        if self.minus == 0:
-            return sqrt_if_square(self.plus)
-        if self.plus == 0:
-            root = sqrt_if_square(self.minus)
-            return None if root is None else -root
-        return None
+        return self.root
 
     @property
     def is_simple(self) -> bool:
         """True when a single radical term suffices (no genuine difference)."""
-        return self.plus == 0 or self.minus == 0
+        return self.root is not None or not self._plus or not self._minus
 
     def sign(self) -> int:
-        return _cmp(self.plus, self.minus)
+        root = self.root
+        if root is not None:
+            return _sign(root)
+        return _cmp(self._plus, self._minus)
 
     def cmp(self, other: "ExactRadius") -> int:
         """Exact three-way comparison, one of LT, EQ, GT."""
-        other = _coerce(other)
-        # Common fast path: two single-radical values of the same sign
-        # compare by their radicands.
-        if not self.minus and not other.minus:
-            return _cmp(self.plus, other.plus)
-        if not self.plus and not other.plus:
-            return _cmp(other.minus, self.minus)
-        return _cmp_sqrt_sums(self.plus, other.minus, other.plus, self.minus)
+        if type(other) is not ExactRadius:
+            other = _coerce(other)
+        a, b = self.root, other.root
+        if a is not None and b is not None:
+            return _cmp(a, b)
+        p1, m1, p2, m2 = self.plus, self.minus, other.plus, other.minus
+        # Two single-radical values of the same sign compare by their
+        # radicands.
+        if not m1 and not m2:
+            return _cmp(p1, p2)
+        if not p1 and not p2:
+            return _cmp(m2, m1)
+        return _cmp_sqrt_sums(p1, m2, p2, m1)
 
     # -- arithmetic (closed operations only) -------------------------------
 
     def scale(self, factor) -> "ExactRadius":
         """Multiply by a nonnegative rational factor."""
-        factor = Fraction(factor)
-        if factor < 0:
+        if type(factor) is not Fraction:
+            factor = Fraction(factor)
+        if factor.numerator < 0:
             raise ValueError("scale factor must be nonnegative")
+        if self.root is not None:
+            return _make(self.root * factor)
+        if not factor:
+            return ZERO_RADIUS
+        # A positive factor keeps plus/minus, so the form stays canonical.
         f2 = factor * factor
-        return ExactRadius(self.plus * f2, self.minus * f2)
+        return _make(None, self._plus * f2, self._minus * f2)
 
     def __neg__(self) -> "ExactRadius":
-        return ExactRadius(self.minus, self.plus)
+        if self.root is not None:
+            return _make(-self.root)
+        return _make(None, self._minus, self._plus)
 
     def __abs__(self) -> "ExactRadius":
         return self if self.sign() >= 0 else -self
 
     def gap(self, other: "ExactRadius") -> "ExactRadius":
-        """|self - other| for two simple (single-term) values.
+        """|self - other| for two simple (single-term) values of one sign.
 
         Differences of values that already mix two radicals are not closed
         under this representation and are never needed by the package.
         """
-        other = _coerce(other)
+        if type(other) is not ExactRadius:
+            other = _coerce(other)
+        a, b = self.root, other.root
+        if a is not None and b is not None:
+            if a.numerator * b.numerator < 0:
+                raise ValueError("gap of opposite-sign values is not representable")
+            d = a - b
+            return _make(d if d.numerator >= 0 else -d)
         if not (self.is_simple and other.is_simple):
             raise ValueError("gap is only defined for single-term values")
-        if self.sign() >= 0 and other.sign() >= 0:
+        s, t = self.sign(), other.sign()
+        if s >= 0 and t >= 0:
             a, b = self.plus, other.plus
-        elif self.sign() <= 0 and other.sign() <= 0:
+        elif s <= 0 and t <= 0:
             a, b = self.minus, other.minus
         else:
             raise ValueError("gap of opposite-sign values is not representable")
-        return ExactRadius(a, b) if a >= b else ExactRadius(b, a)
+        return ExactRadius(a, b) if _cmp(a, b) >= 0 else ExactRadius(b, a)
 
     def rational_above(self) -> Fraction:
         """Some rational strictly greater than the value (small and exact)."""
-        value = self.as_fraction()
-        if value is not None:
-            return value + 1
-        if self.minus == 0:
+        if self.root is not None:
+            return self.root + 1
+        if not self._minus:
             # sqrt(plus): the integer isqrt(floor(plus)) + 1 exceeds it unless
             # plus is large and near a square boundary; bump until it does.
-            candidate = math.isqrt(self.plus.numerator // self.plus.denominator) + 1
-            while Fraction(candidate) * candidate <= self.plus:
+            plus = self._plus
+            candidate = math.isqrt(plus.numerator // plus.denominator) + 1
+            while Fraction(candidate) * candidate <= plus:
                 candidate += 1
             return Fraction(candidate)
         # sqrt(plus) - sqrt(minus) < sqrt(plus)
-        return ExactRadius(self.plus).rational_above()
+        return ExactRadius(self._plus).rational_above()
 
     def approx(self) -> float:
         """Floating-point approximation, for diagnostics only."""
@@ -251,32 +316,35 @@ class ExactRadius:
         if not isinstance(other, (ExactRadius, int, Fraction)):
             return NotImplemented
         other = _coerce(other)
-        return self.plus == other.plus and self.minus == other.minus
+        if self.root is not None or other.root is not None:
+            return self.root == other.root
+        return self._plus == other._plus and self._minus == other._minus
 
     def __hash__(self):
-        return hash((self.plus, self.minus))
+        if self.root is not None:
+            return hash(self.root)
+        return hash((self._plus, self._minus))
 
     def __lt__(self, other) -> bool:
-        return self.cmp(_coerce(other)) < 0
+        return self.cmp(other) < 0
 
     def __le__(self, other) -> bool:
-        return self.cmp(_coerce(other)) <= 0
+        return self.cmp(other) <= 0
 
     def __gt__(self, other) -> bool:
-        return self.cmp(_coerce(other)) > 0
+        return self.cmp(other) > 0
 
     def __ge__(self, other) -> bool:
-        return self.cmp(_coerce(other)) >= 0
+        return self.cmp(other) >= 0
 
     def __repr__(self):
-        value = self.as_fraction()
-        if value is not None:
-            return f"ExactRadius({format_rational(value)})"
-        if self.minus == 0:
-            return f"ExactRadius(sqrt {format_rational(self.plus)})"
+        if self.root is not None:
+            return f"ExactRadius({format_rational(self.root)})"
+        if not self._minus:
+            return f"ExactRadius(sqrt {format_rational(self._plus)})"
         return (
-            f"ExactRadius(sqrt {format_rational(self.plus)}"
-            f" - sqrt {format_rational(self.minus)})"
+            f"ExactRadius(sqrt {format_rational(self._plus)}"
+            f" - sqrt {format_rational(self._minus)})"
         )
 
 
@@ -300,13 +368,3 @@ def cmp_radius_diff(a: ExactRadius, b: ExactRadius, c: ExactRadius, d: ExactRadi
     """Exact comparison of |a - b| against |c - d|."""
     return _coerce(a).gap(_coerce(b)).cmp(_coerce(c).gap(_coerce(d)))
 
-
-def radius_max(values):
-    values = list(values)
-    if not values:
-        raise ValueError("radius_max of empty sequence")
-    best = values[0]
-    for v in values[1:]:
-        if v.cmp(best) > 0:
-            best = v
-    return best

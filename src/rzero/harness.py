@@ -32,7 +32,7 @@ from .filtration import Filtration
 from .linalg import FieldEchelon, _sparse, field_mat_mul, mat_mul, to_field_matrix
 from .matching import bottleneck
 from .modes import Mode
-from .normmin import vector_norm
+from .normmin import _MEASURE
 from .pipeline import (
     Analysis,
     _analyze_filtered,
@@ -61,21 +61,27 @@ class PerturbSpec:
 def perturb(f: PLMap, spec: PerturbSpec) -> PLMap:
     """A map g with ||g - f|| <= delta in the run's norm, exactly.
 
-    Vertex offsets are uniform rationals scaled so that their norm is at
-    most delta (for l1/l2 via the crude factor 1/n, which suffices); the
-    bound is then verified exactly on every vertex.
+    Each vertex offset is k/D times `scale`, for D = spec.denominator and
+    seeded integers k in [-D, D]; `scale` is delta for linf and delta/n
+    for l1 and l2 (the crude factor 1/n suffices).  The bound is verified
+    exactly on every vertex's integers: max|k|·scale <= D·delta (linf),
+    Σ|k|·scale <= D·delta (l1) and Σk²·scale² <= D²·delta² (l2).
     """
     sampler = RationalSampler(spec.seed, spec.denominator)
-    scale = spec.delta if f.norm == "linf" else spec.delta / f.n
-    bound = ExactRadius.of(spec.delta)
+    den, delta = spec.denominator, Fraction(spec.delta)
+    scale = delta if f.norm == "linf" else delta / f.n
+    step = scale / den
+    power = 2 if f.norm == "l2" else 1
+    # measure(k) * factor <= bound  <=>  measure(k) * scale^p <= (D delta)^p
+    lhs, rhs = scale ** power, (den * delta) ** power
+    factor, bound = lhs.numerator * rhs.denominator, rhs.numerator * lhs.denominator
+    measure = _MEASURE[f.norm]
     new_values = {}
     for v in f.complex.vertices:  # vertices are totally ordered
-        offset = sampler.vector(f.n)
-        shifted = tuple(x + o * scale for x, o in zip(f.values[v], offset))
-        gap = tuple(a - b for a, b in zip(shifted, f.values[v]))
-        if vector_norm(gap, f.norm).cmp(bound) > 0:
+        ks = [sampler.integer(-den, den) for _ in range(f.n)]
+        if measure(ks) * factor > bound:
             raise InputError("perturbation exceeded its bound")
-        new_values[v] = shifted
+        new_values[v] = tuple(x + k * step for x, k in zip(f.values[v], ks))
     return f.with_values(new_values)
 
 

@@ -7,11 +7,18 @@ with an ordinary one: either both distinguished intervals are matched to
 each other or each is unmatched (subject to the same length rule).
 
 The distance is the infimum of feasible tolerances.  Feasibility can only
-change at a candidate value (an endpoint difference or a half-length), and
+change at a candidate value (a pair's cost or a bar's half-length), and
 just above a candidate c the strict length rule relaxes to `length <= 2c`,
 so the infimum is the least candidate feasible under the relaxed rule; the
 strict rule at the infimum itself may well be infeasible, which is the
-usual open-infimum behaviour.  All comparisons are exact.
+usual open-infimum behaviour.
+
+`bottleneck` evaluates each pair's cost and each bar's half-length once and
+sorts the distinct candidates once.  Every cost and half-length then stands
+for its rank among them: a probe at rank k decides "cost <= delta" and the
+relaxed length rule by comparing ranks with k, and runs the matching core
+that `feasible_matching` shares.  No exact arithmetic happens inside the
+binary search, and every comparison is exact.
 """
 
 from __future__ import annotations
@@ -22,17 +29,19 @@ from fractions import Fraction
 
 from .barcode import Interval, PointedBarcode
 from .errors import InputError
-from .exact import ExactRadius, ZERO_RADIUS, radius_max
+from .exact import ExactRadius, ZERO_RADIUS
 
 _key = functools.cmp_to_key(lambda a, b: a.cmp(b))
+_HALF = Fraction(1, 2)
 
 
 def interval_cost(u: Interval, v: Interval) -> ExactRadius:
     """Sup distance between endpoint pairs (exact)."""
     try:
-        return radius_max([u.birth.gap(v.birth), u.death.gap(v.death)])
+        births, deaths = u.birth.gap(v.birth), u.death.gap(v.death)
     except ValueError as exc:
         raise InputError(f"incomparable endpoint families: {exc}") from exc
+    return deaths if deaths.cmp(births) > 0 else births
 
 
 @dataclass
@@ -54,45 +63,41 @@ def _expand(barcode: PointedBarcode):
     return bars, bars.index(barcode.distinguished)
 
 
-def _unmatch_ok(interval: Interval, delta: ExactRadius, closed: bool) -> bool:
-    doubled = delta.scale(2)
-    cmp = interval.length().cmp(doubled)
-    return cmp <= 0 if closed else cmp < 0
-
-
 def cost_matrix(left: list, right: list) -> list[list[ExactRadius]]:
     """`interval_cost` of every pair of a left and a right interval."""
     return [[interval_cost(u, v) for v in right] for u in left]
 
 
-def _bipartite_feasible(left, right, within, delta, closed):
+def _bipartite_feasible(left, right, within, left_skip, right_skip):
     """Perfect matching in the dummy-augmented bipartite graph, or None.
 
-    `left` and `right` list (index, interval) pairs, and within[i][j] says
-    whether the intervals of indices i and j are at cost <= delta.
+    `left` and `right` list interval indices; within[i][j] says whether the
+    intervals of indices i and j are at cost <= delta, and left_skip[i]
+    (right_skip[j]) whether interval i (j) may stay unmatched.
     Left nodes: the left intervals then one dummy per right interval;
     right nodes: the right intervals then one dummy per left interval.
     A real pair needs cost <= delta; a real-dummy edge exists only between
     an interval and its own dummy, and only when the interval may stay
-    unmatched; dummy-dummy edges are free.
+    unmatched; dummy-dummy edges are free.  Returns the matched index pairs
+    and the unmatched indices of each side.
     """
     n_left, n_right = len(left), len(right)
     size = n_left + n_right
 
-    cost_ok = [[within[i][j] for j, _ in right] for i, _ in left]
-    left_skip = [_unmatch_ok(u, delta, closed) for _, u in left]
-    right_skip = [_unmatch_ok(v, delta, closed) for _, v in right]
+    cost_ok = [[within[i][j] for j in right] for i in left]
+    lone_left = [left_skip[i] for i in left]
+    lone_right = [right_skip[j] for j in right]
 
     def neighbours(i):
         if i < n_left:  # real left interval
             for j in range(n_right):
                 if cost_ok[i][j]:
                     yield j
-            if left_skip[i]:
+            if lone_left[i]:
                 yield n_right + i
         else:  # dummy standing for right interval (i - n_left)
             j = i - n_left
-            if right_skip[j]:
+            if lone_right[j]:
                 yield j
             for dum in range(n_right, size):
                 yield dum
@@ -122,12 +127,47 @@ def _bipartite_feasible(left, right, within, delta, closed):
         i = match_right[j]
         if j < n_right:
             if i < n_left:
-                pairs.append((left[i][1], right[j][1]))
+                pairs.append((left[i], right[j]))
             else:
-                unmatched_right.append(right[j][1])
+                unmatched_right.append(right[j])
         elif i < n_left:
-            unmatched_left.append(left[i][1])
+            unmatched_left.append(left[i])
     return pairs, unmatched_left, unmatched_right
+
+
+def _match(within, left_skip, right_skip, dist_left, dist_right):
+    """The matching core on interval indices, or None when infeasible.
+
+    Either the distinguished intervals are matched to each other, or each
+    is unmatched; the other intervals take a dummy-augmented perfect
+    matching.  Returns (pairs, unmatched_left, unmatched_right,
+    distinguished_matched).
+    """
+    rest_left = [i for i in range(len(left_skip)) if i != dist_left]
+    rest_right = [j for j in range(len(right_skip)) if j != dist_right]
+
+    # Case: distinguished matched to distinguished.
+    if dist_left is not None and dist_right is not None and within[dist_left][dist_right]:
+        rest = _bipartite_feasible(rest_left, rest_right, within, left_skip, right_skip)
+        if rest is not None:
+            pairs, ul, ur = rest
+            return [(dist_left, dist_right)] + pairs, ul, ur, True
+
+    # Case: all distinguished intervals unmatched.
+    out_left, out_right = [], []
+    if dist_left is not None:
+        if not left_skip[dist_left]:
+            return None
+        out_left.append(dist_left)
+    if dist_right is not None:
+        if not right_skip[dist_right]:
+            return None
+        out_right.append(dist_right)
+    rest = _bipartite_feasible(rest_left, rest_right, within, left_skip, right_skip)
+    if rest is None:
+        return None
+    pairs, ul, ur = rest
+    return pairs, out_left + ul, out_right + ur, False
 
 
 def feasible_matching(b1: PointedBarcode, b2: PointedBarcode,
@@ -138,8 +178,7 @@ def feasible_matching(b1: PointedBarcode, b2: PointedBarcode,
     With `closed=False` the unmatch rule is the strict `length < 2*delta`;
     `closed=True` relaxes it to `length <= 2*delta`, which captures
     feasibility at tolerances just above `delta`.  `costs`, when given, is
-    the `cost_matrix` of the expanded intervals of b1 and b2, so that a
-    caller probing many tolerances evaluates each pair's cost once.
+    the `cost_matrix` of the expanded intervals of b1 and b2.
     """
     if delta.sign() < 0:
         raise InputError("tolerance must be nonnegative")
@@ -148,49 +187,30 @@ def feasible_matching(b1: PointedBarcode, b2: PointedBarcode,
     if costs is None:
         costs = cost_matrix(left, right)
     within = [[c.cmp(delta) <= 0 for c in row] for row in costs]
-    left = list(enumerate(left))
-    right = list(enumerate(right))
+    doubled = delta.scale(2)
 
-    # Case: distinguished matched to distinguished.
-    if dist_left is not None and dist_right is not None:
-        if within[dist_left][dist_right]:
-            rest = _bipartite_feasible(
-                left[:dist_left] + left[dist_left + 1:],
-                right[:dist_right] + right[dist_right + 1:],
-                within, delta, closed,
-            )
-            if rest is not None:
-                pairs, ul, ur = rest
-                u, v = left[dist_left][1], right[dist_right][1]
-                return Matching(delta, [(u, v)] + pairs, ul, ur, True)
+    def skip(interval):
+        cmp = interval.length().cmp(doubled)
+        return cmp <= 0 if closed else cmp < 0
 
-    # Case: all distinguished intervals unmatched.
-    rest_left, rest_right = list(left), list(right)
-    out_left, out_right = [], []
-    if dist_left is not None:
-        if not _unmatch_ok(left[dist_left][1], delta, closed):
-            return None
-        out_left.append(rest_left.pop(dist_left)[1])
-    if dist_right is not None:
-        if not _unmatch_ok(right[dist_right][1], delta, closed):
-            return None
-        out_right.append(rest_right.pop(dist_right)[1])
-    rest = _bipartite_feasible(rest_left, rest_right, within, delta, closed)
-    if rest is None:
+    found = _match(within, [skip(u) for u in left], [skip(v) for v in right],
+                   dist_left, dist_right)
+    if found is None:
         return None
-    pairs, ul, ur = rest
-    return Matching(delta, pairs, out_left + ul, out_right + ur, False)
+    pairs, ul, ur, distinguished_matched = found
+    return Matching(delta, [(left[i], right[j]) for i, j in pairs],
+                    [left[i] for i in ul], [right[j] for j in ur],
+                    distinguished_matched)
 
 
-def _candidates(b1: PointedBarcode, b2: PointedBarcode, costs: list) -> list[ExactRadius]:
-    """Tolerances at which feasibility can change: pairwise endpoint costs
-    (the `cost_matrix` of the expanded intervals) and half-lengths (the
-    unmatching thresholds), plus zero."""
+def _candidates(costs: list, halves: list) -> list[ExactRadius]:
+    """Tolerances at which feasibility can change, sorted and distinct:
+    pairwise endpoint costs (a `cost_matrix`), half-lengths (the unmatching
+    thresholds) and zero."""
     values = {ZERO_RADIUS}
     for row in costs:
         values.update(row)
-    for iv in b1.expand() + b2.expand():
-        values.add(iv.length().scale(Fraction(1, 2)))
+    values.update(halves)
     return sorted(values, key=_key)
 
 
@@ -199,23 +219,34 @@ def bottleneck(b1: PointedBarcode, b2: PointedBarcode) -> ExactRadius:
 
     The returned value is feasible for every strictly larger tolerance; the
     strict matching rules at the value itself may be infeasible when the
-    infimum is set by a half-length.  Each pair's cost is evaluated once,
-    and every probe reads it.
+    infimum is set by a half-length.  The probes of the binary search run
+    on the ranks of the costs and half-lengths among the sorted candidates.
     """
-    costs = cost_matrix(b1.expand(), b2.expand())
-    candidates = _candidates(b1, b2, costs)
+    left, dist_left = _expand(b1)
+    right, dist_right = _expand(b2)
+    costs = cost_matrix(left, right)
+    halves = [interval.length().scale(_HALF) for interval in left + right]
+    candidates = _candidates(costs, halves)
+    rank = {value: k for k, value in enumerate(candidates)}
+    cost_ranks = [[rank[c] for c in row] for row in costs]
+    half_ranks = [rank[h] for h in halves]
+    left_halves, right_halves = half_ranks[:len(left)], half_ranks[len(left):]
 
-    def feasible(delta):
-        return feasible_matching(b1, b2, delta, closed=True, costs=costs) is not None
+    def feasible(k):
+        # At delta = candidates[k]: cost <= delta and length <= 2*delta.
+        within = [[r <= k for r in row] for row in cost_ranks]
+        return _match(within, [h <= k for h in left_halves],
+                      [h <= k for h in right_halves],
+                      dist_left, dist_right) is not None
 
     lo, hi = 0, len(candidates) - 1
-    if feasible(candidates[0]):
-        return candidates[0]
-    if not feasible(candidates[hi]):
+    if feasible(lo):
+        return candidates[lo]
+    if not feasible(hi):
         raise InputError("no feasible tolerance among candidates")
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if feasible(candidates[mid]):
+        if feasible(mid):
             hi = mid
         else:
             lo = mid

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rzero.exact import LT, EQ, GT, ExactRadius, cmp_radius, cmp_radius_diff
+from rzero.io import decode_radius, encode_radius
 from rzero.rng import RationalSampler
 
 
@@ -54,6 +55,18 @@ def test_gap():
     assert ExactRadius.of(3).gap(ExactRadius.of(5)) == ExactRadius.of(2)
     # gap of mixed rational / sqrt values
     assert ExactRadius.sqrt(2).gap(ExactRadius.of(1)) == ExactRadius(2, 1)
+    assert ExactRadius.of(-3).gap(ExactRadius.of(-5)) == ExactRadius.of(2)
+    assert ExactRadius.of(0).gap(ExactRadius.of(-5)) == ExactRadius.of(5)
+    # Values of opposite signs have no gap, on either route.
+    for a, b in ((ExactRadius.of(-1), ExactRadius.of(1)),
+                 (ExactRadius.sqrt(2), -ExactRadius.sqrt(3)),
+                 (ExactRadius.of(1), -ExactRadius.sqrt(3))):
+        with pytest.raises(ValueError, match="opposite-sign"):
+            a.gap(b)
+        with pytest.raises(ValueError, match="opposite-sign"):
+            b.gap(a)
+    with pytest.raises(ValueError, match="single-term"):
+        ExactRadius(5, 2).gap(ExactRadius.of(1))
 
 
 def test_rational_above():
@@ -64,8 +77,15 @@ def test_rational_above():
     assert ExactRadius.of(huge.rational_above()).cmp(huge) == GT
 
 
+def _radicand_route(x):
+    """The rational x built from radicands: sqrt(x^2) or -sqrt(x^2)."""
+    return ExactRadius(x * x) if x >= 0 else ExactRadius(0, x * x)
+
+
 def _random_radius(sampler):
-    kind = sampler.integer(0, 2)
+    """A random value from either route: a rational through `of` or
+    through radicands, the root of a rational, or a difference of roots."""
+    kind = sampler.integer(0, 3)
     num = sampler.integer(0, 40)
     den = sampler.integer(1, 12)
     q = Fraction(num, den)
@@ -73,9 +93,58 @@ def _random_radius(sampler):
         return ExactRadius.of(q)
     if kind == 1:
         return ExactRadius.sqrt(q)
+    if kind == 2:
+        return _radicand_route(q - Fraction(sampler.integer(0, 40), sampler.integer(1, 12)))
     q2 = Fraction(sampler.integer(0, 40), sampler.integer(1, 12))
     value = ExactRadius(max(q, q2), min(q, q2))
     return value
+
+
+def test_equal_values_agree_whichever_route_built_them():
+    """Each rational is built through the rational route (`of`, and `gap`
+    and `scale` of rationals) and through the radicand route (radicands,
+    `sqrt` of its square, a collapsing difference of roots, the decoders);
+    every build compares, hashes, converts, subtracts, scales and encodes
+    alike."""
+    sampler = RationalSampler(11)
+    others = [_random_radius(sampler) for _ in range(12)]
+    for _ in range(40):
+        x = Fraction(sampler.integer(0, 30), sampler.integer(1, 9))
+        y = Fraction(sampler.integer(0, 30), sampler.integer(1, 9))
+        builds = [
+            ExactRadius.of(x),
+            ExactRadius.of(x + y).gap(ExactRadius.of(y)),
+            ExactRadius.of(y).gap(ExactRadius.of(x + y)),
+            ExactRadius.of(2 * x).scale(Fraction(1, 2)),
+            _radicand_route(x),
+            ExactRadius.sqrt(x * x),
+            ExactRadius(4 * x * x, x * x),  # 2x - x
+            ExactRadius((x + 1) ** 2, 1),
+            ExactRadius.sqrt(4 * x * x).scale(Fraction(1, 2)),
+            ExactRadius.sqrt((x + y) ** 2).gap(ExactRadius.sqrt(y * y)),
+            decode_radius({"rat": str(x)}),
+            decode_radius({"sqrt": str(x * x)}),
+            decode_radius({"sqrt_diff": [str(4 * x * x), str(x * x)]}),
+        ]
+        negatives = [ExactRadius.of(-x), _radicand_route(-x), -ExactRadius.sqrt(x * x),
+                     ExactRadius(0, x * x), decode_radius({"rat": str(-x)})]
+        for family, value in ((builds, x), (negatives, -x)):
+            first = family[0]
+            for r in family:
+                assert r.cmp(first) == EQ and r == first and r == value
+                assert hash(r) == hash(first) == hash(value)
+                assert r.as_fraction() == value
+                assert r.sign() == first.sign()
+                assert (r.plus, r.minus) == (first.plus, first.minus)
+                assert encode_radius(r) == encode_radius(first) == {"rat": str(value)}
+                assert r.scale(Fraction(3, 2)) == first.scale(Fraction(3, 2))
+                for other in others:
+                    assert r.cmp(other) == first.cmp(other)
+                    assert other.cmp(r) == other.cmp(first)
+                    if other.is_simple and other.sign() * first.sign() >= 0:
+                        assert r.gap(other) == first.gap(other)
+                        assert encode_radius(r.gap(other)) == encode_radius(first.gap(other))
+            assert len(set(family)) == 1
 
 
 def test_total_order_properties():
@@ -104,3 +173,16 @@ def test_against_sympy_oracle():
         else:
             expected = 1 if diff.evalf(60) > 0 else -1
         assert a.cmp(b) == expected, (a, b)
+        # The same values built by either route compare alike.
+        for twin_a in _both_routes(a):
+            for twin_b in _both_routes(b):
+                assert twin_a.cmp(twin_b) == expected, (twin_a, twin_b)
+
+
+def _both_routes(r):
+    """r rebuilt by each route that can build it: a rational through `of`
+    and through radicands; an irrational value from its radicands."""
+    value = r.as_fraction()
+    if value is None:
+        return [ExactRadius(r.plus, r.minus)]
+    return [ExactRadius.of(value), _radicand_route(value)]

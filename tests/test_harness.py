@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import rzero.harness as harness
 import rzero.pipeline as pipeline
 from rzero.cohomology import filtration_field_dims
+from rzero.errors import InputError
 from rzero.exact import ExactRadius
 from rzero.harness import (
     PerturbSpec,
@@ -21,8 +22,9 @@ from rzero.modes import Mode, applicable
 from rzero.normmin import vector_norm
 from rzero.barcode import Interval, PointedBarcode, barcode
 from rzero.pipeline import analyze, assemble_pointed_module
+from rzero.rng import RationalSampler
 
-from inputs import edge_map, grid_identity_map, octagon_winding2_map, rectangle_map
+from inputs import edge_map, grid_identity_map, octagon_winding2_map, rectangle_map, seeded_grid_map
 from test_cohomology import _dense_dims
 from test_field_barcode import small_maps
 from test_pipeline_fuzz import (
@@ -51,6 +53,38 @@ def test_perturb_bound_exact():
         if any(x != 0 for x in gap):
             changed += 1
     assert changed > 0
+
+
+# The largest integer k that `perturb` may draw for every coordinate, at
+# D = 2^16: k <= D for linf, l1 and one-dimensional l2; for l2 with n = 2
+# the offsets are k/D * delta/2 in both coordinates, and their norm is at
+# most delta while 2k^2 <= 4D^2, that is up to k = floor(sqrt(2) D) = 92681.
+@pytest.mark.parametrize("norm, n, largest", [
+    ("linf", 2, 1 << 16), ("l1", 2, 1 << 16), ("l2", 1, 1 << 16), ("l2", 2, 92681),
+])
+def test_perturb_checks_its_bound_on_the_integer_offsets(monkeypatch, norm, n, largest):
+    """Offsets that reach the bound pass; one more unit raises, exactly
+    where the exact norm of the offsets first exceeds delta."""
+    f = seeded_grid_map(3, 1, n, norm)
+    spec = PerturbSpec(Fraction(3, 7), 5)
+    scale = spec.delta if norm == "linf" else spec.delta / n
+    bound = ExactRadius.of(spec.delta)
+    for k in (largest, largest + 1):
+        class Drawn(RationalSampler):
+            def integer(self, low, high):
+                return k
+
+        monkeypatch.setattr(harness, "RationalSampler", Drawn)
+        offsets = (Fraction(k, spec.denominator) * scale,) * n
+        if vector_norm(offsets, norm).cmp(bound) > 0:
+            assert k == largest + 1
+            with pytest.raises(InputError, match="perturbation exceeded its bound"):
+                perturb(f, spec)
+        else:
+            assert k == largest
+            g = perturb(f, spec)
+            for v in f.complex.vertices:
+                assert tuple(a - b for a, b in zip(g.values[v], f.values[v])) == offsets
 
 
 def test_edge_seed_42_robust_radius_within_bound():

@@ -3,6 +3,7 @@
 from collections import Counter
 from fractions import Fraction
 
+import bottleneck_oracle
 from rzero.barcode import Interval, PointedBarcode
 from rzero.exact import ExactRadius
 from rzero.matching import bottleneck, feasible_matching, interval_cost
@@ -93,11 +94,9 @@ def test_symmetry_and_triangle():
         assert dab == dba
         dac = bottleneck(a, c)
         dcb = bottleneck(c, b)
-        # Triangle inequality for the infimum distances.
-        lhs = dab
-        rhs_pair = dac.gap(ExactRadius.of(0))  # copy
-        # compare dab <= dac + dcb using rationals (all values rational here)
-        assert lhs.as_fraction() <= dac.as_fraction() + dcb.as_fraction()
+        # Triangle inequality for the infimum distances, compared as
+        # rationals (every value is rational here).
+        assert dab.as_fraction() <= dac.as_fraction() + dcb.as_fraction()
         assert bottleneck(a, a) == ExactRadius.of(0)
 
 
@@ -121,3 +120,65 @@ def test_sqrt_endpoint_bottleneck():
     # Asymmetric: sqrt bar versus nothing falls back to the half-length.
     d2 = bottleneck(bc([s2]), bc([]))
     assert d2 == ExactRadius.sqrt(Fraction(1, 2))
+
+
+def _assert_witness(a, b, m, delta):
+    """m is a closed matching of a and b at delta, checked bar by bar."""
+    assert m is not None
+    left, right = Counter(a.expand()), Counter(b.expand())
+    assert Counter(u for u, _ in m.pairs) + Counter(m.unmatched_left) == left
+    assert Counter(v for _, v in m.pairs) + Counter(m.unmatched_right) == right
+    for u, v in m.pairs:
+        assert interval_cost(u, v).cmp(delta) <= 0
+    doubled = delta.scale(2)
+    for u in m.unmatched_left + m.unmatched_right:
+        assert u.length().cmp(doubled) <= 0
+    # The distinguished bars are matched to each other, or each is unmatched
+    # (an ordinary copy of the same interval may still be matched).
+    if m.distinguished_matched:
+        assert (a.distinguished, b.distinguished) in m.pairs
+    else:
+        assert a.distinguished is None or a.distinguished in m.unmatched_left
+        assert b.distinguished is None or b.distinguished in m.unmatched_right
+
+
+def _endpoint(sampler, kind):
+    """A nonnegative endpoint: a rational, the root of a rational (often
+    irrational, as for l2 critical values), or either at random."""
+    if kind == "mixed":
+        kind = ("rational", "sqrt")[sampler.integer(0, 1)]
+    value = Fraction(sampler.integer(0, 24), sampler.integer(1, 4))
+    return ExactRadius.of(value) if kind == "rational" else ExactRadius.sqrt(value)
+
+
+def _random_pointed_barcode(sampler, kind):
+    bars, count = [], sampler.integer(0, 4)  # a count of 0 leaves a side empty
+    while len(bars) < count:
+        a, b = _endpoint(sampler, kind), _endpoint(sampler, kind)
+        if a.cmp(b) != 0:
+            bars.append(Interval(a, b) if a.cmp(b) < 0 else Interval(b, a))
+    if bars and sampler.integer(0, 2):  # repeat a bar
+        bars.append(bars[sampler.integer(0, len(bars) - 1)])
+    distinguished = None
+    if bars and sampler.integer(0, 1):
+        distinguished = bars[sampler.integer(0, len(bars) - 1)]
+    return bc(bars, distinguished)
+
+
+def test_ranked_bottleneck_matches_the_exact_search_oracle():
+    """On seeded random pointed barcodes with rational, square-root and
+    mixed endpoints, the ranked probes find the oracle's value, and a
+    closed matching exists at it."""
+    seen = Counter()
+    for t, kind in enumerate(["rational", "sqrt", "mixed"] * 60):
+        sampler = RationalSampler(child_seed(902, t))
+        a = _random_pointed_barcode(sampler, kind)
+        b = _random_pointed_barcode(sampler, kind)
+        d = bottleneck(a, b)
+        assert d == bottleneck_oracle.bottleneck(a, b), (kind, a, b)
+        _assert_witness(a, b, feasible_matching(a, b, d, closed=True), d)
+        seen["empty side"] += not (a.expand() and b.expand())
+        seen["both distinguished"] += a.distinguished is not None and b.distinguished is not None
+        seen["irrational"] += d.as_fraction() is None
+        seen["positive"] += d.sign() > 0
+    assert min(seen.values()) >= 10, seen
