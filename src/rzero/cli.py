@@ -12,6 +12,7 @@ import functools
 import os
 import shlex
 import sys
+from fractions import Fraction
 
 from .errors import InputError, InternalError, ModeError, RZeroError
 from .exact import parse_rational
@@ -182,12 +183,16 @@ def cmd_bottleneck(args) -> dict:
     return {"distance": encode_radius(distance)}
 
 
-def cmd_perturb(args) -> dict:
-    f = parse_input(_read(args.input))
+def _delta(args) -> Fraction:
     delta = parse_rational(args.delta)
     if delta < 0:
         raise InputError("--delta must be nonnegative")
-    g = perturb(f, PerturbSpec(delta, _resolve_seed(args.seed)))
+    return delta
+
+
+def cmd_perturb(args) -> dict:
+    f = parse_input(_read(args.input))
+    g = perturb(f, PerturbSpec(_delta(args), _resolve_seed(args.seed)))
     return serialize_input(g)
 
 
@@ -215,7 +220,9 @@ def cmd_fuzz(args) -> dict:
     f = parse_input(_read(args.input))
     mode = _resolve_mode(args.mode, f)
     seed = _resolve_seed(args.seed)
-    delta = parse_rational(args.delta)
+    delta = _delta(args)
+    if args.trials < 0:
+        raise InputError("--trials must be nonnegative")
     report = check_stability(f, mode, delta, args.trials, seed)
     doc = report.to_dict()
     doc["mode"] = mode.value

@@ -126,6 +126,8 @@ def check_stability(f: PLMap, mode: Mode, delta: Fraction, trials: int,
     """Perturb `trials` times and verify the two stability inequalities:
     bottleneck(B_f, B_g) <= delta and |rho_f - rho_g| <= delta, with the
     barcodes over the mode's `DEFAULT_FIELD`."""
+    if trials < 0:
+        raise InputError("trials must be nonnegative")
     coefficients = DEFAULT_FIELD[mode]
     delta = Fraction(delta)
     bound = ExactRadius.of(delta)

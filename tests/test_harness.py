@@ -108,6 +108,14 @@ def test_stability_smoke_all_examples():
         assert report.passed, report.to_dict()
 
 
+def test_stability_rejects_a_negative_trial_count(monkeypatch):
+    # range(-3) runs no trial, so a negative count would pass unchecked;
+    # it is refused before the base analysis runs.
+    monkeypatch.setattr(harness, "_pipeline_barcode", None)
+    with pytest.raises(InputError, match="trials must be nonnegative"):
+        check_stability(edge_map(), Mode.SIGNS, Fraction(1, 10), -3, 2024)
+
+
 def test_invariances_all_examples():
     cases = [
         (edge_map(), Mode.SIGNS),

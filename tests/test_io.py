@@ -199,6 +199,20 @@ def test_cli_check_and_fuzz(tmp_path):
     assert json.loads(out.stdout)["passed"] is True
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fuzz", "--delta", "1/10", "--trials", "-3"], "--trials must be nonnegative"),
+    (["fuzz", "--delta=-1/10", "--trials", "3"], "--delta must be nonnegative"),
+    (["perturb", "--delta=-1/10"], "--delta must be nonnegative"),
+])
+def test_cli_rejects_negative_counts_and_bounds(argv, message, tmp_path, capsys):
+    path = tmp_path / "edge.json"
+    path.write_text(as_document(edge_map()))
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"input error: {message}\n"
+
+
 def test_failures_end_with_a_reproduce_line(tmp_path, monkeypatch, capsys):
     path = tmp_path / "edge.json"
     path.write_text(as_document(edge_map()))

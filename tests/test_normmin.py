@@ -243,6 +243,18 @@ def test_minimum_is_global_lower_bound():
             assert vector_norm(sample, norm).cmp(result.minimum) >= 0
 
 
+@settings(max_examples=300)
+@given(st.lists(_MIXED, min_size=2, max_size=4), st.booleans(), st.sampled_from(NORMS))
+def test_one_signed_simplex_on_r_has_a_vertex_minimum(xs, negative, norm):
+    # For n = 1 with no two vertices of strictly opposite sign, |f| is
+    # affine on the simplex, so its minimum is at a vertex: the lemma that
+    # lets `star_subdivide` split a map to R at its zeros alone.
+    values = [(-abs(x) if negative else abs(x),) for x in xs]
+    result = simplex_norm_min(values, norm)
+    assert result.at_vertex
+    assert result.minimum == vector_norm((min(map(abs, xs)),), norm)
+
+
 def test_at_vertex_flag():
     # Minimum attained both at a vertex and along an edge: still a vertex hit.
     r = simplex_norm_min([(1,), (1,)], "linf")

@@ -4,8 +4,8 @@ The digests pin `star_subdivide`'s output itself (sorted simplices, vertex
 values and expansions), so a change to the subdivision fails here, at the
 stage that moved, and not only in the digests of downstream output.  They
 were recorded before the subdivider moved to integer vertex data.  On
-random maps full of ties the output must also equal that of
-`subdivision_reference`, which searches every new simplex.
+random maps full of ties, and on larger maps to R, the output must also
+equal that of `subdivision_reference`, which searches every new simplex.
 """
 
 import hashlib
@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 import rzero.complexes as complexes
-from rzero.complexes import Complex, PLMap, star_subdivide
+from rzero.complexes import Complex, PLMap, star_subdivide, vertex_minima_ok
 from rzero.exact import format_rational
 from rzero.io import parse_input
 from rzero.normmin import simplex_norm_min, vector_norm
@@ -119,7 +119,7 @@ def _argmin_passes(f, monkeypatch):
     """Subdivide f, recording the `simplex_norm_min` calls and, per argmin
     pass, the simplices of dim >= 1 it is handed and those that carry a
     known minimizing vertex when it starts.  Returns the calls, the passes,
-    the subdivider and its kept points."""
+    the subdivider, its kept points and the subdivided map."""
     calls = []
     original_min = complexes.simplex_norm_min
 
@@ -144,10 +144,17 @@ def _argmin_passes(f, monkeypatch):
     monkeypatch.setattr(complexes, "simplex_norm_min", counting_min)
     monkeypatch.setattr(complexes._Subdivider, "__init__", init)
     monkeypatch.setattr(complexes._Subdivider, "argmin_pass", argmin_pass)
-    star_subdivide(f)
+    result = star_subdivide(f)
     monkeypatch.undo()
     (state,) = states
-    return calls, passes, state, state.kept
+    return calls, passes, state, state.kept, result
+
+
+def _assert_zero_split_only(calls, passes, kept, result):
+    # A map to R is split at its zeros alone: no argmin pass runs and
+    # nothing is minimized, yet every simplex minimum is vertex-attained.
+    assert passes == [] and calls == [] and kept.kept == []
+    assert vertex_minima_ok(result)
 
 
 def _rational(state, simplex):
@@ -163,7 +170,10 @@ def test_each_simplex_is_minimized_once(name, monkeypatch):
     # lies below its least vertex norm, unless a coface's search already
     # found its argmin (a kept point).
     f = CASES[name]
-    calls, passes, state, kept = _argmin_passes(f, monkeypatch)
+    calls, passes, state, kept, result = _argmin_passes(f, monkeypatch)
+    if f.n == 1:
+        _assert_zero_split_only(calls, passes, kept, result)
+        return
     below = 0
     for alive, handed, settled in passes:
         assert handed | settled.keys() == alive
@@ -180,7 +190,10 @@ def test_floor_exit_skips_only_vertex_minima(name, monkeypatch):
     # cut from, attains that simplex's minimum by the full minimizer; and
     # every kept face point is the point the minimizer returns on that face.
     f = CASES[name]
-    _, passes, state, kept = _argmin_passes(f, monkeypatch)
+    calls, passes, state, kept, result = _argmin_passes(f, monkeypatch)
+    if f.n == 1:
+        _assert_zero_split_only(calls, passes, kept, result)
+        return
     settled = {}
     for _, _, known in passes:
         settled.update(known)
@@ -239,3 +252,38 @@ def test_subdivision_matches_the_search_everything_reference():
         assert got.expansion == want.expansion, label
         count += 1
     assert count == 360
+
+
+def _maps_to_r():
+    """(label, map) for maps to R in every norm: seeded k x k grids for
+    k = 2..8, and random 2-complexes on up to ten vertices with values in
+    -2..2, in eighths or with denominators up to 97, so that many vertices
+    are 0."""
+    rng = random.Random(1507)
+    draws = {
+        "ints": lambda: Fraction(rng.randint(-2, 2)),
+        "eighths": lambda: Fraction(rng.randint(-12, 12), 8),
+        "wide": lambda: Fraction(rng.randint(-3, 3), rng.randint(1, 97)),
+    }
+    for i, norm in enumerate(("l1", "l2", "linf")):
+        for k in range(2, 9):
+            yield f"grid-{k}-{norm}", seeded_grid_map(3 * k + i, k, 1, norm)
+        for kind, t in itertools.product(draws, range(4)):
+            names = [f"x{i}" for i in range(rng.randint(6, 10))]
+            c = Complex.build([rng.sample(names, 3) for _ in range(rng.randint(4, 12))])
+            values = {v: (draws[kind](),) for v in c.vertices}
+            yield f"two-{kind}-{norm}-{t}", PLMap(c, values, 1, norm)
+
+
+def test_zero_split_matches_the_reference_on_maps_to_r():
+    # For n = 1 only the zero split runs; the reference runs the argmin
+    # passes as for n >= 2 and must return the same subdivision.
+    count = zeros = 0
+    for label, f in _maps_to_r():
+        got, want = star_subdivide(f), reference_subdivide(f)
+        assert got.complex.simplices == want.complex.simplices, label
+        assert got.values == want.values, label
+        assert got.expansion == want.expansion, label
+        count += 1
+        zeros += sum(value == (0,) for value in f.values.values())
+    assert count == 57 and zeros > 57
