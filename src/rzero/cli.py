@@ -312,9 +312,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attached_delta(argv: list[str]) -> list[str]:
+    """argv with `--delta X` written `--delta=X` when X is a negative
+    number: argparse takes a token that starts with '-' and is no plain
+    number, such as -1/10, for an option, so the value would never reach
+    the nonnegativity check."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--delta" and token[:1] == "-" and token[1:2].isdigit():
+            out[-1] = f"--delta={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attached_delta(sys.argv[1:] if argv is None else list(argv)))
     try:
         document = args.func(args)
     except InputError as exc:

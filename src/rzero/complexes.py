@@ -21,7 +21,7 @@ from math import gcd, lcm
 
 from .errors import InputError, InternalError
 from .exact import ExactRadius
-from .normmin import NORMS, floor_vertex, scaled, simplex_norm_min, vector_norm
+from .normmin import NORMS, floor_vertex, rescaled, scaled_vector, simplex_norm_min, vector_norm
 
 Simplex = tuple[str, ...]
 
@@ -170,6 +170,10 @@ class PLMap:
     norm: str
     minima_at_vertices: bool = False
     expansion: dict = field(default_factory=dict, compare=False)
+    # Internal: vertex -> (den, numerators), the value as integers over the
+    # LCM of its denominators.  `star_subdivide` hands over its own; for
+    # any other map it is computed on first read (`scaled_values`).
+    _scaled: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.norm not in NORMS:
@@ -198,6 +202,15 @@ class PLMap:
     def m(self) -> int:
         return self.complex.dim
 
+    @property
+    def scaled_values(self) -> dict:
+        """vertex -> (den, numerators): each value as integers over the LCM
+        of its denominators, with den > 0."""
+        if self._scaled is None:
+            object.__setattr__(self, "_scaled", {v: scaled_vector(value)
+                                                 for v, value in self.values.items()})
+        return self._scaled
+
     def norm_at(self, vertex: str) -> ExactRadius:
         return vector_norm(self.values[vertex], self.norm)
 
@@ -221,8 +234,9 @@ def vertex_minima_ok(f: PLMap) -> bool:
 def edge_zeros_ok(f: PLMap) -> bool:
     """Check postcondition (b): component zeros meet edges only at vertices
     or along whole edges."""
-    return not any(a.numerator * b.numerator < 0 for u, v in f.complex.edges()
-                   for a, b in zip(f.values[u], f.values[v]))
+    ints = f.scaled_values
+    return not any(a * b < 0 for u, v in f.complex.edges()
+                   for a, b in zip(ints[u][1], ints[v][1]))
 
 
 def _point_id(den: int, combo: dict) -> str:
@@ -285,12 +299,10 @@ class _Subdivider:
         self.inside: dict[Simplex, Simplex] = {}
         for s in f.complex.simplices:
             self.add(s, None)
-        self.values, self.expansion = {}, {}
-        for v, value in f.values.items():
-            den, (nums,) = scaled([value])
-            self.values[v] = (den, nums)
+        self.values = dict(f.scaled_values)
+        self.expansion = {}
         for v, exp in f.expansion.items():
-            den, (nums,) = scaled([exp.values()])
+            den, nums = scaled_vector(exp.values())
             self.expansion[v] = (den, dict(zip(exp, nums)))
         self.new_vertices: list[str] = []
 
@@ -325,7 +337,7 @@ class _Subdivider:
         self.new_vertices.append(new_id)
 
         face_set = set(face)
-        cofaces = [s for s in self.by_vertex[face[0]] if face_set.issubset(s)]
+        cofaces = set.intersection(*[self.by_vertex[v] for v in face])
         proper_faces = [fc for fc in _faces(face) if len(fc) < len(face)] + [()]
         for s in cofaces:
             known = new_id if self.inside.get(s) == face else self.minimizer.get(s)
@@ -371,10 +383,7 @@ class _Subdivider:
         decided first, on the vertex values over their common denominator;
         only a simplex whose floor lies below its least vertex norm reaches
         `simplex_norm_min`."""
-        points = [self.values[v] for v in s]
-        scale = lcm(*[den for den, _ in points])
-        ints = [nums if den == scale else [x * (scale // den) for x in nums]
-                for den, nums in points]
+        _, ints = rescaled([self.values[v] for v in s])
         vertex = floor_vertex(ints, self.norm)
         if vertex is not None:
             self.minimizer[s] = s[vertex]
@@ -458,7 +467,7 @@ def star_subdivide(f: PLMap) -> PLMap:
         den, combo = state.expansion[v]
         expansion[v] = {b: Fraction(c, den) for b, c in combo.items()}
     result = PLMap(Complex.from_closed(state.simplices), values, f.n, f.norm,
-                   minima_at_vertices=True, expansion=expansion)
+                   minima_at_vertices=True, expansion=expansion, _scaled=state.values)
     if not edge_zeros_ok(result):
         raise InternalError("subdivision postcondition (b) failed")
     return result

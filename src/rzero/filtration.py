@@ -6,8 +6,9 @@ A_r = {x : |f(x)| >= r} is constant in r between consecutive critical values;
 each constancy interval (s_i, s_{i+1}] is sampled at its right endpoint.
 
 Vertex norms are ranked as integers (`normmin.norm_keys`: |v|, or |v|² for
-l2, over one LCM of every vertex value's denominator): the distinct keys
-are sorted, and a `Fraction` and an `ExactRadius` are built once per
+l2, over one LCM of every vertex value's denominator), read off the map's
+integer values (`PLMap.scaled_values`, the subdivider's own): the distinct
+keys are sorted, and a `Fraction` and an `ExactRadius` are built once per
 distinct positive key, for the critical values.
 
 The whole family is one order on the simplices.  A vertex of norm s_k (the
@@ -52,7 +53,8 @@ def _ranked_vertices(f: PLMap) -> tuple[CriticalSet, dict[str, int]]:
     if not f.minima_at_vertices and not vertex_minima_ok(f):
         raise InputError("critical_values requires a subdivided map")
     vertices = f.complex.vertices
-    den, keys = norm_keys([f.values[v] for v in vertices], f.norm)
+    ints = f.scaled_values
+    den, keys = norm_keys([ints[v] for v in vertices], f.norm)
     positive = sorted(set(keys) - {0})
     rank = {key: i for i, key in enumerate(positive, 1)}
     rank[0] = 0

@@ -128,8 +128,10 @@ def check_stability(f: PLMap, mode: Mode, delta: Fraction, trials: int,
     barcodes over the mode's `DEFAULT_FIELD`."""
     if trials < 0:
         raise InputError("trials must be nonnegative")
-    coefficients = DEFAULT_FIELD[mode]
     delta = Fraction(delta)
+    if delta < 0:
+        raise InputError("perturbation bound must be nonnegative")
+    coefficients = DEFAULT_FIELD[mode]
     bound = ExactRadius.of(delta)
     base_bc, base_rho = _pipeline_barcode(f, mode, coefficients, child_seed(seed, 0))
     results = []

@@ -695,14 +695,16 @@ def _combine(a: int, x: dict[int, int], b: int, y: dict[int, int], p: int = 0) -
     return out
 
 
-def _lattice_insert(lattice: dict[int, dict[int, int]], vec: dict[int, int]) -> None:
-    """Add vec to the lattice, keeping the echelon (unimodular column ops)."""
+def _lattice_insert(lattice: dict[int, dict[int, int]], vec: dict[int, int]) -> int | None:
+    """Add vec to the lattice, keeping the echelon (unimodular column ops);
+    the new pivot row, or None when vec is in the span of the lattice over
+    Q, so that the pivot rows stay those of the span."""
     while vec:
         row = min(vec)
         basis = lattice.get(row)
         if basis is None:
             lattice[row] = vec if vec[row] > 0 else {i: -v for i, v in vec.items()}
-            return
+            return row
         a, b = basis[row], vec[row]
         q, r = divmod(b, a)
         if r == 0:
@@ -713,6 +715,7 @@ def _lattice_insert(lattice: dict[int, dict[int, int]], vec: dict[int, int]) -> 
         g, x, y = _ext_gcd(a, b)
         lattice[row] = _combine(x, basis, y, vec)
         vec = _combine(b // g, basis, -(a // g), vec)
+    return None
 
 
 def _lattice_reduce(lattice: dict[int, dict[int, int]], vec: dict[int, int],
@@ -736,6 +739,21 @@ def _lattice_reduce(lattice: dict[int, dict[int, int]], vec: dict[int, int],
         coords[row] = q
         vec = _combine(1, vec, -q, basis)
     return coords, vec
+
+
+def _span_reduce(lattice: dict[int, dict[int, int]], vec: dict[int, int]) -> dict[int, int]:
+    """A nonzero multiple of vec less a combination of echelon vectors, cut
+    down while its first key is a pivot row: {} exactly when vec lies in
+    the lattice's span over Q (fraction-free, as `FieldEchelon.reduce`)."""
+    while vec:
+        row = min(vec)
+        basis = lattice.get(row)
+        if basis is None:
+            break
+        a, b = basis[row], vec[row]
+        g = math.gcd(a, b)
+        vec = _combine(a // g, vec, -(b // g), basis)
+    return vec
 
 
 def _lattice_coords(lattice: dict[int, dict[int, int]],

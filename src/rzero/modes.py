@@ -26,7 +26,7 @@ from .complexes import PLMap, Subcomplex, connected_components
 from .errors import InternalError, ModeError
 from .exact import ExactRadius
 from .linalg import DenseAdapter, solve_square
-from .normmin import scaled, vector_norm
+from .normmin import rescaled, scaled_vector, vector_norm
 from .rng import RationalSampler
 
 RETRY_BUDGET = 32
@@ -135,12 +135,10 @@ class RayError(InternalError):
     """The chosen ray passes through a vertex value; resample."""
 
 
-def _cross(a, b) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
-
-
-def _dot(a, b) -> Fraction:
-    return a[0] * b[0] + a[1] * b[1]
+def _cross_dot(ray, point) -> tuple[int, int]:
+    """The cross and dot products of two integer plane vectors."""
+    (rx, ry), (x, y) = ray, point
+    return rx * y - ry * x, rx * x + ry * y
 
 
 def winding_cocycle(level: Subcomplex, f: PLMap, ray) -> dict:
@@ -150,30 +148,35 @@ def winding_cocycle(level: Subcomplex, f: PLMap, ray) -> dict:
     crossings of the segment f(u) -> f(v) with the open ray R+ . ray; the
     cocycle class is f's winding class and does not depend on the admissible
     ray.  Raises RayError when a vertex value lies on the ray.
+
+    Everything is decided on integers: the ray and each vertex value are
+    taken over their own positive denominators (`PLMap.scaled_values`),
+    which moves no sign.  With c and d the cross and dot products of the
+    ray with a vertex's numerators, an edge whose c_u, c_v have strict
+    opposite signs meets the ray's line where the dot product is
+    (c_u d_v - c_v d_u) / (c_u - c_v) up to a positive factor, and c_u - c_v
+    has the sign of c_u.
     """
     if f.n != 2:
         raise ModeError("winding cocycles require a planar map")
-    ray = tuple(Fraction(x) for x in ray)
-    if ray == (0, 0):
+    _, ray = scaled_vector(ray)
+    if not any(ray):
         raise ValueError("ray direction must be nonzero")
-    crosses = {}
+    ints = f.scaled_values
+    products = {}
     for v in level.vertices:
-        val = f.values[v]
-        if val == (0, 0):
+        val = ints[v][1]
+        if not any(val):
             raise InternalError("winding cocycle needs nonzero vertex values")
-        c = _cross(ray, val)
-        if c == 0 and _dot(ray, val) > 0:
+        c, d = products[v] = _cross_dot(ray, val)
+        if c == 0 and d > 0:
             raise RayError(f"value of vertex {v} lies on the ray")
-        crosses[v] = c
     cocycle = {}
     for u, v in level.edges():
-        cu, cv = crosses[u], crosses[v]
+        (cu, du), (cv, dv) = products[u], products[v]
         if cu == 0 or cv == 0 or (cu > 0) == (cv > 0):
             continue  # no transversal crossing of the ray's line
-        t = cu / (cu - cv)
-        point = tuple(f.values[u][i] + t * (f.values[v][i] - f.values[u][i])
-                      for i in range(2))
-        if _dot(ray, point) <= 0:
+        if (cu * dv - cv * du) * cu <= 0:
             continue  # crosses the opposite half-line
         cocycle[(u, v)] = 1 if cu < 0 else -1
     return cocycle
@@ -181,15 +184,15 @@ def winding_cocycle(level: Subcomplex, f: PLMap, ray) -> dict:
 
 def admissible_ray(level: Subcomplex, f: PLMap, sampler: RationalSampler):
     """A seeded ray direction avoiding all vertex values of the level."""
+    ints = f.scaled_values
     for _ in range(RETRY_BUDGET):
         ray = sampler.nonzero_vector(2)
-        ok = True
+        _, scaled_ray = scaled_vector(ray)
         for v in level.vertices:
-            val = f.values[v]
-            if _cross(ray, val) == 0 and _dot(ray, val) > 0:
-                ok = False
+            c, d = _cross_dot(scaled_ray, ints[v][1])
+            if c == 0 and d > 0:
                 break
-        if ok:
+        else:
             return ray
     raise InternalError("could not find an admissible ray")
 
@@ -243,16 +246,19 @@ def degree_cocycle(f: PLMap, probe) -> dict:
     map when the probe has a strictly interior preimage there, else 0.  For
     dim X < n the answer is the zero cochain.  Raises ProbeError when the
     probe fails regularity (a preimage on a proper face, or a degenerate
-    simplex whose image contains the probe).  Each simplex's values and the
-    probe are scaled to integers by one LCM, and the probe is located by
-    the signs of the Cramer numerators.
+    simplex whose image contains the probe).  Each simplex's integer values
+    (`PLMap.scaled_values`) and the probe are brought to one LCM of their
+    denominators, and the probe is located by the signs of the Cramer
+    numerators.
     """
     n = f.n
     if f.m > n:
         raise ModeError("degree cocycles require dim X <= n")
+    ints = f.scaled_values
+    probe = scaled_vector(probe)
     cocycle = {}
     for simplex in f.complex.simplices_of_dim(n):
-        _, (*values, point) = scaled([f.values[v] for v in simplex] + [probe])
+        _, (*values, point) = rescaled([ints[v] for v in simplex] + [probe])
         solution = _affine_preimage(values, point)
         if solution is None:
             if _has_preimage(values, point):

@@ -19,6 +19,11 @@ increasing dimension, each offering its interior candidates (every λ > 0).
   at a point with every λ > 0 (its ±w_i are all <= 0, not all 0) is left
   out of the choices first, which drops only row sets without a
   candidate.
+- l1, linf, faces of n + 1 vertices: any n + 1 active rows (linf) or all
+  2n (l1) hold both rows of some coordinate, which forces the slack to 0
+  and then, by feasibility, all of g to 0.  So the one candidate is the
+  zero of g, from one (n+1) x (n+1) Cramer system [1ᵀ; W] λ = (1, 0); the
+  row sets are searched only when that system is singular.
 
 Tie rule: the best point is replaced only on a strict improvement, so a
 vertex beats any face, a lower-dimensional face a higher one, and on an
@@ -41,7 +46,8 @@ Fractions are built only for a chosen barycentric point off the vertices,
 and `NormMin.minimum`, an `ExactRadius` (the square root of a rational for
 l2), only when it is read.  `norm_keys`, `norm_key` and `norm_radius`
 give the same exact norms for single vectors: the vertex norms of the
-filtration, ranked as integers over one denominator, and the probe bounds.
+filtration, ranked as integers over one denominator from the map's integer
+points (den, numerators), and the probe bounds.
 """
 
 from __future__ import annotations
@@ -74,18 +80,36 @@ def scaled(vectors) -> tuple[int, list[list[int]]]:
     return scale, [[x.numerator * (scale // x.denominator) for x in v] for v in vectors]
 
 
-def norm_keys(vectors, norm: str) -> tuple[int, list[int]]:
-    """(d, keys): the norms of the vectors as integers over one denominator,
-    each |v| (|v|² for l2) being key / d, from the vectors over their LCM."""
-    scale, ints = scaled(vectors)
-    return scale * scale if norm == "l2" else scale, list(map(_MEASURE[norm], ints))
+def scaled_vector(vector) -> tuple[int, list[int]]:
+    """One vector as an integer point (den, numerators), by `scaled`."""
+    den, (nums,) = scaled([vector])
+    return den, nums
+
+
+def rescaled(points) -> tuple[int, list[list[int]]]:
+    """(s, vectors) for integer points (den, numerators): s is the LCM of
+    the dens, and each point's numerators are taken times s / den."""
+    scale = lcm(*[den for den, _ in points])
+    return scale, [nums if den == scale else [x * (scale // den) for x in nums]
+                   for den, nums in points]
+
+
+def norm_keys(points, norm: str) -> tuple[int, list[int]]:
+    """(d, keys): the norms of integer points (den, numerators) as integers
+    over one denominator, each |v| (|v|² for l2) being key / d, d the LCM
+    of the dens (squared for l2)."""
+    scale = lcm(*[den for den, _ in points])
+    measure = _MEASURE[norm]
+    if norm == "l2":
+        return scale * scale, [measure(nums) * (scale // den) ** 2 for den, nums in points]
+    return scale, [measure(nums) * (scale // den) for den, nums in points]
 
 
 def norm_key(vector, norm: str) -> Fraction:
     """|v| as a rational, squared for l2: the key that orders vector norms,
     from which `norm_radius` builds the exact value."""
-    den, (key,) = norm_keys([vector], norm)
-    return Fraction(key, den)
+    den, nums = scaled_vector(vector)
+    return Fraction(_MEASURE[norm](nums), den * den if norm == "l2" else den)
 
 
 def norm_radius(key: Fraction, norm: str) -> ExactRadius:
@@ -225,6 +249,21 @@ def _candidates(ints, face, n, norm):
             if all(x > 0 for x in sol[:size]):
                 yield -sol[size], 2 * det, [2 * x for x in sol[:size]]
         return
+
+    if size == n + 1:
+        # Every choice of n + 1 (linf) or 2n (l1) active rows holds both
+        # rows of some coordinate i: the slack is 0 and g_i = 0, and then
+        # every row holds only where g = 0.  So the one candidate is the
+        # zero of g, and only a singular zero system leaves the row sets.
+        solution = solve_square([[1] * size + [1]] + [[ints[j][i] for j in face] + [0]
+                                                      for i in range(n)])
+        if solution is not None:
+            sol, det = solution
+            if det < 0:
+                sol, det = [-x for x in sol], -det
+            if all(x > 0 for x in sol):
+                yield 0, det, sol
+            return
 
     extra = 1 if norm == "linf" else n
     rows = []

@@ -27,22 +27,26 @@ with no per-level group, transition or quotient space:
   generator is born where its (pivot) row leaves A and a relation where
   its simplex does.  The relations are reduced in order of birth with the
   pivot on the youngest generator (the elder rule), so a relation ends the
-  bar of the youngest generator it still meets.
+  bar of the youngest generator it still meets.  Over Q with H^n(X) = 0
+  that reduction is the integer echelon the analysis already fills level
+  by level for its flags (`LevelEchelon`): a lattice and its span over Q
+  have the same pivots, so the pivot each column adds is its death.  Over
+  F_p, or with H^n(X) != 0, `hopf_bars` reduces the relations itself.
 
 In circle and hopf mode the distinguished class rides along as one extra
 vector, and its support, the number of leading samples at which the class
-is nonzero, comes out of the same reduction (see `circle_bars` and
-`hopf_bars`).  Either route checks that its distinguished bar, from sample
-0 to the last sample of the support, is one of its bars, and raises
-InternalError otherwise.  The signs class has no such vector; its bar ends
+is nonzero, comes out of the same reduction (see `circle_bars`,
+`hopf_bars` and `LevelEchelon.q_bars`).  Each route checks that its
+distinguished bar, from sample 0 to the last sample of the support, is one
+of its bars, and raises InternalError otherwise.  The signs class has no such vector; its bar ends
 at the robust radius, which the caller places.
 
 Bars are sample-index intervals (a, b), alive at the samples a .. b, as in
 `barcode`; bars of length zero (born and killed at the same level) are not
-bars of the module and are dropped.  Every reduction here is one
-`linalg.FieldEchelon`: fraction-free on integers over Q, and for hopf over
-F_p modulo p, where a coefficient that vanishes mod p is dropped before it
-can be taken for a pivot.
+bars of the module and are dropped.  Apart from `LevelEchelon`'s integer
+lattice, every reduction here is one `linalg.FieldEchelon`: fraction-free
+on integers over Q, and for hopf over F_p modulo p, where a coefficient
+that vanishes mod p is dropped before it can be taken for a pivot.
 """
 
 from __future__ import annotations
@@ -51,7 +55,14 @@ from collections import Counter
 
 from .errors import InternalError
 from .filtration import Filtration
-from .linalg import FieldEchelon, _lattice_coords, _lattice_insert
+from .linalg import (
+    FieldEchelon,
+    _lattice_coords,
+    _lattice_insert,
+    _lattice_is_full,
+    _lattice_reduce,
+    _span_reduce,
+)
 
 
 def circle_bars(filt: Filtration, winding: dict) -> tuple[Counter, int]:
@@ -131,6 +142,10 @@ def hopf_bars(filt: Filtration, top, columns: dict, degree: dict, char: int,
     A row is born at its entry; its rank is its place by (entry, row), so
     the youngest row of a vector is its highest rank.
 
+    The analysis reads the bars over Q with H^n(X) = 0 off its own
+    `LevelEchelon` (`LevelEchelon.q_bars`), which gives the same bars and
+    support; this route serves F_p, and Q with H^n(X) != 0.
+
     When H^n(X) = 0, ker j* is all of H^n(X, A_i): the rows are the
     generators and the columns the relations.  Otherwise the generators are
     a basis of B^n(X) from one integer echelon of all the columns, each
@@ -179,6 +194,107 @@ def hopf_bars(filt: Filtration, top, columns: dict, degree: dict, char: int,
         raise InternalError("degree class survives every level")
     bars = Counter((born[g], death[g]) for g in gens if born[g] <= death[g])
     return bars, support
+
+
+class LevelEchelon:
+    """One integer echelon of ambient coboundary columns, filled level by
+    level: each column goes in at the level where its simplex leaves A
+    (`Filtration.leaving`), so after level i it spans the lattice of the
+    columns off A_i.  Each row is keyed by -rank, its rank being its place
+    by (entry, row), so every pivot is the youngest row of its vector.
+
+    `rows` lists the simplices that index the rows, `columns` maps each
+    simplex to its sparse column {row: entry} and `target` is one sparse
+    vector on the rows.  Each question fills the echelon only as far as it
+    needs:
+
+    * `flags`: whether the target lies outside the level's lattice, for
+      every level.  A lattice holds no vector off its span over Q, so the
+      target is first reduced over Q, its remainder carried from level to
+      level, and from the first level whose span holds it (the support) on,
+      divided exactly, again carrying the remainder.  The filling stops at
+      the first level whose lattice holds the target: every later flag is
+      False, since the lattices only grow.
+    * `trivial`: whether all the columns together span every row over Z.
+    * `q_bars`: the bars over Q of the rows modulo the columns off A_i,
+      which is ker j* when `trivial`.  A lattice and its span over Q have
+      the same pivot rows, and a column adds one exactly when it is off
+      the span of those before it, so the pivot a column adds is the one a
+      field reduction in the same order would add: a relation born at entry
+      e that ends the bar of the row of rank g at level e - 1.
+    """
+
+    def __init__(self, filt: Filtration, rows: list, columns: dict, target: dict):
+        entry = filt.entry
+        ranked = sorted(range(len(rows)), key=lambda r: (entry[rows[r]], r))
+        self._key = {r: -i for i, r in enumerate(ranked)}
+        self._born = [entry[rows[r]] for r in ranked]
+        self._columns = columns
+        self._batches = filt.leaving(columns)
+        self._lattice: dict = {}
+        self._death: dict[int, int] = {}    # rank -> the last level of its bar
+        self._level = 0                     # the levels whose columns are in
+        self._target = self._keyed(target)
+        self._q = self._target              # the remainder over Q
+        self._z = None                      # the remainder over Z, from the support on
+        self._last = None                   # the first key of _q before the support
+        self._support = None                # the first level whose span holds the target
+        self._inside = None                 # the first level whose lattice holds it
+
+    def _keyed(self, vec: dict) -> dict:
+        key = self._key
+        return {key[r]: v for r, v in vec.items()}
+
+    def _advance(self) -> None:
+        """Put in the next level's columns and carry the remainders."""
+        level, lattice = self._level, self._lattice
+        for s in self._batches[level]:
+            low = _lattice_insert(lattice, self._keyed(self._columns[s]))
+            if low is not None:
+                self._death[-low] = level - 1
+        self._level += 1
+        if self._support is None:
+            last = min(self._q, default=None)
+            self._q = _span_reduce(lattice, self._q)
+            if self._q:
+                return
+            self._support, self._last, self._z = level, last, self._target
+        if self._inside is None:
+            self._z = _lattice_reduce(lattice, self._z)[1]
+            if not self._z:
+                self._inside = level
+
+    def _fill(self, done=lambda: False) -> None:
+        while self._level < len(self._batches) and not done():
+            self._advance()
+
+    @property
+    def flags(self) -> list[bool]:
+        self._fill(lambda: self._inside is not None)
+        count = len(self._batches)
+        inside = count if self._inside is None else self._inside
+        return [i < inside for i in range(count)]
+
+    @property
+    def trivial(self) -> bool:
+        self._fill()
+        return _lattice_is_full(self._lattice, len(self._born))
+
+    def q_bars(self) -> tuple[Counter, int]:
+        """Index bars over Q of the rows modulo the columns off A_i, and the
+        support of the target, as `hopf_bars` gives them for a trivial
+        ambient: the rows are the generators, and the target dies at the
+        support, where its last leading row must end a bar (0, support - 1)."""
+        self._fill()
+        if self._support is None:
+            raise InternalError("degree class survives every level")
+        born, death = self._born, self._death
+        last = self._last
+        if last is not None and (born[-last] or death.get(-last) != self._support - 1):
+            raise InternalError("the degree class dies off its bar")
+        k = len(self._batches) - 1
+        bars = Counter((b, death.get(g, k)) for g, b in enumerate(born) if b <= death.get(g, k))
+        return bars, self._support
 
 
 def _kernel_presentation(columns: dict, degree: dict, ranked: list, rank: dict) -> tuple:

@@ -4,9 +4,10 @@
 decides at every level whether the distinguished class is nonzero (signs
 mode from one pass over the vertices and their ambient components, hopf
 and circle mode from one growing integer echelon of relative coboundaries
-each) and builds the per-level data (components, groups, class
-coordinates, transitions) only when something reads it: the module, a
-witness, or the harness's checks.  `assemble_pointed_module` and
+each, `persistence.LevelEchelon`, filled only until the flags are decided)
+and builds the per-level data (components, groups, class coordinates,
+transitions) only when something reads it: the module, a witness, or the
+harness's checks.  `assemble_pointed_module` and
 `robust_radius` read off the results.
 
 Hopf mode reads every group off the ambient's sparse coboundary d_{n-1}
@@ -59,9 +60,6 @@ from .exact import ExactRadius, ZERO_RADIUS
 from .filtration import Filtration, build_filtration
 from .linalg import (
     PresentedGroup,
-    _lattice_contains,
-    _lattice_insert,
-    _lattice_is_full,
     field_mat_vec,
     from_columns,
     mat_vec,
@@ -78,7 +76,7 @@ from .modes import (
     sign_witness as _sign_witness,
     winding_cocycle,
 )
-from .persistence import circle_bars, hopf_bars, signs_bars
+from .persistence import LevelEchelon, circle_bars, hopf_bars, signs_bars
 from .rng import RationalSampler, child_seed
 
 DEFAULT_SEED = 20_177
@@ -157,27 +155,6 @@ class SignsLevel(Level):
         return dict(self.sign_witness)
 
 
-def _obstructed(columns: dict, target: dict, filt: Filtration) -> list[bool]:
-    """Whether the integer vector `target` lies outside the span of the
-    columns of the simplices off A, for every level A.
-
-    A coface of a simplex off A is itself off A, so those columns are whole
-    columns of the ambient coboundary, and their lattices grow as the levels
-    shrink.  One integer echelon, given each column at the level where its
-    simplex leaves A, holds every level's lattice in turn; once the target
-    lies in it, it does at every later level.
-    """
-    lattice: dict = {}
-    flags = []
-    for fresh in filt.leaving(columns):
-        for s in fresh:
-            _lattice_insert(lattice, columns[s])
-        if _lattice_contains(lattice, target):
-            break
-        flags.append(True)
-    return flags + [False] * (filt.level_count() - len(flags))
-
-
 class HopfAmbient:
     """Ambient data of a hopf analysis, the one presentation hopf mode
     reads: the ambient coboundary d_{n-1} as sparse columns
@@ -186,26 +163,27 @@ class HopfAmbient:
     `top` lists the n-simplices, which index the rows; `degree` is the
     degree cocycle on those rows.  With dim X <= n, H^n(X) is the rows
     modulo the columns, and each level restricts both (`HopfLevel.rel`).
+    `echelon` is the one integer echelon of the columns over the levels,
+    with the degree cocycle as its target: the flags, `trivial` and the
+    bars over Q of a trivial ambient are read off it.
     """
 
-    def __init__(self, space: Complex, n: int, cocycle: dict):
+    def __init__(self, space: Complex, n: int, cocycle: dict, filt: Filtration):
         self.cocycle = cocycle
         self.top, self.columns = _sparse_coboundary(space, n - 1)
         row_of = {s: r for r, s in enumerate(self.top)}
         self.degree = {row_of[s]: v for s, v in cocycle.items()}
+        self.echelon = LevelEchelon(filt, self.top, self.columns, self.degree)
 
     @cached_property
     def group(self) -> PresentedGroup:
         """H^n(X), with the columns made dense as its relations."""
         return _presented(range(len(self.top)), self.columns.values())
 
-    @cached_property
+    @property
     def trivial(self) -> bool:
         """Whether H^n(X) is zero: the columns span every row."""
-        lattice: dict = {}
-        for col in self.columns.values():
-            _lattice_insert(lattice, col)
-        return _lattice_is_full(lattice, len(self.top))
+        return self.echelon.trivial
 
 
 class CircleLevel(Level):
@@ -421,22 +399,23 @@ def _analyze_filtered(f0: PLMap, filt: Filtration, mode: Mode, seed: int) -> Ana
 def _analyze_signs(f: PLMap, filt: Filtration) -> list:
     """Signs levels, with every level's flag decided in one pass.
 
-    Each vertex's sign is read once, off its integer numerator.  A vertex
-    of A_0 has a nonzero value, and every component of every level carries
-    a constant sign exactly when every edge of A_0 joins two vertices of
-    the same sign, which is checked once.  The sign assignment on A_i then
-    fails to extend over X exactly when some ambient component holds a
-    positive and a negative vertex of A_i, and a vertex lies in A_i while
-    its entry exceeds i: the flag of level i holds iff some ambient
-    component's least of (largest positive entry, largest negative entry)
-    exceeds i.
+    Each vertex's sign is read once, off its integer numerator
+    (`PLMap.scaled_values`).  A vertex of A_0 has a nonzero value, and
+    every component of every level carries a constant sign exactly when
+    every edge of A_0 joins two vertices of the same sign, which is checked
+    once.  The sign assignment on A_i then fails to extend over X exactly
+    when some ambient component holds a positive and a negative vertex of
+    A_i, and a vertex lies in A_i while its entry exceeds i: the flag of
+    level i holds iff some ambient component's least of (largest positive
+    entry, largest negative entry) exceeds i.
     """
     entry = filt.entry
     ambient = component_index(connected_components(f.complex))
+    ints = f.scaled_values
     sign = {}
     reach: dict = {}    # (ambient component, sign) -> largest vertex entry
     for v in f.complex.vertices:
-        x = f.values[v][0].numerator
+        x = ints[v][1][0]
         sign[v] = (x > 0) - (x < 0)
         if entry[(v,)] and not sign[v]:
             raise InternalError(f"component of {v} does not carry a constant sign")
@@ -469,21 +448,23 @@ def _circle_flags(space: Complex, filt: Filtration, winding: dict) -> list[bool]
     when its image under the connecting map is nonzero: the coboundary of w
     extended by zero, a relative 2-cocycle, lies outside the relative
     coboundaries.  Extending w|A instead of w changes that coboundary by a
-    relative coboundary, so one vector serves every level (`_obstructed`).
-    On a complex without triangles every flag is False.
+    relative coboundary, so one vector serves every level, and one echelon
+    of the relative coboundary columns, filled level by level, holds every
+    level's lattice (`LevelEchelon.flags`).  On a complex without triangles
+    every flag is False.
     """
     rows, columns = _sparse_coboundary(space, 1)
     target = coboundary_of(columns, winding)
     if any(filt.entry[rows[r]] for r in target):
         raise InternalError("winding cocycle is not a cocycle on the superlevel complex")
-    return _obstructed(columns, target, filt)
+    return LevelEchelon(filt, rows, columns, target).flags
 
 
 def _analyze_hopf(f: PLMap, filt: Filtration, seed: int, meta: dict) -> list:
     sampler = RationalSampler(child_seed(seed, 2))
     probe, cocycle = admissible_probe(f, filt.samples[0], sampler)
     meta["probe"] = probe
-    ambient = HopfAmbient(f.complex, f.n, cocycle)
+    ambient = HopfAmbient(f.complex, f.n, cocycle, filt)
     flags = _hopf_flags(ambient, filt)
     return [HopfLevel(filt, i, ambient, flag) for i, flag in enumerate(flags)]
 
@@ -493,12 +474,13 @@ def _hopf_flags(ambient: HopfAmbient, filt: Filtration) -> list[bool]:
 
     With dim X <= n every relative n-cochain is a cocycle, so H^n(X, A) is
     the relative n-cochains modulo the coboundaries of the relative
-    (n-1)-simplices (`_obstructed`).  The degree cocycle is relative at
-    every level, so its class is zero exactly when it lies in that lattice.
+    (n-1)-simplices.  The degree cocycle is relative at every level, so its
+    class is zero exactly when it lies in that lattice
+    (`LevelEchelon.flags`).
     """
     if any(filt.entry[s] for s in ambient.cocycle):
         raise InternalError("degree cocycle meets the superlevel complex")
-    return _obstructed(ambient.columns, ambient.degree, filt)
+    return ambient.echelon.flags
 
 
 def _robust_from_levels(filt: Filtration, levels) -> RobustResult:
@@ -655,8 +637,11 @@ def field_barcode(analysis: Analysis, field) -> PointedBarcode:
 
     Signs mode and hopf mode over any field and circle mode over Q read
     the bars from one pass over the filtration order (`persistence`).  Hopf
-    with a nontrivial ambient H^n reads ker j* off one integer echelon of
-    the ambient coboundary, and with dim X < n its groups are all zero.
+    over Q with H^n(X) = 0 reads them off the integer echelon that decided
+    the analysis's flags (`LevelEchelon.q_bars`), filled to the last level;
+    hopf over F_p, or with a nontrivial ambient H^n, reduces the relations
+    in `hopf_bars`, which reads ker j* off one integer echelon of the
+    ambient coboundary, and with dim X < n its groups are all zero.
     Circle over F_p (where torsion in H_1 would count) builds the module
     and runs `barcode`.  Integral coefficients are rejected before any work.
     """
@@ -674,8 +659,11 @@ def field_barcode(analysis: Analysis, field) -> PointedBarcode:
         bars, support = circle_bars(filt, analysis.levels[0].winding)
     elif mode == Mode.HOPF:
         ambient = analysis.levels[0].ambient
-        bars, support = hopf_bars(filt, ambient.top, ambient.columns, ambient.degree, char,
-                                  ambient.trivial)
+        if char == 0 and ambient.trivial:
+            bars, support = ambient.echelon.q_bars()
+        else:
+            bars, support = hopf_bars(filt, ambient.top, ambient.columns, ambient.degree,
+                                      char, ambient.trivial)
     else:
         module = assemble_pointed_module(analysis, field)
         return barcode(module, signs_robust_radius=analysis.robust.radius)

@@ -1,13 +1,19 @@
-"""Reference degree cocycle for the tests: the probe located by a Fraction
-Gauss-Jordan solve on every n-simplex, as `rzero.modes.degree_cocycle` did
-before it moved to integer Cramer numerators.  It raises the same
-`ProbeError` messages in the same simplex order."""
+"""Reference cocycles for the tests.
+
+The degree cocycle locates the probe by a Fraction Gauss-Jordan solve on
+every n-simplex, as `rzero.modes.degree_cocycle` did before it moved to
+integer Cramer numerators; it raises the same `ProbeError` messages in the
+same simplex order.  The winding cocycle finds each crossing point of an
+edge image with the ray's line in Fractions, as `rzero.modes.winding_cocycle`
+did before it read the signs of integer cross and dot products; it raises
+the same `RayError`.
+"""
 
 from fractions import Fraction
 
 from echelon_oracle import field_kernel
 from rzero.linalg import field_solve
-from rzero.modes import ProbeError
+from rzero.modes import ProbeError, RayError
 
 
 def _affine_preimage(values, point):
@@ -83,4 +89,34 @@ def oracle_degree_cocycle(f, probe) -> dict:
             if sign == 0:
                 raise ProbeError(f"degenerate simplex {simplex} covers the probe")
             cocycle[simplex] = sign
+    return cocycle
+
+
+def _cross(a, b):
+    return a[0] * b[1] - a[1] * b[0]
+
+
+def _dot(a, b):
+    return a[0] * b[0] + a[1] * b[1]
+
+
+def oracle_winding_cocycle(level, f, ray) -> dict:
+    ray = tuple(Fraction(x) for x in ray)
+    crosses = {}
+    for v in level.vertices:
+        val = f.values[v]
+        c = _cross(ray, val)
+        if c == 0 and _dot(ray, val) > 0:
+            raise RayError(f"value of vertex {v} lies on the ray")
+        crosses[v] = c
+    cocycle = {}
+    for u, v in level.edges():
+        cu, cv = crosses[u], crosses[v]
+        if cu == 0 or cv == 0 or (cu > 0) == (cv > 0):
+            continue
+        t = cu / (cu - cv)
+        point = tuple(f.values[u][i] + t * (f.values[v][i] - f.values[u][i]) for i in range(2))
+        if _dot(ray, point) <= 0:
+            continue
+        cocycle[(u, v)] = 1 if cu < 0 else -1
     return cocycle

@@ -116,6 +116,15 @@ def test_stability_rejects_a_negative_trial_count(monkeypatch):
         check_stability(edge_map(), Mode.SIGNS, Fraction(1, 10), -3, 2024)
 
 
+@pytest.mark.parametrize("trials", [0, 3])
+def test_stability_rejects_a_negative_delta(monkeypatch, trials):
+    # With no trial, no perturbation would check the bound; it is refused
+    # before the base analysis runs, whatever the trial count.
+    monkeypatch.setattr(harness, "_pipeline_barcode", None)
+    with pytest.raises(InputError, match="perturbation bound must be nonnegative"):
+        check_stability(edge_map(), Mode.SIGNS, Fraction(-1, 10), trials, 2024)
+
+
 def test_invariances_all_examples():
     cases = [
         (edge_map(), Mode.SIGNS),

@@ -213,6 +213,19 @@ def test_cli_rejects_negative_counts_and_bounds(argv, message, tmp_path, capsys)
     assert err == f"input error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["perturb", "fuzz"])
+@pytest.mark.parametrize("spelling", [["--delta", "-1/10"], ["--delta=-1/10"]])
+def test_cli_negative_delta_in_either_spelling(command, spelling, tmp_path, capsys):
+    # A separate negative rational must reach the --delta check, as the
+    # attached spelling does, not argparse's usage error (exit 2).
+    path = tmp_path / "edge.json"
+    path.write_text(as_document(edge_map()))
+    assert cli.main([command, str(path), *spelling, "--seed", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "input error: --delta must be nonnegative\n"
+
+
 def test_failures_end_with_a_reproduce_line(tmp_path, monkeypatch, capsys):
     path = tmp_path / "edge.json"
     path.write_text(as_document(edge_map()))

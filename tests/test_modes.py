@@ -11,6 +11,7 @@ from rzero.exact import ExactRadius
 from rzero.modes import (
     Mode,
     ProbeError,
+    RayError,
     applicable,
     auto_mode,
     degree_cocycle,
@@ -21,7 +22,7 @@ from rzero.modes import (
 )
 from rzero.pipeline import analyze, assemble_pointed_module
 
-from cocycle_oracle import oracle_degree_cocycle
+from cocycle_oracle import oracle_degree_cocycle, oracle_winding_cocycle
 from inputs import (
     edge_map,
     grid_identity_map,
@@ -213,6 +214,41 @@ def test_degree_cocycle_matches_fraction_oracle():
         else:
             seen.add("cocycle" if expected else "zero")
     assert seen == {"cocycle", "zero", "probe degenerate on", "probe hits a face of"}
+
+
+def _winding_or_error(compute, f, ray):
+    try:
+        return compute(f.complex, f, ray)
+    except RayError as exc:
+        return str(exc)
+
+
+def test_winding_cocycle_matches_fraction_oracle():
+    # The signs of integer cross and dot products against the Fraction
+    # crossing points, on seeded planar maps with mixed denominators and
+    # rays through vertex values and along edge images.
+    rng = random.Random(1507)
+    seen = set()
+    for _ in range(400):
+        f = _random_map(rng, 2)
+        f = f.with_values({v: val if any(val) else (Fraction(1, 3), 0)
+                           for v, val in f.values.items()})
+        values = list(f.values.values())
+        kind = rng.randrange(3)
+        if kind == 0:
+            ray = (Fraction(rng.randint(-6, 6), rng.choice((1, 2, 5))),
+                   Fraction(rng.randint(-6, 6), rng.choice((1, 3, 7))))
+        elif kind == 1:
+            ray = tuple(x * rng.choice((1, -1, Fraction(1, 2))) for x in rng.choice(values))
+        else:
+            a, b = rng.sample(values, 2)
+            ray = tuple(x - y for x, y in zip(a, b))
+        if not any(ray):
+            continue
+        expected = _winding_or_error(oracle_winding_cocycle, f, ray)
+        assert _winding_or_error(winding_cocycle, f, ray) == expected, (f.values, ray)
+        seen.add("ray error" if isinstance(expected, str) else "crossings" if expected else "none")
+    assert seen == {"ray error", "crossings", "none"}
 
 
 def test_degree_negated_identity_same_class():

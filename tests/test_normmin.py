@@ -25,12 +25,21 @@ _MIXED = st.one_of(_COORD, st.integers(-3, 3), st.integers(-24, 24).map(lambda x
 @st.composite
 def simplices(draw, min_k=2, coord=_COORD):
     """Vertex values of a simplex with 2..4 (or min_k..4) vertices in R^1..R^3,
-    sometimes with two vertices sharing a value."""
+    sometimes with two vertices sharing a value, and sometimes n + 1
+    vertices whose images are affinely dependent (a repeated value, or the
+    last on the line through the first two), so that the zero system of
+    l1 and linf is singular."""
     k = draw(st.integers(min_k, 4))
     n = draw(st.integers(1, 3))
+    if n + 1 >= max(min_k, 2) and draw(st.booleans()):
+        k = n + 1
     values = [tuple(draw(coord) for _ in range(n)) for _ in range(k)]
-    if k > 1 and draw(st.booleans()):
+    kind = draw(st.sampled_from(["any", "repeated", "collinear"]))
+    if k > 1 and kind == "repeated":
         values[draw(st.integers(1, k - 1))] = values[0]
+    elif k > 2 and kind == "collinear":
+        t = draw(coord)
+        values[-1] = tuple(a + t * (b - a) for a, b in zip(values[0], values[1]))
     return values
 
 
@@ -138,14 +147,26 @@ def test_pruned_search_matches_unpruned_reference(values, norm):
 def test_sign_prune_keeps_every_candidate_in_order(values, norm):
     # A row set that holds a row which cannot be active with every λ > 0
     # has no candidate, so leaving those rows out of the choices changes
-    # nothing: every face of three or more vertices yields the reference's
-    # candidates, in its order.  Edges take the closed form (`_edge_min`).
+    # nothing, and on a face of n + 1 vertices every row set's candidate is
+    # the zero of g, which the closed form yields once: every face of three
+    # or more vertices yields the reference's distinct candidate points, in
+    # the order first seen.  Edges take the closed form (`_edge_min`).
     _, ints = scaled(values)
     n = len(values[0])
     for size in range(3, len(values) + 1):
         for face in combinations(range(len(values)), size):
-            assert (list(_candidates(ints, face, n, norm))
-                    == list(normmin_reference._candidates(ints, face, n, norm)))
+            assert (_distinct_points(_candidates(ints, face, n, norm))
+                    == _distinct_points(normmin_reference._candidates(ints, face, n, norm)))
+
+
+def _distinct_points(candidates) -> list:
+    """(|g|, λ) of each candidate as exact fractions, repeats dropped."""
+    points = []
+    for value, den, lam in candidates:
+        point = (Fraction(value, den), tuple(Fraction(x, den) for x in lam))
+        if point not in points:
+            points.append(point)
+    return points
 
 
 @st.composite
