@@ -1,8 +1,9 @@
 """Command-line surface.
 
 Every command reads JSON documents, writes one deterministic JSON document
-to stdout, and reports problems on stderr with exit code 1 (bad input),
-2 (mode not applicable) or 3 (internal invariant failure).
+to stdout, and reports problems on stderr with exit code 1 (bad input,
+or an input too large for the memory at hand), 2 (mode not applicable) or
+3 (internal invariant failure).
 """
 
 from __future__ import annotations
@@ -330,7 +331,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_attached_delta(sys.argv[1:] if argv is None else list(argv)))
     try:
-        document = args.func(args)
+        text = dumps(args.func(args))
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
@@ -340,7 +341,11 @@ def main(argv=None) -> int:
     except (InternalError, RZeroError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    sys.stdout.write(dumps(document))
+    except MemoryError:
+        print(f"out of memory: the input is too large for `rzero {args.command}`",
+              file=sys.stderr)
+        return 1
+    sys.stdout.write(text)
     return 0
 
 

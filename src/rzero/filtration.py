@@ -1,9 +1,11 @@
 """Critical values and the decreasing family of superlevel subcomplexes.
 
-After subdivision every per-simplex minimum of |f| is a vertex norm, so the
-critical values are just the distinct positive vertex norms.  The family
-A_r = {x : |f(x)| >= r} is constant in r between consecutive critical values;
-each constancy interval (s_i, s_{i+1}] is sampled at its right endpoint.
+For a map to R^n with n >= 2 the map must be subdivided first
+(`star_subdivide`): then every per-simplex minimum of |f| is a vertex norm,
+so the critical values are just the distinct positive vertex norms.  The
+family A_r = {x : |f(x)| >= r} is constant in r between consecutive
+critical values; each constancy interval (s_i, s_{i+1}] is sampled at its
+right endpoint.
 
 Vertex norms are ranked as integers (`normmin.norm_keys`: |v|, or |v|² for
 l2, over one LCM of every vertex value's denominator), read off the map's
@@ -18,6 +20,22 @@ minimum exit index of its vertices, and level i is the set of simplices
 whose entry exceeds i.  Faces enter no later than their cofaces, so every
 level is face-closed and the levels are nested.  A level's subcomplex is
 built only when it is read (`Levels`).
+
+A map to R (n = 1) is filtered as it is, unsubdivided: a simplex whose
+vertices all have one strict sign enters with the least exit index of its
+vertices, and any other simplex has entry 0.  This is the upper-star
+filtration (Edelsbrunner and Harer, *Computational Topology*, 2010).  f is
+affine on each simplex, so scaling down to 0 the barycentric weights of
+the vertices with f < r keeps a point of {f >= r} in {f >= r}: this
+deformation retracts {f >= r} onto the full subcomplex on the vertices
+with f >= r, and likewise {f <= -r}, so A_r has the homotopy type of the
+level, which holds both full subcomplexes and no simplex between them.
+It is also exactly the filtration of the subdivided map: the zero split
+adds only vertices of value 0, whose exit index is 0, removes exactly the
+simplices whose vertices take both strict signs, and puts one of its zero
+vertices in every simplex it adds, so the critical values, the samples
+and every level's simplex set are the same.  `has_zero_min` then also
+holds when a simplex takes both signs, since f vanishes inside it.
 """
 
 from __future__ import annotations
@@ -46,25 +64,41 @@ class CriticalSet:
             if i and self.values[i - 1].cmp(v) >= 0:
                 raise InputError("critical values must be strictly increasing")
 
+    @classmethod
+    def _from_ranked(cls, values: tuple[ExactRadius, ...], has_zero_min: bool) -> "CriticalSet":
+        """A set whose values were built from strictly increasing positive
+        integer keys (`_ranked_vertices`), so their order is not compared
+        again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "has_zero_min", has_zero_min)
+        return self
+
 
 def _ranked_vertices(f: PLMap) -> tuple[CriticalSet, dict[str, int]]:
-    """The critical set of a post-subdivision map and each vertex's exit
-    index: the rank of its norm among the critical values, 0 for norm 0."""
-    if not f.minima_at_vertices and not vertex_minima_ok(f):
-        raise InputError("critical_values requires a subdivided map")
+    """The critical set of f's vertex norms and each vertex's exit index:
+    the rank of its norm among the critical values, 0 for norm 0."""
     vertices = f.complex.vertices
     ints = f.scaled_values
     den, keys = norm_keys([ints[v] for v in vertices], f.norm)
     positive = sorted(set(keys) - {0})
+    if any(key <= below for below, key in zip([0] + positive, positive)):
+        raise InternalError("critical keys must be positive and strictly increasing")
     rank = {key: i for i, key in enumerate(positive, 1)}
     rank[0] = 0
     exit_index = {v: rank[key] for v, key in zip(vertices, keys)}
-    values = [norm_radius(Fraction(key, den), f.norm) for key in positive]
-    return CriticalSet(tuple(values), 0 in exit_index.values()), exit_index
+    values = tuple(norm_radius(Fraction(key, den), f.norm) for key in positive)
+    return CriticalSet._from_ranked(values, 0 in exit_index.values()), exit_index
+
+
+def _require_subdivided(f: PLMap) -> None:
+    if not f.minima_at_vertices and not vertex_minima_ok(f):
+        raise InputError("critical values require a subdivided map")
 
 
 def critical_values(f: PLMap) -> CriticalSet:
     """Sorted distinct positive vertex norms of a post-subdivision map."""
+    _require_subdivided(f)
     return _ranked_vertices(f)[0]
 
 
@@ -106,7 +140,8 @@ class Levels(Sequence):
 
 @dataclass(frozen=True)
 class Filtration:
-    """Superlevel subcomplexes of a subdivided map at the sample radii.
+    """Superlevel subcomplexes of `f` at the sample radii: a subdivided
+    map for n >= 2, and for n = 1 the input map or its subdivision.
 
     `entry` maps every simplex to its entry index: the simplex lies in the
     levels 0 .. entry - 1 (none when the entry is 0).
@@ -132,10 +167,24 @@ class Filtration:
 
 def build_filtration(f: PLMap) -> Filtration:
     """The entry index of every simplex and the superlevel subcomplexes
-    A'_r at the sample radii, each built when first read."""
+    A'_r at the sample radii, each built when first read.
+
+    A map to R^n with n >= 2 must be subdivided; a map to R is filtered
+    as it is, by the upper-star rule of the module docstring."""
+    if f.n > 1:
+        _require_subdivided(f)
     crit, vertex_exit = _ranked_vertices(f)
     samples = sample_radii(crit)
     entry = {s: min(map(vertex_exit.__getitem__, s)) for s in f.complex.simplices}
+    if f.n == 1:
+        ints = f.scaled_values
+        positive = {v for v in f.complex.vertices if ints[v][1][0] > 0}
+        mixed = [s for s, e in entry.items()
+                 if e and 0 < len(positive.intersection(s)) < len(s)]
+        for s in mixed:
+            entry[s] = 0
+        if mixed:
+            crit = CriticalSet._from_ranked(crit.values, True)
     check_face_order(entry)
     return Filtration(f, crit, tuple(samples), entry, Levels(f.complex, entry, len(samples)))
 

@@ -3,9 +3,11 @@
 Perturbations act on vertex values only: a simplexwise-affine difference
 attains its max-norm over the complex at a vertex (the norm is convex), so
 bounding every vertex offset bounds the function-space distance exactly.
-Stability checks rerun the whole pipeline on the perturbed map, from
-subdivision of the perturbed original complex onward, and compare barcodes
-and robust radii with exact arithmetic; there are no tolerances anywhere.
+Stability checks rerun the whole pipeline on the perturbed map, from the
+filtration of the perturbed original complex onward (signs mode filters
+that complex itself, circle and hopf mode its subdivision), and compare
+barcodes and robust radii with exact arithmetic; there are no tolerances
+anywhere.
 """
 
 from __future__ import annotations
@@ -208,10 +210,11 @@ def check_invariances(f: PLMap, mode: Mode, seed: int) -> Report:
     Only the base map's module is assembled, over the mode's
     `DEFAULT_FIELD`, for the functoriality check; its barcode is compared
     with the barcodes of the scaled, rotated and negated maps, which
-    `field_barcode` reads as the CLI does.  Those maps
-    are subdivided anew, as that is part of what their checks test; the
-    probe/ray resamples share the base's filtration, which reads no seed,
-    and each resample's class is compared in the base's groups."""
+    `field_barcode` reads as the CLI does.  Those maps are filtered anew
+    (and subdivided anew outside signs mode), as that is part of what their
+    checks test; the probe/ray resamples share the base's filtration, which
+    reads no seed, and each resample's class is compared in the base's
+    groups."""
     coefficients = DEFAULT_FIELD[mode]
     results = []
     base = analyze(f, mode, seed)
@@ -331,7 +334,9 @@ def _matrices_equal_as_maps(group, m1, m2) -> bool:
 def exactness_checks(f: PLMap, mode: Mode, seed: int) -> Report:
     """d^2 = 0, Im(delta) inside ker(j*) with equal rational ranks, and
     universal-coefficient consistency for F_2, F_3, F_5 and Q, on the
-    cochain complexes of X, of every level A and of every pair (X, A)."""
+    cochain complexes of X, of every level A and of every pair (X, A).
+    X is the complex the analysis filtered: the input complex in signs
+    mode, its subdivision otherwise."""
     analysis = analyze(f, mode, seed)
     ccs = _all_cochain_complexes(analysis)
     dim = analysis.f.complex.dim
@@ -347,11 +352,11 @@ def exactness_checks(f: PLMap, mode: Mode, seed: int) -> Report:
 
 def _all_cochain_complexes(analysis: Analysis) -> list[CochainComplex]:
     """X, then A and (X, A) for every level A in order, each built once."""
-    subdivided = analysis.f
-    ccs = [CochainComplex(subdivided.complex)]
+    space = analysis.f.complex
+    ccs = [CochainComplex(space)]
     for level in analysis.filtration.levels:
         ccs.append(CochainComplex(level))
-        ccs.append(CochainComplex(subdivided.complex, level))
+        ccs.append(CochainComplex(space, level))
     return ccs
 
 

@@ -1,6 +1,9 @@
 """End-to-end analysis: subdivision, filtration, classes, pointed modules.
 
-`analyze` runs the whole exact pipeline for one map and one mode.  It
+`analyze` runs the whole exact pipeline for one map and one mode.  Signs
+mode filters the input complex itself: for a map to R the upper-star
+filtration of the vertex values is exact (`filtration`), so no vertex is
+added.  Circle and hopf mode filter the map's subdivision.  `analyze` then
 decides at every level whether the distinguished class is nonzero (signs
 mode from one pass over the vertices and their ambient components, hopf
 and circle mode from one growing integer echelon of relative coboundaries
@@ -347,7 +350,11 @@ class RobustResult:
 
 @dataclass
 class Analysis:
-    """Everything the CLI and harness need about one analyzed map."""
+    """Everything the CLI and harness need about one analyzed map.
+
+    `original` is the input map and `f` the map the filtration was built
+    on: the input map itself in signs mode, its subdivision otherwise.
+    """
 
     original: PLMap
     f: PLMap
@@ -377,13 +384,19 @@ class Analysis:
 
 
 def analyze(f0: PLMap, mode: Mode, seed: int = DEFAULT_SEED) -> Analysis:
+    """The analysis of f0 in one mode.  Signs mode filters f0 itself (the
+    upper-star rule of `filtration`, exact for a map to R); circle and hopf
+    mode filter f0's subdivision (`star_subdivide`), hopf mode on a map to
+    R included."""
     require_applicable(mode, f0.n, f0.complex.dim)
-    return _analyze_filtered(f0, build_filtration(star_subdivide(f0)), mode, seed)
+    return _analyze_filtered(
+        f0, build_filtration(f0 if mode == Mode.SIGNS else star_subdivide(f0)), mode, seed)
 
 
 def _analyze_filtered(f0: PLMap, filt: Filtration, mode: Mode, seed: int) -> Analysis:
-    """`analyze` from the filtration of f0's subdivision, which reads
-    neither the mode nor the seed, so analyses of one map can share it."""
+    """`analyze` from a filtration of f0 (`analyze` says which), which
+    reads neither the mode nor the seed, so analyses of one map can share
+    it."""
     f = filt.f
     meta: dict = {"seed": seed}
     if mode == Mode.SIGNS:

@@ -40,6 +40,22 @@ def rectangle_map() -> PLMap:
     return PLMap(c, values, 1, "linf")
 
 
+def signs_mixed_map() -> PLMap:
+    """A map to R with a mixed triangle (b, c, d take both strict signs),
+    a zero vertex e, and an isolated vertex a.
+
+    The zero split adds a vertex on b-c and on c-d whose ids sort before
+    every input id; the positive and the negative vertices share one
+    ambient component, so the class is robust up to 7/3.
+    """
+    c = Complex.build([["b", "c", "d"], ["d", "e"], ["e", "f"], ["c", "g"],
+                       ["b", "h"], ["a"]])
+    values = {"a": Fraction(5, 2), "b": Fraction(3), "c": Fraction(-2),
+              "d": Fraction(1, 2), "e": Fraction(0), "f": Fraction(-7, 3),
+              "g": Fraction(-1), "h": Fraction(4, 3)}
+    return PLMap(c, {v: (x,) for v, x in values.items()}, 1, "l2")
+
+
 def grid_vertex(i: int, j: int) -> str:
     return f"v{i + 1}{j + 1}"
 

@@ -27,7 +27,13 @@ from rzero.io import (
     serialize_input,
 )
 
-from inputs import as_document, edge_map, grid_identity_map, octagon_winding2_map
+from inputs import (
+    as_document,
+    edge_map,
+    grid_identity_map,
+    octagon_winding2_map,
+    signs_mixed_map,
+)
 from test_pipeline_fuzz import moebius_odd_winding_map, planar_inputs, projective_plane_map
 
 CLI = [sys.executable, "-m", "rzero.cli"]
@@ -226,6 +232,20 @@ def test_cli_negative_delta_in_either_spelling(command, spelling, tmp_path, caps
     assert err == "input error: --delta must be nonnegative\n"
 
 
+def test_exhausted_memory_exits_1_with_one_stderr_line(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "edge.json"
+    path.write_text(as_document(edge_map()))
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "analyze", exhausted)
+    assert cli.main(["criticals", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "out of memory: the input is too large for `rzero criticals`\n"
+
+
 def test_failures_end_with_a_reproduce_line(tmp_path, monkeypatch, capsys):
     path = tmp_path / "edge.json"
     path.write_text(as_document(edge_map()))
@@ -380,10 +400,25 @@ PINNED_STDOUT = {
     "check-grid_identity": "3929c484b8ec9abfa825b2b20467e156799e9c6482003665367eed335249253a",
     "check-octagon_winding2": "3929c484b8ec9abfa825b2b20467e156799e9c6482003665367eed335249253a",
     "check-rectangle_y": "1b339d14bbbba909dfb9a44acf403eb70e20ec5e64fa38e652d1a5464e6edf15",
+    # Signs mode filters the input complex itself; these were recorded on
+    # the route that filtered the zero-split subdivision.
+    "signs.barcode-edge-f2": "95a76f7e61d321383e00cc55fbecf55f57633eae44dd940fbab8e8f7558f0d7e",
+    "signs.module-edge-q": "a096432302bf6ec15dcfb9bdc8d7f92764fbbb1bac4c5e28ae4ee609f41b0d0f",
+    "signs.criticals-edge": "9231da9e688c32f35340de8ff6627f7a9e09ec9b212717baaa6a8419d7e7b17e",
+    "signs.robust_radius-edge": "837d8fb1d438579771adbc404fec7cc749041c2b0ec8ee1aa190f48985227d9a",
+    "signs.barcode-rectangle_y-f2": "95a76f7e61d321383e00cc55fbecf55f57633eae44dd940fbab8e8f7558f0d7e",
+    "signs.module-rectangle_y-q": "a096432302bf6ec15dcfb9bdc8d7f92764fbbb1bac4c5e28ae4ee609f41b0d0f",
+    "signs.criticals-rectangle_y": "9231da9e688c32f35340de8ff6627f7a9e09ec9b212717baaa6a8419d7e7b17e",
+    "signs.robust_radius-rectangle_y": "533f72950488fb894a1eb3edd7310889c1fe71ae8fe766841009c2166adcac90",
+    "signs.barcode-signs_mixed-f2": "46d7d5b40c461d6e810d9c4ecf9f4910a6f06308dadc84e5de91e515dac346e1",
+    "signs.module-signs_mixed-q": "22e485eedffb4a7032c16152349c938f3936878617329f9fed908cc794b2f2d8",
+    "signs.criticals-signs_mixed": "ae8b3357188eb9e7757965a2b8e7203642fb30cf078c4d119a37cc9d923fbd36",
+    "signs.robust_radius-signs_mixed": "0cba36e60e3cffdaf31f8f2c6a44e8439de033e94f10ddbd74e2bfc7eaad90d6",
 }
 
 
-FIXTURES = {"moebius": moebius_odd_winding_map, "rp2": projective_plane_map}
+FIXTURES = {"moebius": moebius_odd_winding_map, "rp2": projective_plane_map,
+            "signs_mixed": signs_mixed_map}
 
 
 @pytest.mark.parametrize("label", sorted(PINNED_STDOUT))
