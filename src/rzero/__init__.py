@@ -15,14 +15,13 @@ from .complexes import (
     PLMap,
     Subcomplex,
     connected_components,
-    full_subcomplex,
     star_subdivide,
 )
 from .errors import InputError, InternalError, ModeError, RZeroError
-from .exact import ExactRadius, cmp_radius, cmp_radius_diff
-from .filtration import CriticalSet, Filtration, build_filtration, critical_values, sample_radii
+from .exact import ExactRadius
+from .filtration import CriticalSet, Filtration, build_filtration, sample_radii
 from .harness import PerturbSpec, check_invariances, check_stability, exactness_checks, perturb
-from .matching import Matching, bottleneck, feasible_matching
+from .matching import bottleneck
 from .modes import Mode, degree_cocycle, sign_vector, winding_cocycle
 from .normmin import NormMin, simplex_norm_min
 from .pipeline import (
@@ -32,7 +31,6 @@ from .pipeline import (
     analyze,
     assemble_pointed_module,
     field_barcode,
-    robust_radius,
 )
 
 __version__ = "0.1.0"

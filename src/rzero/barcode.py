@@ -103,10 +103,6 @@ class PointedBarcode:
             out.extend([iv] * mult)
         return out
 
-    def same_as(self, other: "PointedBarcode") -> bool:
-        return (self.multiset() == other.multiset()
-                and self.distinguished == other.distinguished)
-
 
 # ---------------------------------------------------------------------------
 # index-interval helpers
@@ -125,11 +121,6 @@ def _distinguished_support(module: PointedModule) -> int:
     if any(nonzero[support:]):
         raise InternalError("distinguished vector revived after vanishing")
     return support
-
-
-def interval_from_indices(module: PointedModule, a: int, b: int) -> Interval:
-    """Radius interval of a bar alive at sample indices a..b inclusive."""
-    return _interval(module.samples, module.criticals, a, b)
 
 
 def _interval(samples, criticals, a: int, b: int) -> Interval:

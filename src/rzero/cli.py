@@ -34,7 +34,6 @@ from .pipeline import (
     analyze,
     assemble_pointed_module,
     field_barcode,
-    parse_coefficients,
 )
 
 FIELDS = ("q", "f2", "f3", "f5")
@@ -185,7 +184,10 @@ def cmd_bottleneck(args) -> dict:
 
 
 def _delta(args) -> Fraction:
-    delta = parse_rational(args.delta)
+    try:
+        delta = parse_rational(args.delta)
+    except ValueError as exc:
+        raise InputError(f"--delta: {exc}") from exc
     if delta < 0:
         raise InputError("--delta must be nonnegative")
     return delta

@@ -357,7 +357,7 @@ def connecting_delta(space_cc: CochainComplex, sub_cc: CochainComplex,
 
 
 # ---------------------------------------------------------------------------
-# subgroups (kernels of induced maps, images of delta)
+# subgroups (kernels of induced maps)
 # ---------------------------------------------------------------------------
 
 class Subgroup:
@@ -420,13 +420,3 @@ def kernel_subgroup(matrix, src: PresentedGroup, dst: PresentedGroup) -> Subgrou
     span_vectors = lattice_basis(span_vectors, gens)
     span, presented = subgroup_presentation(span_vectors, src)
     return Subgroup(src, span, presented)
-
-
-def image_subgroup(vectors, ambient: PresentedGroup) -> Subgroup:
-    """Subgroup generated by the given ambient-coordinate classes
-    (together with the ambient relation lattice)."""
-    span_vectors = [list(v) for v in vectors if any(x != 0 for x in v)]
-    span_vectors += [list(rel) for rel in ambient.relations]
-    span_vectors = lattice_basis(span_vectors, ambient.gens)
-    span, presented = subgroup_presentation(span_vectors, ambient)
-    return Subgroup(ambient, span, presented)

@@ -7,8 +7,9 @@ order on ids doubles as the orientation convention for cochains.
 `star_subdivide` refines a map's complex until (a) the minimum of |f| over
 every simplex is attained at a vertex and (b) each component of f vanishes on
 each edge only at vertices or along the whole edge.  New vertices are placed
-at exact argmin points and at exact zero crossings; their ids encode the
-affine expansion in the original vertices, so repeated runs are identical.
+at exact argmin points and at exact zero crossings.  A new vertex's id
+spells out its affine expansion in the input vertices, `(a:1/2,b:1/2)`, so
+repeated runs are identical and the map carries no separate expansion.
 For a map to R (n = 1), (b) implies (a), so only the zero crossings are
 split and no argmin is searched.
 """
@@ -20,8 +21,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError, InternalError
-from .exact import ExactRadius
-from .normmin import NORMS, floor_vertex, rescaled, scaled_vector, simplex_norm_min, vector_norm
+from .normmin import NORMS, floor_vertex, rescaled, scaled_vector, simplex_norm_min
 
 Simplex = tuple[str, ...]
 
@@ -121,13 +121,6 @@ class Subcomplex(Complex):
         return self
 
 
-def full_subcomplex(parent: Complex, keep) -> Subcomplex:
-    """The subcomplex spanned by the vertices satisfying `keep`."""
-    kept = {v for v in parent.vertices if keep(v)}
-    simps = [s for s in parent.simplices if all(v in kept for v in s)]
-    return Subcomplex(parent, simps)
-
-
 def connected_components(complex_like: Complex) -> list[tuple[str, ...]]:
     """Vertex sets of connected components, each sorted, listed by min id."""
     parent = {v: v for v in complex_like.vertices}
@@ -162,14 +155,14 @@ def component_index(components) -> dict[str, int]:
 
 @dataclass(frozen=True)
 class PLMap:
-    """A simplexwise-linear map given by rational vectors on the vertices."""
+    """A simplexwise-linear map given by rational vectors on the vertices.
+    After `star_subdivide`, a new vertex's id is its affine expansion."""
 
     complex: Complex
     values: dict
     n: int
     norm: str
     minima_at_vertices: bool = False
-    expansion: dict = field(default_factory=dict, compare=False)
     # Internal: vertex -> (den, numerators), the value as integers over the
     # LCM of its denominators.  `star_subdivide` hands over its own; for
     # any other map it is computed on first read (`scaled_values`).
@@ -191,12 +184,6 @@ class PLMap:
             {v: tuple(x if isinstance(x, Fraction) else Fraction(x) for x in val)
              for v, val in self.values.items()},
         )
-        if not self.expansion:
-            object.__setattr__(
-                self,
-                "expansion",
-                {v: {v: Fraction(1)} for v in self.complex.vertices},
-            )
 
     @property
     def m(self) -> int:
@@ -210,16 +197,6 @@ class PLMap:
             object.__setattr__(self, "_scaled", {v: scaled_vector(value)
                                                  for v, value in self.values.items()})
         return self._scaled
-
-    def norm_at(self, vertex: str) -> ExactRadius:
-        return vector_norm(self.values[vertex], self.norm)
-
-    def value_on(self, simplex, barycentric):
-        simplex = _as_simplex(simplex)
-        return tuple(
-            sum(Fraction(b) * self.values[v][i] for b, v in zip(barycentric, simplex))
-            for i in range(self.n)
-        )
 
     def with_values(self, new_values) -> "PLMap":
         return PLMap(self.complex, dict(new_values), self.n, self.norm)
@@ -266,7 +243,7 @@ def _mix(lam, lam_den: int, points, items) -> tuple[int, dict]:
 class _Subdivider:
     """Mutable scratch state for iterated stellar subdivision, with each
     vertex's value and expansion as integers: (den, numerators) over the LCM
-    of their denominators.
+    of their denominators.  An expansion only names a new vertex (`_point_id`).
 
     Every simplex of dim >= 1 is either waiting for the next argmin pass
     (`unvisited`) or settled: `minimizer` names a vertex of it that attains
@@ -300,10 +277,7 @@ class _Subdivider:
         for s in f.complex.simplices:
             self.add(s, None)
         self.values = dict(f.scaled_values)
-        self.expansion = {}
-        for v, exp in f.expansion.items():
-            den, nums = scaled_vector(exp.values())
-            self.expansion[v] = (den, dict(zip(exp, nums)))
+        self.expansion = {v: (1, {v: 1}) for v in f.complex.vertices}
         self.new_vertices: list[str] = []
 
     def add(self, s: Simplex, minimizer: str | None) -> None:
@@ -428,9 +402,10 @@ def star_subdivide(f: PLMap) -> PLMap:
     zeros meet edges only in vertices (or along whole edges).
 
     The geometric realization is unchanged and the returned map agrees with
-    f pointwise; `expansion` on the result expresses each new vertex as an
-    affine combination of original vertices.  Raises InternalError after
-    10 rounds per input simplex (diagnostic for non-termination).
+    f pointwise.  A new vertex's id is its affine expansion in f's vertices
+    (`_point_id`), and subdividing the result again adds no vertex.  Raises
+    InternalError after 10 rounds per input simplex (diagnostic for
+    non-termination).
 
     For n = 1 only the zero split runs, and the (b) check covers (a):
     - (b) implies (a).  On a simplex whose vertex values are all >= 0 or
@@ -460,14 +435,11 @@ def star_subdivide(f: PLMap) -> PLMap:
         if len(state.minimizer) != sum(len(s) > 1 for s in state.simplices):
             raise InternalError("subdivision postcondition (a) failed")
     values = dict(f.values)
-    expansion = {v: dict(exp) for v, exp in f.expansion.items()}
     for v in state.new_vertices:
         den, nums = state.values[v]
         values[v] = tuple(Fraction(x, den) for x in nums)
-        den, combo = state.expansion[v]
-        expansion[v] = {b: Fraction(c, den) for b, c in combo.items()}
     result = PLMap(Complex.from_closed(state.simplices), values, f.n, f.norm,
-                   minima_at_vertices=True, expansion=expansion, _scaled=state.values)
+                   minima_at_vertices=True, _scaled=state.values)
     if not edge_zeros_ok(result):
         raise InternalError("subdivision postcondition (b) failed")
     return result

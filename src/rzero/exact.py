@@ -21,22 +21,29 @@ floating point is involved.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 
 LT, EQ, GT = -1, 0, 1
 
 _ZERO = Fraction(0)
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal of the form "p", "-p" or "p/q"."""
+    """Parse a rational literal "p", "-p", "p/q" or "-p/q" (ASCII digits,
+    surrounding whitespace ignored).  Decimals, exponents, a leading "+" and
+    digit separators are rejected, so no literal is ever expanded."""
     if not isinstance(text, str):
         raise ValueError(f"rational value must be a string, got {text!r}")
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"not a rational number: {text!r}")
     try:
-        value = Fraction(text.strip())
+        # int() refuses more digits than sys.get_int_max_str_digits().
+        return Fraction(int(match[1]), int(match[2] or 1))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
-    return value
 
 
 def format_rational(value: Fraction) -> str:
@@ -306,10 +313,6 @@ class ExactRadius:
         # sqrt(plus) - sqrt(minus) < sqrt(plus)
         return ExactRadius(self._plus).rational_above()
 
-    def approx(self) -> float:
-        """Floating-point approximation, for diagnostics only."""
-        return math.sqrt(self.plus) - math.sqrt(self.minus)
-
     # -- comparisons / hashing ---------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -357,14 +360,4 @@ def _coerce(value) -> ExactRadius:
 
 
 ZERO_RADIUS = ExactRadius.of(0)
-
-
-def cmp_radius(a: ExactRadius, b: ExactRadius) -> int:
-    """Exact total-order comparison of two radii (LT/EQ/GT)."""
-    return _coerce(a).cmp(_coerce(b))
-
-
-def cmp_radius_diff(a: ExactRadius, b: ExactRadius, c: ExactRadius, d: ExactRadius) -> int:
-    """Exact comparison of |a - b| against |c - d|."""
-    return _coerce(a).gap(_coerce(b)).cmp(_coerce(c).gap(_coerce(d)))
 

@@ -91,17 +91,6 @@ def _ranked_vertices(f: PLMap) -> tuple[CriticalSet, dict[str, int]]:
     return CriticalSet._from_ranked(values, 0 in exit_index.values()), exit_index
 
 
-def _require_subdivided(f: PLMap) -> None:
-    if not f.minima_at_vertices and not vertex_minima_ok(f):
-        raise InputError("critical values require a subdivided map")
-
-
-def critical_values(f: PLMap) -> CriticalSet:
-    """Sorted distinct positive vertex norms of a post-subdivision map."""
-    _require_subdivided(f)
-    return _ranked_vertices(f)[0]
-
-
 def sample_radii(criticals: CriticalSet) -> list[ExactRadius]:
     """One sample radius per constancy interval of the superlevel family.
 
@@ -171,8 +160,8 @@ def build_filtration(f: PLMap) -> Filtration:
 
     A map to R^n with n >= 2 must be subdivided; a map to R is filtered
     as it is, by the upper-star rule of the module docstring."""
-    if f.n > 1:
-        _require_subdivided(f)
+    if f.n > 1 and not f.minima_at_vertices and not vertex_minima_ok(f):
+        raise InputError("critical values require a subdivided map")
     crit, vertex_exit = _ranked_vertices(f)
     samples = sample_radii(crit)
     entry = {s: min(map(vertex_exit.__getitem__, s)) for s in f.complex.simplices}

@@ -152,6 +152,8 @@ def check_stability(f: PLMap, mode: Mode, delta: Fraction, trials: int,
             }
             if not all(checks.values()):
                 failures.append({"trial": t, "seed": trial_seed, **checks})
+        except MemoryError:
+            raise
         except Exception as exc:  # pipeline errors count as failures
             failures.append({"trial": t, "seed": trial_seed, "error": repr(exc)})
     results.append(CheckResult(

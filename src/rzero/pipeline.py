@@ -10,8 +10,8 @@ and circle mode from one growing integer echelon of relative coboundaries
 each, `persistence.LevelEchelon`, filled only until the flags are decided)
 and builds the per-level data (components, groups, class coordinates,
 transitions) only when something reads it: the module, a witness, or the
-harness's checks.  `assemble_pointed_module` and
-`robust_radius` read off the results.
+harness's checks.  `Analysis.robust` and `assemble_pointed_module` read
+off the results.
 
 Hopf mode reads every group off the ambient's sparse coboundary d_{n-1}
 (`HopfAmbient`) and builds no cochain complex.
@@ -514,10 +514,6 @@ def _robust_from_levels(filt: Filtration, levels) -> RobustResult:
     if radius not in filt.criticals.values:
         raise InternalError("robust radius is not a critical value")
     return RobustResult(radius, levels[last])
-
-
-def robust_radius(analysis: Analysis) -> RobustResult:
-    return analysis.robust
 
 
 # ---------------------------------------------------------------------------

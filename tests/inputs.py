@@ -1,9 +1,12 @@
-"""Shared example maps used across the test suite.
+"""Shared example maps and small oracles used across the test suite.
 
-These are the worked examples the acceptance criteria pin down exactly:
+The maps are the worked examples the acceptance criteria pin down exactly:
 a single edge crossing zero, the six-vertex rectangle with f(x, y) = y,
 the 3x3 grid square carrying the identity map, and an octagon whose values
-wind twice around the origin.
+wind twice around the origin.  The oracles build by brute force what the
+package builds incrementally or never needs: full subcomplexes, superlevel
+complexes at any radius, subgroups spanned by classes, and the affine
+expansion of a subdivision vertex read back from its id.
 """
 
 from __future__ import annotations
@@ -11,7 +14,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from rzero import Complex, PLMap
+from rzero import Complex, ExactRadius, PLMap, Subcomplex
+from rzero.cohomology import Subgroup
+from rzero.linalg import PresentedGroup, lattice_basis, subgroup_presentation
+from rzero.normmin import vector_norm
 from rzero.rng import RationalSampler
 
 
@@ -111,3 +117,36 @@ def as_document(f: PLMap) -> str:
     from rzero.io import serialize_input
 
     return json.dumps(serialize_input(f), sort_keys=True, indent=1)
+
+
+def full_subcomplex(parent: Complex, keep) -> Subcomplex:
+    """The subcomplex spanned by the vertices satisfying `keep`."""
+    kept = {v for v in parent.vertices if keep(v)}
+    return Subcomplex(parent, [s for s in parent.simplices if all(v in kept for v in s)])
+
+
+def superlevel(f: PLMap, r) -> Subcomplex:
+    """The superlevel complex {|f| >= r} of a subdivided map, at any exact
+    radius (or rational) r: the full subcomplex on the vertices it keeps."""
+    r = r if isinstance(r, ExactRadius) else ExactRadius.of(r)
+    return full_subcomplex(f.complex, lambda v: vector_norm(f.values[v], f.norm).cmp(r) >= 0)
+
+
+def image_subgroup(vectors, ambient: PresentedGroup) -> Subgroup:
+    """Subgroup generated by the given ambient-coordinate classes
+    (together with the ambient relation lattice)."""
+    span_vectors = [list(v) for v in vectors if any(x != 0 for x in v)]
+    span_vectors += [list(rel) for rel in ambient.relations]
+    span_vectors = lattice_basis(span_vectors, ambient.gens)
+    span, presented = subgroup_presentation(span_vectors, ambient)
+    return Subgroup(ambient, span, presented)
+
+
+def expansion(vertex: str, inputs) -> dict:
+    """A vertex of `star_subdivide`'s output as an affine combination of the
+    input vertices `inputs`: an input vertex is itself, and a new vertex's
+    id `(b:c,...)` lists each input vertex b with its weight c."""
+    if vertex in inputs:
+        return {vertex: Fraction(1)}
+    parts = (part.rpartition(":") for part in vertex[1:-1].split(","))
+    return {base: Fraction(weight) for base, _, weight in parts}

@@ -5,7 +5,9 @@ its vertex floor and otherwise calls the full minimizer; a minimum interior
 to a proper face is left to that face's own search.  `rzero.complexes`
 settles new simplices from the simplex they were cut from instead, and
 stars a face at the point its coface's search found there, so it must
-return exactly the same complex, values and expansions.
+return exactly the same complex and values; a new vertex's id spells out
+its expansion in the input vertices, so equal complexes mean equal
+expansions.
 """
 
 from fractions import Fraction
@@ -63,13 +65,11 @@ class _Subdivider:
         self.off_vertex = set()
         for s in f.complex.simplices:
             self.add(s)
-        self.values, self.expansion = {}, {}
+        self.values = {}
         for v, value in f.values.items():
             den, (nums,) = scaled([value])
             self.values[v] = (den, nums)
-        for v, exp in f.expansion.items():
-            den, (nums,) = scaled([exp.values()])
-            self.expansion[v] = (den, dict(zip(exp, nums)))
+        self.expansion = {v: (1, {v: 1}) for v in f.complex.vertices}
         self.new_vertices = []
 
     def add(self, s):
@@ -151,13 +151,10 @@ def reference_subdivide(f: PLMap) -> PLMap:
         pass
     assert state.off_vertex.isdisjoint(state.simplices)
     values = dict(f.values)
-    expansion = {v: dict(exp) for v, exp in f.expansion.items()}
     for v in state.new_vertices:
         den, nums = state.values[v]
         values[v] = tuple(Fraction(x, den) for x in nums)
-        den, combo = state.expansion[v]
-        expansion[v] = {b: Fraction(c, den) for b, c in combo.items()}
     result = PLMap(Complex.from_closed(state.simplices), values, f.n, f.norm,
-                   minima_at_vertices=True, expansion=expansion)
+                   minima_at_vertices=True)
     assert edge_zeros_ok(result)
     return result

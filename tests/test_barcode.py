@@ -1,6 +1,5 @@
 """Barcodes: rank formula, decomposition oracle, pointed structure."""
 
-from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -13,7 +12,7 @@ from rzero.barcode import (
     barcode,
     decompose_oracle,
     index_bars_by_rank,
-    interval_from_indices,
+    pointed_barcode,
 )
 from rzero.errors import InputError
 from rzero.exact import ExactRadius
@@ -45,7 +44,7 @@ def test_rank_formula_three_sample_module():
     assert bars == {(0, 0): 1, (0, 2): 1, (1, 1): 1}
     pointed = barcode(module)
     oracle = decompose_oracle(module)
-    assert pointed.same_as(oracle)
+    assert pointed == oracle
     assert pointed.distinguished == Interval(ExactRadius.of(0), ExactRadius.of(3))
 
 
@@ -62,7 +61,7 @@ def test_edge_barcode():
     zero_one = Interval(ExactRadius.of(0), ExactRadius.of(1))
     assert bc.multiset() == {zero_one: 2}
     assert bc.distinguished == zero_one
-    assert decompose_oracle(module, signs_robust_radius=an.robust.radius).same_as(bc)
+    assert decompose_oracle(module, signs_robust_radius=an.robust.radius) == bc
 
 
 def test_octagon_barcode():
@@ -124,7 +123,7 @@ def test_oracle_equivalence_random_sample():
     for t in range(60):
         char = (0, 2, 5)[t % 3]
         module = random_module(child_seed(501, t), char)
-        assert decompose_oracle(module).same_as(barcode(module)), t
+        assert decompose_oracle(module) == barcode(module), t
 
 
 def test_rank_consistency():
@@ -162,7 +161,5 @@ def test_barcode_beyond_oracle_cap_matches_rank_formula():
     assert sum(module.dims) > ORACLE_DIMENSION_CAP
     with pytest.raises(InputError):
         decompose_oracle(module, signs_robust_radius=an.robust.radius)
-    expected = Counter()
-    for (a, b), mult in index_bars_by_rank(module).items():
-        expected[interval_from_indices(module, a, b)] += mult
-    assert barcode(module, signs_robust_radius=an.robust.radius).multiset() == expected
+    expected = pointed_barcode(module.samples, module.criticals, index_bars_by_rank(module), 0)
+    assert barcode(module, signs_robust_radius=an.robust.radius).multiset() == expected.multiset()

@@ -13,15 +13,13 @@ from rzero.cohomology import (
     Subgroup,
     connecting_delta,
     filtration_field_dims,
-    image_subgroup,
     induced_int_matrix,
     integral_cohomology,
     kernel_subgroup,
     restriction_transfer,
 )
-from rzero.complexes import Complex, Subcomplex, full_subcomplex, star_subdivide
+from rzero.complexes import Complex, Subcomplex, star_subdivide
 from rzero.errors import InternalError
-from rzero.exact import ExactRadius
 from rzero.io import parse_input
 from rzero.linalg import (
     FieldSolver,
@@ -38,7 +36,7 @@ from rzero.pipeline import analyze
 from rzero.rng import RationalSampler
 
 import snf_oracle
-from inputs import grid_identity_map, octagon_winding2_map
+from inputs import full_subcomplex, grid_identity_map, image_subgroup, octagon_winding2_map, superlevel
 from test_perfbench_targets import _load
 
 
@@ -99,7 +97,7 @@ def test_two_points_h0_f2():
 
 def test_grid_relative_h2():
     f = grid_identity_map()
-    boundary = full_subcomplex(f.complex, lambda v: f.norm_at(v).cmp(ExactRadius.of(1)) >= 0)
+    boundary = superlevel(f, 1)
     rel = integral_cohomology(CochainComplex(f.complex, boundary), 2)
     assert rel.free_rank == 1
     assert rel.torsion == ()
@@ -150,7 +148,7 @@ def test_restriction_identity_and_zero():
 
 def test_relative_restriction_to_empty_is_jstar():
     f = grid_identity_map()
-    boundary = full_subcomplex(f.complex, lambda v: f.norm_at(v).cmp(ExactRadius.of(1)) >= 0)
+    boundary = superlevel(f, 1)
     empty = full_subcomplex(f.complex, lambda v: False)
     rel = CochainComplex(f.complex, boundary)
     rel_empty = CochainComplex(f.complex, empty)
@@ -189,7 +187,7 @@ def test_connecting_delta_grid_winding():
     from rzero.modes import winding_cocycle, degree_cocycle
 
     f = grid_identity_map()
-    boundary = full_subcomplex(f.complex, lambda v: f.norm_at(v).cmp(ExactRadius.of(1)) >= 0)
+    boundary = superlevel(f, 1)
     space = CochainComplex(f.complex)
     sub = CochainComplex(boundary)
     rel = CochainComplex(f.complex, boundary)
@@ -220,7 +218,7 @@ def test_connecting_delta_grid_winding():
 
 def test_kernel_subgroup_cases():
     f = grid_identity_map()
-    boundary = full_subcomplex(f.complex, lambda v: f.norm_at(v).cmp(ExactRadius.of(1)) >= 0)
+    boundary = superlevel(f, 1)
     rel = integral_cohomology(CochainComplex(f.complex, boundary), 2)
     h_abs = integral_cohomology(CochainComplex(f.complex), 2)
     jmat = induced_int_matrix(
@@ -292,7 +290,7 @@ def test_image_subgroup_ranks():
 
 def test_universal_coefficients_grid():
     f = grid_identity_map()
-    boundary = full_subcomplex(f.complex, lambda v: f.norm_at(v).cmp(ExactRadius.of(1)) >= 0)
+    boundary = superlevel(f, 1)
     ccs = (CochainComplex(f.complex), CochainComplex(boundary),
            CochainComplex(f.complex, boundary))
     for p in (2, 3, 5, 0):

@@ -8,15 +8,20 @@ from rzero.complexes import (
     Complex,
     PLMap,
     connected_components,
-    full_subcomplex,
     star_subdivide,
     vertex_minima_ok,
 )
 from rzero.errors import InputError
-from rzero.exact import ExactRadius
 from rzero.rng import RationalSampler
 
-from inputs import edge_map, grid_identity_map, grid_vertex, octagon_winding2_map
+from inputs import (
+    edge_map,
+    expansion,
+    full_subcomplex,
+    grid_identity_map,
+    octagon_winding2_map,
+    superlevel,
+)
 
 
 def test_build_complex_counts():
@@ -66,18 +71,20 @@ def test_subdivision_postconditions_and_realization():
         for i in range(g.n):
             assert g.values[u][i] * g.values[v][i] >= 0
     # The subdivided map agrees with the original pointwise: evaluate at
-    # random points of subdivided simplices through the vertex expansions.
+    # random points of subdivided simplices through the vertex expansions
+    # that the new vertex ids spell out.
     simplices = g.complex.all_simplices()
     for _ in range(1000):
         simplex = simplices[sampler.integer(0, len(simplices) - 1)]
         weights = [Fraction(sampler.integer(1, 16)) for _ in simplex]
         total = sum(weights)
         bary = [w / total for w in weights]
-        via_new = g.value_on(simplex, bary)
+        via_new = tuple(sum(b * g.values[v][i] for b, v in zip(bary, simplex))
+                        for i in range(g.n))
         # Express the same point in original vertex coordinates.
         combo = {}
         for b, vert in zip(bary, simplex):
-            for orig, weight in g.expansion[vert].items():
+            for orig, weight in expansion(vert, f.complex.vertices).items():
                 combo[orig] = combo.get(orig, Fraction(0)) + b * weight
         support = tuple(sorted(k for k, w in combo.items() if w != 0))
         assert support in f.complex
@@ -97,7 +104,7 @@ def test_full_subcomplex_examples():
 
 def test_full_subcomplex_grid_boundary():
     f = grid_identity_map()
-    sub = full_subcomplex(f.complex, lambda v: f.norm_at(v).cmp(ExactRadius.of(1)) >= 0)
+    sub = superlevel(f, 1)
     assert len(sub.vertices) == 8
     assert len(sub.edges()) == 8
     assert not sub.simplices_of_dim(2)

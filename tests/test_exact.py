@@ -4,22 +4,23 @@ from fractions import Fraction
 
 import pytest
 
-from rzero.exact import LT, EQ, GT, ExactRadius, cmp_radius, cmp_radius_diff
+from rzero.exact import LT, EQ, GT, ExactRadius, parse_rational
 from rzero.io import decode_radius, encode_radius
 from rzero.rng import RationalSampler
 
 
 def test_cmp_examples():
-    assert cmp_radius(ExactRadius.of(Fraction(1, 2)), ExactRadius.sqrt(Fraction(1, 2))) == LT
-    assert cmp_radius(ExactRadius.of(3), ExactRadius.of(3)) == EQ
-    assert cmp_radius(ExactRadius.sqrt(2), ExactRadius.of(2)) == LT
+    assert ExactRadius.of(Fraction(1, 2)).cmp(ExactRadius.sqrt(Fraction(1, 2))) == LT
+    assert ExactRadius.of(3).cmp(ExactRadius.of(3)) == EQ
+    assert ExactRadius.sqrt(2).cmp(ExactRadius.of(2)) == LT
 
 
 def test_cmp_diff_examples():
     one, zero = ExactRadius.of(1), ExactRadius.of(0)
-    assert cmp_radius_diff(one, zero, ExactRadius.of(3), ExactRadius.of(2)) == EQ
-    assert cmp_radius_diff(ExactRadius.sqrt(2), one, ExactRadius.of(Fraction(1, 2)), zero) == LT
-    assert cmp_radius_diff(ExactRadius.sqrt(5), ExactRadius.sqrt(2), one, zero) == LT
+    # |a - b| against |c - d|
+    assert one.gap(zero).cmp(ExactRadius.of(3).gap(ExactRadius.of(2))) == EQ
+    assert ExactRadius.sqrt(2).gap(one).cmp(ExactRadius.of(Fraction(1, 2)).gap(zero)) == LT
+    assert ExactRadius.sqrt(5).gap(ExactRadius.sqrt(2)).cmp(one.gap(zero)) == LT
 
 
 def test_canonical_forms():
@@ -186,3 +187,12 @@ def _both_routes(r):
     if value is None:
         return [ExactRadius(r.plus, r.minus)]
     return [ExactRadius.of(value), _radicand_route(value)]
+
+
+def test_parse_rational_grammar():
+    for text, value in [("7", 7), ("-7", -7), ("3/4", Fraction(3, 4)), ("-6/8", Fraction(-3, 4)),
+                        (" 0/5\n", 0), ("007/010", Fraction(7, 10))]:
+        assert parse_rational(text) == value
+    for text in ["", "-", "3/", "/4", "--1", "+1", "1/0", "0.5", "1e7", "1_0", "3 / 4", "inf"]:
+        with pytest.raises(ValueError):
+            parse_rational(text)

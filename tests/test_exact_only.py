@@ -1,6 +1,6 @@
 """The package computes in exact arithmetic only.  Every module of `rzero`
-is scanned for float literals, `float(...)` calls, `math.sqrt` and `** 0.5`;
-the one exemption is `ExactRadius.approx`, a diagnostic approximation."""
+is scanned for float literals, `float(...)` calls, `math.sqrt` and `** 0.5`,
+with no exemption."""
 
 import ast
 import pathlib
@@ -8,19 +8,13 @@ import pathlib
 import rzero
 
 PACKAGE = pathlib.Path(rzero.__file__).resolve().parent
-EXEMPT = {("ExactRadius", "approx")}
 
 
 def _violations(tree):
-    """(line, description) of every inexact construct outside the exempt
-    methods."""
+    """(line, description) of every inexact construct."""
     found = []
 
-    def visit(node, scope):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = scope + (node.name,)
-            if scope[-2:] in EXEMPT:
-                return
+    def visit(node):
         if isinstance(node, ast.Constant) and isinstance(node.value, float):
             found.append((node.lineno, f"float literal {node.value!r}"))
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
@@ -36,9 +30,9 @@ def _violations(tree):
                 and isinstance(node.right, ast.Constant) and node.right.value == 0.5:
             found.append((node.lineno, "** 0.5"))
         for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+            visit(child)
 
-    visit(tree, ())
+    visit(tree)
     return found
 
 
@@ -62,4 +56,4 @@ def test_scan_finds_each_construct():
         "        return math.sqrt(2.0)\n"
     )
     lines = [line for line, _ in _violations(ast.parse(source))]
-    assert lines == [2, 4, 4, 4, 4, 4]
+    assert lines == [2, 4, 4, 4, 4, 4, 7, 7]

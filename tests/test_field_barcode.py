@@ -48,9 +48,9 @@ def _agree(analysis, fields=FIELDS):
     for field in fields:
         got = field_barcode(analysis, field)
         module = assemble_pointed_module(analysis, field)
-        assert got.same_as(barcode(module, signs_robust_radius=rho)), field
+        assert got == barcode(module, signs_robust_radius=rho), field
         if sum(module.dims) <= ORACLE_DIMENSION_CAP:
-            assert got.same_as(decompose_oracle(module, signs_robust_radius=rho)), field
+            assert got == decompose_oracle(module, signs_robust_radius=rho), field
 
 
 def _modes(f):
@@ -123,7 +123,7 @@ def test_torsion_trap_takes_the_module_route(monkeypatch):
     module = assemble_pointed_module(analysis, "f2")
     assert module.dims[0] == 0 and module.dims[1] == 1
     calls = _count(monkeypatch, pipeline, "assemble_pointed_module")
-    assert field_barcode(analysis, "f2").same_as(barcode(module))
+    assert field_barcode(analysis, "f2") == barcode(module)
     assert len(calls) == 1
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rzero.complexes import Complex, PLMap, star_subdivide, full_subcomplex
+from rzero.complexes import Complex, PLMap, star_subdivide
 from rzero.errors import InputError, InternalError
 from rzero.exact import ExactRadius
 from rzero.filtration import (
@@ -13,20 +13,16 @@ from rzero.filtration import (
     _ranked_vertices,
     build_filtration,
     check_face_order,
-    critical_values,
     sample_radii,
 )
-from rzero.normmin import norm_key, norm_radius
+from rzero.normmin import norm_key, norm_radius, vector_norm
 from rzero.rng import RationalSampler
 
-from inputs import edge_map, grid_identity_map, octagon_winding2_map
+from inputs import edge_map, grid_identity_map, octagon_winding2_map, superlevel
 
 
-def level_at_radius(f, r):
-    """Oracle: the superlevel subcomplex {|f| >= r} at an arbitrary exact
-    radius, spanned by the vertices it keeps."""
-    r = ExactRadius.of(r)
-    return full_subcomplex(f.complex, lambda v: f.norm_at(v).cmp(r) >= 0)
+def critical_values(f):
+    return build_filtration(f).criticals
 
 
 def test_critical_values_edge():
@@ -51,8 +47,9 @@ def test_critical_values_grid():
 
 
 def test_critical_values_requires_subdivision():
+    f = PLMap(edge_map().complex, {"p": (1, 0), "q": (0, 1)}, 2, "l2")
     with pytest.raises(InputError):
-        critical_values(edge_map())  # interior minimum not at a vertex
+        critical_values(f)  # interior minimum not at a vertex
 
 
 def test_sample_radii():
@@ -111,7 +108,7 @@ def test_representative_radii():
             r = lo + t * (hi - lo)
             if r <= lo:
                 continue
-            probe_level = level_at_radius(f, r)
+            probe_level = superlevel(f, r)
             assert probe_level.simplices == level.simplices
 
 
@@ -177,7 +174,7 @@ def test_levels_match_full_subcomplex_oracle():
         filt = build_filtration(f)
         assert filt.level_count() == len(filt.levels) == len(filt.samples)
         for r, level in zip(filt.samples, filt.levels):
-            oracle = full_subcomplex(f.complex, lambda v: f.norm_at(v).cmp(r) >= 0)
+            oracle = superlevel(f, r)
             assert level.simplices == oracle.simplices
             assert level.vertices == oracle.vertices
             assert level.dim == oracle.dim
@@ -196,7 +193,7 @@ def test_levels_match_full_subcomplex_oracle():
 
 def test_face_order_check_rejects_corrupted_order():
     f = star_subdivide(octagon_winding2_map())
-    norms = {v: f.norm_at(v) for v in f.complex.vertices}
+    norms = {v: vector_norm(f.values[v], f.norm) for v in f.complex.vertices}
     crit = critical_values(f)
     exits = {v: next((k for k, r in enumerate(crit.values, 1) if r == norms[v]), 0)
              for v in f.complex.vertices}

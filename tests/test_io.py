@@ -6,12 +6,14 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import rzero.cli as cli
+import rzero.harness as harness
 import rzero.pipeline as pipeline
 from rzero.barcode import Interval, PointedBarcode
 from rzero.errors import InputError
@@ -94,7 +96,7 @@ def test_barcode_document_round_trip():
         robust_radius=ExactRadius.of(1), seeds={"seed": 1}, determinacy=False,
     )
     again = parse_barcode(json.dumps(doc))
-    assert again.same_as(barcode)
+    assert again == barcode
     flagged = [row for row in doc["bars"] if row["distinguished"]]
     assert len(flagged) == 1 and flagged[0]["multiplicity"] == 1
 
@@ -244,6 +246,59 @@ def test_exhausted_memory_exits_1_with_one_stderr_line(tmp_path, monkeypatch, ca
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "out of memory: the input is too large for `rzero criticals`\n"
+
+
+def test_exhausted_memory_in_a_fuzz_trial_is_no_violation(tmp_path, monkeypatch, capsys):
+    # A trial that runs out of memory stops the command like any other
+    # exhausted memory; it is not a stability violation (exit 3).
+    path = tmp_path / "edge.json"
+    path.write_text(as_document(edge_map()))
+    calls = []
+    pipeline_barcode = harness._pipeline_barcode
+
+    def exhausted_in_trial_2(*args):
+        calls.append(args)
+        if len(calls) == 3:  # the base analysis, then trials 1 and 2
+            raise MemoryError
+        return pipeline_barcode(*args)
+
+    monkeypatch.setattr(harness, "_pipeline_barcode", exhausted_in_trial_2)
+    assert cli.main(["fuzz", str(path), "--delta", "1/10", "--trials", "4"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "out of memory: the input is too large for `rzero fuzz`\n"
+    assert len(calls) == 3
+
+
+# Each is a number that Python's Fraction reads but the documented grammar,
+# an optional "-", digits and an optional "/digits", does not.
+OFF_GRAMMAR = ["0.5", "1_0", "1e7", "+1", "٣", "1e9999999"]
+
+
+@pytest.mark.parametrize("where", ["value", "delta", "barcode"])
+@pytest.mark.parametrize("text", OFF_GRAMMAR)
+def test_cli_rejects_numbers_off_the_rational_grammar(where, text, tmp_path, capsys):
+    good = tmp_path / "edge.json"
+    good.write_text(as_document(edge_map()))
+    bad = tmp_path / "bad.json"
+    if where == "value":
+        doc = json.loads(as_document(edge_map()))
+        doc["values"]["p"] = [text]
+        bad.write_text(json.dumps(doc))
+        argv = ["criticals", str(bad)]
+    elif where == "delta":
+        argv = ["perturb", str(good), f"--delta={text}"]
+    else:
+        bad.write_text(json.dumps({"bars": [{"birth": {"rat": "0"}, "death": {"rat": text}}]}))
+        argv = ["bottleneck", str(bad), str(bad)]
+    start = time.perf_counter()
+    assert cli.main(argv) == 1
+    # No literal is expanded: an exponent is refused before any big integer
+    # is built (Fraction takes seconds to build 10**9999999).
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
 
 
 def test_failures_end_with_a_reproduce_line(tmp_path, monkeypatch, capsys):

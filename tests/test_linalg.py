@@ -9,7 +9,6 @@ import pytest
 import echelon_oracle
 import snf_oracle
 
-from rzero.cohomology import image_subgroup
 from rzero.linalg import (
     DenseAdapter,
     FieldEchelon,
@@ -32,6 +31,8 @@ from rzero.linalg import (
     unimodular_inverse,
 )
 from rzero.rng import RationalSampler
+
+from inputs import image_subgroup
 
 
 def solve_modulo(span, group, target):

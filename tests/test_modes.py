@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from rzero.complexes import Complex, PLMap, Subcomplex, full_subcomplex, star_subdivide
+from rzero.complexes import Complex, PLMap, star_subdivide
 from rzero.errors import ModeError
 from rzero.exact import ExactRadius
 from rzero.modes import (
@@ -25,9 +25,11 @@ from rzero.pipeline import analyze, assemble_pointed_module
 from cocycle_oracle import oracle_degree_cocycle, oracle_winding_cocycle
 from inputs import (
     edge_map,
+    full_subcomplex,
     grid_identity_map,
     octagon_winding2_map,
     rectangle_map,
+    superlevel,
 )
 
 
@@ -51,7 +53,7 @@ def test_mode_applicability_and_auto():
 
 def test_sign_vector_edge():
     f = star_subdivide(edge_map())
-    level = full_subcomplex(f.complex, lambda v: f.norm_at(v).cmp(ExactRadius.of(1)) >= 0)
+    level = superlevel(f, 1)
     sv = sign_vector(f, level)
     assert sv.components == (("p",), ("q",))
     assert sv.signs == (-1, 1)
@@ -61,7 +63,7 @@ def test_sign_witness_edge():
     # One ambient component holding both signs cannot extend; split the
     # ambient complex in two and the same signs extend.
     f = star_subdivide(edge_map())
-    level = full_subcomplex(f.complex, lambda v: f.norm_at(v).cmp(ExactRadius.of(1)) >= 0)
+    level = superlevel(f, 1)
     sv = sign_vector(f, level)
     joined = {v: 0 for v in f.complex.vertices}
     assert sign_witness(sv, joined) == {
@@ -82,7 +84,7 @@ def test_sign_vector_rectangle():
     # The rectangle with f(x, y) = y: at any radius below 1 the superlevel
     # complex has a positive top row and a negative bottom row.
     f = star_subdivide(rectangle_map())
-    level = full_subcomplex(f.complex, lambda v: f.norm_at(v).cmp(ExactRadius.of(1)) >= 0)
+    level = superlevel(f, 1)
     sv = sign_vector(f, level)
     assert len(sv.components) == 2
     by_sign = dict(zip(sv.signs, sv.components))
@@ -112,7 +114,7 @@ def test_winding_octagon_sums_to_two():
 
 def test_winding_grid_boundary():
     f = grid_identity_map()
-    boundary = full_subcomplex(f.complex, lambda v: f.norm_at(v).cmp(ExactRadius.of(1)) >= 0)
+    boundary = superlevel(f, 1)
     cocycle = winding_cocycle(boundary, f, (Fraction(3), Fraction(2)))
     # Traverse the boundary cycle counterclockwise and sum with orientation.
     order = [(1, -1), (1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1)]

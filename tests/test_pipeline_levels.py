@@ -19,7 +19,6 @@ import rzero.harness as harness
 import rzero.pipeline as pipeline
 from rzero.cohomology import (
     CochainComplex,
-    image_subgroup,
     induced_int_matrix,
     integral_cohomology,
     restriction_transfer,
@@ -43,6 +42,7 @@ from rzero.rng import child_seed
 from inputs import (
     as_document,
     grid_identity_map,
+    image_subgroup,
     octagon_winding2_map,
     rectangle_map,
     seeded_grid_map,

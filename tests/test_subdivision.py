@@ -1,9 +1,10 @@
 """Star subdivision pinned stage by stage, and the work it does.
 
 The digests pin `star_subdivide`'s output itself (sorted simplices, vertex
-values and expansions), so a change to the subdivision fails here, at the
-stage that moved, and not only in the digests of downstream output.  They
-were recorded before the subdivider moved to integer vertex data.  On
+values and expansions, each read back from the vertex's id), so a change to
+the subdivision fails here, at the stage that moved, and not only in the
+digests of downstream output.  They were recorded before the subdivider
+moved to integer vertex data, when the map still carried its expansions.  On
 random maps full of ties, and on larger maps to R, the output must also
 equal that of `subdivision_reference`, which searches every new simplex.
 """
@@ -23,7 +24,7 @@ from rzero.exact import format_rational
 from rzero.io import parse_input
 from rzero.normmin import simplex_norm_min, vector_norm
 
-from inputs import seeded_grid_map
+from inputs import expansion, seeded_grid_map
 from subdivision_reference import reference_subdivide
 from test_pipeline_fuzz import (
     moebius_odd_winding_map,
@@ -65,13 +66,14 @@ PINNED = {
 }
 
 
-def _digest(f) -> str:
+def _digest(f, inputs) -> str:
+    """The digest of a subdivision f of a map on the vertices `inputs`."""
     doc = {
         "simplices": sorted(f.complex.simplices),
         "values": {v: [format_rational(x) for x in f.values[v]] for v in sorted(f.values)},
         "expansion": {
-            v: [[b, format_rational(c)] for b, c in sorted(f.expansion[v].items())]
-            for v in sorted(f.expansion)
+            v: [[b, format_rational(c)] for b, c in sorted(expansion(v, inputs).items())]
+            for v in f.complex.vertices
         },
     }
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
@@ -79,7 +81,18 @@ def _digest(f) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_subdivision_output_is_pinned(name):
-    assert _digest(star_subdivide(CASES[name])) == PINNED[name]
+    f = CASES[name]
+    assert _digest(star_subdivide(f), f.complex.vertices) == PINNED[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_subdivision_is_idempotent(name):
+    # The output meets both postconditions, so a second subdivision adds no
+    # vertex and splits no simplex.
+    once = star_subdivide(CASES[name])
+    twice = star_subdivide(once)
+    assert twice.complex.simplices == once.complex.simplices
+    assert twice.values == once.values
 
 
 
@@ -242,14 +255,14 @@ def _tie_heavy_maps():
 def test_subdivision_matches_the_search_everything_reference():
     # Settling simplices from the simplex they were cut from, and starring a
     # face at the point its coface's search found, changes no output: the
-    # same simplices, vertex values and expansions as the subdivider that
-    # searches every new simplex, on 360 maps full of ties.
+    # same simplices (so the same vertex ids, which spell out the
+    # expansions) and vertex values as the subdivider that searches every
+    # new simplex, on 360 maps full of ties.
     count = 0
     for label, f in _tie_heavy_maps():
         got, want = star_subdivide(f), reference_subdivide(f)
         assert got.complex.simplices == want.complex.simplices, label
         assert got.values == want.values, label
-        assert got.expansion == want.expansion, label
         count += 1
     assert count == 360
 
@@ -283,7 +296,6 @@ def test_zero_split_matches_the_reference_on_maps_to_r():
         got, want = star_subdivide(f), reference_subdivide(f)
         assert got.complex.simplices == want.complex.simplices, label
         assert got.values == want.values, label
-        assert got.expansion == want.expansion, label
         count += 1
         zeros += sum(value == (0,) for value in f.values.values())
     assert count == 57 and zeros > 57
