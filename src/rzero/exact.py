@@ -22,7 +22,10 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
+
+from .errors import InputError
 
 LT, EQ, GT = -1, 0, 1
 
@@ -48,9 +51,13 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:   # more digits than int() writes out
+        limit = sys.get_int_max_str_digits()
+        raise InputError(f"an output number has more than {limit} digits") from exc
 
 
 def sqrt_if_square(q: Fraction) -> Fraction | None:

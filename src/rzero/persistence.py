@@ -18,28 +18,27 @@ with no per-level group, transition or quotient space:
   edge that no triangle closes gives a cycle that lives on to A_0.
 * hopf, ker(j*: H^n(X, A_i) -> H^n(X)) with the restriction maps.  Its
   relations are the ambient coboundary columns of the (n-1)-simplices off
-  A_i.  When H^n(X) = 0 the kernel is all of H^n(X, A_i) and its
-  generators are the n-simplices off A_i.  Otherwise they are read off one
-  integer echelon of all the columns (Kaczynski, Mischaikow and Mrozek
-  2004) whose pivots are the youngest rows: the relative n-cochains off A_i
-  are a prefix of the rows, and by triangularity the basis vectors with
-  their pivot in that prefix span B^n(X) ∩ C^n(X, A_i).  Either way a
-  generator is born where its (pivot) row leaves A and a relation where
-  its simplex does.  The relations are reduced in order of birth with the
+  A_i; its generators come from the integer echelon of all the columns
+  that the analysis fills level by level for its flags (`LevelEchelon`;
+  Kaczynski, Mischaikow and Mrozek 2004).  Its pivots are the youngest
+  rows and the relative n-cochains off A_i are a prefix of the rows, so by
+  triangularity the basis vectors pivoting in that prefix span
+  B^n(X) ∩ C^n(X, A_i); when H^n(X) = 0 every row is a pivot row.  A
+  generator is born where its pivot row leaves A and a relation where its
+  simplex does.  The relations are reduced in order of birth with the
   pivot on the youngest generator (the elder rule), so a relation ends the
-  bar of the youngest generator it still meets.  Over Q with H^n(X) = 0
-  that reduction is the integer echelon the analysis already fills level
-  by level for its flags (`LevelEchelon`): a lattice and its span over Q
-  have the same pivots, so the pivot each column adds is its death.  Over
-  F_p, or with H^n(X) != 0, `hopf_bars` reduces the relations itself.
+  bar of the youngest generator it still meets.  Over Q that is the pivot
+  the column added to the echelon, since a lattice and its span over Q
+  have the same pivots; over F_p the columns are written in the
+  generators and reduced once more (`LevelEchelon.bars`).
 
 In circle and hopf mode the distinguished class rides along as one extra
 vector, and its support, the number of leading samples at which the class
-is nonzero, comes out of the same reduction (see `circle_bars`,
-`hopf_bars` and `LevelEchelon.q_bars`).  Each route checks that its
-distinguished bar, from sample 0 to the last sample of the support, is one
-of its bars, and raises InternalError otherwise.  The signs class has no such vector; its bar ends
-at the robust radius, which the caller places.
+is nonzero, comes out of the same reduction (see `circle_bars` and
+`LevelEchelon.bars`).  Each route checks that its distinguished bar, from
+sample 0 to the last sample of the support, is one of its bars, and
+raises InternalError otherwise.  The signs class has no such vector; its
+bar ends at the robust radius, which the caller places.
 
 Bars are sample-index intervals (a, b), alive at the samples a .. b, as in
 `barcode`; bars of length zero (born and killed at the same level) are not
@@ -131,71 +130,6 @@ def circle_bars(filt: Filtration, winding: dict) -> tuple[Counter, int]:
     return bars, entry[first] if first is not None else 0
 
 
-def hopf_bars(filt: Filtration, top, columns: dict, degree: dict, char: int,
-              trivial: bool) -> tuple[Counter, int]:
-    """Index bars of the module ker(j*: H^n(X, A_i) -> H^n(X)) over Q or
-    F_p, and the support of the degree class.
-
-    `top` lists the n-simplices (the rows), `columns` maps each (n-1)-simplex
-    with a coface to its ambient coboundary column {row: sign}, `degree` is
-    the degree cocycle on the rows, and `trivial` says whether H^n(X) = 0.
-    A row is born at its entry; its rank is its place by (entry, row), so
-    the youngest row of a vector is its highest rank.
-
-    The analysis reads the bars over Q with H^n(X) = 0 off its own
-    `LevelEchelon` (`LevelEchelon.q_bars`), which gives the same bars and
-    support; this route serves F_p, and Q with H^n(X) != 0.
-
-    When H^n(X) = 0, ker j* is all of H^n(X, A_i): the rows are the
-    generators and the columns the relations.  Otherwise the generators are
-    a basis of B^n(X) from one integer echelon of all the columns, each
-    named by its pivot, its youngest row (`_kernel_presentation`), and the
-    columns and the degree vector are written in that basis.  Either way a
-    generator is keyed by the rank of its row, and a relation born at entry
-    e that keeps the lowest key g after reduction ends g's bar at level
-    e - 1.
-
-    The degree vector is relative at level 0 and is reduced once more after
-    each level's relations: it lies in a level's relation span exactly when
-    it reduces to zero there, and the first such level is the support.  Its
-    generators are all born at 0, and so is every generator a reduction on
-    them can reach; the generator whose relation finally kills it must end
-    a bar (0, support - 1).
-    """
-    entry = filt.entry
-    k = len(filt.samples) - 1
-    ranked = sorted(range(len(top)), key=lambda r: (entry[top[r]], r))
-    rank = {r: i for i, r in enumerate(ranked)}
-    born = [entry[top[r]] for r in ranked]
-    death = [k] * len(top)
-    gens, relations = range(len(top)), columns
-    if not trivial:
-        gens, relations, degree = _kernel_presentation(columns, degree, ranked, rank)
-
-    reduction = FieldEchelon(char)
-    # Reduced against no relation yet: the degree vector over the field.
-    target = reduction.reduce({rank[r]: v for r, v in degree.items()})
-    if any(born[r] for r in target):
-        raise InternalError("degree cocycle meets the superlevel complex")
-    support = None
-    for level, batch in enumerate(filt.leaving(columns)):
-        for s in batch:
-            low = reduction.insert({rank[r]: v for r, v in relations[s].items()})
-            if low is not None:
-                death[low] = level - 1
-        if support is None:
-            last = max(target) if target else None
-            target = reduction.reduce(target)
-            if not target:
-                support = level
-                if last is not None and (born[last] or death[last] != level - 1):
-                    raise InternalError("the degree class dies off its bar")
-    if support is None:
-        raise InternalError("degree class survives every level")
-    bars = Counter((born[g], death[g]) for g in gens if born[g] <= death[g])
-    return bars, support
-
-
 class LevelEchelon:
     """One integer echelon of ambient coboundary columns, filled level by
     level: each column goes in at the level where its simplex leaves A
@@ -216,12 +150,8 @@ class LevelEchelon:
       the first level whose lattice holds the target: every later flag is
       False, since the lattices only grow.
     * `trivial`: whether all the columns together span every row over Z.
-    * `q_bars`: the bars over Q of the rows modulo the columns off A_i,
-      which is ker j* when `trivial`.  A lattice and its span over Q have
-      the same pivot rows, and a column adds one exactly when it is off
-      the span of those before it, so the pivot a column adds is the one a
-      field reduction in the same order would add: a relation born at entry
-      e that ends the bar of the row of rank g at level e - 1.
+    * `bars`: the bars of ker j* over Q or F_p, read off the filled lattice
+      (see there).
     """
 
     def __init__(self, filt: Filtration, rows: list, columns: dict, target: dict):
@@ -237,7 +167,7 @@ class LevelEchelon:
         self._target = self._keyed(target)
         self._q = self._target              # the remainder over Q
         self._z = None                      # the remainder over Z, from the support on
-        self._last = None                   # the first key of _q before the support
+        self._last = None                   # the rank of _q's youngest row before the support
         self._support = None                # the first level whose span holds the target
         self._inside = None                 # the first level whose lattice holds it
 
@@ -254,7 +184,7 @@ class LevelEchelon:
                 self._death[-low] = level - 1
         self._level += 1
         if self._support is None:
-            last = min(self._q, default=None)
+            last = -min(self._q) if self._q else None
             self._q = _span_reduce(lattice, self._q)
             if self._q:
                 return
@@ -280,50 +210,61 @@ class LevelEchelon:
         self._fill()
         return _lattice_is_full(self._lattice, len(self._born))
 
-    def q_bars(self) -> tuple[Counter, int]:
-        """Index bars over Q of the rows modulo the columns off A_i, and the
-        support of the target, as `hopf_bars` gives them for a trivial
-        ambient: the rows are the generators, and the target dies at the
-        support, where its last leading row must end a bar (0, support - 1)."""
+    def bars(self, char: int) -> tuple[Counter, int]:
+        """Index bars of ker j* over Q (char 0) or F_p, with the columns off
+        A_i as its relations, and the support of the target, read as the
+        module docstring says.  The generators are the pivot rows of the
+        filled lattice (every row when `trivial`).  The target dies at the
+        support, where its youngest row before that level must end a bar
+        (0, support - 1).
+        """
         self._fill()
-        if self._support is None:
+        born = self._born
+        if any(born[-g] for g in self._target):
+            raise InternalError("degree cocycle meets the superlevel complex")
+        if self._inside is None:
+            raise InternalError("degree cocycle is no ambient coboundary")
+        death, support, last = (self._reduce_mod(char) if char
+                                else (self._death, self._support, self._last))
+        if support is None:
             raise InternalError("degree class survives every level")
-        born, death = self._born, self._death
-        last = self._last
-        if last is not None and (born[-last] or death.get(-last) != self._support - 1):
+        if last is not None and (born[last] or death.get(last) != support - 1):
             raise InternalError("the degree class dies off its bar")
         k = len(self._batches) - 1
-        bars = Counter((b, death.get(g, k)) for g, b in enumerate(born) if b <= death.get(g, k))
-        return bars, self._support
+        gens = (-g for g in self._lattice)
+        bars = Counter((born[g], death.get(g, k)) for g in gens if born[g] <= death.get(g, k))
+        return bars, support
 
+    def _reduce_mod(self, p: int) -> tuple[dict, int | None, int | None]:
+        """(death, support, last) over F_p: the columns and the target in the
+        generators, keyed by rank (the rows of a full lattice, otherwise
+        coordinates in the lattice basis), reduced in one `FieldEchelon`
+        level by level."""
+        lattice, full = self._lattice, self.trivial
 
-def _kernel_presentation(columns: dict, degree: dict, ranked: list, rank: dict) -> tuple:
-    """ker j* at every level as one presentation: the ranks of the
-    generators' pivot rows, the relations {simplex: {pivot row:
-    coefficient}} and the degree vector {pivot row: coefficient}.
+        def ranked(vec: dict) -> dict:
+            if not full:
+                vec = _lattice_coords(lattice, vec)
+                if vec is None:
+                    raise InternalError("a coboundary column is off its own lattice")
+            return {-g: v for g, v in vec.items()}
 
-    One integer echelon of all the columns, each row keyed by -rank, pivots
-    every basis vector on its youngest row, so by triangularity the basis
-    vectors whose pivot is born by level i span B^n(X) ∩ C^n(X, A_i), which
-    is ker j* before the relations.  Each such vector is a generator born
-    with its pivot row and named by it.  A column off A_i, and the degree
-    vector, lie in B^n(X) on rows off A_i, so exact division writes them in
-    the generators of level i; a remainder raises InternalError.
-    """
-    keyed = {s: {-rank[r]: v for r, v in col.items()} for s, col in columns.items()}
-    lattice: dict = {}
-    for col in keyed.values():
-        _lattice_insert(lattice, col)
-    relations = {}
-    for s, col in keyed.items():
-        coords = _lattice_coords(lattice, col)
-        if coords is None:
-            raise InternalError("a coboundary column is off its own lattice")
-        relations[s] = {ranked[-g]: q for g, q in coords.items()}
-    coords = _lattice_coords(lattice, {-rank[r]: v for r, v in degree.items()})
-    if coords is None:
-        raise InternalError("degree cocycle is no ambient coboundary")
-    return [-g for g in lattice], relations, {ranked[-g]: q for g, q in coords.items()}
+        reduction = FieldEchelon(p)
+        # Reduced against no relation yet: the target over the field.
+        target = reduction.reduce(ranked(self._target))
+        death: dict[int, int] = {}
+        support = last = None
+        for level, batch in enumerate(self._batches):
+            for s in batch:
+                low = reduction.insert(ranked(self._keyed(self._columns[s])))
+                if low is not None:
+                    death[low] = level - 1
+            if support is None:
+                youngest = max(target, default=None)
+                target = reduction.reduce(target)
+                if not target:
+                    support, last = level, youngest
+        return death, support, last
 
 
 def signs_bars(filt: Filtration) -> Counter:

@@ -14,7 +14,8 @@ harness's checks.  `Analysis.robust` and `assemble_pointed_module` read
 off the results.
 
 Hopf mode reads every group off the ambient's sparse coboundary d_{n-1}
-(`HopfAmbient`) and builds no cochain complex.
+(`HopfAmbient`) and builds no cochain complex; its flags and its field
+barcodes come from the one integer echelon of those columns.
 
 `field_barcode` is the pointed barcode over a field.  Where one pass over
 the filtration order provably gives the bars of the module (`persistence`:
@@ -79,7 +80,7 @@ from .modes import (
     sign_witness as _sign_witness,
     winding_cocycle,
 )
-from .persistence import LevelEchelon, circle_bars, hopf_bars, signs_bars
+from .persistence import LevelEchelon, circle_bars, signs_bars
 from .rng import RationalSampler, child_seed
 
 DEFAULT_SEED = 20_177
@@ -168,7 +169,7 @@ class HopfAmbient:
     modulo the columns, and each level restricts both (`HopfLevel.rel`).
     `echelon` is the one integer echelon of the columns over the levels,
     with the degree cocycle as its target: the flags, `trivial` and the
-    bars over Q of a trivial ambient are read off it.
+    bars over every field are read off it.
     """
 
     def __init__(self, space: Complex, n: int, cocycle: dict, filt: Filtration):
@@ -646,13 +647,11 @@ def field_barcode(analysis: Analysis, field) -> PointedBarcode:
 
     Signs mode and hopf mode over any field and circle mode over Q read
     the bars from one pass over the filtration order (`persistence`).  Hopf
-    over Q with H^n(X) = 0 reads them off the integer echelon that decided
-    the analysis's flags (`LevelEchelon.q_bars`), filled to the last level;
-    hopf over F_p, or with a nontrivial ambient H^n, reduces the relations
-    in `hopf_bars`, which reads ker j* off one integer echelon of the
-    ambient coboundary, and with dim X < n its groups are all zero.
-    Circle over F_p (where torsion in H_1 would count) builds the module
-    and runs `barcode`.  Integral coefficients are rejected before any work.
+    reads them off the integer echelon that decided the analysis's flags,
+    filled to the last level (`LevelEchelon.bars`), whether H^n(X) is zero
+    or not; with dim X < n its groups are all zero.  Circle over F_p (where
+    torsion in H_1 would count) builds the module and runs `barcode`.
+    Integral coefficients are rejected before any work.
     """
     char = parse_coefficients(field)
     if char is None:
@@ -667,12 +666,7 @@ def field_barcode(analysis: Analysis, field) -> PointedBarcode:
     elif char == 0 and mode == Mode.CIRCLE:
         bars, support = circle_bars(filt, analysis.levels[0].winding)
     elif mode == Mode.HOPF:
-        ambient = analysis.levels[0].ambient
-        if char == 0 and ambient.trivial:
-            bars, support = ambient.echelon.q_bars()
-        else:
-            bars, support = hopf_bars(filt, ambient.top, ambient.columns, ambient.degree,
-                                      char, ambient.trivial)
+        bars, support = analysis.levels[0].ambient.echelon.bars(char)
     else:
         module = assemble_pointed_module(analysis, field)
         return barcode(module, signs_robust_radius=analysis.robust.radius)

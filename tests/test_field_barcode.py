@@ -6,7 +6,9 @@ no per-level module."""
 
 import contextlib
 import io
+import json
 import pathlib
+import random
 from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
@@ -20,17 +22,18 @@ import rzero.harness as harness
 import rzero.modes as modes
 import rzero.pipeline as pipeline
 from rzero.barcode import ORACLE_DIMENSION_CAP, barcode, decompose_oracle
-from rzero.cohomology import filtration_field_dims
+from rzero.cohomology import CochainComplex, filtration_field_dims, integral_cohomology
 from rzero.complexes import Complex, PLMap
 from rzero.errors import InternalError
 from rzero.filtration import Filtration
 from rzero.io import parse_input
 from rzero.linalg import PresentedGroup
 from rzero.modes import Mode, applicable
-from rzero.persistence import circle_bars, hopf_bars
+from rzero.persistence import LevelEchelon, circle_bars
 from rzero.pipeline import analyze, assemble_pointed_module, field_barcode
 
 from inputs import as_document
+from test_perfbench_targets import _load
 from test_pipeline_fuzz import (
     RP2_FACES,
     moebius_odd_winding_map,
@@ -78,6 +81,23 @@ def test_moebius_agrees_in_both_modes():
     f = moebius_odd_winding_map()
     for mode in (Mode.HOPF, Mode.CIRCLE):
         _agree(analyze(f, mode, 23), ("q", "f2"))
+
+
+def test_hopf_and_circle_agree_where_h1_vanishes(monkeypatch):
+    # With H^1(X; Z) = 0 the connecting map H^1(A) -> ker j* is a natural
+    # isomorphism that carries the winding class to the degree class, so
+    # the two modes have one pointed barcode.  The routes share no code:
+    # hopf reads the analysis's integer echelon, circle reduces boundaries
+    # over Q and builds the module over F_p.
+    grid = _load(monkeypatch, "inputs").grid
+    maps = [f for _, f in planar_inputs()]
+    maps += [parse_input(json.dumps(grid(random.Random(5), k, 2, norm, True)))
+             for k in (2, 3, 4) for norm in ("l1", "l2", "linf")]
+    for t, f in enumerate(maps):
+        assert integral_cohomology(CochainComplex(f.complex), 1).group.is_trivial()
+        hopf, circle = (analyze(f, mode, 300 + t) for mode in (Mode.HOPF, Mode.CIRCLE))
+        for field in FIELDS:
+            assert field_barcode(hopf, field) == field_barcode(circle, field), (t, field)
 
 
 @st.composite
@@ -199,11 +219,12 @@ def test_hopf_bars_checks_the_degree_vector():
     # A single triangle of RP^2 spans H^2(RP^2; Z) = Z/2, so it is no
     # ambient coboundary and cannot be written in the kernel's generators.
     analysis = analyze(projective_plane_map(), Mode.HOPF, 17)
-    ambient = analysis.levels[0].ambient
-    row = next(r for r, s in enumerate(ambient.top) if analysis.filtration.entry[s] == 0)
+    filt, ambient = analysis.filtration, analysis.levels[0].ambient
+    row = next(r for r, s in enumerate(ambient.top) if filt.entry[s] == 0)
+    echelon = LevelEchelon(filt, ambient.top, ambient.columns, {row: 1})
     for char in (0, 2, 3):
         with pytest.raises(InternalError, match="ambient coboundary"):
-            hopf_bars(analysis.filtration, ambient.top, ambient.columns, {row: 1}, char, False)
+            echelon.bars(char)
 
 
 TETRAHEDRON_BOUNDARY = [["a", "b", "c"], ["a", "b", "d"], ["a", "c", "d"], ["b", "c", "d"]]
@@ -273,5 +294,6 @@ def test_hopf_bars_drops_relation_coefficients_zero_mod_p():
     filt = SimpleNamespace(entry={("t",): 0, ("a",): 1, ("b",): 2}, samples=[0, 1, 2])
     filt.leaving = lambda simplices: Filtration.leaving(filt, simplices)
     columns = {("a",): {0: 2}, ("b",): {0: 1}}
-    assert hopf_bars(filt, [("t",)], columns, {0: 1}, 2, True) == (Counter({(0, 1): 1}), 2)
-    assert hopf_bars(filt, [("t",)], columns, {0: 1}, 0, True) == (Counter({(0, 0): 1}), 1)
+    bars = {char: LevelEchelon(filt, [("t",)], columns, {0: 1}).bars(char) for char in (2, 0)}
+    assert bars[2] == (Counter({(0, 1): 1}), 2)
+    assert bars[0] == (Counter({(0, 0): 1}), 1)

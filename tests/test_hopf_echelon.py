@@ -1,7 +1,7 @@
 """`LevelEchelon` against the routes it replaced (`hopf_oracle`): the
 integral flags of hopf and circle mode, whether the ambient H^n is trivial,
-and the hopf bars and support over Q, from one integer echelon filled level
-by level."""
+and the hopf bars and support over Q and F_p, from one integer echelon
+filled level by level."""
 
 from fractions import Fraction
 
@@ -18,6 +18,7 @@ from rzero.rng import child_seed
 
 import hopf_oracle
 from inputs import as_document, grid_identity_map
+from test_field_barcode import rp2_zero_pivot_map
 from test_pipeline_fuzz import moebius_odd_winding_map, planar_inputs, projective_plane_map
 
 
@@ -53,11 +54,11 @@ def _barcode(filt, bars, support):
     return pipeline.pointed_barcode(filt.samples, filt.criticals.values, bars, support)
 
 
-def test_trivial_ambients_match_the_replaced_routes(monkeypatch):
-    # With H^n(X) = 0 the Q barcode never reaches `hopf_bars`.  The Moebius
-    # strip retracts onto a circle, so H^2(X) = 0 there too.
-    monkeypatch.setattr(pipeline, "hopf_bars", None)
-    cases = list(_planar_hopf()) + list(_perturbed_grids()) + [(moebius_odd_winding_map(), 23)]
+def test_echelon_bars_match_the_replaced_route():
+    # Trivial and nontrivial ambients alike: the Moebius strip retracts onto
+    # a circle, so H^2(X) = 0 there, and RP^2 has H^2(X) = Z/2.
+    cases = list(_planar_hopf()) + list(_perturbed_grids()) + list(_fixtures())
+    cases.append((rp2_zero_pivot_map(), 7))
     trivial = 0
     for f, seed in cases:
         analysis = analyze(f, Mode.HOPF, seed)
@@ -65,38 +66,31 @@ def test_trivial_ambients_match_the_replaced_routes(monkeypatch):
         flags, _ = _flags_oracle(analysis)
         assert [level.nontrivial for level in analysis.levels] == flags
         assert ambient.trivial == hopf_oracle.ambient_trivial(ambient.top, ambient.columns)
-        if ambient.trivial:
-            trivial += 1
-            bars, support = hopf_oracle.q_bars(filt, ambient)
-            assert ambient.echelon.q_bars() == (bars, support)
-            assert field_barcode(analysis, "q") == _barcode(filt, bars, support)
-    assert trivial >= 7
+        trivial += ambient.trivial
+        for char, field in ((0, "q"), (2, "f2"), (3, "f3")):
+            bars, support = hopf_oracle.bars(filt, ambient, char)
+            assert ambient.echelon.bars(char) == (bars, support), (seed, char)
+            assert field_barcode(analysis, field) == _barcode(filt, bars, support)
+    assert 7 <= trivial <= len(cases) - 2
 
 
-def test_nontrivial_ambient_keeps_the_kernel_presentation(monkeypatch):
-    # RP^2 has H^2(X) = Z/2: its Q bars come from `_kernel_presentation`,
-    # never from the echelon's own.
+def test_each_column_enters_one_lattice_once(monkeypatch):
+    # RP^2 over every field: the flags, `trivial` and the bars all read the
+    # analysis's one echelon, so no column is put into a lattice twice.
+    inserted = []
+    original = persistence._lattice_insert
+
+    def counting(lattice, vec):
+        inserted.append(1)
+        return original(lattice, vec)
+
+    monkeypatch.setattr(persistence, "_lattice_insert", counting)
     analysis = analyze(projective_plane_map(), Mode.HOPF, 17)
-    filt, ambient = analysis.filtration, analysis.levels[0].ambient
-    flags, _ = _flags_oracle(analysis)
-    assert [level.nontrivial for level in analysis.levels] == flags
+    ambient = analysis.levels[0].ambient
+    for field in ("q", "f2", "f3"):
+        field_barcode(analysis, field)
     assert not ambient.trivial
-    assert not hopf_oracle.ambient_trivial(ambient.top, ambient.columns)
-    presented = []
-    original = persistence._kernel_presentation
-
-    def counting(*args):
-        presented.append(1)
-        return original(*args)
-
-    def refuse():
-        raise AssertionError("the echelon's Q bars taken with H^n(X) != 0")
-
-    monkeypatch.setattr(persistence, "_kernel_presentation", counting)
-    monkeypatch.setattr(ambient.echelon, "q_bars", refuse)
-    got = field_barcode(analysis, "q")
-    assert presented == [1]
-    assert got == _barcode(filt, *hopf_oracle.q_bars(filt, ambient))
+    assert 0 < len(inserted) <= len(ambient.columns)
 
 
 def test_circle_flags_match_the_replaced_route():

@@ -301,6 +301,19 @@ def test_cli_rejects_numbers_off_the_rational_grammar(where, text, tmp_path, cap
     assert err.startswith("input error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["criticals"], ["barcode", "--field", "q"]])
+def test_cli_rejects_an_output_number_too_long_to_print(argv, tmp_path, capsys):
+    # |f(q)|^2 has about 6000 digits, more than int() converts to text.
+    path = tmp_path / "long.json"
+    doc = {"n": 2, "norm": "l2", "simplices": [["p", "q"]], "vertices": ["p", "q"],
+           "values": {"p": ["-1", "1"], "q": ["1" + "0" * 3000, "1"]}}
+    path.write_text(json.dumps(doc))
+    assert cli.main([argv[0], str(path), *argv[1:]]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
 def test_failures_end_with_a_reproduce_line(tmp_path, monkeypatch, capsys):
     path = tmp_path / "edge.json"
     path.write_text(as_document(edge_map()))
