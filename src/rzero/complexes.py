@@ -7,21 +7,24 @@ order on ids doubles as the orientation convention for cochains.
 `star_subdivide` refines a map's complex until (a) the minimum of |f| over
 every simplex is attained at a vertex and (b) each component of f vanishes on
 each edge only at vertices or along the whole edge.  New vertices are placed
-at exact argmin points and at exact zero crossings.  A new vertex's id
-spells out its affine expansion in the input vertices, `(a:1/2,b:1/2)`, so
-repeated runs are identical and the map carries no separate expansion.
+at exact argmin points and at exact zero crossings, computed on integer
+vertex records (`PLMap.scaled_values`), which the result keeps.  A new
+vertex's id spells out its affine expansion in the input vertices,
+`(a:1/2,b:1/2)`, so repeated runs are identical and the map carries no
+separate expansion; no input id may begin with `(`.
 For a map to R (n = 1), (b) implies (a), so only the zero crossings are
 split and no argmin is searched.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
+from operator import mul
 
 from .errors import InputError, InternalError
-from .normmin import NORMS, floor_vertex, rescaled, scaled_vector, simplex_norm_min
+from .normmin import _MEASURE, NORMS, _floor, scaled_vector, simplex_norm_min
 
 Simplex = tuple[str, ...]
 
@@ -30,21 +33,13 @@ def _as_simplex(vertices) -> Simplex:
     return tuple(sorted(vertices))
 
 
-def _faces(simplex: Simplex):
-    """All nonempty faces of a simplex (itself included)."""
-    out = [()]
-    for v in simplex:
-        out += [f + (v,) for f in out]
-    return [f for f in out if f]
-
-
 class Complex:
     """A finite simplicial complex with a fixed total order on vertices."""
 
     def __init__(self, simplices):
         closed = set()
-        for s in simplices:
-            closed.update(_faces(_as_simplex(s)))
+        for s in map(_as_simplex, simplices):
+            closed.update(face for k in range(len(s)) for face in combinations(s, k + 1))
         self._index(closed)
 
     def _index(self, closed) -> None:
@@ -153,37 +148,45 @@ def component_index(components) -> dict[str, int]:
     return out
 
 
-@dataclass(frozen=True)
 class PLMap:
     """A simplexwise-linear map given by rational vectors on the vertices.
-    After `star_subdivide`, a new vertex's id is its affine expansion."""
+    After `star_subdivide`, a new vertex's id is its affine expansion.
 
-    complex: Complex
-    values: dict
-    n: int
-    norm: str
-    minima_at_vertices: bool = False
-    # Internal: vertex -> (den, numerators), the value as integers over the
-    # LCM of its denominators.  `star_subdivide` hands over its own; for
-    # any other map it is computed on first read (`scaled_values`).
-    _scaled: dict | None = field(default=None, compare=False, repr=False)
+    A map keeps its values as given and derives the integer records on
+    first read (`scaled_values`), or keeps records (`from_records`, used by
+    `perturb` and `star_subdivide`) and builds `values` on first read."""
 
-    def __post_init__(self):
-        if self.norm not in NORMS:
-            raise InputError(f"unknown norm {self.norm!r}")
-        if self.n < 1:
+    def __init__(self, complex: Complex, values: dict, n: int, norm: str,
+                 minima_at_vertices: bool = False):
+        if norm not in NORMS:
+            raise InputError(f"unknown norm {norm!r}")
+        if n < 1:
             raise InputError("codomain dimension must be at least 1")
-        for v in self.complex.vertices:
-            if v not in self.values:
+        for v in complex.vertices:
+            if v not in values:
                 raise InputError(f"vertex {v!r} has no value")
-            if len(self.values[v]) != self.n:
+            if len(values[v]) != n:
                 raise InputError(f"value of vertex {v!r} has wrong dimension")
-        object.__setattr__(
-            self,
-            "values",
-            {v: tuple(x if isinstance(x, Fraction) else Fraction(x) for x in val)
-             for v, val in self.values.items()},
-        )
+        self.complex, self.n, self.norm = complex, n, norm
+        self.minima_at_vertices, self._scaled = minima_at_vertices, None
+        self._values = {v: tuple(map(Fraction, val)) for v, val in values.items()}
+
+    @classmethod
+    def from_records(cls, complex: Complex, records: dict, n: int, norm: str,
+                     minima_at_vertices: bool = False) -> "PLMap":
+        """A map from vertex records as `scaled_values` gives them, unchecked."""
+        self = cls.__new__(cls)
+        self.complex, self.n, self.norm = complex, n, norm
+        self.minima_at_vertices, self._values, self._scaled = minima_at_vertices, None, records
+        return self
+
+    @property
+    def values(self) -> dict:
+        """vertex -> its value, a tuple of `Fraction`s."""
+        if self._values is None:
+            self._values = {v: tuple(Fraction(x, den) for x in nums)
+                            for v, (den, nums) in self._scaled.items()}
+        return self._values
 
     @property
     def m(self) -> int:
@@ -194,8 +197,7 @@ class PLMap:
         """vertex -> (den, numerators): each value as integers over the LCM
         of its denominators, with den > 0."""
         if self._scaled is None:
-            object.__setattr__(self, "_scaled", {v: scaled_vector(value)
-                                                 for v, value in self.values.items()})
+            self._scaled = {v: scaled_vector(value) for v, value in self._values.items()}
         return self._scaled
 
     def with_values(self, new_values) -> "PLMap":
@@ -216,34 +218,28 @@ def edge_zeros_ok(f: PLMap) -> bool:
                    for a, b in zip(ints[u][1], ints[v][1]))
 
 
-def _point_id(den: int, combo: dict) -> str:
-    """The id of the point {base: c / den}, each nonzero coefficient
-    written reduced, as `format_rational` writes it, by base id."""
-    parts = []
-    for v in sorted(combo):
-        g = gcd(combo[v], den)
-        parts.append(f"{v}:{combo[v] // g}" + ("" if g == den else f"/{den // g}"))
-    return "(" + ",".join(parts) + ")"
-
-
-def _mix(lam, lam_den: int, points, items) -> tuple[int, dict]:
-    """sum_j lam[j] / lam_den * points[j] for points (den, numerators), read
-    by `items`, as (den, {key: numerator}) divided by its gcd."""
+def _mix(lam, lam_den: int, points) -> tuple[str, tuple[int, dict]]:
+    """The point sum_j lam[j] / lam_den * points[j] of expansions (den,
+    {base: numerator}), every lam[j] > 0: its id, each coefficient written
+    reduced, as `format_rational` writes it, by base id, and its expansion
+    divided by the gcd."""
     scale = lcm(*[den for den, _ in points])
     out: dict = {}
     for c, (den, nums) in zip(lam, points):
-        if c:
-            for key, x in items(nums):
-                out[key] = out.get(key, 0) + c * (scale // den) * x
-    out = {key: x for key, x in out.items() if x}
+        for key, x in nums.items():
+            out[key] = out.get(key, 0) + c * (scale // den) * x
     g = gcd(lam_den * scale, *out.values())
-    return lam_den * scale // g, {key: x // g for key, x in out.items()}
+    den, combo = lam_den * scale // g, {key: x // g for key, x in out.items()}
+    parts = [f"{v}:{c // gcd(c, den)}" + ("" if c % den == 0 else f"/{den // gcd(c, den)}")
+             for v, c in sorted(combo.items())]
+    return "(" + ",".join(parts) + ")", (den, combo)
 
 
 class _Subdivider:
-    """Mutable scratch state for iterated stellar subdivision, with each
-    vertex's value and expansion as integers: (den, numerators) over the LCM
-    of their denominators.  An expansion only names a new vertex (`_point_id`).
+    """Mutable scratch state for iterated stellar subdivision.  A vertex's
+    record is (den, numerators, measure): its `PLMap.scaled_values` record
+    and |numerators| (squared for l2), taken once when the vertex is made.
+    Its expansion, kept the same way, only names a new vertex (`_mix`).
 
     Every simplex of dim >= 1 is either waiting for the next argmin pass
     (`unvisited`) or settled: `minimizer` names a vertex of it that attains
@@ -261,65 +257,68 @@ class _Subdivider:
     """
 
     def __init__(self, f: PLMap):
-        self.n, self.norm = f.n, f.norm
-        self.simplices: set[Simplex] = set()
+        self.norm, self.measure, self.squared = f.norm, _MEASURE[f.norm], f.norm == "l2"
+        self.simplices: set[Simplex] = set(f.complex.simplices)
         # vertex -> the current simplices containing it, kept in step with
-        # `simplices` by add/discard so that star finds cofaces by lookup.
+        # `simplices` by star, which finds cofaces by lookup.
         self.by_vertex: dict[str, set[Simplex]] = {}
-        self.unvisited: set[Simplex] = set()
-        self.unsplit: set[Simplex] = set()
+        for s in self.simplices:
+            for v in s:
+                self.by_vertex.setdefault(v, set()).add(s)
+        self.unvisited = {s for s in self.simplices if len(s) > 1}
+        self.unsplit = {s for s in self.simplices if len(s) == 2}
         self.minimizer: dict[Simplex, str] = {}
         # For this pass only: face -> integer barycentric weights of the
         # argmin a coface's visit found inside it, and each simplex visited
         # with its argmin off the vertices -> the face holding the argmin.
         self.kept: dict[Simplex, list[int]] = {}
         self.inside: dict[Simplex, Simplex] = {}
-        for s in f.complex.simplices:
-            self.add(s, None)
-        self.values = dict(f.scaled_values)
+        self.values = {v: (den, nums, self.measure(nums))
+                       for v, (den, nums) in f.scaled_values.items()}
         self.expansion = {v: (1, {v: 1}) for v in f.complex.vertices}
-        self.new_vertices: list[str] = []
-
-    def add(self, s: Simplex, minimizer: str | None) -> None:
-        self.simplices.add(s)
-        for v in s:
-            self.by_vertex.setdefault(v, set()).add(s)
-        if len(s) > 1:
-            if minimizer is None:
-                self.unvisited.add(s)
-            else:
-                self.minimizer[s] = minimizer
-            if len(s) == 2:
-                self.unsplit.add(s)
-
-    def discard(self, s: Simplex) -> None:
-        self.simplices.discard(s)
-        for v in s:
-            self.by_vertex[v].discard(s)
-        self.minimizer.pop(s, None)
 
     def star(self, face: Simplex, lam) -> str:
-        """Star at the point of `face` with barycentric coordinates lam / sum(lam)."""
+        """Star at the point of `face` with barycentric coordinates
+        lam / sum(lam), every lam[j] > 0."""
         lam_den = sum(lam)
-        den, combo = _mix(lam, lam_den, [self.expansion[v] for v in face], dict.items)
-        new_id = _point_id(den, combo)
+        new_id, expansion = _mix(lam, lam_den, [self.expansion[v] for v in face])
         if new_id in self.values:
             raise InternalError(f"star point {new_id} already exists")
-        self.expansion[new_id] = (den, combo)
-        den, value = _mix(lam, lam_den, [self.values[v] for v in face], enumerate)
-        self.values[new_id] = (den, [value.get(i, 0) for i in range(self.n)])
-        self.new_vertices.append(new_id)
+        self.expansion[new_id] = expansion
+        points = [self.values[v] for v in face]
+        scale = lcm(*[p[0] for p in points])
+        weights = [c * (scale // p[0]) for c, p in zip(lam, points)]
+        nums = [sum(map(mul, weights, column)) for column in zip(*[p[1] for p in points])]
+        g = gcd(lam_den * scale, *nums)
+        nums = [x // g for x in nums]
+        self.values[new_id] = (lam_den * scale // g, nums, self.measure(nums))
 
+        # Each coface s gives way to the pieces sub + (s - face) + new_id,
+        # sub a proper face of `face` or empty.
         face_set = set(face)
-        cofaces = set.intersection(*[self.by_vertex[v] for v in face])
-        proper_faces = [fc for fc in _faces(face) if len(fc) < len(face)] + [()]
+        simplices, by_vertex, minimizer = self.simplices, self.by_vertex, self.minimizer
+        cofaces = set.intersection(*[by_vertex[v] for v in face])
+        proper_faces = [sub for size in range(len(face)) for sub in combinations(face, size)]
+        by_vertex[new_id] = set()
         for s in cofaces:
-            known = new_id if self.inside.get(s) == face else self.minimizer.get(s)
-            self.discard(s)
+            # A simplex whose argmin lay inside `face` was never settled.
+            known = new_id if self.inside.get(s) == face else minimizer.pop(s, None)
+            simplices.discard(s)
+            for v in s:
+                by_vertex[v].discard(s)
             link = tuple(v for v in s if v not in face_set) + (new_id,)
             for sub in proper_faces:
                 piece = tuple(sorted(sub + link))
-                self.add(piece, known if known in piece else None)
+                simplices.add(piece)
+                for v in piece:
+                    by_vertex[v].add(piece)
+                if len(piece) > 1:
+                    if known in piece:
+                        minimizer[piece] = known
+                    else:
+                        self.unvisited.add(piece)
+                    if len(piece) == 2:
+                        self.unsplit.add(piece)
         return new_id
 
     def argmin_pass(self) -> bool:
@@ -353,26 +352,29 @@ class _Subdivider:
     def _search(self, s: Simplex) -> list[int] | None:
         """The integer barycentric weights of the argmin of |f| over s when
         it is interior to s, else None, with s settled or its argmin kept
-        for the proper face that holds it.  The vertex-floor certificate is
-        decided first, on the vertex values over their common denominator;
-        only a simplex whose floor lies below its least vertex norm reaches
-        `simplex_norm_min`."""
-        _, ints = rescaled([self.values[v] for v in s])
-        vertex = floor_vertex(ints, self.norm)
-        if vertex is not None:
-            self.minimizer[s] = s[vertex]
+        for the proper face that holds it.  The floor certificate comes
+        first, on the records: a floor measuring at least the least vertex
+        norm settles s at its first vertex of that norm, and only the other
+        simplices reach `simplex_norm_min`."""
+        points = [self.values[v] for v in s]
+        scale = lcm(*[p[0] for p in points])
+        ints, norms = [], []
+        for den, nums, measure in points:
+            c = scale // den
+            ints.append(nums if c == 1 else [x * c for x in nums])
+            norms.append(measure * c * c if self.squared else measure * c)
+        least = min(norms)
+        if self.measure(_floor(ints)) >= least:
+            self.minimizer[s] = s[norms.index(least)]
             return None
         result = simplex_norm_min(ints, self.norm)
-        bary = result.barycentric
         if result.at_vertex:
-            self.minimizer[s] = s[bary.index(1)]
+            self.minimizer[s] = s[result.face[0]]
             return None
-        den = lcm(*(c.denominator for c in bary))
-        lam = [c.numerator * (den // c.denominator) for c in bary]
-        if all(lam):
-            return lam
-        face = tuple(v for v, c in zip(s, lam) if c)
-        self.kept[face] = [c for c in lam if c]
+        if len(result.face) == len(s):
+            return list(result.lam)
+        face = tuple(s[j] for j in result.face)
+        self.kept[face] = list(result.lam)
         self.inside[s] = face
         return None
 
@@ -386,7 +388,7 @@ class _Subdivider:
             for edge in edges:
                 if edge not in self.simplices:
                     continue
-                (du, nu), (dv, nv) = self.values[edge[0]], self.values[edge[1]]
+                (du, nu, _), (dv, nv, _) = self.values[edge[0]], self.values[edge[1]]
                 for a, b in zip(nu, nv):
                     if a * b < 0:
                         # The zero is at t = a / (a - b), over du * dv.
@@ -403,7 +405,7 @@ def star_subdivide(f: PLMap) -> PLMap:
 
     The geometric realization is unchanged and the returned map agrees with
     f pointwise.  A new vertex's id is its affine expansion in f's vertices
-    (`_point_id`), and subdividing the result again adds no vertex.  Raises
+    (`_mix`), and subdividing the result again adds no vertex.  Raises
     InternalError after 10 rounds per input simplex (diagnostic for
     non-termination).
 
@@ -434,12 +436,9 @@ def star_subdivide(f: PLMap) -> PLMap:
                 raise InternalError(f"subdivision did not stabilize within {budget} rounds")
         if len(state.minimizer) != sum(len(s) > 1 for s in state.simplices):
             raise InternalError("subdivision postcondition (a) failed")
-    values = dict(f.values)
-    for v in state.new_vertices:
-        den, nums = state.values[v]
-        values[v] = tuple(Fraction(x, den) for x in nums)
-    result = PLMap(Complex.from_closed(state.simplices), values, f.n, f.norm,
-                   minima_at_vertices=True, _scaled=state.values)
+    records = {v: (den, nums) for v, (den, nums, _) in state.values.items()}
+    result = PLMap.from_records(Complex.from_closed(state.simplices), records, f.n, f.norm,
+                                minima_at_vertices=True)
     if not edge_zeros_ok(result):
         raise InternalError("subdivision postcondition (b) failed")
     return result

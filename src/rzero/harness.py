@@ -16,6 +16,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
+from math import gcd, lcm
 
 from .barcode import Interval, barcode
 from .cohomology import (
@@ -67,24 +68,29 @@ def perturb(f: PLMap, spec: PerturbSpec) -> PLMap:
     seeded integers k in [-D, D]; `scale` is delta for linf and delta/n
     for l1 and l2 (the crude factor 1/n suffices).  The bound is verified
     exactly on every vertex's integers: max|k|·scale <= D·delta (linf),
-    Σ|k|·scale <= D·delta (l1) and Σk²·scale² <= D²·delta² (l2).
+    Σ|k|·scale <= D·delta (l1) and Σk²·scale² <= D²·delta² (l2).  g keeps
+    records: a/d moves to (a·L/d + k·p·L/q) / L, L = lcm(d, q), reduced.
     """
     sampler = RationalSampler(spec.seed, spec.denominator)
     den, delta = spec.denominator, Fraction(spec.delta)
     scale = delta if f.norm == "linf" else delta / f.n
-    step = scale / den
     power = 2 if f.norm == "l2" else 1
     # measure(k) * factor <= bound  <=>  measure(k) * scale^p <= (D delta)^p
     lhs, rhs = scale ** power, (den * delta) ** power
     factor, bound = lhs.numerator * rhs.denominator, rhs.numerator * lhs.denominator
     measure = _MEASURE[f.norm]
-    new_values = {}
+    p, q = (scale / den).as_integer_ratio()     # the step p/q = scale/D
+    records = {}
     for v in f.complex.vertices:  # vertices are totally ordered
         ks = [sampler.integer(-den, den) for _ in range(f.n)]
         if measure(ks) * factor > bound:
             raise InputError("perturbation exceeded its bound")
-        new_values[v] = tuple(x + k * step for x, k in zip(f.values[v], ks))
-    return f.with_values(new_values)
+        d, nums = f.scaled_values[v]
+        common = lcm(d, q)
+        moved = [x * (common // d) + k * p * (common // q) for x, k in zip(nums, ks)]
+        g = gcd(common, *moved)
+        records[v] = (common // g, [x // g for x in moved])
+    return PLMap.from_records(f.complex, records, f.n, f.norm)
 
 
 @dataclass

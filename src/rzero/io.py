@@ -77,6 +77,8 @@ def parse_input(text: str) -> PLMap:
         raise InputError("field 'vertices' must be a nonempty list of ids")
     if len(set(vertices)) != len(vertices):
         raise InputError("duplicate vertex id in 'vertices'")
+    if any(v.startswith("(") for v in vertices):
+        raise InputError("a vertex id must not begin with '(', which names subdivision points")
     declared = set(vertices)
     simplices = doc["simplices"]
     if not isinstance(simplices, list) or not simplices:

@@ -99,8 +99,7 @@ def sign_vector(f: PLMap, level: Subcomplex) -> SignVector:
     comps = connected_components(level)
     signs = []
     for comp in comps:
-        values = {1 if f.values[v][0] > 0 else -1 if f.values[v][0] < 0 else 0
-                  for v in comp}
+        values = {(x > 0) - (x < 0) for x in (f.scaled_values[v][1][0] for v in comp)}
         if len(values) != 1 or 0 in values:
             raise InternalError(f"component {comp} does not carry a constant sign")
         signs.append(values.pop())

@@ -31,23 +31,23 @@ edge the smallest t wins.  `star_subdivide` relies on it: an argmin
 interior to a proper face F is the point F's own search returns (F's faces
 come in the same relative order, and scaling moves no candidate), so the
 subdivider stars F there with no second search.  Floor
-certificates prune the search: on a face, |g_i| is at least 0 where the
-face's i-th vertex values change sign and their smallest magnitude
-otherwise.  When the floor of the whole simplex is attained by a vertex,
-that vertex is the minimum (`floor_vertex`); the subdivider decides this
-on its own integer vectors before it calls `simplex_norm_min`.  A
-face whose floor is no smaller than the best so far is skipped, since none
-of its candidates could strictly improve on it.
+certificates (`_floor`) prune the search: on a face, |g_i| is at least 0
+where the face's i-th vertex values change sign and their smallest
+magnitude otherwise.  When the floor of the whole simplex is attained by a
+vertex, that vertex is the minimum; the subdivider decides this on its
+own vertex records before it calls `simplex_norm_min`.  A face whose floor
+is no smaller than the best so far is skipped, since none of its
+candidates could strictly improve on it.
 
 Values are scaled to integers by the LCM of their denominators, which
 moves no argmin (`scaled`); integer input is taken as it is.  The systems
-(at most 7 x 7) are solved fraction-free (`linalg.solve_square`).
-Fractions are built only for a chosen barycentric point off the vertices,
-and `NormMin.minimum`, an `ExactRadius` (the square root of a rational for
-l2), only when it is read.  `norm_keys`, `norm_key` and `norm_radius`
-give the same exact norms for single vectors: the vertex norms of the
-filtration, ranked as integers over one denominator from the map's integer
-points (den, numerators), and the probe bounds.
+(at most 7 x 7) are solved fraction-free (`linalg.solve_square`).  The
+argmin is returned as its face and integer weights; its barycentric
+`Fraction`s, and `NormMin.minimum`, an `ExactRadius` (the square root of a
+rational for l2), are built only when read.  `norm_keys`, `norm_key` and
+`norm_radius` give the same exact norms for single vectors: the vertex
+norms of the filtration, ranked as integers over one denominator from the
+map's integer points (den, numerators), and the probe bounds.
 """
 
 from __future__ import annotations
@@ -68,9 +68,6 @@ _MEASURE = {
     "l2": lambda v: sum(x * x for x in v),
     "linf": lambda v: max(map(abs, v), default=0),
 }
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def scaled(vectors) -> tuple[int, list[list[int]]]:
@@ -126,14 +123,24 @@ def vector_norm(vector, norm: str) -> ExactRadius:
 
 @dataclass(frozen=True)
 class NormMin:
-    """One minimizer of |g| over a simplex, whether a vertex attains the
-    minimum, and the minimum |g| (|g|² for l2) as the integers num / den."""
+    """One minimizer of |g| over a simplex of `size` vertices: the point
+    with integer weights lam / sum(lam), each > 0, on the vertices `face`
+    (increasing indices), whether a vertex attains the minimum, and the
+    minimum |g| (|g|² for l2) as the integers num / den."""
 
-    barycentric: tuple[Fraction, ...]
+    size: int
+    face: tuple[int, ...]
+    lam: tuple[int, ...]
     at_vertex: bool
     norm: str
     num: int
     den: int
+
+    @property
+    def barycentric(self) -> tuple[Fraction, ...]:
+        """The minimizer's barycentric coordinates, built on each read."""
+        weights = dict(zip(self.face, self.lam))
+        return tuple(Fraction(weights.get(j, 0), sum(self.lam)) for j in range(self.size))
 
     @property
     def minimum(self) -> ExactRadius:
@@ -142,19 +149,9 @@ class NormMin:
 
 
 def _floor(rows) -> list[int]:
-    """Per coordinate, a lower bound on |g_i| over the hull of `rows`."""
-    return [0 if min(c) <= 0 <= max(c) else min(map(abs, c)) for c in zip(*rows)]
-
-
-def floor_vertex(ints, norm: str) -> int | None:
-    """The floor certificate on integer vertex values over one scale: when
-    the measure of the floor is at least the least vertex measure, the index
-    of the first vertex of least norm, which attains the minimum of |g| over
-    the simplex; otherwise None."""
-    measure = _MEASURE[norm]
-    norms = [measure(w) for w in ints]
-    least = min(norms)
-    return norms.index(least) if measure(_floor(ints)) >= least else None
+    """Per coordinate, a lower bound on |g_i| over the hull of `rows`: 0
+    where the values change sign, else their least magnitude."""
+    return [lo if (lo := min(c)) > 0 else -hi if (hi := max(c)) < 0 else 0 for c in zip(*rows)]
 
 
 def simplex_norm_min(values, norm: str) -> NormMin:
@@ -198,11 +195,8 @@ def simplex_norm_min(values, norm: str) -> NormMin:
                         best = (value, den, face, lam)
 
     value, den, face, lam = best
-    bary = [_ZERO] * k
-    for j, num in zip(face, lam):
-        bary[j] = Fraction(num, den) if den > 1 else _ONE   # den 1: a vertex
     den *= scale * scale if norm == "l2" else scale
-    return NormMin(tuple(bary), len(face) == 1, norm, value, den)
+    return NormMin(k, face, tuple(lam), len(face) == 1, norm, value, den)
 
 
 def _edge_min(a, b, norm):

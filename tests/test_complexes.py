@@ -146,11 +146,14 @@ def test_subdivider_coface_index_matches_recomputed():
     # At the fixpoint no simplex waits for a visit or a split, every kept
     # face point has been starred, exactly the surviving simplices of
     # dim >= 1 carry a minimizing vertex of their own, and the simplex set
-    # is already face-closed, as `Complex.from_closed` assumes.
+    # is already face-closed, as `Complex.from_closed` assumes.  Every
+    # vertex record is its value in lowest terms, with the norm the floor
+    # certificate reads.
     import pathlib
 
     from rzero.complexes import _Subdivider
     from rzero.io import parse_input
+    from rzero.normmin import norm_key, scaled_vector
 
     root = pathlib.Path(__file__).resolve().parent.parent / "sample_inputs"
     maps = [parse_input(p.read_text()) for p in sorted(root.glob("*.json"))]
@@ -171,3 +174,8 @@ def test_subdivider_coface_index_matches_recomputed():
         assert all(v in s for s, v in state.minimizer.items())
         assert Complex(state.simplices).simplices == state.simplices
         assert state.simplices == star_subdivide(f).complex.simplices
+        assert state.values.keys() == {v for s in state.simplices for v in s}
+        for den, nums, measure in state.values.values():
+            value = tuple(Fraction(x, den) for x in nums)
+            assert scaled_vector(value) == (den, nums)
+            assert Fraction(measure, den * den if f.norm == "l2" else den) == norm_key(value, f.norm)

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import rzero.harness as harness
 import rzero.pipeline as pipeline
 from rzero.cohomology import filtration_field_dims
+from rzero.complexes import Complex, PLMap
 from rzero.errors import InputError
 from rzero.exact import ExactRadius
 from rzero.harness import (
@@ -19,7 +20,7 @@ from rzero.harness import (
     perturb,
 )
 from rzero.modes import Mode, applicable
-from rzero.normmin import vector_norm
+from rzero.normmin import NORMS, scaled_vector, vector_norm
 from rzero.barcode import Interval, PointedBarcode, barcode
 from rzero.pipeline import analyze, assemble_pointed_module
 from rzero.rng import RationalSampler
@@ -87,6 +88,46 @@ def test_perturb_checks_its_bound_on_the_integer_offsets(monkeypatch, norm, n, l
                 assert tuple(a - b for a, b in zip(g.values[v], f.values[v])) == offsets
 
 
+@st.composite
+def _maps_to_perturb(draw):
+    """A map on one simplex of one to four vertices to R^n, n = 1..3, in
+    any norm, with denominators up to 97."""
+    n = draw(st.integers(1, 3))
+    names = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+    value = st.builds(Fraction, st.integers(-200, 200), st.integers(1, 97))
+    values = {v: tuple(draw(value) for _ in range(n)) for v in names}
+    return PLMap(Complex.build([names]), values, n, draw(st.sampled_from(NORMS)))
+
+
+@settings(max_examples=60)
+@given(_maps_to_perturb(), st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 2)]),
+       st.integers(0, 1 << 32))
+def test_perturb_moves_each_value_by_its_drawn_offset(f, delta, seed):
+    # g = f + k * step with k drawn from the same sampler stream, computed
+    # here with Fractions; g's integer records are those of its values, and
+    # offsets past the bound still raise.
+    spec = PerturbSpec(delta, seed)
+    g = perturb(f, spec)
+    sampler = RationalSampler(seed, spec.denominator)
+    step = (delta if f.norm == "linf" else delta / f.n) / spec.denominator
+    for v in f.complex.vertices:
+        ks = [sampler.integer(-spec.denominator, spec.denominator) for _ in range(f.n)]
+        want = tuple(x + k * step for x, k in zip(f.values[v], ks))
+        assert g.values[v] == want
+        assert g.scaled_values[v] == scaled_vector(want)
+        assert vector_norm([b - a for a, b in zip(f.values[v], want)], f.norm).cmp(
+            ExactRadius.of(delta)) <= 0
+    if delta:
+        class TooFar(RationalSampler):
+            def integer(self, low, high):
+                return f.n * spec.denominator + 1
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "RationalSampler", TooFar)
+            with pytest.raises(InputError, match="perturbation exceeded its bound"):
+                perturb(f, spec)
+
+
 def test_edge_seed_42_robust_radius_within_bound():
     f = edge_map()
     g = perturb(f, PerturbSpec(Fraction(1, 10), 42))
@@ -106,6 +147,20 @@ def test_stability_smoke_all_examples():
     for f, mode in cases:
         report = check_stability(f, mode, Fraction(1, 10), 3, 2024)
         assert report.passed, report.to_dict()
+
+
+@pytest.mark.parametrize("delta", [Fraction(1, 10), Fraction(1, 2)])
+def test_stability_on_random_planar_maps(delta):
+    # Both inequalities under random perturbations of random complexes:
+    # the twelve planar maps, in circle mode and, where it applies, hopf.
+    runs = 0
+    for t, f in planar_inputs():
+        for mode in (Mode.CIRCLE, Mode.HOPF):
+            if applicable(mode, f.n, f.complex.dim):
+                report = check_stability(f, mode, delta, 2, 4000 + t)
+                assert report.passed, (t, mode, report.to_dict())
+                runs += 1
+    assert runs == 24
 
 
 def test_stability_rejects_a_negative_trial_count(monkeypatch):

@@ -34,6 +34,7 @@ from inputs import (
     edge_map,
     grid_identity_map,
     octagon_winding2_map,
+    seeded_grid_map,
     signs_mixed_map,
 )
 from test_pipeline_fuzz import moebius_odd_winding_map, planar_inputs, projective_plane_map
@@ -301,6 +302,21 @@ def test_cli_rejects_numbers_off_the_rational_grammar(where, text, tmp_path, cap
     assert err.startswith("input error:") and err.count("\n") == 1
 
 
+def test_cli_rejects_an_id_that_spells_a_subdivision_point(tmp_path, capsys):
+    # Every id the subdivider makes begins with "(", so an input id that
+    # does could collide with one: here the midpoint of a and b, which the
+    # zero split of the edge creates.
+    path = tmp_path / "clash.json"
+    doc = {"n": 2, "norm": "linf", "vertices": ["a", "b", "(a:1/2,b:1/2)"],
+           "simplices": [["a", "b"], ["(a:1/2,b:1/2)"]],
+           "values": {"a": ["-1", "1"], "b": ["1", "1"], "(a:1/2,b:1/2)": ["0", "1"]}}
+    path.write_text(json.dumps(doc))
+    assert cli.main(["barcode", str(path), "--mode", "hopf", "--field", "q"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error:") and "'('" in err and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [["criticals"], ["barcode", "--field", "q"]])
 def test_cli_rejects_an_output_number_too_long_to_print(argv, tmp_path, capsys):
     # |f(q)|^2 has about 6000 digits, more than int() converts to text.
@@ -482,11 +498,18 @@ PINNED_STDOUT = {
     "signs.module-signs_mixed-q": "22e485eedffb4a7032c16152349c938f3936878617329f9fed908cc794b2f2d8",
     "signs.criticals-signs_mixed": "ae8b3357188eb9e7757965a2b8e7203642fb30cf078c4d119a37cc9d923fbd36",
     "signs.robust_radius-signs_mixed": "0cba36e60e3cffdaf31f8f2c6a44e8439de033e94f10ddbd74e2bfc7eaad90d6",
+    # `perturb` at --delta 1/3: linf moves each coordinate by up to delta,
+    # l1 and l2 by up to delta/n.
+    "perturb-grid_identity": "40118e5c12869f71da3236382c8e4df143a3142d6b5daa917ce32d48ab2ae40e",
+    "perturb-grid_l1": "ca6e08e1a698b9b1e0c2f9b3403d17b66c6fec505761bc57b491231b51a2c8b1",
+    "perturb-grid_l2": "6d888f71783b8a9731e3bac6d7dd41d0ef7f90c963fa86a7ad2205c0e6b4bfac",
 }
 
 
 FIXTURES = {"moebius": moebius_odd_winding_map, "rp2": projective_plane_map,
-            "signs_mixed": signs_mixed_map}
+            "signs_mixed": signs_mixed_map,
+            "grid_l1": lambda: seeded_grid_map(11, 3, 2, "l1"),
+            "grid_l2": lambda: seeded_grid_map(12, 3, 3, "l2")}
 
 
 @pytest.mark.parametrize("label", sorted(PINNED_STDOUT))
@@ -499,7 +522,9 @@ def test_pinned_stdout(label, tmp_path, capsys):
     else:
         path = os.path.join(SAMPLE_INPUTS, f"{name}.json")
     argv = [command.replace("_", "-"), str(path), "--seed", "7"]
-    if command != "check":
+    if command == "perturb":
+        argv += ["--delta", "1/3"]
+    elif command != "check":
         argv += ["--mode", mode or "hopf"]
     if field:
         argv += ["--field", field[0]]

@@ -21,8 +21,10 @@ import pytest
 import rzero.complexes as complexes
 from rzero.complexes import Complex, PLMap, star_subdivide, vertex_minima_ok
 from rzero.exact import format_rational
+from rzero.harness import PerturbSpec, perturb
 from rzero.io import parse_input
 from rzero.normmin import simplex_norm_min, vector_norm
+from rzero.rng import child_seed
 
 from inputs import expansion, seeded_grid_map
 from subdivision_reference import reference_subdivide
@@ -83,6 +85,23 @@ def _digest(f, inputs) -> str:
 def test_subdivision_output_is_pinned(name):
     f = CASES[name]
     assert _digest(star_subdivide(f), f.complex.vertices) == PINNED[name]
+
+
+# The subdivisions of the perturbed maps that `check_stability(f, mode,
+# delta, 4, 987_654)` analyzes: grid_identity (hopf) and octagon_winding2
+# (circle), four trials each at delta 1/10 and 1/2.
+STABILITY_PINNED = "7566692967b9a18f45998da2b0dc94279a4226ef0afa86515ccf522b471f0e48"
+
+
+def test_stability_trial_subdivisions_are_pinned():
+    digests = []
+    for name in ("grid_identity", "octagon_winding2"):
+        f = CASES[name]
+        for delta in (Fraction(1, 10), Fraction(1, 2)):
+            for t in range(4):
+                g = perturb(f, PerturbSpec(delta, child_seed(987_654, t + 1)))
+                digests.append(_digest(star_subdivide(g), g.complex.vertices))
+    assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == STABILITY_PINNED
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -171,7 +190,14 @@ def _assert_zero_split_only(calls, passes, kept, result):
 
 
 def _rational(state, simplex):
-    return [[Fraction(x, den) for x in nums] for den, nums in map(state.values.get, simplex)]
+    """The vertex values of a simplex from the subdivider's records
+    (den, numerators, measure), each measure checked to be that of its
+    numerators (|v|, squared for l2), which the floor certificate reads."""
+    out = []
+    for den, nums, measure in map(state.values.get, simplex):
+        assert measure == _MEASURE[state.norm](nums)
+        out.append([Fraction(x, den) for x in nums])
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
