@@ -32,6 +32,7 @@ from .modes import Mode, auto_mode
 from .pipeline import (
     DEFAULT_SEED,
     analyze,
+    analyze_input_complex,
     assemble_pointed_module,
     field_barcode,
 )
@@ -172,7 +173,7 @@ def _barcode_from_path(path: str, args) -> object:
         return parse_barcode(text)
     f = parse_input(text)
     mode = _resolve_mode(args.mode, f)
-    analysis = analyze(f, mode, _resolve_seed(args.seed))
+    analysis = analyze_input_complex(f, mode, _resolve_seed(args.seed))
     return field_barcode(analysis, args.field)
 
 

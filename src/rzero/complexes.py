@@ -204,12 +204,6 @@ class PLMap:
         return PLMap(self.complex, dict(new_values), self.n, self.norm)
 
 
-def vertex_minima_ok(f: PLMap) -> bool:
-    """Check postcondition (a): every simplex minimum is vertex-attained."""
-    return all(simplex_norm_min([f.values[v] for v in s], f.norm).at_vertex
-               for s in f.complex.all_simplices() if len(s) > 1)
-
-
 def edge_zeros_ok(f: PLMap) -> bool:
     """Check postcondition (b): component zeros meet edges only at vertices
     or along whole edges."""

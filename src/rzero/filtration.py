@@ -1,41 +1,57 @@
 """Critical values and the decreasing family of superlevel subcomplexes.
 
-For a map to R^n with n >= 2 the map must be subdivided first
-(`star_subdivide`): then every per-simplex minimum of |f| is a vertex norm,
-so the critical values are just the distinct positive vertex norms.  The
-family A_r = {x : |f(x)| >= r} is constant in r between consecutive
-critical values; each constancy interval (s_i, s_{i+1}] is sampled at its
-right endpoint.
+One rule filters every map: a simplex enters at the rank of its exact
+minimum of |f| among the distinct positive simplex minima, the critical
+values s_1 < s_2 < ..., and at 0 when its minimum is 0.  Level i is the
+set of simplices whose entry exceeds i, those with minimum at least
+s_{i+1}; it stands for A_r = {x : |f(x)| >= r} on the constancy interval
+(s_i, s_{i+1}], which is sampled at its right endpoint.  A face's minimum
+is at least its coface's, so faces enter no later than their cofaces,
+every level is face-closed and the levels are nested.  A level's
+subcomplex is built only when it is read (`Levels`).
 
-Vertex norms are ranked as integers (`normmin.norm_keys`: |v|, or |v|² for
-l2, over one LCM of every vertex value's denominator), read off the map's
-integer values (`PLMap.scaled_values`, the subdivider's own): the distinct
-keys are sorted, and a `Fraction` and an `ExactRadius` are built once per
-distinct positive key, for the critical values.
+Each level has the homotopy type of its A_r.  f is affine on a simplex σ,
+so |f| is convex on σ, and K = {|f| < r} ∩ σ is convex and relatively
+open in σ.  If K meets σ it meets σ's interior, and radial projection from
+a point of K inside σ retracts σ ∖ K onto ∂σ ∖ K, fixing ∂σ.  Doing this
+from the top dimension down deformation retracts A_r onto the simplices
+with minimum at least r (the upper-star argument of Edelsbrunner and
+Harer, *Computational Topology*, 2010).  The retractions commute with the
+inclusions, so a map and its subdivision give isomorphic pointed modules:
+the same bars and robust radius, over other critical values.
 
-The whole family is one order on the simplices.  A vertex of norm s_k (the
-k-th critical value, counted from 1) lies in the levels 0..k-1, so its exit
-index is k; a zero-norm vertex has exit index 0.  A simplex enters with the
-minimum exit index of its vertices, and level i is the set of simplices
-whose entry exceeds i.  Faces enter no later than their cofaces, so every
-level is face-closed and the levels are nested.  A level's subcomplex is
-built only when it is read (`Levels`).
+The minimum is found in one of three ways.
 
-A map to R (n = 1) is filtered as it is, unsubdivided: a simplex whose
-vertices all have one strict sign enters with the least exit index of its
-vertices, and any other simplex has entry 0.  This is the upper-star
-filtration (Edelsbrunner and Harer, *Computational Topology*, 2010).  f is
-affine on each simplex, so scaling down to 0 the barycentric weights of
-the vertices with f < r keeps a point of {f >= r} in {f >= r}: this
-deformation retracts {f >= r} onto the full subcomplex on the vertices
-with f >= r, and likewise {f <= -r}, so A_r has the homotopy type of the
-level, which holds both full subcomplexes and no simplex between them.
-It is also exactly the filtration of the subdivided map: the zero split
-adds only vertices of value 0, whose exit index is 0, removes exactly the
-simplices whose vertices take both strict signs, and puts one of its zero
-vertices in every simplex it adds, so the critical values, the samples
-and every level's simplex set are the same.  `has_zero_min` then also
-holds when a simplex takes both signs, since f vanishes inside it.
+- A subdivided map (`minima_at_vertices`, from `star_subdivide`): every
+  simplex minimum is a vertex norm.  Vertex norms are ranked as integers
+  (`normmin.norm_keys`: |v|, or |v|² for l2, over one LCM of every vertex
+  value's denominator), read off the map's integer values
+  (`PLMap.scaled_values`, the subdivider's own), and a `Fraction` and an
+  `ExactRadius` are built once per distinct positive key.  A vertex of
+  norm s_k has exit index k, a zero-norm vertex 0, and a simplex enters
+  with the least exit index of its vertices.
+- A map to R (n = 1), unsubdivided: a simplex whose vertices all have one
+  strict sign enters with the least exit index of its vertices, and any
+  other simplex has entry 0, since f vanishes inside it (the upper-star
+  filtration).  This is also exactly the filtration of the zero split:
+  it adds only vertices of value 0, whose exit index is 0, removes exactly
+  the simplices whose vertices take both strict signs, and puts one of its
+  zero vertices in every simplex it adds, so the critical values, the
+  samples and every level's simplex set are the same.  `has_zero_min` then
+  also holds when a simplex takes both signs.
+- Any other map, n >= 2 on its own complex: faces first, in order of
+  dimension (`_simplex_minima`).  A simplex's minimum is the least of its
+  facets' minima and of its own interior candidates
+  (`normmin.interior_min`), which are searched only when its floor
+  (`normmin._floor`) measures below the facets' least.  Keys are
+  integers over one LCM of the vertex denominators, or `Fraction`s for
+  minima interior to their simplex.
+
+`pipeline.analyze` filters the subdivision in circle and hopf mode, since
+the critical values, probes and Smith coordinates that `criticals`,
+`robust-radius`, `barcode`, `module` and `check` print depend on it;
+`fuzz` and `bottleneck`, which print only bars and distances, filter the
+input complex (`pipeline.analyze_input_complex`).
 """
 
 from __future__ import annotations
@@ -43,11 +59,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
-from .complexes import Complex, PLMap, Simplex, Subcomplex, vertex_minima_ok
+from .complexes import Complex, PLMap, Simplex, Subcomplex
 from .errors import InputError, InternalError
 from .exact import ExactRadius
-from .normmin import norm_keys, norm_radius
+from .normmin import _MEASURE, _floor, interior_min, norm_keys, norm_radius, rescaled
 
 
 @dataclass(frozen=True)
@@ -67,8 +84,8 @@ class CriticalSet:
     @classmethod
     def _from_ranked(cls, values: tuple[ExactRadius, ...], has_zero_min: bool) -> "CriticalSet":
         """A set whose values were built from strictly increasing positive
-        integer keys (`_ranked_vertices`), so their order is not compared
-        again."""
+        keys (`_ranked_vertices`, `_minimum_entries`), so their order is
+        not compared again."""
         self = object.__new__(cls)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "has_zero_min", has_zero_min)
@@ -129,8 +146,8 @@ class Levels(Sequence):
 
 @dataclass(frozen=True)
 class Filtration:
-    """Superlevel subcomplexes of `f` at the sample radii: a subdivided
-    map for n >= 2, and for n = 1 the input map or its subdivision.
+    """Superlevel subcomplexes of `f` at the sample radii: a map's
+    subdivision or the map itself, in any n (module docstring).
 
     `entry` maps every simplex to its entry index: the simplex lies in the
     levels 0 .. entry - 1 (none when the entry is 0).
@@ -158,12 +175,23 @@ def build_filtration(f: PLMap) -> Filtration:
     """The entry index of every simplex and the superlevel subcomplexes
     A'_r at the sample radii, each built when first read.
 
-    A map to R^n with n >= 2 must be subdivided; a map to R is filtered
-    as it is, by the upper-star rule of the module docstring."""
-    if f.n > 1 and not f.minima_at_vertices and not vertex_minima_ok(f):
-        raise InputError("critical values require a subdivided map")
-    crit, vertex_exit = _ranked_vertices(f)
+    Every simplex enters at the rank of its exact minimum of |f| among the
+    distinct positive minima (module docstring), read off the vertex norms
+    for a subdivided map or a map to R, and searched faces first
+    otherwise."""
+    if f.n == 1 or f.minima_at_vertices:
+        crit, entry = _vertex_entries(f)
+    else:
+        crit, entry = _minimum_entries(f)
+    check_face_order(entry)
     samples = sample_radii(crit)
+    return Filtration(f, crit, tuple(samples), entry, Levels(f.complex, entry, len(samples)))
+
+
+def _vertex_entries(f: PLMap) -> tuple[CriticalSet, dict[Simplex, int]]:
+    """The critical set and entries of a map whose simplex minima are
+    vertex norms, or of a map to R by the upper-star rule."""
+    crit, vertex_exit = _ranked_vertices(f)
     entry = {s: min(map(vertex_exit.__getitem__, s)) for s in f.complex.simplices}
     if f.n == 1:
         ints = f.scaled_values
@@ -174,8 +202,50 @@ def build_filtration(f: PLMap) -> Filtration:
             entry[s] = 0
         if mixed:
             crit = CriticalSet._from_ranked(crit.values, True)
-    check_face_order(entry)
-    return Filtration(f, crit, tuple(samples), entry, Levels(f.complex, entry, len(samples)))
+    return crit, entry
+
+
+def _simplex_minima(f: PLMap) -> tuple[int, dict[Simplex, int | Fraction]]:
+    """(d, minima): the exact minimum of |f| (|f|² for l2) over every
+    simplex as key / d, faces first.  d is the LCM of the vertex
+    denominators (squared for l2), and a key is an integer or, for a
+    minimum interior to its simplex, a `Fraction`.
+
+    A simplex's minimum is the least of its facets' minima and of its own
+    interior candidates (`normmin.interior_min`), which are searched only
+    when its floor (`normmin._floor`) measures below the facets' least."""
+    vertices = f.complex.vertices
+    records = f.scaled_values
+    scale, vectors = rescaled([records[v] for v in vertices])
+    point = dict(zip(vertices, vectors))
+    n, norm, measure = f.n, f.norm, _MEASURE[f.norm]
+    minima: dict[Simplex, int | Fraction] = {(v,): measure(w) for v, w in point.items()}
+    for s in f.complex.all_simplices():
+        size = len(s)
+        if size == 1:
+            continue
+        least = min(minima[s[:k] + s[k + 1:]] for k in range(size))
+        rows = [point[v] for v in s]
+        if measure(_floor(rows)) < least:
+            found = interior_min(rows, range(size), n, norm)
+            if found is not None and found[0] < least * found[1]:
+                least = Fraction(found[0], found[1])
+        minima[s] = least
+    return scale * scale if norm == "l2" else scale, minima
+
+
+def _minimum_entries(f: PLMap) -> tuple[CriticalSet, dict[Simplex, int]]:
+    """The critical set of the simplex minima and each simplex's entry,
+    the rank of its minimum, 0 for minimum 0."""
+    den, minima = _simplex_minima(f)
+    positive: list = []
+    entry = {}
+    for s, key in sorted(minima.items(), key=itemgetter(1)):
+        if key and (not positive or key != positive[-1]):
+            positive.append(key)
+        entry[s] = len(positive)
+    values = tuple(norm_radius(Fraction(key, den), f.norm) for key in positive)
+    return CriticalSet._from_ranked(values, 0 in entry.values()), entry
 
 
 def check_face_order(entry: dict[Simplex, int]) -> None:

@@ -4,10 +4,11 @@ Perturbations act on vertex values only: a simplexwise-affine difference
 attains its max-norm over the complex at a vertex (the norm is convex), so
 bounding every vertex offset bounds the function-space distance exactly.
 Stability checks rerun the whole pipeline on the perturbed map, from the
-filtration of the perturbed original complex onward (signs mode filters
-that complex itself, circle and hopf mode its subdivision), and compare
-barcodes and robust radii with exact arithmetic; there are no tolerances
-anywhere.
+filtration of the perturbed original complex onward.  They compare only
+barcodes and robust radii, which the input complex filtered by exact
+simplex minima gives in every mode (`pipeline.analyze_input_complex`), so
+no trial subdivides; the comparisons use exact arithmetic, with no
+tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .pipeline import (
     Analysis,
     _analyze_filtered,
     analyze,
+    analyze_input_complex,
     assemble_pointed_module,
     field_barcode,
 )
@@ -125,7 +127,7 @@ class Report:
 # ---------------------------------------------------------------------------
 
 def _pipeline_barcode(f: PLMap, mode: Mode, coefficients, seed: int):
-    analysis = analyze(f, mode, seed)
+    analysis = analyze_input_complex(f, mode, seed)
     return field_barcode(analysis, coefficients), analysis.robust.radius
 
 

@@ -4,6 +4,9 @@ On a simplex with vertex values w_1 .. w_k the map is g(λ) = sum λ_j w_j.
 The minimum of |g| is attained in the relative interior of some face, so
 one search serves all three norms: the vertices, then the faces by
 increasing dimension, each offering its interior candidates (every λ > 0).
+One function searches one face's interior (`interior_min`); both
+`simplex_norm_min` and the filtration's faces-first minima
+(`filtration._simplex_minima`) call it.
 
 - Edges, in closed form (`_edge_min`), with g(t) = a + t·d on t in (0, 1):
   l2 has the one candidate t* = -a·d / |d|²; l1 has the kinks at the
@@ -185,18 +188,28 @@ def simplex_norm_min(values, norm: str) -> NormMin:
             for face in combinations(range(k), size):
                 if measure(_floor([ints[j] for j in face])) * best[1] >= best[0]:
                     continue
-                if size == 2:
-                    found = _edge_min(ints[face[0]], ints[face[1]], norm)
-                    candidates = () if found is None else (found,)
-                else:
-                    candidates = _candidates(ints, face, n, norm)
-                for value, den, lam in candidates:
-                    if value * best[1] < best[0] * den:
-                        best = (value, den, face, lam)
+                found = interior_min(ints, face, n, norm)
+                if found is not None and found[0] * best[1] < best[0] * found[1]:
+                    best = (found[0], found[1], face, found[2])
 
     value, den, face, lam = best
     den *= scale * scale if norm == "l2" else scale
     return NormMin(k, face, tuple(lam), len(face) == 1, norm, value, den)
+
+
+def interior_min(ints, face, n, norm):
+    """(value, den, λ numerators) of the first candidate of least |g|
+    interior to `face` (indices into the integer vectors `ints`, at least
+    two), or None when it has none; the value is |g| (squared for l2) times
+    den.  Edges take the closed form, larger faces their candidates in
+    visiting order."""
+    if len(face) == 2:
+        return _edge_min(ints[face[0]], ints[face[1]], norm)
+    best = None
+    for value, den, lam in _candidates(ints, face, n, norm):
+        if best is None or value * best[1] < best[0] * den:
+            best = (value, den, lam)
+    return best
 
 
 def _edge_min(a, b, norm):

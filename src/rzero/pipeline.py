@@ -3,15 +3,20 @@
 `analyze` runs the whole exact pipeline for one map and one mode.  Signs
 mode filters the input complex itself: for a map to R the upper-star
 filtration of the vertex values is exact (`filtration`), so no vertex is
-added.  Circle and hopf mode filter the map's subdivision.  `analyze` then
-decides at every level whether the distinguished class is nonzero (signs
-mode from one pass over the vertices and their ambient components, hopf
-and circle mode from one growing integer echelon of relative coboundaries
-each, `persistence.LevelEchelon`, filled only until the flags are decided)
-and builds the per-level data (components, groups, class coordinates,
-transitions) only when something reads it: the module, a witness, or the
-harness's checks.  `Analysis.robust` and `assemble_pointed_module` read
-off the results.
+added.  Circle and hopf mode filter the map's subdivision, whose critical
+values, probe or ray and Smith bases `criticals`, `robust-radius`,
+`barcode`, `module` and `check` print.  `analyze_input_complex` filters
+the input complex in every mode, each simplex entering at its exact
+minimum of |f|: the module is isomorphic, so the bars and the robust
+radius, all that `fuzz` and `bottleneck` print, are the same, and no
+subdivision is made.  Both routes then decide at every level whether the
+distinguished class is nonzero (signs mode from one pass over the vertices
+and their ambient components, hopf and circle mode from one growing
+integer echelon of relative coboundaries each, `persistence.LevelEchelon`,
+filled only until the flags are decided) and build the per-level data
+(components, groups, class coordinates, transitions) only when something
+reads it: the module, a witness, or the harness's checks.
+`Analysis.robust` and `assemble_pointed_module` read off the results.
 
 Hopf mode reads every group off the ambient's sparse coboundary d_{n-1}
 (`HopfAmbient`) and builds no cochain complex; its flags and its field
@@ -354,7 +359,8 @@ class Analysis:
     """Everything the CLI and harness need about one analyzed map.
 
     `original` is the input map and `f` the map the filtration was built
-    on: the input map itself in signs mode, its subdivision otherwise.
+    on: its subdivision when `analyze` runs in circle or hopf mode, the
+    input map itself otherwise.
     """
 
     original: PLMap
@@ -392,6 +398,20 @@ def analyze(f0: PLMap, mode: Mode, seed: int = DEFAULT_SEED) -> Analysis:
     require_applicable(mode, f0.n, f0.complex.dim)
     return _analyze_filtered(
         f0, build_filtration(f0 if mode == Mode.SIGNS else star_subdivide(f0)), mode, seed)
+
+
+def analyze_input_complex(f0: PLMap, mode: Mode, seed: int = DEFAULT_SEED) -> Analysis:
+    """The analysis of f0 filtered on its own complex in every mode, each
+    simplex entering at its exact minimum of |f| (`build_filtration`).
+
+    {|f| >= r} deformation retracts onto each level (`filtration`), so the
+    bars over any field, the distinguished bar and the robust radius are
+    those of `analyze`.  The critical values, the samples, the probe or
+    ray and the per-level data are not: the subdivision adds critical
+    values at which nothing changes, and a Smith basis depends on X.  So
+    only commands that print no more than bars and radii read it."""
+    require_applicable(mode, f0.n, f0.complex.dim)
+    return _analyze_filtered(f0, build_filtration(f0), mode, seed)
 
 
 def _analyze_filtered(f0: PLMap, filt: Filtration, mode: Mode, seed: int) -> Analysis:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from rzero import Complex, ExactRadius, PLMap, Subcomplex
 from rzero.cohomology import Subgroup
 from rzero.linalg import PresentedGroup, lattice_basis, subgroup_presentation
-from rzero.normmin import vector_norm
+from rzero.normmin import simplex_norm_min, vector_norm
 from rzero.rng import RationalSampler
 
 
@@ -111,6 +111,13 @@ def seeded_grid_map(seed: int, k: int, n: int, norm: str) -> PLMap:
         for v in c.vertices
     }
     return PLMap(c, values, n, norm)
+
+
+def vertex_minima_ok(f: PLMap) -> bool:
+    """Subdivision postcondition (a): every simplex minimum is attained at
+    a vertex."""
+    return all(simplex_norm_min([f.values[v] for v in s], f.norm).at_vertex
+               for s in f.complex.all_simplices() if len(s) > 1)
 
 
 def as_document(f: PLMap) -> str:

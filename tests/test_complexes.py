@@ -9,7 +9,6 @@ from rzero.complexes import (
     PLMap,
     connected_components,
     star_subdivide,
-    vertex_minima_ok,
 )
 from rzero.errors import InputError
 from rzero.rng import RationalSampler
@@ -21,6 +20,7 @@ from inputs import (
     grid_identity_map,
     octagon_winding2_map,
     superlevel,
+    vertex_minima_ok,
 )
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rzero.complexes import Complex, PLMap, star_subdivide
-from rzero.errors import InputError, InternalError
+from rzero.errors import InternalError
 from rzero.exact import ExactRadius
 from rzero.filtration import (
     CriticalSet,
@@ -46,10 +46,13 @@ def test_critical_values_grid():
     assert crit.has_zero_min
 
 
-def test_critical_values_requires_subdivision():
+def test_critical_values_of_an_unsubdivided_map_are_its_simplex_minima():
+    # The edge's minimum, 1/sqrt(2) at its midpoint, is no vertex norm.
     f = PLMap(edge_map().complex, {"p": (1, 0), "q": (0, 1)}, 2, "l2")
-    with pytest.raises(InputError):
-        critical_values(f)  # interior minimum not at a vertex
+    filt = build_filtration(f)
+    assert filt.criticals.values == (ExactRadius.sqrt(Fraction(1, 2)), ExactRadius.of(1))
+    assert not filt.criticals.has_zero_min
+    assert filt.entry == {("p",): 2, ("q",): 2, ("p", "q"): 1}
 
 
 def test_sample_radii():

@@ -533,6 +533,47 @@ def test_pinned_stdout(label, tmp_path, capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_STDOUT[label]
 
 
+# `bottleneck` of a sample input against its `perturb --delta 1/4 --seed 7`
+# at seed 7, recorded when every mode still filtered the subdivision; it now
+# filters the input complex by exact simplex minima.
+PINNED_BOTTLENECK = {
+    ("grid_identity", "hopf", "q"): "12051/65536",
+    ("grid_identity", "hopf", "f2"): "12051/65536",
+    ("grid_identity", "circle", "q"): "12051/65536",
+    ("grid_identity", "circle", "f2"): "12051/65536",
+    ("octagon_winding2", "hopf", "q"): "0",
+    ("octagon_winding2", "circle", "q"): "8320335247/69134712832",
+}
+
+
+@pytest.mark.parametrize("name, mode, field", sorted(PINNED_BOTTLENECK))
+def test_pinned_bottleneck_against_a_perturbation(name, mode, field, tmp_path, capsys):
+    path = os.path.join(SAMPLE_INPUTS, f"{name}.json")
+    assert cli.main(["perturb", path, "--delta", "1/4", "--seed", "7"]) == 0
+    perturbed = tmp_path / "perturbed.json"
+    perturbed.write_text(capsys.readouterr()[0])
+    argv = ["bottleneck", path, str(perturbed), "--mode", mode, "--field", field, "--seed", "7"]
+    assert cli.main(argv) == 0
+    out, _ = capsys.readouterr()
+    assert out == '{"distance":{"rat":"%s"}}\n' % PINNED_BOTTLENECK[name, mode, field]
+
+
+@pytest.mark.parametrize("command", ["fuzz", "bottleneck"])
+@pytest.mark.parametrize("name, mode, n, dim", [
+    ("grid_identity", "signs", 2, 2), ("edge", "circle", 1, 1), ("octagon_winding2", "signs", 2, 1),
+])
+def test_fuzz_and_bottleneck_reject_a_mode_that_does_not_apply(command, name, mode, n, dim,
+                                                               capsys):
+    path = os.path.join(SAMPLE_INPUTS, f"{name}.json")
+    argv = [command, path, "--mode", mode]
+    argv += ["--delta", "1/10", "--trials", "2"] if command == "fuzz" else [path]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"mode error: mode {mode} does not apply to n={n}, dim X={dim}; "
+                   "supported regimes: n=1 (signs), n=2 (circle), dim X <= n (hopf)\n")
+
+
 def test_cached_parser_prints_what_fresh_parsers_print(tmp_path, capsys, monkeypatch):
     # One parser serves every in-process `main` call; a run of different
     # subcommands, with an error and a repeat among them, prints the same

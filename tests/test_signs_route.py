@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rzero.complexes import Complex, PLMap, star_subdivide
-from rzero.errors import InputError
 from rzero.filtration import build_filtration
 from rzero.modes import Mode
 from rzero.pipeline import _analyze_filtered, analyze, assemble_pointed_module, field_barcode
@@ -80,8 +79,9 @@ def test_a_simplex_of_both_signs_never_enters():
     assert filt.criticals.has_zero_min
 
 
-def test_an_unsubdivided_planar_map_is_still_rejected():
+def test_an_unsubdivided_planar_map_enters_at_its_simplex_minima():
     # The minimum of |f| over the edge is 0, at its midpoint.
     f = PLMap(Complex.build([["p", "q"]]), {"p": (-1, 0), "q": (1, 0)}, 2, "linf")
-    with pytest.raises(InputError):
-        build_filtration(f)
+    filt = build_filtration(f)
+    assert filt.entry == {("p",): 1, ("q",): 1, ("p", "q"): 0}
+    assert filt.criticals.has_zero_min

@@ -19,14 +19,14 @@ from fractions import Fraction
 import pytest
 
 import rzero.complexes as complexes
-from rzero.complexes import Complex, PLMap, star_subdivide, vertex_minima_ok
+from rzero.complexes import Complex, PLMap, star_subdivide
 from rzero.exact import format_rational
 from rzero.harness import PerturbSpec, perturb
 from rzero.io import parse_input
 from rzero.normmin import simplex_norm_min, vector_norm
 from rzero.rng import child_seed
 
-from inputs import expansion, seeded_grid_map
+from inputs import expansion, seeded_grid_map, vertex_minima_ok
 from subdivision_reference import reference_subdivide
 from test_pipeline_fuzz import (
     moebius_odd_winding_map,
