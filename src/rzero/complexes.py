@@ -12,8 +12,6 @@ vertex records (`PLMap.scaled_values`), which the result keeps.  A new
 vertex's id spells out its affine expansion in the input vertices,
 `(a:1/2,b:1/2)`, so repeated runs are identical and the map carries no
 separate expansion; no input id may begin with `(`.
-For a map to R (n = 1), (b) implies (a), so only the zero crossings are
-split and no argmin is searched.
 """
 
 from __future__ import annotations
@@ -402,34 +400,16 @@ def star_subdivide(f: PLMap) -> PLMap:
     (`_mix`), and subdividing the result again adds no vertex.  Raises
     InternalError after 10 rounds per input simplex (diagnostic for
     non-termination).
-
-    For n = 1 only the zero split runs, and the (b) check covers (a):
-    - (b) implies (a).  On a simplex whose vertex values are all >= 0 or
-      all <= 0, |f| is affine, so its minimum is at a vertex.  Every pair
-      of vertices of a simplex is an edge, so once no edge has a strict
-      sign change, (a) holds on every simplex.
-    - Same output as the argmin passes.  Their first pass stars exactly the
-      original edges that change sign, each at its zero, in sorted order:
-      the floor certificate settles a simplex with no strict sign change;
-      on any other the minimum is 0, and by the tie rule (vertices, then
-      edges in combination order) it lies on its first edge that changes
-      sign, so a simplex of dim >= 2 only keeps that edge's zero, and edges
-      are visited after every higher simplex, in sorted order.  The zero
-      split makes the same stars in the same order, and no edge it creates
-      changes sign, so no later pass stars anything.
     """
     state = _Subdivider(f)
-    if f.n == 1:
-        state.zero_split_pass()
-    else:
-        budget = 10 * max(len(f.complex), 1)
-        rounds = 0
-        while state.argmin_pass() | state.zero_split_pass():
-            rounds += 1
-            if rounds > budget:
-                raise InternalError(f"subdivision did not stabilize within {budget} rounds")
-        if len(state.minimizer) != sum(len(s) > 1 for s in state.simplices):
-            raise InternalError("subdivision postcondition (a) failed")
+    budget = 10 * max(len(f.complex), 1)
+    rounds = 0
+    while state.argmin_pass() | state.zero_split_pass():
+        rounds += 1
+        if rounds > budget:
+            raise InternalError(f"subdivision did not stabilize within {budget} rounds")
+    if len(state.minimizer) != sum(len(s) > 1 for s in state.simplices):
+        raise InternalError("subdivision postcondition (a) failed")
     records = {v: (den, nums) for v, (den, nums, _) in state.values.items()}
     result = PLMap.from_records(Complex.from_closed(state.simplices), records, f.n, f.norm,
                                 minima_at_vertices=True)

@@ -224,7 +224,10 @@ def _simplex_minima(f: PLMap) -> tuple[int, dict[Simplex, int | Fraction]]:
         size = len(s)
         if size == 1:
             continue
-        least = min(minima[s[:k] + s[k + 1:]] for k in range(size))
+        try:
+            least = min(minima[s[:k] + s[k + 1:]] for k in range(size))
+        except KeyError as exc:
+            raise InternalError(f"simplex {s} has no facet {exc.args[0]}") from None
         rows = [point[v] for v in s]
         if measure(_floor(rows)) < least:
             found = interior_min(rows, range(size), n, norm)

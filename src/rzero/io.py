@@ -120,12 +120,11 @@ def parse_input(text: str) -> PLMap:
 
 
 def serialize_input(f: PLMap) -> dict:
-    """Input document of a map (maximal simplices only)."""
-    all_simplices = set(f.complex.simplices)
-    maximal = [
-        s for s in f.complex.all_simplices()
-        if not any(s != t and set(s) <= set(t) for t in all_simplices)
-    ]
+    """Input document of a map (maximal simplices only).  In a face-closed
+    complex a simplex is maximal iff it is no facet of another simplex."""
+    simplices = f.complex.simplices
+    facets = {t[:k] + t[k + 1:] for t in simplices if len(t) > 1 for k in range(len(t))}
+    maximal = simplices - facets
     return {
         "n": f.n,
         "norm": f.norm,

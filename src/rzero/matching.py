@@ -19,6 +19,17 @@ for its rank among them: a probe at rank k decides "cost <= delta" and the
 relaxed length rule by comparing ranks with k, and runs the matching core
 that `feasible_matching` shares.  No exact arithmetic happens inside the
 binary search, and every comparison is exact.
+
+Feasibility is one matching of the bars themselves, at cost <= delta, that
+covers every bar not allowed to stay unmatched.  This is the perfect
+matching of the textbook graph that adds one dummy per bar (Edelsbrunner
+and Harer, *Computational Topology*, 2010): an unmatched bar takes its own
+dummy and the leftover dummies pair off.  Each bar that must be matched is
+placed by one alternating-path search that ends at a free bar or takes the
+partner of a bar that may stay unmatched.  The search never fails while a
+covering matching exists (Mendelsohn and Dulmage, 1958): in the symmetric
+difference of the current matching and a covering one, the path from the
+bar to place ends at one of those two kinds of bar.
 """
 
 from __future__ import annotations
@@ -68,106 +79,70 @@ def cost_matrix(left: list, right: list) -> list[list[ExactRadius]]:
     return [[interval_cost(u, v) for v in right] for u in left]
 
 
-def _bipartite_feasible(left, right, within, left_skip, right_skip):
-    """Perfect matching in the dummy-augmented bipartite graph, or None.
+def _place(x, side, adjacent, mates, skips) -> bool:
+    """Match bar x of `side` (0 left, 1 right) along one alternating path,
+    or return False when no such path exists.
 
-    `left` and `right` list interval indices; within[i][j] says whether the
-    intervals of indices i and j are at cost <= delta, and left_skip[i]
-    (right_skip[j]) whether interval i (j) may stay unmatched.
-    Left nodes: the left intervals then one dummy per right interval;
-    right nodes: the right intervals then one dummy per left interval.
-    A real pair needs cost <= delta; a real-dummy edge exists only between
-    an interval and its own dummy, and only when the interval may stay
-    unmatched; dummy-dummy edges are free.  Returns the matched index pairs
-    and the unmatched indices of each side.
+    The search runs breadth first from x, with no recursion.  A bar y of
+    the other side, reached by an edge outside the matching, ends the path
+    when y is free or when y's partner may stay unmatched; that partner is
+    then set free.  Otherwise the search continues from y's partner.  The
+    path is flipped, so every bar that was matched stays matched but the
+    partner set free.
     """
-    n_left, n_right = len(left), len(right)
-    size = n_left + n_right
-
-    cost_ok = [[within[i][j] for j in right] for i in left]
-    lone_left = [left_skip[i] for i in left]
-    lone_right = [right_skip[j] for j in right]
-
-    def neighbours(i):
-        if i < n_left:  # real left interval
-            for j in range(n_right):
-                if cost_ok[i][j]:
-                    yield j
-            if lone_left[i]:
-                yield n_right + i
-        else:  # dummy standing for right interval (i - n_left)
-            j = i - n_left
-            if lone_right[j]:
-                yield j
-            for dum in range(n_right, size):
-                yield dum
-
-    match_right = [-1] * size
-
-    def augment(i, seen):
-        for j in neighbours(i):
-            if j in seen:
+    other = 1 - side
+    parent: dict = {}
+    queue = [x]
+    for u in queue:
+        for y in adjacent[side][u]:
+            if y in parent:
                 continue
-            seen.add(j)
-            if match_right[j] == -1 or augment(match_right[j], seen):
-                match_right[j] = i
-                return True
-        return False
-
-    matched = 0
-    for i in range(size):
-        if augment(i, set()):
-            matched += 1
-    if matched != size:
-        return None
-    pairs = []
-    unmatched_left = []
-    unmatched_right = []
-    for j in range(size):
-        i = match_right[j]
-        if j < n_right:
-            if i < n_left:
-                pairs.append((left[i], right[j]))
-            else:
-                unmatched_right.append(right[j])
-        elif i < n_left:
-            unmatched_left.append(left[i])
-    return pairs, unmatched_left, unmatched_right
+            parent[y] = u
+            z = mates[other][y]
+            if z is not None and not skips[side][z]:
+                queue.append(z)
+                continue
+            if z is not None:
+                mates[side][z] = None
+            while y is not None:
+                u = parent[y]
+                mates[side][u], mates[other][y], y = y, u, mates[side][u]
+            return True
+    return False
 
 
 def _match(within, left_skip, right_skip, dist_left, dist_right):
     """The matching core on interval indices, or None when infeasible.
 
-    Either the distinguished intervals are matched to each other, or each
-    is unmatched; the other intervals take a dummy-augmented perfect
-    matching.  Returns (pairs, unmatched_left, unmatched_right,
-    distinguished_matched).
+    within[i][j] says whether the intervals of indices i and j are at cost
+    <= delta, and left_skip[i] (right_skip[j]) whether interval i (j) may
+    stay unmatched.  The distinguished intervals are matched to each other
+    when their cost allows, and must otherwise both stay unmatched; either
+    way the other intervals are matched among themselves.  Those that must
+    be matched are placed one at a time (`_place`).  Returns (pairs,
+    unmatched_left, unmatched_right, distinguished_matched).
     """
-    rest_left = [i for i in range(len(left_skip)) if i != dist_left]
-    rest_right = [j for j in range(len(right_skip)) if j != dist_right]
-
-    # Case: distinguished matched to distinguished.
-    if dist_left is not None and dist_right is not None and within[dist_left][dist_right]:
-        rest = _bipartite_feasible(rest_left, rest_right, within, left_skip, right_skip)
-        if rest is not None:
-            pairs, ul, ur = rest
-            return [(dist_left, dist_right)] + pairs, ul, ur, True
-
-    # Case: all distinguished intervals unmatched.
-    out_left, out_right = [], []
-    if dist_left is not None:
-        if not left_skip[dist_left]:
-            return None
-        out_left.append(dist_left)
-    if dist_right is not None:
-        if not right_skip[dist_right]:
-            return None
-        out_right.append(dist_right)
-    rest = _bipartite_feasible(rest_left, rest_right, within, left_skip, right_skip)
-    if rest is None:
+    mates = ([None] * len(left_skip), [None] * len(right_skip))
+    paired = dist_left is not None and dist_right is not None and within[dist_left][dist_right]
+    if paired:
+        mates[0][dist_left], mates[1][dist_right] = dist_right, dist_left
+    elif ((dist_left is not None and not left_skip[dist_left])
+          or (dist_right is not None and not right_skip[dist_right])):
         return None
-    pairs, ul, ur = rest
-    return pairs, out_left + ul, out_right + ur, False
+    adjacent = ([[j for j, ok in enumerate(row) if ok and j != dist_right]
+                 if i != dist_left else [] for i, row in enumerate(within)],
+                [[] for _ in right_skip])
+    for i, partners in enumerate(adjacent[0]):
+        for j in partners:
+            adjacent[1][j].append(i)
+    skips = (left_skip, right_skip)
+    for side in (0, 1):
+        for x, mate in enumerate(mates[side]):
+            if mate is None and not skips[side][x] and not _place(x, side, adjacent, mates, skips):
+                return None
+    pairs = [(i, j) for i, j in enumerate(mates[0]) if j is not None]
+    return (pairs, [i for i, j in enumerate(mates[0]) if j is None],
+            [j for j, i in enumerate(mates[1]) if i is None], paired)
 
 
 def feasible_matching(b1: PointedBarcode, b2: PointedBarcode,

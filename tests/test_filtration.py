@@ -215,13 +215,15 @@ def test_face_order_check_rejects_corrupted_order():
 def test_build_filtration_rejects_a_complex_that_is_not_face_closed():
     # The subdivided complex is assembled from its simplex set with no
     # re-closing; a missing face must stop the filtration, not yield
-    # levels that are not subcomplexes.
+    # levels that are not subcomplexes.  Read by vertex norms or searched
+    # faces first, the same complex raises the same error.
     f = star_subdivide(grid_identity_map())
     triangle = f.complex.simplices_of_dim(2)[0]
     broken = Complex.from_closed(f.complex.simplices - {triangle[1:]})
-    g = PLMap(broken, f.values, f.n, f.norm, minima_at_vertices=True)
-    with pytest.raises(InternalError):
-        build_filtration(g)
+    for minima_at_vertices in (True, False):
+        g = PLMap(broken, f.values, f.n, f.norm, minima_at_vertices=minima_at_vertices)
+        with pytest.raises(InternalError):
+            build_filtration(g)
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import rzero.cli as cli
 import rzero.harness as harness
 import rzero.pipeline as pipeline
 from rzero.barcode import Interval, PointedBarcode
+from rzero.complexes import Complex, PLMap
 from rzero.errors import InputError
 from rzero.exact import ExactRadius
 from rzero.harness import CheckResult, Report
@@ -63,6 +65,40 @@ def test_parse_input_round_trip():
         assert again.complex.simplices == f.complex.simplices
         assert again.values == f.values
         assert (again.n, again.norm) == (f.n, f.norm)
+
+
+def _maximal_by_definition(complex_):
+    """The simplices of a complex contained in no other simplex, each
+    tested against every simplex."""
+    return sorted(s for s in complex_.all_simplices()
+                  if not any(s != t and set(s) <= set(t) for t in complex_.simplices))
+
+
+def test_serialize_input_lists_the_maximal_simplices():
+    # A simplex is maximal iff it is no facet of another simplex: the same
+    # list as the definition, on random complexes of dimension <= 4 with
+    # isolated vertices and nested simplices.
+    rng = random.Random(32)
+    for _ in range(300):
+        names = [f"x{i}" for i in range(rng.randint(1, 8))]
+        c = Complex.build([rng.sample(names, rng.randint(1, min(5, len(names))))
+                           for _ in range(rng.randint(1, 8))])
+        doc = serialize_input(PLMap(c, {v: (Fraction(0),) for v in c.vertices}, 1, "l1"))
+        assert doc["simplices"] == [list(s) for s in _maximal_by_definition(c)]
+
+
+def test_cli_perturb_of_a_32_by_32_grid(tmp_path, capsys):
+    # 6,273 simplices: the maximal ones are found in one pass over the
+    # facets, not by testing every simplex against every other.
+    f = seeded_grid_map(12, 32, 2, "l2")
+    path = tmp_path / "grid32.json"
+    path.write_text(as_document(f))
+    assert cli.main(["perturb", str(path), "--delta", "1/3", "--seed", "7"]) == 0
+    doc = json.loads(capsys.readouterr()[0])
+    assert len(doc["simplices"]) == 2 * 32 * 32
+    g = parse_input(json.dumps(doc))
+    assert g.complex.simplices == f.complex.simplices
+    assert g.values != f.values
 
 
 def test_parse_input_errors():

@@ -3,10 +3,12 @@
 from collections import Counter
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 import bottleneck_oracle
 from rzero.barcode import Interval, PointedBarcode
 from rzero.exact import ExactRadius
-from rzero.matching import bottleneck, feasible_matching, interval_cost
+from rzero.matching import _match, bottleneck, feasible_matching, interval_cost
 from rzero.rng import RationalSampler, child_seed
 
 
@@ -182,3 +184,88 @@ def test_ranked_bottleneck_matches_the_exact_search_oracle():
         seen["irrational"] += d.as_fraction() is None
         seen["positive"] += d.sign() > 0
     assert min(seen.values()) >= 10, seen
+
+
+def _every_partial_matching_fails(within, left_skip, right_skip, dist_left, dist_right):
+    """True when no partial matching of the bars at cost <= delta leaves
+    only skippable bars unmatched and pairs a distinguished bar with the
+    other distinguished bar alone, trying every partial matching."""
+    def extend(i, used):
+        if i == len(left_skip):
+            return all(skip for j, skip in enumerate(right_skip) if j not in used)
+        if left_skip[i] and extend(i + 1, used):
+            return True
+        return any(extend(i + 1, used | {j}) for j in range(len(right_skip))
+                   if j not in used and within[i][j] and (i == dist_left) == (j == dist_right))
+    return not extend(0, frozenset())
+
+
+@st.composite
+def _match_tables(draw):
+    """Up to 6 x 6 bars: which pairs are within the tolerance, which bars
+    may stay unmatched, and the distinguished index of each side or None."""
+    n_left, n_right = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    # One pair in 1 to 4 is within the tolerance and one bar in 2 to 4 may
+    # stay unmatched, so that free partners are scarce and placing a bar
+    # often takes the partner of a skippable bar.
+    edge = st.integers(0, draw(st.integers(0, 3))).map(lambda x: x == 0)
+    within = [draw(st.lists(edge, min_size=n_right, max_size=n_right))
+              for _ in range(n_left)]
+    skip = st.integers(0, draw(st.integers(1, 3))).map(lambda x: x != 0)
+    left_skip = draw(st.lists(skip, min_size=n_left, max_size=n_left))
+    right_skip = draw(st.lists(skip, min_size=n_right, max_size=n_right))
+    dist_left = draw(st.none() | st.integers(0, n_left - 1)) if n_left else None
+    dist_right = draw(st.none() | st.integers(0, n_right - 1)) if n_right else None
+    return within, left_skip, right_skip, dist_left, dist_right
+
+
+def _assert_covering(table, found):
+    """found is a matching of the table's bars at cost <= delta that leaves
+    only skippable bars unmatched and pairs the distinguished bars only
+    with each other."""
+    within, left_skip, right_skip, dist_left, dist_right = table
+    pairs, unmatched_left, unmatched_right, distinguished_matched = found
+    assert sorted([i for i, _ in pairs] + unmatched_left) == list(range(len(left_skip)))
+    assert sorted([j for _, j in pairs] + unmatched_right) == list(range(len(right_skip)))
+    for i, j in pairs:
+        assert within[i][j] and (i == dist_left) == (j == dist_right)
+    assert all(left_skip[i] for i in unmatched_left)
+    assert all(right_skip[j] for j in unmatched_right)
+    assert distinguished_matched == ((dist_left, dist_right) in pairs)
+
+
+@settings(max_examples=400)
+@given(_match_tables())
+def test_covering_matching_agrees_with_trying_every_partial_matching(table):
+    found = _match(*table)
+    assert (found is None) == _every_partial_matching_fails(*table)
+    if found is not None:
+        _assert_covering(table, found)
+
+
+def test_placing_a_bar_takes_the_partner_of_a_skippable_bar():
+    # Left bar 0 must be matched, first to right bar 0, which may stay
+    # unmatched; right bar 1 may not, and left bar 0 is its only partner.
+    table = ([[True, True]], [False], [True, False], None, None)
+    found = _match(*table)
+    _assert_covering(table, found)
+    assert found == ([(0, 1)], [], [0], False)
+
+
+def test_a_chain_of_1500_bars_is_matched_without_recursion():
+    # Bar i may pair with bar i - 1 or i and no bar may stay unmatched, so
+    # the one covering matching pairs each bar with its own index.  When
+    # the last left bar may pair with bar 0 alone and every other left bar
+    # i with i or i + 1, placing it takes one alternating path through all
+    # 1,500 bars.
+    n = 1500
+    chain = ([[j in (i - 1, i) for j in range(n)] for i in range(n)],
+             [False] * n, [False] * n, None, None)
+    found = _match(*chain)
+    _assert_covering(chain, found)
+    assert found[0] == [(i, i) for i in range(n)]
+    cycle = ([[j in (i, i + 1) for j in range(n)] for i in range(n - 1)]
+             + [[j == 0 for j in range(n)]], [False] * n, [False] * n, None, None)
+    found = _match(*cycle)
+    _assert_covering(cycle, found)
+    assert found[0] == [(i, (i + 1) % n) for i in range(n)]

@@ -26,7 +26,7 @@ from rzero.io import parse_input
 from rzero.normmin import simplex_norm_min, vector_norm
 from rzero.rng import child_seed
 
-from inputs import expansion, seeded_grid_map, vertex_minima_ok
+from inputs import expansion, seeded_grid_map
 from subdivision_reference import reference_subdivide
 from test_pipeline_fuzz import (
     moebius_odd_winding_map,
@@ -182,13 +182,6 @@ def _argmin_passes(f, monkeypatch):
     return calls, passes, state, state.kept, result
 
 
-def _assert_zero_split_only(calls, passes, kept, result):
-    # A map to R is split at its zeros alone: no argmin pass runs and
-    # nothing is minimized, yet every simplex minimum is vertex-attained.
-    assert passes == [] and calls == [] and kept.kept == []
-    assert vertex_minima_ok(result)
-
-
 def _rational(state, simplex):
     """The vertex values of a simplex from the subdivider's records
     (den, numerators, measure), each measure checked to be that of its
@@ -210,9 +203,6 @@ def test_each_simplex_is_minimized_once(name, monkeypatch):
     # found its argmin (a kept point).
     f = CASES[name]
     calls, passes, state, kept, result = _argmin_passes(f, monkeypatch)
-    if f.n == 1:
-        _assert_zero_split_only(calls, passes, kept, result)
-        return
     below = 0
     for alive, handed, settled in passes:
         assert handed | settled.keys() == alive
@@ -230,9 +220,6 @@ def test_floor_exit_skips_only_vertex_minima(name, monkeypatch):
     # every kept face point is the point the minimizer returns on that face.
     f = CASES[name]
     calls, passes, state, kept, result = _argmin_passes(f, monkeypatch)
-    if f.n == 1:
-        _assert_zero_split_only(calls, passes, kept, result)
-        return
     settled = {}
     for _, _, known in passes:
         settled.update(known)
@@ -315,8 +302,8 @@ def _maps_to_r():
 
 
 def test_zero_split_matches_the_reference_on_maps_to_r():
-    # For n = 1 only the zero split runs; the reference runs the argmin
-    # passes as for n >= 2 and must return the same subdivision.
+    # A map to R is split at its zeros alone: the reference, which searches
+    # every new simplex, returns the same subdivision.
     count = zeros = 0
     for label, f in _maps_to_r():
         got, want = star_subdivide(f), reference_subdivide(f)
