@@ -25,7 +25,6 @@ whose final level is empty).
 
 from __future__ import annotations
 
-import functools
 from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -45,9 +44,6 @@ from .modes import Mode
 if TYPE_CHECKING:
     from .pipeline import PointedModule
 
-_radius_key = functools.cmp_to_key(lambda a, b: a.cmp(b))
-
-
 @dataclass(frozen=True)
 class Interval:
     """A half-open persistence interval (birth, death]."""
@@ -60,13 +56,10 @@ class Interval:
             raise InputError("interval birth must precede death")
 
     def length(self) -> ExactRadius:
-        try:
-            return self.death.gap(self.birth)
-        except ValueError as exc:
-            raise InputError(f"incomparable interval endpoints: {exc}") from exc
+        return self.death.gap(self.birth)
 
     def sort_key(self):
-        return (_radius_key(self.birth), _radius_key(self.death))
+        return (self.birth, self.death)
 
     def __repr__(self):
         return f"({self.birth!r}, {self.death!r}]"

@@ -19,9 +19,9 @@ from .errors import InputError, InternalError, ModeError, RZeroError
 from .exact import parse_rational
 from .harness import PerturbSpec, check_invariances, check_stability, exactness_checks, perturb
 from .io import (
+    _json_document,
     dumps,
     encode_radius,
-    looks_like_barcode,
     parse_barcode,
     parse_input,
     serialize_barcode,
@@ -168,10 +168,12 @@ def cmd_module(args) -> dict:
 
 
 def _barcode_from_path(path: str, args) -> object:
-    text = _read(path)
-    if looks_like_barcode(text):
-        return parse_barcode(text)
-    f = parse_input(text)
+    """The barcode of a barcode document (one with a 'bars' field) or of
+    an input document's map; the file is read and loaded once."""
+    doc = _json_document(_read(path))
+    if isinstance(doc, dict) and "bars" in doc:
+        return parse_barcode(doc)
+    f = parse_input(doc)
     mode = _resolve_mode(args.mode, f)
     analysis = analyze_input_complex(f, mode, _resolve_seed(args.seed))
     return field_barcode(analysis, args.field)

@@ -1,8 +1,9 @@
-"""Exact scalar arithmetic for radii and barcode endpoints.
+"""Exact nonnegative scalar arithmetic for radii and barcode endpoints.
 
-Every quantity that enters a comparison anywhere in this package is either a
-rational number or a value of the form sqrt(p) - sqrt(q) with p, q rational
-and nonnegative.  An `ExactRadius` comes by one of two routes:
+Every quantity that enters a comparison anywhere in this package is a
+nonnegative radius: either a rational number or a value of the form
+sqrt(p) - sqrt(q) with rational p >= q >= 0.  An `ExactRadius` comes by one
+of two routes:
 
 * The rational route (`ExactRadius.of`, the l1 and linf norms, and `gap` and
   `scale` of rational radii) keeps the rational value itself.  Comparing,
@@ -15,7 +16,8 @@ and nonnegative.  An `ExactRadius` comes by one of two routes:
 A radicand-route value that is rational (the root of a perfect square) is
 stored as that rational, so equal values are equal and hash alike whichever
 route built them.  Every comparison reduces to signs of integers; no
-floating point is involved.
+floating point is involved.  A negative value is rejected where it would be
+built, so no operation has a signed case.
 """
 
 from __future__ import annotations
@@ -147,14 +149,13 @@ def _make(root: Fraction | None, plus: Fraction | None = None,
 
 
 class ExactRadius:
-    """An exact scalar of the form sqrt(plus) - sqrt(minus).
+    """An exact nonnegative scalar sqrt(plus) - sqrt(minus), plus >= minus >= 0.
 
-    A rational value keeps itself as `root`; its radicands, (x^2, 0) for
-    x >= 0 and (0, x^2) for x < 0, are derived when read.  An irrational
-    value has `root` None and keeps its radicands in canonical form: when
-    plus/minus is a perfect rational square the value collapses to a single
-    term.  So structural equality coincides with numerical equality, and
-    instances hash consistently.
+    A rational value x keeps itself as `root`; its radicands (x^2, 0) are
+    derived when read.  An irrational value has `root` None and keeps its
+    radicands in canonical form: when plus/minus is a perfect rational
+    square the value collapses to a single term.  So structural equality
+    coincides with numerical equality, and instances hash consistently.
     """
 
     __slots__ = ("root", "_plus", "_minus")
@@ -164,24 +165,19 @@ class ExactRadius:
             plus = Fraction(plus)
         if type(minus) is not Fraction:
             minus = Fraction(minus)
-        if plus.numerator < 0 or minus.numerator < 0:
-            raise ValueError("radicands must be nonnegative")
+        if minus.numerator < 0 or _cmp(plus, minus) < 0:
+            raise ValueError("a radius must be nonnegative, with radicands plus >= minus >= 0")
         root = None
-        if plus and minus:
+        if minus:
             ratio = sqrt_if_square(plus / minus)
             if ratio is not None:
-                # sqrt(plus) - sqrt(minus) = (ratio - 1) sqrt(minus)
+                # sqrt(plus) - sqrt(minus) = (ratio - 1) sqrt(minus), ratio >= 1
                 coeff = ratio - 1
-                if coeff.numerator >= 0:
-                    plus, minus = coeff * coeff * minus, _ZERO
-                else:
-                    plus, minus = _ZERO, coeff * coeff * minus
+                plus, minus = coeff * coeff * minus, _ZERO
         # A genuine difference of two radicals is irrational; one radical
         # is rational when its radicand is a square.
-        if not (plus and minus):
-            root = sqrt_if_square(plus or minus)
-            if root is not None and not plus:
-                root = -root
+        if not minus:
+            root = sqrt_if_square(plus)
         _set(self, "root", root)
         _set(self, "_plus", plus)
         _set(self, "_minus", minus)
@@ -193,19 +189,17 @@ class ExactRadius:
 
     @staticmethod
     def of(value) -> "ExactRadius":
-        """Exact radius equal to the given rational value."""
+        """Exact radius equal to the given nonnegative rational value."""
         if type(value) is not Fraction:
             value = Fraction(value)
+        if value.numerator < 0:
+            raise ValueError("a radius must be nonnegative")
         return _make(value)
 
     @staticmethod
     def sqrt(square) -> "ExactRadius":
         """Exact radius equal to sqrt(square), square a nonnegative rational."""
-        if type(square) is not Fraction:
-            square = Fraction(square)
-        if square.numerator < 0:
-            raise ValueError("square must be nonnegative")
-        return ExactRadius(square, _ZERO)
+        return ExactRadius(square)
 
     # -- predicates and conversions ---------------------------------------
 
@@ -213,17 +207,12 @@ class ExactRadius:
     def plus(self) -> Fraction:
         """The radicand of the positive term."""
         root = self.root
-        if root is None:
-            return self._plus
-        return root * root if root.numerator > 0 else _ZERO
+        return self._plus if root is None else root * root
 
     @property
     def minus(self) -> Fraction:
         """The radicand of the negative term."""
-        root = self.root
-        if root is None:
-            return self._minus
-        return root * root if root.numerator < 0 else _ZERO
+        return self._minus if self.root is None else _ZERO
 
     def as_fraction(self) -> Fraction | None:
         """The exact rational value, or None if the value is irrational."""
@@ -232,13 +221,11 @@ class ExactRadius:
     @property
     def is_simple(self) -> bool:
         """True when a single radical term suffices (no genuine difference)."""
-        return self.root is not None or not self._plus or not self._minus
+        return self.root is not None or not self._minus
 
     def sign(self) -> int:
-        root = self.root
-        if root is not None:
-            return _sign(root)
-        return _cmp(self._plus, self._minus)
+        """0 for the zero radius, 1 for a positive one."""
+        return int(self.root != 0)
 
     def cmp(self, other: "ExactRadius") -> int:
         """Exact three-way comparison, one of LT, EQ, GT."""
@@ -248,12 +235,9 @@ class ExactRadius:
         if a is not None and b is not None:
             return _cmp(a, b)
         p1, m1, p2, m2 = self.plus, self.minus, other.plus, other.minus
-        # Two single-radical values of the same sign compare by their
-        # radicands.
+        # Two single-radical values compare by their radicands.
         if not m1 and not m2:
             return _cmp(p1, p2)
-        if not p1 and not p2:
-            return _cmp(m2, m1)
         return _cmp_sqrt_sums(p1, m2, p2, m1)
 
     # -- arithmetic (closed operations only) -------------------------------
@@ -272,16 +256,8 @@ class ExactRadius:
         f2 = factor * factor
         return _make(None, self._plus * f2, self._minus * f2)
 
-    def __neg__(self) -> "ExactRadius":
-        if self.root is not None:
-            return _make(-self.root)
-        return _make(None, self._minus, self._plus)
-
-    def __abs__(self) -> "ExactRadius":
-        return self if self.sign() >= 0 else -self
-
     def gap(self, other: "ExactRadius") -> "ExactRadius":
-        """|self - other| for two simple (single-term) values of one sign.
+        """|self - other| for two simple (single-term) values.
 
         Differences of values that already mix two radicals are not closed
         under this representation and are never needed by the package.
@@ -290,19 +266,11 @@ class ExactRadius:
             other = _coerce(other)
         a, b = self.root, other.root
         if a is not None and b is not None:
-            if a.numerator * b.numerator < 0:
-                raise ValueError("gap of opposite-sign values is not representable")
             d = a - b
             return _make(d if d.numerator >= 0 else -d)
         if not (self.is_simple and other.is_simple):
             raise ValueError("gap is only defined for single-term values")
-        s, t = self.sign(), other.sign()
-        if s >= 0 and t >= 0:
-            a, b = self.plus, other.plus
-        elif s <= 0 and t <= 0:
-            a, b = self.minus, other.minus
-        else:
-            raise ValueError("gap of opposite-sign values is not representable")
+        a, b = self.plus, other.plus
         return ExactRadius(a, b) if _cmp(a, b) >= 0 else ExactRadius(b, a)
 
     def rational_above(self) -> Fraction:
@@ -323,9 +291,10 @@ class ExactRadius:
     # -- comparisons / hashing ---------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (ExactRadius, int, Fraction)):
+        if isinstance(other, (int, Fraction)):
+            return self.root == other
+        if not isinstance(other, ExactRadius):
             return NotImplemented
-        other = _coerce(other)
         if self.root is not None or other.root is not None:
             return self.root == other.root
         return self._plus == other._plus and self._minus == other._minus

@@ -29,21 +29,18 @@ def encode_radius(r: ExactRadius) -> dict:
 
 
 def decode_radius(obj) -> ExactRadius:
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise InputError(f"bad exact-radius encoding: {obj!r}")
-    kind, payload = next(iter(obj.items()))
+    """A bar endpoint: a nonnegative {"rat": q} or {"sqrt": q}, the two
+    encodings rzero writes endpoints in.  "sqrt_diff" is written only for
+    bottleneck distances and is no endpoint."""
+    kind = next(iter(obj)) if isinstance(obj, dict) and len(obj) == 1 else None
+    if kind not in ("rat", "sqrt"):
+        raise InputError(f'bad bar endpoint {obj!r}: an endpoint is a nonnegative '
+                         f'{{"rat": "p/q"}} or {{"sqrt": "p/q"}}')
     try:
-        if kind == "rat":
-            return ExactRadius.of(parse_rational(payload))
-        if kind == "sqrt":
-            return ExactRadius.sqrt(parse_rational(payload))
-        if kind == "sqrt_diff":
-            if not isinstance(payload, list) or len(payload) != 2:
-                raise ValueError("payload must be a list of two rationals")
-            return ExactRadius(*map(parse_rational, payload))
+        value = parse_rational(obj[kind])
+        return ExactRadius.of(value) if kind == "rat" else ExactRadius.sqrt(value)
     except ValueError as exc:
-        raise InputError(f"bad exact radius {obj!r}: {exc}") from exc
-    raise InputError(f"unknown exact-radius kind {kind!r}")
+        raise InputError(f"bad bar endpoint {obj!r}: {exc}") from exc
 
 
 def dumps(document) -> str:
@@ -54,12 +51,19 @@ def dumps(document) -> str:
 # input documents
 # ---------------------------------------------------------------------------
 
-def parse_input(text: str) -> PLMap:
-    """Parse an input document into a validated map on a complex."""
+def _json_document(text: str):
+    """The JSON value of a document's text."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
+
+
+def parse_input(doc) -> PLMap:
+    """Parse an input document, as text or loaded, into a validated map
+    on a complex."""
+    if isinstance(doc, str):
+        doc = _json_document(doc)
     if not isinstance(doc, dict):
         raise InputError("input document must be a JSON object")
     for key in ("n", "norm", "vertices", "simplices", "values"):
@@ -176,11 +180,9 @@ def _bar_row(interval: Interval, mult: int, distinguished: bool) -> dict:
 
 
 def parse_barcode(doc) -> PointedBarcode:
+    """Parse a barcode document, as text or loaded."""
     if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc}") from exc
+        doc = _json_document(doc)
     if not isinstance(doc, dict) or "bars" not in doc:
         raise InputError("not a barcode document (no 'bars' field)")
     if not isinstance(doc["bars"], list):
@@ -202,11 +204,3 @@ def parse_barcode(doc) -> PointedBarcode:
     if flagged > 1:
         raise InputError("more than one distinguished bar")
     return PointedBarcode.from_multiset(counter, distinguished)
-
-
-def looks_like_barcode(text: str) -> bool:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError:
-        return False
-    return isinstance(doc, dict) and "bars" in doc

@@ -34,7 +34,6 @@ bar to place ends at one of those two kinds of bar.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,16 +41,12 @@ from .barcode import Interval, PointedBarcode
 from .errors import InputError
 from .exact import ExactRadius, ZERO_RADIUS
 
-_key = functools.cmp_to_key(lambda a, b: a.cmp(b))
 _HALF = Fraction(1, 2)
 
 
 def interval_cost(u: Interval, v: Interval) -> ExactRadius:
     """Sup distance between endpoint pairs (exact)."""
-    try:
-        births, deaths = u.birth.gap(v.birth), u.death.gap(v.death)
-    except ValueError as exc:
-        raise InputError(f"incomparable endpoint families: {exc}") from exc
+    births, deaths = u.birth.gap(v.birth), u.death.gap(v.death)
     return deaths if deaths.cmp(births) > 0 else births
 
 
@@ -155,8 +150,6 @@ def feasible_matching(b1: PointedBarcode, b2: PointedBarcode,
     feasibility at tolerances just above `delta`.  `costs`, when given, is
     the `cost_matrix` of the expanded intervals of b1 and b2.
     """
-    if delta.sign() < 0:
-        raise InputError("tolerance must be nonnegative")
     left, dist_left = _expand(b1)
     right, dist_right = _expand(b2)
     if costs is None:
@@ -186,7 +179,7 @@ def _candidates(costs: list, halves: list) -> list[ExactRadius]:
     for row in costs:
         values.update(row)
     values.update(halves)
-    return sorted(values, key=_key)
+    return sorted(values)
 
 
 def bottleneck(b1: PointedBarcode, b2: PointedBarcode) -> ExactRadius:

@@ -32,6 +32,7 @@ from test_pipeline_fuzz import (
     moebius_odd_winding_map,
     planar_inputs,
     projective_plane_map,
+    signs_inputs,
     three_dimensional_inputs,
 )
 
@@ -190,6 +191,22 @@ def test_invariances_all_examples():
     for f, mode in cases:
         report = check_invariances(f, mode, 31)
         assert report.passed, report.to_dict()
+
+
+def test_random_maps_pass_the_invariance_and_exactness_checks():
+    # `rzero check`'s two reports on the random maps of the pipeline fuzz:
+    # the twelve planar maps in circle mode and, where it applies, hopf,
+    # and the 25 maps to R in signs mode.  The 3-D hopf maps are left
+    # out: two of them take over 4 s each.
+    runs = 0
+    cases = [(t, f, mode) for t, f in planar_inputs() for mode in (Mode.CIRCLE, Mode.HOPF)]
+    cases += [(t, f, Mode.SIGNS) for t, f in signs_inputs()]
+    for t, f, mode in cases:
+        if applicable(mode, f.n, f.complex.dim):
+            for report in (check_invariances(f, mode, 5000 + t), exactness_checks(f, mode, 5000 + t)):
+                assert report.passed, (t, mode, report.to_dict())
+            runs += 1
+    assert runs == 49
 
 
 def test_exactness_all_examples():

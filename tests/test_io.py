@@ -52,11 +52,17 @@ def run_cli(*args, env_extra=None):
 
 
 def test_radius_encoding_round_trip():
-    for r in (ExactRadius.of(0), ExactRadius.of(Fraction(-3, 7)),
-              ExactRadius.sqrt(2), ExactRadius(5, 2), ExactRadius.of(4)):
+    for r in (ExactRadius.of(0), ExactRadius.of(Fraction(3, 7)),
+              ExactRadius.sqrt(2), ExactRadius.of(4)):
         assert decode_radius(encode_radius(r)) == r
     assert encode_radius(ExactRadius.sqrt(25)) == {"rat": "5"}
     assert encode_radius(ExactRadius.sqrt(Fraction(1, 2))) == {"sqrt": "1/2"}
+    # A difference of roots is written for bottleneck distances only; it is
+    # no bar endpoint, and neither is a negative value.
+    assert encode_radius(ExactRadius(5, 2)) == {"sqrt_diff": ["5", "2"]}
+    for bad in ({"sqrt_diff": ["5", "2"]}, {"rat": "-1"}, {"rat": "-3/7"}, {"sqrt": "-2"}):
+        with pytest.raises(InputError, match="bad bar endpoint"):
+            decode_radius(bad)
 
 
 def test_parse_input_round_trip():
@@ -187,6 +193,27 @@ def test_cli_bottleneck_on_barcode_documents(tmp_path):
     out = run_cli("bottleneck", str(doc_path), str(doc_path))
     assert out.returncode == 0
     assert json.loads(out.stdout) == {"distance": {"rat": "0"}}
+
+
+def test_cli_bottleneck_rejects_a_negative_bar(tmp_path, capsys):
+    doc = tmp_path / "negative.json"
+    doc.write_text(json.dumps({"bars": [{"birth": {"rat": "-3"}, "death": {"rat": "-1"}}]}))
+    assert cli.main(["bottleneck", str(doc), str(doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert "nonnegative" in err
+
+
+def test_cli_bottleneck_rejects_a_difference_of_roots_as_an_endpoint(tmp_path, capsys):
+    doc = tmp_path / "sqrt_diff.json"
+    doc.write_text(json.dumps({"bars": [{"birth": {"sqrt_diff": ["7", "2"]},
+                                         "death": {"rat": "3"}}]}))
+    assert cli.main(["bottleneck", str(doc), str(doc)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("input error:") and err.count("\n") == 1
+    assert '{"rat": "p/q"}' in err and '{"sqrt": "p/q"}' in err
 
 
 def test_cli_perturb_round_trip(tmp_path):

@@ -150,12 +150,18 @@ def _consistency(analysis, fields):
         assert decompose_oracle(module, signs_robust_radius=rho) == bc
 
 
-def test_random_signs_inputs():
+def signs_inputs():
+    """(t, map) for the random maps to R, with t indexing their seeds."""
     for t in range(25):
         sampler = RationalSampler(child_seed(31337, t))
         c = _random_complex(sampler, max_dim=2)
-        f = PLMap(c, _random_values(sampler, c, 1),
-                  1, ("l1", "l2", "linf")[t % 3])
+        yield t, PLMap(c, _random_values(sampler, c, 1),
+                       1, ("l1", "l2", "linf")[t % 3])
+
+
+def test_random_signs_inputs():
+    for t, f in signs_inputs():
+        c = f.complex
         analysis = analyze(f, Mode.SIGNS, child_seed(31337, 1000 + t))
         _consistency(analysis, ("f2", "q"))
         if c.dim <= 1:
